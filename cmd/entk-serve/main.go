@@ -48,6 +48,19 @@ import (
 	"entk/internal/serve"
 )
 
+// Connection timeouts: a client that stalls sending its request, or
+// holds an idle keep-alive connection, is dropped instead of pinning a
+// goroutine and a descriptor forever. There is deliberately no
+// WriteTimeout: /trace and /checkpoint bodies grow with the campaign,
+// and a slow reader of a large one must not be cut mid-stream. The idle
+// timeout is far above entk-cli submit -follow's 50 ms poll interval,
+// so a follower keeps its connection.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second // campaign documents are small
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("entk-serve: ")
@@ -96,7 +109,13 @@ func main() {
 		log.Printf("restored %d campaign(s) from %s", n, *state)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: serve.NewHandler(o)}
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           serve.NewHandler(o),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	log.Printf("listening on http://%s (mode=%s engine=%s layout=%s)", *addr, md, eng, lay)

@@ -449,7 +449,7 @@ func agentDrainCost(t *testing.T, ref bool, n int) float64 {
 // driving 8x the backlog through real scheduling passes must leave the
 // segmented queue's per-unit work flat while the reference's grows with
 // the backlog. This is the counter-level form of the 1M-tier throughput
-// acceptance (BenchmarkStress1M pins the wall-clock form).
+// acceptance (bench/'s stress-1m workload measures the wall-clock form).
 func TestAgentPassCostRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pass-cost regression skipped in -short mode (reference legs are slow by design)")

@@ -52,6 +52,11 @@ func placementFixture(t *testing.T) []*ComputePilot {
 			}
 			pilots = append(pilots, p)
 		}
+		// Submit leaves each pilot's batch and boot processes live; a
+		// phantom process that never exits keeps the clock at t=0 after
+		// Run returns, so they cannot activate (then expire) the pilots
+		// while a test reads their counters.
+		v.Attach()
 	})
 	if len(pilots) != 3 {
 		t.Fatal("fixture pilots missing")

@@ -90,8 +90,8 @@ type scheduler interface {
 // linearScanMaxNodes is the adaptive crossover of the indexed scheduler:
 // at or below this node count a placement attempt's linear scan is a
 // handful of contiguous int reads and beats the segment tree's pointer
-// walk on constant factor (BENCH_PR1.json recorded the indexed scheduler
-// 21% behind rescan at 256 cores / 16 nodes). Both implementations make
+// walk on constant factor (the segment tree measured 21% behind the
+// rescan scheduler at 256 cores / 16 nodes). Both implementations make
 // identical placement decisions (TestSchedulerImplEquivalence), so the
 // crossover is invisible to simulated time.
 const linearScanMaxNodes = 32

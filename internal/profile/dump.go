@@ -3,7 +3,7 @@
 // as the same 16-byte {entityID, nameID, t} record the columnar store
 // keeps in memory. A 100k-task run (a few million events) serialises in
 // tens of MB and round-trips losslessly, so traces can be archived and
-// analysed offline (entk-bench -profdump writes one).
+// analysed offline (entk-run -record writes one).
 package profile
 
 import (

@@ -3,12 +3,15 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"entk"
+	"entk/internal/campaign"
 	"entk/internal/profile"
 	"entk/internal/vclock"
 )
@@ -176,5 +179,44 @@ func TestLiveEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown id: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestCheckpointBeforePipelinesRegistered pins the window launch leaves
+// between publishing a campaign's AppManager and that manager's Run
+// registering the pipelines: a checkpoint taken there would be empty,
+// so the endpoint must answer "not running" (409), never a document.
+func TestCheckpointBeforePipelinesRegistered(t *testing.T) {
+	o, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := campaign.Parse(strings.NewReader(liveCampaign))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opts campaign.Options
+	v := opts.NewClock()
+	rs, err := c.Bind(v, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Run(func() {
+		err = rs.Allocate()
+		v.Attach() // a phantom process: the clock holds here after Run returns
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &handle{id: "c0001", spec: c, state: StateRunning,
+		rs: rs, am: entk.NewAppManager(rs), done: make(chan struct{})}
+	o.campaigns[h.id] = h
+
+	var buf bytes.Buffer
+	if err := o.CheckpointTo(h.id, &buf); !errors.Is(err, ErrNotRunning) {
+		t.Errorf("CheckpointTo before registration: err = %v, want ErrNotRunning", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("CheckpointTo before registration wrote %d bytes", buf.Len())
 	}
 }

@@ -360,7 +360,13 @@ func (o *Orchestrator) CheckpointTo(id string, w io.Writer) error {
 	if am == nil || rs == nil {
 		return ErrNotRunning
 	}
-	return entk.SaveCheckpoint(w, am.Checkpoint(), rs.Session().Prof.Snapshot())
+	cp := am.Checkpoint()
+	if len(cp.Pipelines) == 0 {
+		// launch publishes the manager before its Run registers the
+		// campaign's pipelines; a graph campaign always has at least one.
+		return ErrNotRunning
+	}
+	return entk.SaveCheckpoint(w, cp, rs.Session().Prof.Snapshot())
 }
 
 // PeakInFlight exposes the admission queue's observed peaks (tests).

@@ -91,9 +91,9 @@ type FaultTierResult struct {
 	RecoveryOverheadSec float64
 }
 
-// FaultTier runs the fault-recovery pair on the default engine.
+// FaultTier runs the fault-recovery pair on the handoff engine.
 func FaultTier(p *FaultTierPlan) (*FaultTierResult, error) {
-	return FaultTierOn(p, DefaultEngine)
+	return FaultTierOn(p, vclock.EngineHandoff)
 }
 
 // FaultTierOn is FaultTier on an explicit vclock engine.
@@ -114,7 +114,7 @@ func FaultTierOn(p *FaultTierPlan, eng vclock.Engine) (*FaultTierResult, error) 
 		rs, err := core.NewResourceSet([]core.PilotSpec{
 			{Resource: p.Machine, Cores: p.PilotCores, Walltime: 10000 * time.Hour},
 			{Resource: p.Machine, Cores: p.PilotCores, Walltime: 10000 * time.Hour},
-		}, core.Config{Clock: v, Exec: DefaultExec, Runtime: rcfg})
+		}, core.Config{Clock: v, Runtime: rcfg})
 		if err != nil {
 			return FaultRunRow{}, err
 		}

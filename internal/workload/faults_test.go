@@ -36,4 +36,13 @@ func TestFaultTierFull(t *testing.T) {
 		t.Errorf("%v\n%s", err, res.Table())
 	}
 	t.Logf("\n%s", res.Table())
+	checkSimColumns(t, "faults", map[string]any{
+		"machine":             res.Plan.Machine,
+		"pilot_cores":         res.Plan.PilotCores,
+		"tasks":               res.Plan.Tasks(),
+		"kill_at_s":           res.KillAtSec,
+		"clean":               res.Clean,
+		"faulted":             res.Faulted,
+		"recovery_overhead_s": res.RecoveryOverheadSec,
+	})
 }

@@ -34,22 +34,10 @@ var (
 	Fig9CPS   = []int{1, 16, 32, 64} // cores per simulation
 )
 
-// DefaultEngine is the vclock engine the figure and stress runners use.
-// entk-bench's -engine flag sets it once at startup (before any runner
-// executes); tests that need a specific engine use the *On variants
-// instead of mutating it.
-var DefaultEngine = vclock.EngineHandoff
-
 // DefaultProfLayout is the profiler event-storage layout the runners use.
 // The layout-parity tests flip it to profile.LayoutRef to prove the
 // columnar layout changes no figure or stress result.
 var DefaultProfLayout = profile.LayoutColumnar
-
-// DefaultExec is the executor path the runners use: the graph executor,
-// or the seed pattern executor (core.ExecRef) kept as the reference.
-// The graph-parity legs flip it to prove the graph executor changes no
-// figure or stress result.
-var DefaultExec = core.ExecGraph
 
 // DefaultPendingRef selects the agent's pending-queue implementation:
 // false is the segmented queue, true the seed's flat compacting FIFO
@@ -68,16 +56,6 @@ func WithPendingRef(ref bool, fn func() error) error {
 	return fn()
 }
 
-// WithExecPath runs fn with DefaultExec set to e and restores the
-// previous path before returning — the executor analogue of
-// WithProfLayout.
-func WithExecPath(e core.ExecPath, fn func() error) error {
-	prev := DefaultExec
-	DefaultExec = e
-	defer func() { DefaultExec = prev }()
-	return fn()
-}
-
 // WithProfLayout runs fn with DefaultProfLayout set to l and restores the
 // previous layout before returning — the one sanctioned way to flip the
 // layout axis, so no caller can leave the global pointing at the wrong
@@ -89,11 +67,12 @@ func WithProfLayout(l profile.Layout, fn func() error) error {
 	return fn()
 }
 
-// runOnFreshClock executes one pattern on a dedicated virtual clock and
-// resource handle, returning the report. Every experiment point runs in
-// its own simulated world so points are independent and deterministic.
+// runOnFreshClock executes one pattern on a dedicated virtual clock
+// (the handoff engine) and resource handle, returning the report. Every
+// experiment point runs in its own simulated world so points are
+// independent and deterministic.
 func runOnFreshClock(resource string, cores int, build func() core.Pattern) (*core.Report, error) {
-	return runOnFreshClockEngine(resource, cores, DefaultEngine, build)
+	return runOnFreshClockEngine(resource, cores, vclock.EngineHandoff, build)
 }
 
 // runOnFreshClockEngine is runOnFreshClock on an explicit vclock engine.
@@ -103,7 +82,7 @@ func runOnFreshClockEngine(resource string, cores int, eng vclock.Engine, build 
 	rcfg.ProfLayout = DefaultProfLayout
 	rcfg.PendingRef = DefaultPendingRef
 	h, err := core.NewResourceHandle(resource, cores, 10000*time.Hour,
-		core.Config{Clock: v, Exec: DefaultExec, Runtime: rcfg})
+		core.Config{Clock: v, Runtime: rcfg})
 	if err != nil {
 		return nil, err
 	}

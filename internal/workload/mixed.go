@@ -115,9 +115,9 @@ func buildMixedPipelines(plan []StressMixedPipeline) []*core.Pipeline {
 	return pls
 }
 
-// Stress100kMixed runs the mixed campaign on the default engine.
+// Stress100kMixed runs the mixed campaign on the handoff engine.
 func Stress100kMixed(plan []StressMixedPipeline) (*Stress100kMixedResult, error) {
-	return Stress100kMixedOn(plan, DefaultEngine)
+	return Stress100kMixedOn(plan, vclock.EngineHandoff)
 }
 
 // Stress100kMixedOn is Stress100kMixed on an explicit vclock engine.
@@ -137,7 +137,7 @@ func stressCampaignOn(machine string, cores int, plan []StressMixedPipeline, eng
 	rcfg.ProfLayout = DefaultProfLayout
 	rcfg.PendingRef = DefaultPendingRef
 	h, err := core.NewResourceHandle(machine, cores, 10000*time.Hour,
-		core.Config{Clock: v, Exec: DefaultExec, Runtime: rcfg})
+		core.Config{Clock: v, Runtime: rcfg})
 	if err != nil {
 		return nil, err
 	}
@@ -318,13 +318,11 @@ func (r *Stress100kMixedResult) SimColumns() []Stress100kMixedRow {
 // ---------------------------------------------------------------------------
 // Persistent traces
 
-// ProfileTrace runs the unit-throughput workload once (the exact
-// workload stress.go defines for BenchmarkPilotUnitThroughput) and
-// writes the session's full event trace to w in the versioned binary
-// dump format (profile.WriteTo). It returns the event count and bytes
-// written — the entk-bench -profdump entry point.
+// ProfileTrace runs the unit-throughput workload once and writes the
+// session's full event trace to w in the versioned binary dump format
+// (profile.WriteTo). It returns the event count and bytes written.
 func ProfileTrace(w io.Writer) (events int, bytes int64, err error) {
-	h, err := runThroughputWorkload(false, DefaultEngine)
+	h, err := runThroughputWorkload()
 	if err != nil {
 		return 0, 0, err
 	}

@@ -21,6 +21,7 @@ func TestStress100kMixedSweep(t *testing.T) {
 	if err := res.Check(); err != nil {
 		t.Errorf("%v\n%s", err, res.Table())
 	}
+	checkSimColumns(t, "stress_100k_mixed", res.SimColumns())
 }
 
 // TestStress100kMixedEngineParity asserts the campaign's simulated
@@ -99,8 +100,8 @@ func TestProfileTrace(t *testing.T) {
 		t.Errorf("reloaded %d events, want %d", p.EventCount(), events)
 	}
 	// The trace must contain the full unit lifecycle for every task.
-	if got := len(p.Entities("unit.")); got != ThroughputUnits {
-		t.Errorf("trace has %d unit entities, want %d", got, ThroughputUnits)
+	if got := len(p.Entities("unit.")); got != throughputUnits {
+		t.Errorf("trace has %d unit entities, want %d", got, throughputUnits)
 	}
 	if _, ok := p.First("unit.", "exec_start"); !ok {
 		t.Error("trace missing exec_start events")

@@ -38,8 +38,7 @@ var MultiPilotPlan = []StressMixedPipeline{
 	{Name: "mpi", Width: 512, Depth: 4, CoresPer: 4, Tags: []string{"mpi"}},
 }
 
-// MultiPilotUtilRow is one pilot's utilization column set, the rows
-// entk-bench -multipilot emits into the -json matrix.
+// MultiPilotUtilRow is one pilot's utilization column set.
 type MultiPilotUtilRow struct {
 	Pilot       int     `json:"pilot"`
 	Resource    string  `json:"resource"`
@@ -63,14 +62,8 @@ type MultiPilotResult struct {
 	CoreOvhSec      float64
 }
 
-// MultiPilotCampaign runs the two-machine campaign on the default
-// engine.
-func MultiPilotCampaign(plan []StressMixedPipeline) (*MultiPilotResult, error) {
-	return MultiPilotCampaignOn(plan, DefaultEngine)
-}
-
-// MultiPilotCampaignOn is MultiPilotCampaign on an explicit vclock
-// engine.
+// MultiPilotCampaignOn runs the two-machine campaign (nil plan:
+// MultiPilotPlan) on the given vclock engine.
 func MultiPilotCampaignOn(plan []StressMixedPipeline, eng vclock.Engine) (*MultiPilotResult, error) {
 	if plan == nil {
 		plan = MultiPilotPlan
@@ -82,7 +75,7 @@ func MultiPilotCampaignOn(plan []StressMixedPipeline, eng vclock.Engine) (*Multi
 	rs, err := core.NewResourceSet([]core.PilotSpec{
 		{Resource: MultiPilotCPUMachine, Cores: MultiPilotCPUCores, Walltime: 10000 * time.Hour, Tags: []string{"cpu"}},
 		{Resource: MultiPilotMPIMachine, Cores: MultiPilotMPICores, Walltime: 10000 * time.Hour, Tags: []string{"mpi"}},
-	}, core.Config{Clock: v, Exec: DefaultExec, Runtime: rcfg})
+	}, core.Config{Clock: v, Runtime: rcfg})
 	if err != nil {
 		return nil, err
 	}

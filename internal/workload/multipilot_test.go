@@ -21,6 +21,10 @@ func TestMultiPilotCampaign(t *testing.T) {
 		if err := res.Check(); err != nil {
 			t.Errorf("engine %v: %v\n%s", eng, err, res.Table())
 		}
+		rows, util := res.SimColumns()
+		checkSimColumns(t, "multipilot", map[string]any{
+			"placement": res.Placement, "rows": rows, "pilot_utilization": util,
+		})
 	}
 }
 

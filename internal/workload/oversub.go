@@ -45,10 +45,10 @@ var (
 	stressOversubSmokeCores = 1024
 )
 
-// Stress100kOversub runs the oversubscribed campaign on the default
+// Stress100kOversub runs the oversubscribed campaign on the handoff
 // engine.
 func Stress100kOversub(plan []StressMixedPipeline) (*Stress100kMixedResult, error) {
-	return Stress100kOversubOn(plan, DefaultEngine)
+	return Stress100kOversubOn(plan, vclock.EngineHandoff)
 }
 
 // Stress100kOversubOn is Stress100kOversub on an explicit vclock engine.

@@ -19,6 +19,7 @@ func TestStress100kOversubSweep(t *testing.T) {
 	if err := res.CheckOversub(); err != nil {
 		t.Errorf("%v\n%s", err, res.Table())
 	}
+	checkSimColumns(t, "stress_100k_oversub", res.SimColumns())
 }
 
 // TestStress100kOversubEngineParity asserts the oversubscribed

@@ -18,9 +18,9 @@ import (
 // the indexed agent scheduler — the seed's rescan scheduler made them the
 // slowest runs in the tree — and double as correctness checks that the
 // runtime keeps exact accounting when the workload no longer fits the
-// pilot in one wave. Wall-clock throughput is reported alongside the
-// simulated quantities so the perf trajectory is measurable (see
-// cmd/entk-bench -stress and BENCH_PR1.json).
+// pilot in one wave. Each row carries its wall-clock cost beside the
+// simulated quantities; the simulated columns are pinned by
+// testdata/sim_columns.golden.json.
 
 // StressMachine is the stress tier's resource label.
 const StressMachine = "sim.stress8k"
@@ -28,54 +28,33 @@ const StressMachine = "sim.stress8k"
 // StressCores is the pilot size used by the stress tier.
 const StressCores = 8192
 
-// The unit-throughput workload: the single configuration measured by
-// BenchmarkPilotUnitThroughput and recorded in BENCH_PR<N>.json, defined
-// once here so the benchmark and entk-bench cannot drift apart.
+// The unit-throughput workload ProfileTrace dumps: throughputUnits
+// one-stage pipelines of one-second sleeps through a
+// throughputCores-core Stampede pilot.
 const (
-	// ThroughputUnits is the workload's ensemble width.
-	ThroughputUnits = 512
-	// ThroughputCores is the pilot size.
-	ThroughputCores = 256
+	throughputUnits = 512
+	throughputCores = 256
 )
-
-// PilotThroughput runs the unit-throughput workload once: ThroughputUnits
-// one-stage pipelines of one-second sleeps through a ThroughputCores-core
-// Stampede pilot, on the indexed (rescan=false) or reference scheduler.
-func PilotThroughput(rescan bool) error {
-	return PilotThroughputOn(rescan, DefaultEngine)
-}
-
-// PilotThroughputOn is PilotThroughput on an explicit vclock engine, the
-// unit of measurement behind the engine × scheduler throughput matrix in
-// BENCH_PR<N>.json.
-func PilotThroughputOn(rescan bool, eng vclock.Engine) error {
-	_, err := runThroughputWorkload(rescan, eng)
-	return err
-}
 
 // runThroughputWorkload executes the unit-throughput workload and
 // returns its finished handle (the session behind it stays queryable,
-// which is how ProfileTrace dumps the run's events). This is the single
-// definition of the workload, so the benchmark, entk-bench, and the
-// trace dump cannot drift apart.
-func runThroughputWorkload(rescan bool, eng vclock.Engine) (*core.ResourceHandle, error) {
-	v := vclock.NewVirtualEngine(eng)
+// which is how ProfileTrace dumps the run's events).
+func runThroughputWorkload() (*core.ResourceHandle, error) {
+	v := vclock.NewVirtualEngine(vclock.EngineHandoff)
 	rcfg := pilot.DefaultConfig()
-	rcfg.Rescan = rescan
 	rcfg.ProfLayout = DefaultProfLayout
 	rcfg.PendingRef = DefaultPendingRef
-	h, err := core.NewResourceHandle("xsede.stampede", ThroughputCores, 1000*time.Hour,
-		core.Config{Clock: v, Exec: DefaultExec, Runtime: rcfg})
+	h, err := core.NewResourceHandle("xsede.stampede", throughputCores, 1000*time.Hour,
+		core.Config{Clock: v, Runtime: rcfg})
 	if err != nil {
 		return nil, err
 	}
-	// One kernel instance for every task: bind never mutates the kernel,
-	// and sharing keeps the per-task allocation off the measured path.
+	// One kernel instance for every task: bind never mutates the kernel.
 	kernel := &core.Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 1}}
 	var runErr error
 	v.Run(func() {
 		_, runErr = h.Execute(&core.EnsembleOfPipelines{
-			Pipelines: ThroughputUnits,
+			Pipelines: throughputUnits,
 			Stages:    1,
 			StageKernel: func(int, int) *core.Kernel {
 				return kernel
@@ -122,11 +101,6 @@ type StressEEResult struct {
 // more replicas than cores — the pilot capability (decoupling workload
 // size from resource size) at 10k scale.
 func StressEE(sizes []int) (*StressEEResult, error) {
-	return StressEEOn(sizes, DefaultEngine)
-}
-
-// StressEEOn is StressEE on an explicit vclock engine.
-func StressEEOn(sizes []int, eng vclock.Engine) (*StressEEResult, error) {
 	if sizes == nil {
 		sizes = StressEESizes
 	}
@@ -147,7 +121,7 @@ func StressEEOn(sizes []int, eng vclock.Engine) (*StressEEResult, error) {
 			Params: map[string]float64{"replicas": float64(n)},
 		}
 		t0 := time.Now()
-		rep, err := runOnFreshClockEngine(StressMachine, cores, eng, func() core.Pattern {
+		rep, err := runOnFreshClock(StressMachine, cores, func() core.Pattern {
 			return &core.EnsembleExchange{
 				Replicas: n,
 				Cycles:   1,
@@ -249,11 +223,6 @@ type StressEoPResult struct {
 // stage is one bulk submission of up to 10240 units, the hardest single
 // event the agent scheduler sees anywhere in the tree.
 func StressEoP(sizes []int) (*StressEoPResult, error) {
-	return StressEoPOn(sizes, DefaultEngine)
-}
-
-// StressEoPOn is StressEoP on an explicit vclock engine.
-func StressEoPOn(sizes []int, eng vclock.Engine) (*StressEoPResult, error) {
 	if sizes == nil {
 		sizes = StressEoPSizes
 	}
@@ -265,7 +234,7 @@ func StressEoPOn(sizes []int, eng vclock.Engine) (*StressEoPResult, error) {
 			Params: map[string]float64{"seconds": stressEoPSeconds},
 		}
 		t0 := time.Now()
-		rep, err := runOnFreshClockEngine(StressMachine, StressCores, eng, func() core.Pattern {
+		rep, err := runOnFreshClock(StressMachine, StressCores, func() core.Pattern {
 			return &core.EnsembleOfPipelines{
 				Pipelines:  n,
 				Stages:     stressEoPStages,
@@ -351,9 +320,9 @@ type Stress100kResult struct {
 	Rows []Stress100kPoint
 }
 
-// Stress100k runs the 100k-task stress sweep on the default engine.
+// Stress100k runs the 100k-task stress sweep on the handoff engine.
 func Stress100k(sizes []int) (*Stress100kResult, error) {
-	return Stress100kOn(sizes, DefaultEngine)
+	return Stress100kOn(sizes, vclock.EngineHandoff)
 }
 
 // Stress100kOn is Stress100k on an explicit vclock engine.
@@ -476,54 +445,36 @@ func (r *Stress100kResult) Check() error {
 
 // Stress1MSize is the 1M-task tier's ensemble width: a 10x step past
 // the 100k tier on the same sim.stress64k machine (16 full scheduling
-// waves). Since the segmented pending queue removed the O(pending)
-// scheduling-pass collapse, the tier runs unguarded in the benchmark
-// matrix (BenchmarkStress1M); entk-bench records it behind -stress1m.
+// waves) — bench/'s stress-1m workload.
 const Stress1MSize = 1 << 20
 
-// Stress10MSize is the guarded 10M-task probe's ensemble width: one
-// more 10x step (160 full scheduling waves), gated behind
-// ENTK_STRESS_10M=1 / entk-bench -stress10m because a run holds a
-// multi-gigabyte live heap. It exists to show the segmented pending
-// queue's per-unit cost stays flat one order of magnitude past the
-// 1M wall the seed FIFO collapsed at.
-const Stress10MSize = 10 << 20
-
-// Stress1MProbe runs the 1M-task sweep point and applies the probe
-// checks below.
-func Stress1MProbe() (*Stress100kResult, error) { return stressProbe("1m", Stress1MSize) }
-
-// Stress10MProbe runs the 10M-task sweep point and applies the probe
-// checks below.
-func Stress10MProbe() (*Stress100kResult, error) { return stressProbe("10m", Stress10MSize) }
-
-// stressProbe runs one guarded many-wave sweep point and applies looser
-// golden checks than the 100k tier: exact task and overhead accounting
-// (these never loosen), the unchanged queue-wait model, and the
-// execution span with per-wave launcher-stagger slack (the 100k tier's
-// fixed 5s slack is a single-digit-wave bound).
-func stressProbe(label string, size int) (*Stress100kResult, error) {
-	res, err := Stress100k([]int{size})
+// Stress1MProbe runs the 1M-task sweep point and applies looser golden
+// checks than the 100k tier: exact task and overhead accounting (these
+// never loosen), the unchanged queue-wait model, and the execution span
+// with per-wave launcher-stagger slack (the 100k tier's fixed 5s slack
+// is a single-digit-wave bound).
+func Stress1MProbe() (*Stress100kResult, error) {
+	res, err := Stress100k([]int{Stress1MSize})
 	if err != nil {
 		return nil, err
 	}
 	w := res.Rows[0]
-	if w.Tasks != size {
-		return nil, fmt.Errorf("stress %s: ran %d tasks, want %d", label, w.Tasks, size)
+	if w.Tasks != Stress1MSize {
+		return nil, fmt.Errorf("stress 1m: ran %d tasks, want %d", w.Tasks, Stress1MSize)
 	}
 	perUnit := pilot.DefaultConfig().UMSubmitPerUnit.Seconds()
 	wantOvh := float64(w.Tasks) * perUnit
 	if math.Abs(w.PatternOvhSec-wantOvh) > 1e-6*wantOvh+1e-9 {
-		return nil, fmt.Errorf("stress %s: pattern overhead %.3fs, want exactly %.3fs", label, w.PatternOvhSec, wantOvh)
+		return nil, fmt.Errorf("stress 1m: pattern overhead %.3fs, want exactly %.3fs", w.PatternOvhSec, wantOvh)
 	}
-	waves := float64((size + Stress100kCores - 1) / Stress100kCores)
+	waves := float64((Stress1MSize + Stress100kCores - 1) / Stress100kCores)
 	wantExec := waves * stress100kSeconds
 	if w.ExecSec < wantExec || w.ExecSec > wantExec+5*waves {
-		return nil, fmt.Errorf("stress %s: exec %.1fs, want ~%.1fs (%v waves)", label, w.ExecSec, wantExec, waves)
+		return nil, fmt.Errorf("stress 1m: exec %.1fs, want ~%.1fs (%v waves)", w.ExecSec, wantExec, waves)
 	}
 	if w.TTCSec < w.ExecSec+w.PatternOvhSec {
-		return nil, fmt.Errorf("stress %s: TTC %.1fs < exec %.1fs + overhead %.1fs",
-			label, w.TTCSec, w.ExecSec, w.PatternOvhSec)
+		return nil, fmt.Errorf("stress 1m: TTC %.1fs < exec %.1fs + overhead %.1fs",
+			w.TTCSec, w.ExecSec, w.PatternOvhSec)
 	}
 	return res, nil
 }

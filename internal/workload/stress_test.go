@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
@@ -22,6 +25,7 @@ func TestStressEoPSweep(t *testing.T) {
 	if err := res.Check(); err != nil {
 		t.Errorf("%v\n%s", err, res.Table())
 	}
+	checkSimColumns(t, "stress_eop", res.Rows)
 }
 
 // TestStressEESweep runs the EE weak-scaling stress sweep up to the
@@ -37,6 +41,7 @@ func TestStressEESweep(t *testing.T) {
 	if err := res.Check(); err != nil {
 		t.Errorf("%v\n%s", err, res.Table())
 	}
+	checkSimColumns(t, "stress_ee_weak", res.Rows)
 }
 
 // TestStressEoPSmall keeps a scaled-down stress point in the -short tier
@@ -66,6 +71,84 @@ func skip100k(t *testing.T) {
 	}
 }
 
+// wallClockFields are the row fields that measure the machine running
+// the simulation, not the simulated system; the golden record omits
+// them and checkSimColumns ignores them.
+var wallClockFields = []string{"WallMS", "UnitsPerSecWall", "wall_ms"}
+
+// checkSimColumns compares got — a tier's rows, or a map of its named
+// parts — with one section of testdata/sim_columns.golden.json: the
+// simulated columns of the full tiers, which every change since the
+// tiers were introduced has had to leave untouched. The comparison is
+// exact; a mismatch is reported with the path of the column that moved.
+func checkSimColumns(t *testing.T, section string, got any) {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/sim_columns.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]any
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatalf("sim_columns.golden.json: %v", err)
+	}
+	want, ok := golden[section]
+	if !ok {
+		t.Fatalf("sim_columns.golden.json has no section %q", section)
+	}
+	// Through JSON and back, so got has the golden's generic shape;
+	// float64 survives the round trip exactly.
+	buf, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotAny any
+	if err := json.Unmarshal(buf, &gotAny); err != nil {
+		t.Fatal(err)
+	}
+	diffSimColumns(t, section, want, gotAny)
+}
+
+func diffSimColumns(t *testing.T, path string, want, got any) {
+	t.Helper()
+	switch w := want.(type) {
+	case map[string]any:
+		g, ok := got.(map[string]any)
+		if !ok {
+			t.Errorf("%s: got %v, golden is an object", path, got)
+			return
+		}
+		for _, k := range wallClockFields {
+			delete(g, k)
+		}
+		for k, wv := range w {
+			gv, ok := g[k]
+			if !ok {
+				t.Errorf("%s.%s: missing, golden %v", path, k, wv)
+				continue
+			}
+			diffSimColumns(t, path+"."+k, wv, gv)
+		}
+		for k := range g {
+			if _, ok := w[k]; !ok {
+				t.Errorf("%s.%s: not in the golden record", path, k)
+			}
+		}
+	case []any:
+		g, ok := got.([]any)
+		if !ok || len(g) != len(w) {
+			t.Errorf("%s: got %v, golden has %d entries", path, got, len(w))
+			return
+		}
+		for i := range w {
+			diffSimColumns(t, fmt.Sprintf("%s[%d]", path, i), w[i], g[i])
+		}
+	default:
+		if want != got {
+			t.Errorf("%s: got %v, golden %v", path, got, want)
+		}
+	}
+}
+
 // TestStress100kSweep runs the full 100k-task sweep and verifies its
 // TTC-decomposition golden checks — the acceptance gate that the columnar
 // profiler sustains 100k+ tasks under go test.
@@ -78,6 +161,7 @@ func TestStress100kSweep(t *testing.T) {
 	if err := res.Check(); err != nil {
 		t.Errorf("%v\n%s", err, res.Table())
 	}
+	checkSimColumns(t, "stress_100k", res.Rows)
 }
 
 // TestStress100kEngineParity runs one 100k-tier point on both vclock
@@ -104,19 +188,18 @@ func TestStress100kEngineParity(t *testing.T) {
 	}
 }
 
-// TestStress100kLayoutParity runs one 100k-tier point on both profiler
+// TestStress100kLayoutParity runs the 100k-tier sweep on both profiler
 // layouts and asserts the simulated columns and the figure Check verdict
 // agree — the stress-tier leg of the layout-parity suite, proving the
 // columnar store changes no measured quantity at the scale it was built
-// for.
+// for. The seed layout's columns are pinned by the golden record too.
 func TestStress100kLayoutParity(t *testing.T) {
 	skip100k(t)
-	sizes := []int{102400}
 	runWith := func(l profile.Layout) *Stress100kResult {
 		var res *Stress100kResult
 		err := WithProfLayout(l, func() error {
 			var err error
-			res, err = Stress100k(sizes)
+			res, err = Stress100k(nil)
 			return err
 		})
 		if err != nil {
@@ -136,14 +219,14 @@ func TestStress100kLayoutParity(t *testing.T) {
 	if err := ref.Check(); err != nil {
 		t.Errorf("ref: %v\n%s", err, ref.Table())
 	}
+	checkSimColumns(t, "stress_100k_prof_ref", ref.Rows)
 }
 
 // TestStress100kPendingQueueParity runs one 100k-tier point on both
 // pending-queue implementations and asserts the simulated columns are
 // byte-identical — the stress-tier leg of the queue-parity suite,
 // proving the segmented queue changes no measured quantity at the scale
-// it was built for (and, transitively, that the BENCH columns recorded
-// by earlier PRs are preserved).
+// it was built for.
 func TestStress100kPendingQueueParity(t *testing.T) {
 	skip100k(t)
 	sizes := []int{102400}
