@@ -54,7 +54,7 @@
 // processes with stdout/stderr captured under -outdir, kernels without
 // one sleep their modelled durations, and the report is the same table
 // over wall-clock instants. Real mode is not bit-reproducible, so
-// -record/-check are rejected; see examples/realmode and DESIGN.md §15.
+// -record/-check are rejected; see examples/realmode and DESIGN.md ("realtime").
 package main
 
 import (
@@ -111,7 +111,7 @@ func main() {
 	}
 	if opts.Mode == campaign.ModeReal {
 		// Golden-trace tooling pins bit-reproducible virtual timelines;
-		// wall-clock instants can never match them (see DESIGN.md §15).
+		// wall-clock instants can never match them (see DESIGN.md, "realtime").
 		if *record != "" || *check != "" {
 			log.Fatalf("entk-run: -record/-check are sim-only (real mode is not bit-reproducible)")
 		}

@@ -22,7 +22,7 @@
 // process executor: kernels carrying an "executable" exec as OS
 // processes (output under -outdir), and shutdown reaps every live
 // process group. Real pools cannot freeze time between campaigns, so
-// idle pilots keep burning walltime; see DESIGN.md §15.
+// idle pilots keep burning walltime; see DESIGN.md ("realtime").
 //
 // On SIGINT/SIGTERM the daemon shuts down gracefully: every in-flight
 // graph campaign is checkpointed into the state directory, and a

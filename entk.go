@@ -63,7 +63,7 @@
 // behind cmd/entk-run -mode=real) execs kernels that carry an
 // Executable as OS processes — same event vocabulary, same reports,
 // over wall instants. Real mode is not bit-reproducible; see DESIGN.md
-// §15 for the determinism contract, and DESIGN.md generally for the
+// ("realtime") for the determinism contract, and DESIGN.md generally for the
 // substitution map against the paper's physical testbed and the graph
 // model's lowering table.
 package entk
@@ -214,12 +214,6 @@ const (
 	AgentFirstFit = pilot.FirstFit
 	AgentBestFit  = pilot.BestFit
 	AgentBackfill = pilot.Backfill
-)
-
-// Unit-to-pilot scheduling policies (RuntimeConfig.Scheduler).
-const (
-	ScheduleRoundRobin  = pilot.RoundRobin
-	ScheduleLeastLoaded = pilot.LeastLoaded
 )
 
 // Fault kinds (FaultSpec.Kind): what a scheduled fault does to its

@@ -151,16 +151,22 @@ var graphParityWorkloads = []struct {
 			Name: "equilibrate-then-sample",
 			Members: []entk.Pattern{
 				&entk.EnsembleOfPipelines{
-					Pipelines:   8,
-					Stages:      2,
-					StageKernel: func(stage, pipe int) *entk.Kernel { return &entk.Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 2}} },
+					Pipelines: 8,
+					Stages:    2,
+					StageKernel: func(stage, pipe int) *entk.Kernel {
+						return &entk.Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 2}}
+					},
 				},
 				&entk.SimulationAnalysisLoop{
-					Iterations:       2,
-					Simulations:      6,
-					Analyses:         1,
-					SimulationKernel: func(int, int) *entk.Kernel { return &entk.Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 3}} },
-					AnalysisKernel:   func(int, int) *entk.Kernel { return &entk.Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 1}} },
+					Iterations:  2,
+					Simulations: 6,
+					Analyses:    1,
+					SimulationKernel: func(int, int) *entk.Kernel {
+						return &entk.Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 3}}
+					},
+					AnalysisKernel: func(int, int) *entk.Kernel {
+						return &entk.Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 1}}
+					},
 				},
 			},
 		}

@@ -68,13 +68,6 @@ func (am *AppManager) Checkpoint() *CampaignCheckpoint {
 	return cp
 }
 
-// Handle returns the underlying resource handle when the manager was
-// built over one, nil for a direct multi-pilot set.
-func (am *AppManager) Handle() *ResourceHandle {
-	h, _ := am.b.(*ResourceHandle)
-	return h
-}
-
 // Binding returns the resource binding the manager runs on.
 func (am *AppManager) Binding() Binding { return am.b }
 

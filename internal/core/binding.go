@@ -86,10 +86,9 @@ type ResourceSet struct {
 	// Specs are the requested pilots, in set order.
 	Specs []PilotSpec
 	// Placement selects the unit-to-pilot late-binding policy. Nil
-	// keeps the legacy per-unit scheduler (RuntimeConfig.Scheduler) for
-	// single-pilot sets — the seed code path — and defaults to
-	// round-robin over structurally eligible pilots for multi-pilot
-	// sets. Set it before Allocate.
+	// installs none on a single-pilot set — every unit goes to the one
+	// pilot — and defaults to round-robin over structurally eligible
+	// pilots for multi-pilot sets. Set it before Allocate.
 	Placement pilot.PlacementPolicy
 	// EagerSubmit makes Run and AppManager.Run start submitting as soon
 	// as the FIRST pilot of the set activates instead of waiting for
@@ -201,9 +200,6 @@ func (rs *ResourceSet) Pilots() []*pilot.ComputePilot {
 	return append([]*pilot.ComputePilot(nil), rs.pilots...)
 }
 
-// Batcher exposes the set's shared submission batcher (tests).
-func (rs *ResourceSet) Batcher() *pilot.WaveBatcher { return rs.batch }
-
 // ControlOverhead returns the toolkit's control-plane time so far
 // (Allocate plus any completed Deallocate) — what Execute patches into
 // Report.CoreOverhead after deallocation. Campaign runners that
@@ -214,6 +210,10 @@ func (rs *ResourceSet) ControlOverhead() time.Duration {
 	defer rs.mu.Unlock()
 	return rs.allocCtl + rs.deallocCtl
 }
+
+// initOverhead models toolkit bootstrap (module loading, state database
+// connection); part of the constant core overhead.
+const initOverhead = time.Second
 
 // Allocate initialises the toolkit and submits every pilot's resource
 // request, in set order. It returns once the requests are submitted
@@ -232,7 +232,7 @@ func (rs *ResourceSet) Allocate() error {
 
 	v := rs.cfg.Clock
 	t0 := v.Now()
-	v.Sleep(rs.cfg.InitOverhead) // toolkit bootstrap
+	v.Sleep(initOverhead)
 	rs.sess = pilot.NewSession(v, rs.cfg.Cost, rs.cfg.Runtime)
 	prof := rs.sess.Prof
 	rs.coreEnt = prof.Intern("core")
@@ -248,11 +248,11 @@ func (rs *ResourceSet) Allocate() error {
 	if rs.Placement != nil {
 		rs.um.SetPlacement(rs.Placement)
 	} else if len(rs.Specs) > 1 || rs.Rebind {
-		// Multi-pilot sets need eligibility-aware placement (the legacy
-		// per-unit scheduler would route units to pilots that must
-		// reject them); single-pilot sets keep the seed path bit for
-		// bit. Rebind always needs it: re-dispatch must exclude the dead
-		// pilot, which only eligibility-aware placement does.
+		// Multi-pilot sets need eligibility-aware placement (the unit
+		// manager's bare round-robin would route units to pilots that
+		// must reject them); single-pilot sets need none. Rebind always
+		// needs it: re-dispatch must exclude the dead pilot, which only
+		// eligibility-aware placement does.
 		rs.um.SetPlacement(pilot.PlaceRoundRobin())
 	}
 	rs.batch = pilot.NewWaveBatcher(rs.um)

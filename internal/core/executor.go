@@ -265,26 +265,15 @@ func (ex *executor) runGraph() error {
 // ---------------------------------------------------------------------------
 // Task execution with retry
 
-// submitTracked validates kernels, binds them to unit descriptions, and
+// submit validates kernels, binds them to unit descriptions, and
 // submits them under the submission lock, charging the elapsed time to
 // the pattern overhead. Submission goes through the binding's shared
 // wave batcher, so waves from concurrent executors (one per campaign
-// pipeline) coalesce at the unit manager.
-func (ex *executor) submitTracked(specs []taskSpec, attempts []int) ([]*pilot.ComputeUnit, error) {
-	return ex.submitVia(specs, attempts, ex.batch.Submit)
-}
-
-// submitStreamedTracked is submitTracked over the unit manager's
-// streaming path: units are dispatched one by one as their client-side
-// submission cost elapses, instead of all at once after the whole batch's
-// cost. It reproduces the event timing of N sequential single-unit
-// submissions while paying the client bookkeeping only once.
-func (ex *executor) submitStreamedTracked(specs []taskSpec, attempts []int) ([]*pilot.ComputeUnit, error) {
-	return ex.submitVia(specs, attempts, ex.batch.SubmitStreamed)
-}
-
-func (ex *executor) submitVia(specs []taskSpec, attempts []int,
-	submit func([]pilot.UnitDescription) ([]*pilot.ComputeUnit, error)) ([]*pilot.ComputeUnit, error) {
+// pipeline) coalesce at the unit manager. A streamed wave dispatches its
+// units one by one as each one's client-side submission cost elapses,
+// instead of all at once after the whole batch's: the event timing of N
+// sequential single-unit submissions for one wave's bookkeeping.
+func (ex *executor) submit(specs []taskSpec, attempts []int, streamed bool) ([]*pilot.ComputeUnit, error) {
 	descs := make([]pilot.UnitDescription, len(specs))
 	// Homogeneous waves share one kernel instance (every stress tier and
 	// most lowered stages); validate each distinct kernel once. A nil
@@ -304,7 +293,13 @@ func (ex *executor) submitVia(specs []taskSpec, attempts []int,
 	ex.subLock.Acquire(1)
 	ex.prof.RecordID(ex.patEnt, ex.evSubStart)
 	t0 := ex.v.Now()
-	units, err := submit(descs)
+	var units []*pilot.ComputeUnit
+	var err error
+	if streamed {
+		units, err = ex.batch.SubmitStreamed(descs)
+	} else {
+		units, err = ex.batch.Submit(descs)
+	}
 	dt := ex.v.Now() - t0
 	ex.prof.RecordID(ex.patEnt, ex.evSubStop)
 	ex.subLock.Release(1)
@@ -318,18 +313,9 @@ func (ex *executor) submitVia(specs []taskSpec, attempts []int,
 }
 
 // runTasks executes specs to completion with per-task retry, returning
-// the successful unit for each spec (in order).
-func (ex *executor) runTasks(specs []taskSpec) ([]*pilot.ComputeUnit, error) {
-	return ex.runTasksVia(specs, ex.submitTracked)
-}
-
-// runTasksStreamed is runTasks over the streaming submission path.
-func (ex *executor) runTasksStreamed(specs []taskSpec) ([]*pilot.ComputeUnit, error) {
-	return ex.runTasksVia(specs, ex.submitStreamedTracked)
-}
-
-func (ex *executor) runTasksVia(specs []taskSpec,
-	submit func([]taskSpec, []int) ([]*pilot.ComputeUnit, error)) ([]*pilot.ComputeUnit, error) {
+// the successful unit for each spec (in order). streamed selects the
+// streaming submission path for every wave, retries included.
+func (ex *executor) runTasks(specs []taskSpec, streamed bool) ([]*pilot.ComputeUnit, error) {
 	if len(specs) == 0 {
 		return nil, nil
 	}
@@ -356,7 +342,7 @@ func (ex *executor) runTasksVia(specs []taskSpec,
 				att[i] = attempts[idx]
 			}
 		}
-		units, err := submit(batch, att)
+		units, err := ex.submit(batch, att, streamed)
 		if err != nil {
 			return nil, err
 		}
@@ -425,7 +411,7 @@ func unitStats(units []*pilot.ComputeUnit) (span, busy time.Duration, n int) {
 // runPhase executes specs as one occurrence of the named phase and
 // records its stats.
 func (ex *executor) runPhase(name string, specs []taskSpec) ([]*pilot.ComputeUnit, error) {
-	units, err := ex.runTasks(specs)
+	units, err := ex.runTasks(specs, false)
 	if err != nil {
 		return units, err
 	}
@@ -465,7 +451,7 @@ func (ex *executor) runEoP(p *EnsembleOfPipelines) error {
 					return
 				}
 				name := eopTaskName(pl, st)
-				units, err := ex.runTasks([]taskSpec{{name, k}})
+				units, err := ex.runTasks([]taskSpec{{name, k}}, false)
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -518,7 +504,7 @@ func (ex *executor) runEoPSingleStage(p *EnsembleOfPipelines) error {
 	if len(specs) == 0 {
 		return nil
 	}
-	units, err := ex.runTasksStreamed(specs)
+	units, err := ex.runTasks(specs, true)
 	if len(units) > 0 {
 		span, busy, n := unitStats(units)
 		ex.mu.Lock()
@@ -624,7 +610,7 @@ func (ex *executor) runEEPairwise(p *EnsembleExchange) error {
 			defer wg.Done()
 			for cycle := 1; cycle <= p.Cycles; cycle++ {
 				name := eeTaskName(cycle, r)
-				units, err := ex.runTasks([]taskSpec{{name, p.SimulationKernel(cycle, r)}})
+				units, err := ex.runTasks([]taskSpec{{name, p.SimulationKernel(cycle, r)}}, false)
 				if err != nil {
 					fail(err)
 					// Release current and future partners before the
@@ -649,7 +635,7 @@ func (ex *executor) runEEPairwise(p *EnsembleExchange) error {
 				}
 				// Second arriver executes the pairwise exchange task.
 				exName := fmt.Sprintf("cycle%03d.exchange.%05d-%05d", cycle, e.lo, e.hi)
-				exu, err := ex.runTasks([]taskSpec{{exName, p.ExchangeKernel(cycle)}})
+				exu, err := ex.runTasks([]taskSpec{{exName, p.ExchangeKernel(cycle)}}, false)
 				if err != nil {
 					fail(err)
 					e.ev.Fire()

@@ -379,11 +379,7 @@ func (ex *executor) runStage(st *Stage, ctl *StageCtl) error {
 			}
 			specs[i] = taskSpec{tn, k}
 		}
-		submit := ex.submitTracked
-		if st.Streamed {
-			submit = ex.submitStreamedTracked
-		}
-		units, err = ex.runTasksVia(specs, submit)
+		units, err = ex.runTasks(specs, st.Streamed)
 		if (err == nil || st.statsOnError) && len(units) > 0 {
 			if st.deferPhase {
 				ex.mu.Lock()

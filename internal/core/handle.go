@@ -27,9 +27,6 @@ type Config struct {
 	Exec ExecPath
 	// MaxRetries is the default per-task retry budget (0 = no retries).
 	MaxRetries int
-	// InitOverhead models toolkit bootstrap (module loading, state
-	// database connection); part of the constant core overhead.
-	InitOverhead time.Duration
 }
 
 // defaultCost lazily builds the shared builtin kernel registry used by
@@ -49,9 +46,6 @@ func (c Config) withDefaults() (Config, error) {
 	zero := pilot.Config{}
 	if c.Runtime == zero {
 		c.Runtime = pilot.DefaultConfig()
-	}
-	if c.InitOverhead == 0 {
-		c.InitOverhead = time.Second
 	}
 	return c, nil
 }

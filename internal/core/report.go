@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -184,12 +183,5 @@ func (a *phaseAccumulator) stats() []PhaseStat {
 	for _, name := range a.order {
 		out = append(out, *a.byKey[name])
 	}
-	return out
-}
-
-// sortedNames is a test helper: phase names sorted alphabetically.
-func (a *phaseAccumulator) sortedNames() []string {
-	out := append([]string(nil), a.order...)
-	sort.Strings(out)
 	return out
 }

@@ -213,20 +213,11 @@ func (a *agent) recovery() func([]*ComputeUnit) {
 	return a.recover
 }
 
-// rejectStopped disposes of a unit submitted to a stopped agent: with a
-// recovery path installed it bounces back for rebinding (the pilot died
-// between the placement pick and the submission landing), otherwise it
-// fails with the stop cause.
-func (a *agent) rejectStopped(u *ComputeUnit) {
-	if rec := a.recovery(); rec != nil {
-		rec([]*ComputeUnit{u})
-		return
-	}
-	u.finish(UnitFailed, a.stopCause())
-}
-
-// rejectStoppedBatch is rejectStopped for a whole bulk submission.
-func (a *agent) rejectStoppedBatch(us []*ComputeUnit) {
+// rejectStopped disposes of units submitted to a stopped agent: with a
+// recovery path installed they bounce back for rebinding (the pilot died
+// between the placement pick and the submission landing), otherwise
+// they fail with the stop cause.
+func (a *agent) rejectStopped(us ...*ComputeUnit) {
 	if rec := a.recovery(); rec != nil {
 		rec(us)
 		return
@@ -241,21 +232,31 @@ func (a *agent) rejectStoppedBatch(us []*ComputeUnit) {
 func (a *agent) start() {
 	a.mu.Lock()
 	a.started = true
-	a.mu.Unlock()
-	a.schedule()
+	a.requestPass() // unlocks
 }
 
-// stop fails all queued units and refuses future work.
-func (a *agent) stop(cause error) {
+// halt is the teardown stop and stopWithReturn share: it marks the agent
+// stopped with cause, empties the pending queue and the in-flight table,
+// releases the idle executor pool and (real mode) the pilot's processes,
+// and returns what it took. Both results are nil on an agent already
+// stopped; running is nil on agents that do not track in-flight work.
+func (a *agent) halt(cause error) (running, pend []*ComputeUnit) {
 	a.mu.Lock()
 	if a.stopped {
 		a.mu.Unlock()
-		return
+		return nil, nil
 	}
 	a.stopped = true
 	a.stoppedFlag.Store(true)
 	a.stopErr = cause
-	doomed := a.pend.drain()
+	pend = a.pend.drain()
+	if a.inflight != nil {
+		running = make([]*ComputeUnit, 0, len(a.inflight))
+		for u := range a.inflight {
+			running = append(running, u)
+		}
+		a.inflight = make(map[*ComputeUnit]flightInfo)
+	}
 	a.mu.Unlock()
 	// Drain the idle executor pool: closing each slot releases its
 	// parked (clock-detached) worker goroutine. stoppedFlag is already
@@ -268,67 +269,55 @@ func (a *agent) stop(cause error) {
 		close(w.ch)
 	}
 	// Real mode: reap every OS process still running for this pilot.
-	// Their executors' RunUnit calls return with the kill error and the
-	// units fail with the stop cause — no orphans outlive the agent.
+	// Their executors' RunUnit calls return with the kill error, and the
+	// units either fail with the stop cause or — stolen for rebinding —
+	// have every later effect generation-gated away. No orphans outlive
+	// the agent.
 	if r := a.sess.Cfg.Runner; r != nil {
 		r.ReleasePilot(a.pilot.ID)
 	}
+	return running, pend
+}
+
+// stop fails all queued units and refuses future work. Running units
+// fail with the stop cause at their executor's next stop check.
+func (a *agent) stop(cause error) {
+	_, doomed := a.halt(cause)
 	for _, u := range doomed {
 		u.finish(UnitFailed, cause)
 	}
 }
 
 // stopWithReturn is stop for a pilot with a recovery path installed:
-// instead of failing the backlog it drains the pending queue (the
-// queue's own FIFO drain machinery) and steals the in-flight units,
-// returning both for the caller to rebind onto surviving pilots. A
-// stolen unit's stale executor keeps running — virtual sleeps cannot be
-// interrupted — but every subsequent effect is generation-gated
-// (unit.go), so it exits harmlessly at its next gate. In-flight units
-// are returned first (they are the oldest work), ordered by unit ID so
-// the map iteration cannot leak nondeterminism into the rebind order.
+// instead of failing the backlog it returns the drained pending queue
+// and the stolen in-flight units for the caller to rebind onto surviving
+// pilots. A stolen unit's stale executor keeps running — virtual sleeps
+// cannot be interrupted — but every subsequent effect is generation-gated
+// (unit.go), so it exits harmlessly at its next gate.
 func (a *agent) stopWithReturn(cause error) []*ComputeUnit {
-	a.mu.Lock()
-	if a.stopped {
-		a.mu.Unlock()
-		return nil
-	}
-	a.stopped = true
-	a.stoppedFlag.Store(true)
-	a.stopErr = cause
-	pend := a.pend.drain()
-	running := make([]*ComputeUnit, 0, len(a.inflight))
-	for u := range a.inflight {
-		running = append(running, u)
-	}
-	a.inflight = make(map[*ComputeUnit]flightInfo)
-	a.mu.Unlock()
-	a.idleMu.Lock()
-	idle := a.idle
-	a.idle = nil
-	a.idleMu.Unlock()
-	for w := idle; w != nil; w = w.next {
-		close(w.ch)
-	}
-	// Real mode: kill the stolen units' processes. The stale executors'
-	// RunUnit calls return, and every subsequent effect is generation-
-	// gated away — the rebound attempts own the units from here.
-	if r := a.sess.Cfg.Runner; r != nil {
-		r.ReleasePilot(a.pilot.ID)
-	}
+	return displaced(a.halt(cause))
+}
+
+// displaced turns units taken off an agent — running lifted out of the
+// in-flight table, pend drained from the queue — into the list to rebind.
+// In-flight units come first (they are the oldest work), ordered by unit
+// ID so the map iteration cannot leak nondeterminism into the rebind
+// order, and only those whose steal lands; a pending unit already final
+// (a racing external finish) keeps its result and is left out.
+func displaced(running, pend []*ComputeUnit) []*ComputeUnit {
 	sort.Slice(running, func(i, j int) bool { return running[i].ID < running[j].ID })
-	returned := make([]*ComputeUnit, 0, len(running)+len(pend))
+	out := make([]*ComputeUnit, 0, len(running)+len(pend))
 	for _, u := range running {
 		if u.steal() {
-			returned = append(returned, u)
+			out = append(out, u)
 		}
 	}
 	for _, u := range pend {
-		if !u.State().Final() { // racing external finish keeps its result
-			returned = append(returned, u)
+		if !u.State().Final() {
+			out = append(out, u)
 		}
 	}
-	return returned
+	return out
 }
 
 // drainPending removes and returns the live pending backlog without
@@ -339,13 +328,7 @@ func (a *agent) drainPending() []*ComputeUnit {
 	a.mu.Lock()
 	pend := a.pend.drain()
 	a.mu.Unlock()
-	out := make([]*ComputeUnit, 0, len(pend))
-	for _, u := range pend {
-		if !u.State().Final() {
-			out = append(out, u)
-		}
-	}
-	return out
+	return displaced(nil, pend)
 }
 
 // quiesce returns an event that fires once the agent has no running
@@ -420,19 +403,7 @@ func (a *agent) loseNodes(n int) []*ComputeUnit {
 	}
 	pend := a.pend.drain()
 	a.mu.Unlock()
-	sort.Slice(hit, func(i, j int) bool { return hit[i].ID < hit[j].ID })
-	returned := make([]*ComputeUnit, 0, len(hit)+len(pend))
-	for _, u := range hit {
-		if u.steal() {
-			returned = append(returned, u)
-		}
-	}
-	for _, u := range pend {
-		if !u.State().Final() {
-			returned = append(returned, u)
-		}
-	}
-	return returned
+	return displaced(hit, pend)
 }
 
 // submit enqueues a unit. The unit must already be bound to this agent's
@@ -451,16 +422,7 @@ func (a *agent) submit(u *ComputeUnit) {
 		return
 	}
 	a.pend.push(u)
-	if !a.started {
-		a.mu.Unlock()
-		return
-	}
-	a.dirty = true
-	if a.inPass {
-		a.mu.Unlock()
-		return
-	}
-	a.runPasses() // unlocks
+	a.requestPass() // unlocks
 }
 
 // admit applies the static submission checks shared by submit and
@@ -514,22 +476,13 @@ func (a *agent) submitBatch(us []*ComputeUnit) {
 	a.mu.Lock()
 	if a.stopped {
 		a.mu.Unlock()
-		a.rejectStoppedBatch(queued)
+		a.rejectStopped(queued...)
 		return
 	}
 	for _, u := range queued {
 		a.pend.push(u)
 	}
-	if !a.started {
-		a.mu.Unlock()
-		return
-	}
-	a.dirty = true
-	if a.inPass {
-		a.mu.Unlock()
-		return
-	}
-	a.runPasses() // unlocks
+	a.requestPass() // unlocks
 }
 
 // cancelQueued removes a unit from the pending queue if still there —
@@ -548,7 +501,8 @@ func (a *agent) cancelQueued(u *ComputeUnit) {
 	// Done to Canceled via the unit's canceled flag) or already final.
 }
 
-// load approximates the agent's backlog for least-loaded scheduling.
+// load is the agent's backlog, queued plus running units — the signal
+// PlaceLeastLoaded routes by.
 func (a *agent) load() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -569,9 +523,11 @@ func (a *agent) passStats() (passes, scanned, placed, queueWork uint64) {
 	return a.passCount, a.passScanned, a.passPlaced, a.pend.work()
 }
 
-// schedule requests a scheduling pass, coalescing with a running one.
-func (a *agent) schedule() {
-	a.mu.Lock()
+// requestPass is the tail every intake shares: mark the queue dirty and
+// run the scheduling passes, unless the agent is not scheduling (not yet
+// started, or stopped) or a pass is already running — it loops until
+// clean, so it picks the flag up. Caller holds mu; released on return.
+func (a *agent) requestPass() {
 	if !a.started || a.stopped {
 		a.mu.Unlock()
 		return
@@ -581,7 +537,9 @@ func (a *agent) schedule() {
 		a.mu.Unlock()
 		return
 	}
-	a.runPasses() // unlocks
+	if lr, ok := a.runPassesTakeOne(); ok { // unlocks
+		a.spawnExec(lr)
+	}
 }
 
 // utilSnapshot reads the utilization counters.
@@ -660,15 +618,6 @@ func (a *agent) releaseAllocLocked(alloc allocation) {
 	}
 }
 
-// runPasses drains the dirty flag: it runs scheduling passes until no new
-// event arrived during the last one, then releases mu. Caller holds mu
-// with inPass false and dirty true.
-func (a *agent) runPasses() {
-	if lr, ok := a.runPassesTakeOne(); ok {
-		a.spawnExec(lr)
-	}
-}
-
 // spawnExec starts lr on an executor: an idle pooled worker when one is
 // parked, else a fresh goroutine. The worker is attached to the clock
 // before the handoff so the engine cannot advance past the pending work.
@@ -718,8 +667,10 @@ func (a *agent) executorLoop(lr launchReq) {
 	}
 }
 
-// runPassesTakeOne is runPasses, but the first placement of the pass
-// cascade is returned to the caller instead of spawned. Caller holds mu
+// runPassesTakeOne drains the dirty flag: it runs scheduling passes until
+// no new event arrived during the last one, spawning an executor per
+// placement except the first of the cascade, which is returned for the
+// caller to run itself (release) or spawn (requestPass). Caller holds mu
 // with inPass false and dirty true; the mutex is released on return.
 func (a *agent) runPassesTakeOne() (launchReq, bool) {
 	var first launchReq

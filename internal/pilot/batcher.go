@@ -98,10 +98,8 @@ func (b *WaveBatcher) join(descs []UnitDescription) ([]*ComputeUnit, error) {
 	// units, brackets no wave, and poisons no round (matching
 	// UnitManager.Submit); the leader then creates units without a
 	// second validation pass.
-	for i := range descs {
-		if err := descs[i].Validate(); err != nil {
-			return nil, err
-		}
+	if err := validate(descs); err != nil {
+		return nil, err
 	}
 	v := b.um.sess.V
 	w := &batchedWave{descs: descs, created: vclock.NewEvent(v, "batched wave created")}
@@ -125,7 +123,7 @@ func (b *WaveBatcher) join(descs []UnitDescription) ([]*ComputeUnit, error) {
 			b.mu.Unlock()
 			b.um.beginWave()
 			for _, m := range round {
-				m.units = b.um.createValidated(m.descs)
+				m.units = b.um.createAll(m.descs)
 				m.created.Fire()
 			}
 			b.um.endWave()

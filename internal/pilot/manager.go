@@ -8,8 +8,9 @@ import (
 	"entk/internal/profile"
 )
 
-// UnitManager accepts unit descriptions, binds each to a pilot per the
-// configured scheduling policy, and forwards it to that pilot's agent
+// UnitManager accepts unit descriptions, binds each to a pilot — per the
+// installed placement policy, else round-robin — and forwards it to that
+// pilot's agent
 // (mirroring rp.UnitManager). Submissions arrive as bulk waves — one
 // Submit or SubmitStreamed call per wave — and waves from any number of
 // concurrent callers (the AppManager runs one submitting process per
@@ -23,8 +24,8 @@ type UnitManager struct {
 
 	mu     sync.Mutex
 	pilots []*ComputePilot
-	rr     int             // round-robin cursor (legacy Cfg.Scheduler path)
-	place  PlacementPolicy // nil = legacy Cfg.Scheduler behaviour
+	rr     int             // round-robin cursor (no placement policy)
+	place  PlacementPolicy // nil = round-robin over the pilots
 	waves  int             // waves accepted (Submit + SubmitStreamed + batched rounds)
 }
 
@@ -52,18 +53,16 @@ func (um *UnitManager) endWave() {
 	um.sess.Prof.RecordID(um.ent, um.sess.vocab.evWaveStop)
 }
 
-// SetPlacement installs a placement policy, replacing the legacy
-// per-unit Cfg.Scheduler choice. Multi-pilot resource sets install one
-// at allocation; with none installed the manager keeps the seed
-// behaviour unchanged.
+// SetPlacement installs a placement policy. Multi-pilot resource sets
+// install one at allocation; with none installed the manager deals units
+// to its pilots round-robin.
 func (um *UnitManager) SetPlacement(p PlacementPolicy) {
 	um.mu.Lock()
 	um.place = p
 	um.mu.Unlock()
 }
 
-// Placement returns the installed placement policy, nil for the legacy
-// scheduler path.
+// Placement returns the installed placement policy, nil for round-robin.
 func (um *UnitManager) Placement() PlacementPolicy {
 	um.mu.Lock()
 	defer um.mu.Unlock()
@@ -91,8 +90,7 @@ func (um *UnitManager) RemovePilot(p *ComputePilot) {
 }
 
 // pick selects a pilot for the next unit: the placement policy when one
-// is installed (late binding over a multi-pilot set), else the legacy
-// Cfg.Scheduler choice.
+// is installed (late binding over a multi-pilot set), else round-robin.
 func (um *UnitManager) pick(d *UnitDescription) (*ComputePilot, error) {
 	um.mu.Lock()
 	defer um.mu.Unlock()
@@ -107,19 +105,63 @@ func (um *UnitManager) pick(d *UnitDescription) (*ComputePilot, error) {
 		}
 		return p, nil
 	}
-	switch um.sess.Cfg.Scheduler {
-	case LeastLoaded:
-		best := um.pilots[0]
-		for _, p := range um.pilots[1:] {
-			if p.agent.load() < best.agent.load() {
-				best = p
-			}
+	p := um.pilots[um.rr%len(um.pilots)]
+	um.rr++
+	return p, nil
+}
+
+// validate checks a whole wave before any of it is created, so a
+// malformed wave creates no units and brackets no wave.
+func validate(descs []UnitDescription) error {
+	for i := range descs {
+		if err := descs[i].Validate(); err != nil {
+			return err
 		}
-		return best, nil
-	default: // RoundRobin
-		p := um.pilots[um.rr%len(um.pilots)]
-		um.rr++
-		return p, nil
+	}
+	return nil
+}
+
+// create constructs the unit for an already-validated description and
+// records its NEW event, charging no virtual time. It is the one place
+// units come from: Submit and the wave batcher create a whole wave up
+// front, SubmitStreamed one unit per elapsed client-side cost.
+func (um *UnitManager) create(d UnitDescription) *ComputeUnit {
+	u := newUnit(um.sess, d)
+	um.sess.Prof.RecordID(u.entityID, um.sess.vocab.evNew)
+	return u
+}
+
+// createAll is create over a wave, in description order.
+func (um *UnitManager) createAll(descs []UnitDescription) []*ComputeUnit {
+	units := make([]*ComputeUnit, len(descs))
+	for i := range descs {
+		units[i] = um.create(descs[i])
+	}
+	return units
+}
+
+// bind late-binds one created unit to a pilot at the current instant:
+// SCHEDULING, the pick, and the umgr_bound record. A unit no pilot can
+// take is failed here and nil returned.
+func (um *UnitManager) bind(u *ComputeUnit) *ComputePilot {
+	u.setState(UnitScheduling)
+	p, err := um.pick(&u.Desc)
+	if err != nil {
+		u.finish(UnitFailed, err)
+		return nil
+	}
+	u.mu.Lock()
+	u.pilot = p
+	u.mu.Unlock()
+	um.sess.Prof.RecordID(u.entityID, um.sess.vocab.evUmgrBound)
+	return p
+}
+
+// dispatchOne binds one unit and hands it to its pilot's agent — the
+// per-unit dispatch step of the unbatched and streamed paths.
+func (um *UnitManager) dispatchOne(u *ComputeUnit) {
+	if p := um.bind(u); p != nil {
+		p.agent.submit(u)
 	}
 }
 
@@ -130,33 +172,16 @@ func (um *UnitManager) pick(d *UnitDescription) (*ComputePilot, error) {
 // descriptions and calling submit_units once. It must be called from a
 // registered vclock process.
 func (um *UnitManager) Submit(descs []UnitDescription) ([]*ComputeUnit, error) {
-	for i := range descs {
-		if err := descs[i].Validate(); err != nil {
-			return nil, err
-		}
+	if err := validate(descs); err != nil {
+		return nil, err
 	}
 	um.beginWave()
 	defer um.endWave()
-	units := make([]*ComputeUnit, 0, len(descs))
-	for _, d := range descs {
-		u := newUnit(um.sess, d)
-		um.sess.Prof.RecordID(u.entityID, um.sess.vocab.evNew)
-		units = append(units, u)
-	}
+	units := um.createAll(descs)
 	// Client-side creation/serialization cost for the whole batch.
 	um.sess.V.Sleep(time.Duration(len(descs)) * um.sess.Cfg.UMSubmitPerUnit)
 	for _, u := range units {
-		u.setState(UnitScheduling)
-		p, err := um.pick(&u.Desc)
-		if err != nil {
-			u.finish(UnitFailed, err)
-			continue
-		}
-		u.mu.Lock()
-		u.pilot = p
-		u.mu.Unlock()
-		um.sess.Prof.RecordID(u.entityID, um.sess.vocab.evUmgrBound)
-		p.agent.submit(u)
+		um.dispatchOne(u)
 	}
 	return units, nil
 }
@@ -170,40 +195,20 @@ func (um *UnitManager) Submit(descs []UnitDescription) ([]*ComputeUnit, error) {
 // per pipeline — without the N goroutines. It must be called from a
 // registered vclock process.
 func (um *UnitManager) SubmitStreamed(descs []UnitDescription) ([]*ComputeUnit, error) {
-	for i := range descs {
-		if err := descs[i].Validate(); err != nil {
-			return nil, err
-		}
+	if err := validate(descs); err != nil {
+		return nil, err
 	}
 	um.beginWave()
 	defer um.endWave()
 	perUnit := um.sess.Cfg.UMSubmitPerUnit
-	units := make([]*ComputeUnit, 0, len(descs))
+	units := make([]*ComputeUnit, len(descs))
 	for i := range descs {
-		u := newUnit(um.sess, descs[i])
-		um.sess.Prof.RecordID(u.entityID, um.sess.vocab.evNew)
-		units = append(units, u)
+		units[i] = um.create(descs[i])
 		// Client-side creation/serialization cost for this one unit.
 		um.sess.V.Sleep(perUnit)
-		um.dispatchOne(u)
+		um.dispatchOne(units[i])
 	}
 	return units, nil
-}
-
-// dispatchOne late-binds one created unit and hands it to its pilot's
-// agent — the per-unit dispatch step shared by the streamed paths.
-func (um *UnitManager) dispatchOne(u *ComputeUnit) {
-	u.setState(UnitScheduling)
-	p, err := um.pick(&u.Desc)
-	if err != nil {
-		u.finish(UnitFailed, err)
-		return
-	}
-	u.mu.Lock()
-	u.pilot = p
-	u.mu.Unlock()
-	um.sess.Prof.RecordID(u.entityID, um.sess.vocab.evUmgrBound)
-	p.agent.submit(u)
 }
 
 // DispatchStreamed late-binds already-created units one at a time, each
@@ -218,22 +223,6 @@ func (um *UnitManager) DispatchStreamed(units []*ComputeUnit) {
 		um.sess.V.Sleep(perUnit)
 		um.dispatchOne(u)
 	}
-}
-
-// createValidated creates units for already-validated descriptions
-// (recording the NEW lifecycle events), charging no virtual time — the
-// creation half of Submit. The wave batcher validates each wave once
-// before it joins a round, then uses this to coalesce the creation of
-// many concurrent waves under one umgr bracket; each member then pays
-// its wave's client-side cost and Dispatches its units.
-func (um *UnitManager) createValidated(descs []UnitDescription) []*ComputeUnit {
-	units := make([]*ComputeUnit, 0, len(descs))
-	for _, d := range descs {
-		u := newUnit(um.sess, d)
-		um.sess.Prof.RecordID(u.entityID, um.sess.vocab.evNew)
-		units = append(units, u)
-	}
-	return units
 }
 
 // dispatchChunkMin bounds how small Dispatch's per-pilot runs get when
@@ -275,16 +264,10 @@ func (um *UnitManager) Dispatch(units []*ComputeUnit) {
 		return dispatchChunkMin
 	}
 	for _, u := range units {
-		u.setState(UnitScheduling)
-		p, err := um.pick(&u.Desc)
-		if err != nil {
-			u.finish(UnitFailed, err)
+		p := um.bind(u)
+		if p == nil {
 			continue
 		}
-		u.mu.Lock()
-		u.pilot = p
-		u.mu.Unlock()
-		um.sess.Prof.RecordID(u.entityID, um.sess.vocab.evUmgrBound)
 		if p != runPilot {
 			flush()
 			runPilot = p
@@ -314,17 +297,6 @@ func (um *UnitManager) WaitAll(units []*ComputeUnit) []UnitState {
 	out := make([]UnitState, len(units))
 	for i, u := range units {
 		out[i] = u.WaitFinal()
-	}
-	return out
-}
-
-// FailedUnits filters units whose final state is FAILED.
-func FailedUnits(units []*ComputeUnit) []*ComputeUnit {
-	var out []*ComputeUnit
-	for _, u := range units {
-		if u.State() == UnitFailed {
-			out = append(out, u)
-		}
 	}
 	return out
 }

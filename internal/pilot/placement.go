@@ -13,10 +13,10 @@ import (
 // and where each task runs is decided by whichever pilot has capacity
 // when the task becomes ready.
 //
-// A PlacementPolicy replaces the legacy per-unit SchedulerPolicy when a
-// multi-pilot set installs one (UnitManager.SetPlacement); with no
-// policy installed the manager keeps the seed Cfg.Scheduler behaviour
-// bit for bit.
+// A multi-pilot set installs a PlacementPolicy on its unit manager
+// (UnitManager.SetPlacement); with none installed the manager deals
+// units to its pilots round-robin with no eligibility check — the
+// single-pilot path.
 
 // PlacementPolicy selects which pilot of a set a unit binds to.
 // Implementations must be safe for concurrent use; Place is called

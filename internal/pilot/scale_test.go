@@ -68,6 +68,7 @@ func TestScaleFourThousandUnits(t *testing.T) {
 		if span < 30*time.Second || span > 40*time.Second {
 			t.Errorf("4096-unit span = %v, want ~30-40s (single wave)", span)
 		}
+		p.agent.quiesce().Wait() // the last release follows the last final
 		if free := p.agent.freeCores(); free != 4096 {
 			t.Errorf("free cores after drain = %d", free)
 		}

@@ -297,6 +297,7 @@ func TestAgentSoakAllPolicies(t *testing.T) {
 					}
 				}
 				stop.Fire()
+				p.agent.quiesce().Wait() // the last release follows the last final
 				if free := p.agent.freeCores(); free != 32 {
 					t.Errorf("free after drain = %d, want 32 (allocation leak)", free)
 				}

@@ -58,32 +58,12 @@ func (p Placement) String() string {
 	}
 }
 
-// SchedulerPolicy selects how the unit manager spreads units over pilots.
-type SchedulerPolicy int
-
-const (
-	// RoundRobin deals units to pilots in turn.
-	RoundRobin SchedulerPolicy = iota
-	// LeastLoaded sends each unit to the pilot with the fewest queued
-	// units (weighted by cores).
-	LeastLoaded
-)
-
-func (s SchedulerPolicy) String() string {
-	if s == LeastLoaded {
-		return "least-loaded"
-	}
-	return "round-robin"
-}
-
 // Config tunes the runtime's overhead model and scheduling strategies.
 type Config struct {
 	// UMSubmitPerUnit is the client-side cost of creating and submitting
 	// one unit (serialization, DB round trip). It is the component of the
 	// toolkit overhead that grows with the number of tasks.
 	UMSubmitPerUnit time.Duration
-	// Scheduler picks the unit-to-pilot policy.
-	Scheduler SchedulerPolicy
 	// Agent picks the node-packing strategy inside each pilot.
 	Agent Placement
 	// LauncherWidth bounds concurrent task launches inside one pilot;
@@ -123,7 +103,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		UMSubmitPerUnit: 10 * time.Millisecond,
-		Scheduler:       RoundRobin,
 		Agent:           FirstFit,
 		LauncherWidth:   0,
 		BatchPolicy:     batch.FIFO,

@@ -2,13 +2,11 @@
 // SAGA and the Job Submission Description Language (JSDL), which the paper
 // adopts for portability across HPC machines (Section III-C1). A
 // JobDescription is adaptor-agnostic; Services translate it for a concrete
-// backend — the simulated batch system of an HPC machine, or an immediate
-// "fork" backend for login-node helpers.
+// backend — here the simulated batch system of an HPC machine.
 package saga
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"entk/internal/batch"
@@ -197,85 +195,3 @@ func (j *batchJob) Cancel() {
 func (j *batchJob) Kill() { j.job.Expire() }
 
 func (j *batchJob) SignalDone() { j.job.Finish() }
-
-// ---------------------------------------------------------------------------
-// Fork adaptor: jobs start immediately, e.g. on a login node or laptop.
-
-// ForkService runs jobs with no queue: Submit starts them immediately.
-// Jobs remain Running until SignalDone or Cancel; the walltime limit is
-// still enforced.
-type ForkService struct {
-	v       vclock.Clock
-	machine *cluster.Machine
-	mu      sync.Mutex
-	nextID  int
-}
-
-// NewForkService returns an immediate-execution Service on machine.
-func NewForkService(v vclock.Clock, machine *cluster.Machine) *ForkService {
-	return &ForkService{v: v, machine: machine}
-}
-
-// URL identifies the fork endpoint.
-func (s *ForkService) URL() string { return "fork://" + s.machine.Name }
-
-// Submit validates jd and starts it immediately.
-func (s *ForkService) Submit(jd JobDescription) (Job, error) {
-	if err := jd.Validate(); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.nextID++
-	id := s.nextID
-	s.mu.Unlock()
-	j := &forkJob{
-		v:     s.v,
-		id:    fmt.Sprintf("[fork://%s]-[%d]", s.machine.Name, id),
-		state: Running,
-		ev:    vclock.NewEvent(s.v, fmt.Sprintf("fork job %d final", id)),
-	}
-	// Enforce walltime like a real backend would.
-	s.v.Go(func() {
-		s.v.Sleep(jd.WallTimeLimit)
-		j.finish(Failed)
-	})
-	return j, nil
-}
-
-type forkJob struct {
-	v     vclock.Clock
-	id    string
-	mu    sync.Mutex
-	state State
-	ev    *vclock.Event
-}
-
-func (j *forkJob) ID() string { return j.id }
-
-func (j *forkJob) State() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
-func (j *forkJob) WaitRunning() {} // fork jobs start instantly
-
-func (j *forkJob) WaitFinal() State {
-	j.ev.Wait()
-	return j.State()
-}
-
-func (j *forkJob) Cancel()     { j.finish(Canceled) }
-func (j *forkJob) Kill()       { j.finish(Failed) }
-func (j *forkJob) SignalDone() { j.finish(Done) }
-
-func (j *forkJob) finish(st State) {
-	j.mu.Lock()
-	if j.state.Final() {
-		j.mu.Unlock()
-		return
-	}
-	j.state = st
-	j.mu.Unlock()
-	j.ev.Fire()
-}

@@ -134,48 +134,3 @@ func TestBatchServiceCancelAndWalltime(t *testing.T) {
 		}
 	})
 }
-
-func TestForkServiceImmediateStart(t *testing.T) {
-	v := vclock.NewVirtual()
-	svc := NewForkService(v, testMachine())
-	if !strings.HasPrefix(svc.URL(), "fork://") {
-		t.Errorf("URL = %q", svc.URL())
-	}
-	v.Run(func() {
-		j, err := svc.Submit(JobDescription{Executable: "tool", TotalCPUCount: 1, WallTimeLimit: time.Hour})
-		if err != nil {
-			t.Fatal(err)
-		}
-		j.WaitRunning() // returns immediately
-		if j.State() != Running {
-			t.Errorf("state = %v, want RUNNING", j.State())
-		}
-		j.SignalDone()
-		if st := j.WaitFinal(); st != Done {
-			t.Errorf("final = %v", st)
-		}
-		// Finish transitions are sticky.
-		j.Cancel()
-		if j.State() != Done {
-			t.Error("cancel after done changed state")
-		}
-
-		if _, err := svc.Submit(JobDescription{}); err == nil {
-			t.Error("fork accepted invalid description")
-		}
-	})
-}
-
-func TestForkServiceWalltimeEnforced(t *testing.T) {
-	v := vclock.NewVirtual()
-	svc := NewForkService(v, testMachine())
-	v.Run(func() {
-		j, _ := svc.Submit(JobDescription{Executable: "t", TotalCPUCount: 1, WallTimeLimit: 10 * time.Second})
-		if st := j.WaitFinal(); st != Failed {
-			t.Errorf("final = %v, want FAILED after walltime", st)
-		}
-		if got := v.Now(); got != 10*time.Second {
-			t.Errorf("walltime kill at %v, want 10s", got)
-		}
-	})
-}

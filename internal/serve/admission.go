@@ -12,8 +12,9 @@ package serve
 
 import "sync"
 
-// job is one admitted-but-not-started campaign launch. run must call
-// release exactly once when the campaign settles.
+// job is one admitted-but-not-started campaign launch. run must not
+// block — it hands the campaign to its pool and returns — and must see
+// to it that release is called once the campaign settles.
 type job struct {
 	tenant string
 	run    func(release func())
@@ -83,12 +84,18 @@ func (a *admission) release(tenant string) {
 	a.start(starts)
 }
 
+// start runs the dispatched jobs on the calling goroutine. For a slot
+// freed by a settling campaign that goroutine is the campaign's own pool
+// process, still registered on the pool's clock: the successor is
+// launched at the same virtual instant the slot was freed, not whenever
+// the Go scheduler gets round to a fresh goroutine while the pool's
+// simulation runs on (measured: whole campaigns later, at GOMAXPROCS 2).
 func (a *admission) start(jobs []*job) {
 	for _, j := range jobs {
 		j := j
 		released := false
 		var once sync.Mutex
-		go j.run(func() {
+		j.run(func() {
 			once.Lock()
 			done := released
 			released = true

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
+
+	"entk/internal/campaign"
 )
 
 // smallCampaign is a one-pilot graph campaign small enough to run in
@@ -20,18 +23,47 @@ func smallCampaign(tenant string, n int) []byte {
 	}`, tenant, n, tenant, n))
 }
 
+// holdAdmission shuts the admission queue — it reads as saturated, so
+// dispatchLocked admits nothing — and returns the function that restores
+// it and dispatches once. Nothing may be in flight when it is called.
+func holdAdmission(a *admission) (open func()) {
+	a.mu.Lock()
+	max := a.maxInFlight
+	a.maxInFlight, a.total = 1, 1
+	a.mu.Unlock()
+	return func() {
+		a.mu.Lock()
+		a.maxInFlight, a.total = max, 0
+		starts := a.dispatchLocked()
+		a.mu.Unlock()
+		a.start(starts)
+	}
+}
+
 // TestFairShareThreeTenants is the starvation gate: three tenants each
 // submit three campaigns back to back — tenant a's full backlog lands
 // before b's, b's before c's — onto one shared resource set, with one
-// in-flight campaign allowed per tenant. Everything must settle, the
-// per-tenant cap must hold, and the completion order must interleave
-// the tenants round by round (a FIFO queue would finish all of a
-// before b ever started).
+// in-flight campaign allowed per tenant. Admission is held shut until
+// all nine are queued, and the shared pool's clock is held by a phantom
+// process until the first three have landed on it: a campaign takes
+// milliseconds of wall time, so left alone, a's whole backlog would
+// finish before b's first Submit landed and there would be no
+// contention to be fair about. Everything must settle, the per-tenant
+// cap must hold, and the completion order must interleave the tenants
+// round by round (a FIFO queue would finish all of a before b ever
+// started).
 func TestFairShareThreeTenants(t *testing.T) {
 	o, err := New(Options{TenantCap: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	open := holdAdmission(o.adm)
+	spec, err := campaign.Parse(bytes.NewReader(smallCampaign("a", 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := o.poolFor(spec).v
+	clock.Attach()
 	tenants := []string{"a", "b", "c"}
 	owner := map[string]string{} // campaign id -> tenant
 	var ids []string
@@ -45,6 +77,8 @@ func TestFairShareThreeTenants(t *testing.T) {
 			ids = append(ids, st.ID)
 		}
 	}
+	open()
+	clock.Detach()
 	for _, id := range ids {
 		if err := o.Wait(id); err != nil {
 			t.Fatal(err)

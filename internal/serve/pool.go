@@ -16,11 +16,16 @@
 // the instant the pool went idle.
 //
 // Second, the runnable count must never transiently hit zero during a
-// launch. launch registers the new campaign process (v.Go) BEFORE
-// detaching the phantom, so the handoff is count-neutral-or-positive
-// at every step; the symmetric shutdown direction holds because the
-// finishing campaign attaches the phantom from inside its own still-
-// registered process, before that process deregisters.
+// launch. "The pool has a campaign" (active) and "the clock has a
+// runnable process or the phantom" change in one critical section under
+// the pool's lock, on both sides: launch counts the campaign, registers
+// its process (v.Go) and only then detaches the phantom, all before
+// unlocking; the finishing campaign uncounts itself and attaches the
+// phantom from inside its own still-registered process, before that
+// process deregisters. Were launch to register after unlocking, a
+// campaign finishing in between would see a non-zero count, attach no
+// phantom and deregister — and the clock would run free to the pilots'
+// walltime timers. Lock order is pool lock, then engine, both ways.
 //
 // In-simulation waits use vclock primitives only: later campaigns wait
 // for the first campaign's Allocate on a vclock.Event — a registered
@@ -123,13 +128,10 @@ func newPool(name, key string, opts campaign.Options) *pool {
 // error. launch may be called from any wall-clock goroutine.
 func (p *pool) launch(c *campaign.Campaign, body func(rs *entk.ResourceSet, err error)) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	first := !p.started
 	p.started = true
-	wasIdle := p.idle
-	p.idle = false
 	p.active++
-	p.mu.Unlock()
-
 	p.v.Go(func() {
 		defer p.finish()
 		if first {
@@ -153,9 +155,10 @@ func (p *pool) launch(c *campaign.Campaign, body func(rs *entk.ResourceSet, err 
 		p.mu.Unlock()
 		body(rs, err)
 	})
-	if wasIdle {
+	if p.idle {
 		// The new process is already counted runnable; dropping the
 		// phantom now can never zero the count.
+		p.idle = false
 		p.v.Detach()
 	}
 }

@@ -7,17 +7,27 @@
 //	trace.bin       ENTKPROF dump of the session trace at settlement
 //	checkpoint.bin  ENTKCKPT resume state + trace, written at shutdown
 //
+// Every file is written to <name>.tmp beside it and renamed into place,
+// so a reader — or a daemon restarted after a crash mid-write — finds
+// the previous file or the whole new one, never a torn one; a leftover
+// *.tmp is dead weight the next write of that name overwrites. Nothing
+// is fsynced: that waits until the bytes written are O(campaign).
+//
 // A restarted daemon rebuilds its registry from these directories:
 // terminal campaigns become queryable again (report and trace served
 // from the files), checkpointed ones are re-admitted and resumed, and
-// queued ones re-enter admission from scratch.
+// queued ones re-enter admission from scratch. A directory without a
+// meta.json is a submission the crash caught before its first rename —
+// its client never got an id — and is skipped.
 
 package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"log"
 	"os"
 	"path/filepath"
 	"sort"
@@ -41,12 +51,56 @@ func (o *Orchestrator) campaignDir(id string) string {
 	return filepath.Join(o.opts.StateDir, "campaigns", id)
 }
 
+// writeAtomic creates path by way of path.tmp and a rename. Writers of
+// one campaign's files are serialised by its handle's lock, so the
+// fixed temp name is never shared.
+func writeAtomic(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best effort: err is the one to report
+	}
+	return err
+}
+
+func writeBytes(path string, b []byte) error {
+	return writeAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(b)
+		return err
+	})
+}
+
 func writeJSON(path string, v interface{}) error {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
+	return writeBytes(path, append(b, '\n'))
+}
+
+// notePersist surfaces a persistence failure without changing the
+// campaign's lifecycle state: it is logged once, here, and its text
+// joins the error that Status and (where it can still be written)
+// meta.json carry. The os errors name the file. h.mu is held.
+func (h *handle) notePersist(err error) {
+	if err == nil {
+		return
+	}
+	log.Printf("serve: campaign %s: persistence: %v", h.id, err)
+	if h.errText != "" {
+		h.errText += "; "
+	}
+	h.errText += "persistence: " + err.Error()
 }
 
 // persistSubmission writes the spec and initial meta; a daemon killed
@@ -57,16 +111,15 @@ func (o *Orchestrator) persistSubmission(h *handle) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	o.persistSubmissionLocked(h)
-}
-
-func (o *Orchestrator) persistSubmissionLocked(h *handle) {
 	dir := o.campaignDir(h.id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
+	err := os.MkdirAll(dir, 0o755)
+	if err == nil {
+		err = writeBytes(filepath.Join(dir, "campaign.json"), h.raw)
 	}
-	_ = os.WriteFile(filepath.Join(dir, "campaign.json"), h.raw, 0o644)
-	_ = o.persistMetaLocked(h)
+	if err == nil {
+		err = o.persistMetaLocked(h)
+	}
+	h.notePersist(err)
 }
 
 func (o *Orchestrator) persistMetaLocked(h *handle) error {
@@ -82,8 +135,10 @@ func (o *Orchestrator) persistMetaLocked(h *handle) error {
 	})
 }
 
-// persistTerminal writes meta, report, and trace for a settled
-// campaign. Runs inside the pool's simulation process, so the trace is
+// persistTerminal writes report, trace, and meta for a settled
+// campaign — meta last, so it can carry what went wrong with the other
+// two, and so a meta.json saying "done" implies the report beside it.
+// Runs inside the pool's simulation process, so the trace is
 // snapshotted (other campaigns may still be recording on the session).
 func (o *Orchestrator) persistTerminal(h *handle) {
 	if o.opts.StateDir == "" {
@@ -91,18 +146,18 @@ func (o *Orchestrator) persistTerminal(h *handle) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if err := o.persistMetaLocked(h); err != nil {
-		return
-	}
 	dir := o.campaignDir(h.id)
-	_ = writeJSON(filepath.Join(dir, "report.json"),
+	err := writeJSON(filepath.Join(dir, "report.json"),
 		buildReportDoc(h.id, h.tenant, h.name, h.result))
-	if h.result != nil && h.result.Prof != nil {
-		if f, err := os.Create(filepath.Join(dir, "trace.bin")); err == nil {
-			_, _ = h.result.Prof.Snapshot().WriteTo(f)
-			_ = f.Close()
-		}
+	if err == nil && h.result != nil && h.result.Prof != nil {
+		snap := h.result.Prof.Snapshot()
+		err = writeAtomic(filepath.Join(dir, "trace.bin"), func(w io.Writer) error {
+			_, err := snap.WriteTo(w)
+			return err
+		})
 	}
+	h.notePersist(err)
+	h.notePersist(o.persistMetaLocked(h))
 }
 
 // persistCheckpointLocked writes the shutdown checkpoint: resume state
@@ -115,19 +170,13 @@ func (o *Orchestrator) persistCheckpointLocked(h *handle, cp *entk.CampaignCheck
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, "checkpoint.bin"))
-	if err != nil {
-		return err
-	}
 	var prof *profile.Profiler
 	if h.rs != nil {
 		prof = h.rs.Session().Prof.Snapshot()
 	}
-	err = entk.SaveCheckpoint(f, cp, prof)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return writeAtomic(filepath.Join(dir, "checkpoint.bin"), func(w io.Writer) error {
+		return entk.SaveCheckpoint(w, cp, prof)
+	})
 }
 
 // loadReport reads a restored campaign's persisted report. h.mu is held.
@@ -188,6 +237,10 @@ func (o *Orchestrator) restore() error {
 func (o *Orchestrator) restoreOne(id string) error {
 	dir := o.campaignDir(id)
 	b, err := os.ReadFile(filepath.Join(dir, "meta.json"))
+	if errors.Is(err, os.ErrNotExist) {
+		log.Printf("serve: skipping %s: no meta.json (submission interrupted before it was persisted)", dir)
+		return nil
+	}
 	if err != nil {
 		return err
 	}

@@ -7,9 +7,9 @@
 // clock only advances when every registered process is blocked. Durations
 // therefore model time (an MD task "runs" for 200 virtual seconds) while
 // the wall clock cost is microseconds. All blocking must go through the
-// primitives in this package (Sleep, Event, Queue, WaitGroup, Semaphore,
-// Barrier) so the engine can account for runnable processes; blocking on a
-// bare channel from a registered process stalls the simulation.
+// primitives in this package (Sleep, Event, WaitGroup, Semaphore) so the
+// engine can account for runnable processes; blocking on a bare channel
+// from a registered process stalls the simulation.
 //
 // The wall clock (NewWall) implements the same Clock contract against
 // real time: Sleep really sleeps, the primitives really block, and

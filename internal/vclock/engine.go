@@ -189,17 +189,14 @@ type descSource interface {
 // waiter is one parked process, published by a primitive and woken by
 // exactly one waker. The channel is a reusable capacity-1 signal; the
 // state word implements the handoff engine's wake-before-park fast path
-// (the reference engine parks and wakes through the channel only). item,
-// ok, and n are scratch owned by the primitive that published the waiter:
-// the waker writes them before wake, the parker reads them after park.
+// (the reference engine parks and wakes through the channel only). n and
+// aux are scratch owned by the semaphore that published the waiter.
 type waiter struct {
 	ch    chan struct{}
 	state atomic.Int32
-	sid   uint32      // pool-assigned id selecting a blocked-table stripe
-	n     int         // semaphore: permits requested
-	aux   int         // semaphore: availability snapshot for the report
-	item  interface{} // queue: handed-off element
-	ok    bool        // queue: false when released by Close
+	sid   uint32 // pool-assigned id selecting a blocked-table stripe
+	n     int    // semaphore: permits requested
+	aux   int    // semaphore: availability snapshot for the report
 
 	// Timer-wheel fields (handoff engine sleeps only): the waiter doubles
 	// as the intrusive wheel node, so the sleep path allocates nothing.
@@ -235,8 +232,6 @@ func getWaiter() *waiter { return waiterPool.Get().(*waiter) }
 func putWaiter(w *waiter) {
 	w.n = 0
 	w.aux = 0
-	w.item = nil
-	w.ok = false
 	w.tnext = nil
 	waiterPool.Put(w)
 }

@@ -206,7 +206,7 @@ func TestEngineDeadlockParity(t *testing.T) {
 	}
 }
 
-// TestEnginePrimitiveMix drives every primitive on both engines with a
+// TestEnginePrimitiveMix drives the three primitives on both engines with a
 // virtually deterministic workload (contended arrivals are staggered onto
 // distinct instants, so FIFO service order is fixed by simulated time,
 // not the real scheduler) and checks the simulated end state matches
@@ -215,7 +215,6 @@ func TestEnginePrimitiveMix(t *testing.T) {
 	type result struct {
 		now    time.Duration
 		served []int
-		qGot   []int
 	}
 	run := func(e Engine) result {
 		v := NewVirtualEngine(e)
@@ -223,10 +222,8 @@ func TestEnginePrimitiveMix(t *testing.T) {
 		var mu sync.Mutex
 		v.Run(func() {
 			sem := NewSemaphore(v, "mix", 2)
-			q := NewQueue(v, "mix")
 			ev := NewEvent(v, "go")
 			prod := NewWaitGroup(v, "producers")
-			cons := NewWaitGroup(v, "consumer")
 			for i := 0; i < 6; i++ {
 				i := i
 				prod.Add(1)
@@ -242,27 +239,11 @@ func TestEnginePrimitiveMix(t *testing.T) {
 					res.served = append(res.served, i)
 					mu.Unlock()
 					sem.Release(1)
-					q.Put(i)
 				})
 			}
-			cons.Add(1)
-			v.Go(func() {
-				defer cons.Done()
-				for {
-					item, ok := q.Get()
-					if !ok {
-						return
-					}
-					mu.Lock()
-					res.qGot = append(res.qGot, item.(int))
-					mu.Unlock()
-				}
-			})
 			v.Sleep(time.Second)
 			ev.Fire()
 			prod.Wait()
-			q.Close()
-			cons.Wait()
 		})
 		res.now = v.Now()
 		return res
@@ -271,7 +252,7 @@ func TestEnginePrimitiveMix(t *testing.T) {
 	if a.now != b.now {
 		t.Fatalf("final time differs: handoff %v, ref %v", a.now, b.now)
 	}
-	if fmt.Sprint(a.served) != fmt.Sprint(b.served) || fmt.Sprint(a.qGot) != fmt.Sprint(b.qGot) {
+	if fmt.Sprint(a.served) != fmt.Sprint(b.served) {
 		t.Fatalf("activity differs:\nhandoff %+v\nref     %+v", a, b)
 	}
 }
@@ -303,7 +284,8 @@ func TestEngineTieSoak(t *testing.T) {
 // returns its wake trace. The workload is virtually deterministic —
 // sleeps and full barriers only, so every wake instant is a function of
 // the script, not of real-time races — while producing dense
-// equal-deadline ties (durations drawn from a tiny set, and a barrier
+// equal-deadline ties (durations drawn from a tiny set, and a barrier —
+// a WaitGroup everyone arrives on, then an Event the root fires —
 // re-synchronising everyone every few steps).
 func runSoak(e Engine, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
@@ -332,7 +314,13 @@ func runSoak(e Engine, seed int64) []string {
 	var log []obs
 	v := NewVirtualEngine(e)
 	v.Run(func() {
-		bar := NewBarrier(v, "soak", procs)
+		arrived := make([]*WaitGroup, rounds)
+		open := make([]*Event, rounds)
+		for r := range arrived {
+			arrived[r] = NewWaitGroup(v, fmt.Sprintf("soak round %d", r))
+			arrived[r].Add(procs)
+			open[r] = NewEvent(v, fmt.Sprintf("soak round %d", r))
+		}
 		wg := NewWaitGroup(v, "soak")
 		for i := 0; i < procs; i++ {
 			i := i
@@ -346,9 +334,14 @@ func runSoak(e Engine, seed int64) []string {
 						log = append(log, obs{v.Now(), i})
 						mu.Unlock()
 					}
-					bar.Await()
+					arrived[r].Done()
+					open[r].Wait()
 				}
 			})
+		}
+		for r := range arrived {
+			arrived[r].Wait()
+			open[r].Fire()
 		}
 		wg.Wait()
 	})

@@ -18,7 +18,7 @@ import (
 //   - timers live in a hierarchical wheel (wheel.go) behind a dedicated
 //     timer lock touched only by Sleep and the advance loop, and all
 //     timers sharing the earliest deadline fire as one batch;
-//   - primitive state (event/queue/semaphore waiter lists) moved behind
+//   - primitive state (event/semaphore waiter lists) moved behind
 //     per-primitive locks (primitives.go), so two unrelated semaphores
 //     never contend;
 //   - blocked-waiter diagnostics live in a cache-line-padded striped
@@ -26,7 +26,7 @@ import (
 //
 // Direct handoff: when a wake races the window between a process
 // publishing its waiter and actually parking (common under semaphore
-// release / queue put storms), the waker flips the waiter's state word
+// release storms), the waker flips the waiter's state word
 // and walks away, and the parker sees the flip and never blocks — the
 // runnable token crosses the pair with zero counter traffic, zero
 // channel operations, and zero blocked-table churn.

@@ -14,11 +14,9 @@ import (
 // protocol every primitive follows:
 //
 //	block:  publish a waiter in the primitive's list (under its lock),
-//	        release the lock, then park. Any handoff data the parker
-//	        reads after park (queue item, ok flag) is written by the
-//	        waker before wake.
-//	wake:   pop the waiter (under the lock), release the lock, write the
-//	        handoff data, then wake. Each waiter is woken exactly once.
+//	        release the lock, then park.
+//	wake:   pop the waiter (under the lock), release the lock, then
+//	        wake. Each waiter is woken exactly once.
 
 // Event is a one-shot broadcast flag on a virtual clock, analogous to
 // closing a channel. Wait blocks the calling process until Fire is called;
@@ -143,108 +141,6 @@ func (wg *WaitGroup) Wait() {
 	ev.Wait()
 }
 
-// Queue is an unbounded FIFO channel between virtual-time processes.
-// Get blocks until an item is available; Put never blocks. Close releases
-// all pending and future Gets with ok=false once the buffer drains.
-type Queue struct {
-	v       Clock
-	name    string
-	mu      sync.Mutex
-	buf     []interface{}
-	waiters []*waiter // FIFO consumers, each handed one item
-	closed  bool
-}
-
-// NewQueue returns an empty open queue.
-func NewQueue(v Clock, name string) *Queue {
-	return &Queue{v: v, name: name}
-}
-
-// Put appends an item, handing it directly to the oldest waiting consumer
-// if one exists. Put on a closed queue panics.
-func (q *Queue) Put(item interface{}) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		panic("vclock: Put on closed queue " + q.name)
-	}
-	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		q.mu.Unlock()
-		w.item, w.ok = item, true
-		q.v.core().wake(w)
-		return
-	}
-	q.buf = append(q.buf, item)
-	q.mu.Unlock()
-}
-
-// Get removes and returns the oldest item. It blocks the calling process
-// until an item is available or the queue is closed and drained, in which
-// case it returns (nil, false).
-func (q *Queue) Get() (interface{}, bool) {
-	q.mu.Lock()
-	if len(q.buf) > 0 {
-		item := q.buf[0]
-		q.buf = q.buf[1:]
-		q.mu.Unlock()
-		return item, true
-	}
-	if q.closed {
-		q.mu.Unlock()
-		return nil, false
-	}
-	w := getWaiter()
-	q.waiters = append(q.waiters, w)
-	q.mu.Unlock()
-	q.v.core().park(w, q)
-	item, ok := w.item, w.ok
-	putWaiter(w)
-	return item, ok
-}
-
-// blockDesc implements descSource for the deadlock report.
-func (q *Queue) blockDesc(*waiter) string { return "queue " + q.name }
-
-// TryGet removes and returns the oldest item without blocking. ok is false
-// if the queue is empty.
-func (q *Queue) TryGet() (interface{}, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.buf) == 0 {
-		return nil, false
-	}
-	item := q.buf[0]
-	q.buf = q.buf[1:]
-	return item, true
-}
-
-// Len reports the number of buffered items.
-func (q *Queue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.buf)
-}
-
-// Close marks the queue closed and releases all blocked consumers with
-// ok=false. Closing twice is a no-op.
-func (q *Queue) Close() {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		return
-	}
-	q.closed = true
-	ws := q.waiters
-	q.waiters = nil
-	q.mu.Unlock()
-	for _, w := range ws {
-		w.item, w.ok = nil, false
-		q.v.core().wake(w)
-	}
-}
-
 // Semaphore is a counting semaphore on a virtual clock with FIFO waiters.
 type Semaphore struct {
 	v       Clock
@@ -288,21 +184,6 @@ func (s *Semaphore) blockDesc(w *waiter) string {
 	return fmt.Sprintf("semaphore %s (acquire %d, avail %d)", s.name, w.n, w.aux)
 }
 
-// TryAcquire takes n permits only if immediately available, reporting
-// whether it did. It never blocks and never jumps the FIFO queue.
-func (s *Semaphore) TryAcquire(n int) bool {
-	if n <= 0 {
-		return true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.waiters) == 0 && s.avail >= n {
-		s.avail -= n
-		return true
-	}
-	return false
-}
-
 // Release returns n permits and serves FIFO waiters whose requests now fit.
 func (s *Semaphore) Release(n int) {
 	if n <= 0 {
@@ -321,55 +202,4 @@ func (s *Semaphore) Release(n int) {
 	for _, w := range served {
 		s.v.core().wake(w)
 	}
-}
-
-// Available reports the number of free permits.
-func (s *Semaphore) Available() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.avail
-}
-
-// Barrier is a reusable synchronisation barrier for a fixed party count:
-// the n-th arrival releases everyone and resets the barrier for the next
-// round.
-type Barrier struct {
-	v       Clock
-	name    string
-	parties int
-	mu      sync.Mutex
-	arrived int
-	round   int
-	gen     *Event
-}
-
-// NewBarrier returns a barrier for the given number of parties (>= 1).
-func NewBarrier(v Clock, name string, parties int) *Barrier {
-	if parties < 1 {
-		panic("vclock: barrier needs at least one party")
-	}
-	b := &Barrier{v: v, name: name, parties: parties}
-	b.gen = NewEvent(v, fmt.Sprintf("barrier %s round 0", name))
-	return b
-}
-
-// Await blocks the calling process until all parties have arrived, then
-// returns the round number that just completed.
-func (b *Barrier) Await() int {
-	b.mu.Lock()
-	round := b.round
-	b.arrived++
-	if b.arrived == b.parties {
-		release := b.gen
-		b.arrived = 0
-		b.round++
-		b.gen = NewEvent(b.v, fmt.Sprintf("barrier %s round %d", b.name, b.round))
-		b.mu.Unlock()
-		release.Fire()
-		return round
-	}
-	ev := b.gen
-	b.mu.Unlock()
-	ev.Wait()
-	return round
 }

@@ -71,11 +71,11 @@ func (p *FaultTierPlan) killInstant() (time.Duration, error) {
 
 // FaultRunRow is one run's (clean or faulted) campaign outcome.
 type FaultRunRow struct {
-	Name       string  `json:"name"`
-	Tasks      int     `json:"tasks"`
-	Retries    int     `json:"retries"`
-	TTCSec     float64 `json:"ttc_s"`
-	WallMS     float64 `json:"wall_ms"`
+	Name    string  `json:"name"`
+	Tasks   int     `json:"tasks"`
+	Retries int     `json:"retries"`
+	TTCSec  float64 `json:"ttc_s"`
+	WallMS  float64 `json:"wall_ms"`
 	// PilotUnits is units per pilot, set order (doomed pilot last).
 	PilotUnits []int `json:"pilot_units"`
 }
