@@ -107,8 +107,9 @@ type Job struct {
 	started    time.Duration
 	ended      time.Duration
 
-	startEv *vclock.Event
-	endEv   *vclock.Event
+	startEv  *vclock.Event
+	endEv    *vclock.Event
+	walltime *vclock.Timer // the walltime kill while Running; stopped at job end
 }
 
 // State returns the job's current state.
@@ -260,8 +261,14 @@ func (s *System) Submit(req Request) (*Job, error) {
 
 	// The queue-wait model: the job becomes schedulable only after its
 	// modelled delay, so even an empty machine imposes realistic waits.
+	// The job is eligible from the instant the delay has been charged —
+	// in simulation exactly the eligibleAt computed above; on the wall
+	// clock, where Charge does not sleep, now.
 	s.v.Go(func() {
-		s.v.Sleep(delay)
+		s.v.Charge(delay)
+		s.mu.Lock()
+		j.eligibleAt = s.v.Now()
+		s.mu.Unlock()
 		s.schedule()
 	})
 	return j, nil
@@ -369,12 +376,20 @@ func (s *System) startLocked(j *Job, now time.Duration) {
 	s.running[j] = now + j.Req.Walltime
 }
 
-// armWalltime schedules the walltime kill for a running job.
+// armWalltime schedules the walltime kill for a running job. The guard
+// is stopped when the job ends: on the wall clock an armed timer pins the
+// job — and through it the whole session — for the full walltime.
 func (s *System) armWalltime(j *Job) {
-	s.v.Go(func() {
-		s.v.Sleep(j.Req.Walltime)
-		s.endJob(j, TimedOut)
-	})
+	t := s.v.After(j.Req.Walltime, func() { s.endJob(j, TimedOut) })
+	j.mu.Lock()
+	running := j.state == Running
+	if running {
+		j.walltime = t
+	}
+	j.mu.Unlock()
+	if !running {
+		t.Stop() // ended between its start event and here
+	}
 }
 
 // endJob moves a running job to a final state and frees its nodes.
@@ -386,7 +401,12 @@ func (s *System) endJob(j *Job, final State) {
 	}
 	j.state = final
 	j.ended = s.v.Now()
+	guard := j.walltime
+	j.walltime = nil
 	j.mu.Unlock()
+	if guard != nil {
+		guard.Stop()
+	}
 
 	s.mu.Lock()
 	delete(s.running, j)

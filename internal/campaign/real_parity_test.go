@@ -5,12 +5,19 @@
 // event names and counts, identical report task/retry/unit counters, and
 // wall durations inside a generous tolerance band. Wave/batcher and
 // unit-manager entities are excluded — same-instant coalescing is a
-// virtual-time artefact the wall clock cannot reproduce (DESIGN.md §15).
+// virtual-time artefact the wall clock cannot reproduce (DESIGN.md,
+// "realtime").
+//
+// The other two tests hold real mode to what it is for: its TTC terms
+// are the toolkit's measured cost, not the simulation's modelled delays
+// slept for real, and a finished run leaves nothing behind in the
+// process.
 
 package campaign
 
 import (
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -136,4 +143,101 @@ func last(evs []profile.Event) string {
 		return ""
 	}
 	return evs[len(evs)-1].Name
+}
+
+// trueCampaign is n x /bin/true in one stage on a two-core local pilot
+// with an hour of walltime: no work at all, so whatever a real run takes
+// is the toolkit.
+func trueCampaign(t *testing.T, n int) *Campaign {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("real mode runs on the wall clock")
+	}
+	if _, err := os.Stat("/bin/true"); err != nil {
+		t.Skip(err)
+	}
+	c := &Campaign{
+		Resources: []Pilot{{Resource: "local.localhost", Cores: 2, WalltimeMin: 60}},
+		Pipelines: []Pipeline{{Name: "p", Stages: []Stage{{Name: "s", Tasks: []Task{{
+			Name: "true", Count: n,
+			Kernel: Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 0.001}, Executable: "/bin/true"},
+		}}}}}},
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestRealModeOverheadIsMeasured: on local.localhost the simulation
+// models 0.5 s of client-side submission for 50 units, 1 s of toolkit
+// initialisation and 1 s of agent boot. A real run does that work, so it
+// must report what the work cost — milliseconds — not sleep the model on
+// top of it.
+func TestRealModeOverheadIsMeasured(t *testing.T) {
+	res, err := Run(trueCampaign(t, 50), Options{Mode: ModeReal, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := res.Campaign.Campaign
+	if rep.Tasks != 50 || rep.Retries != 0 {
+		t.Fatalf("tasks=%d retries=%d, want 50 and 0", rep.Tasks, rep.Retries)
+	}
+	for _, term := range []struct {
+		name string
+		got  time.Duration
+	}{
+		{"PatternOverhead", rep.PatternOverhead},
+		{"CoreOverhead", rep.CoreOverhead},
+		{"AgentStartup", rep.AgentStartup},
+	} {
+		if term.got >= 250*time.Millisecond {
+			t.Errorf("%s = %v: a modelled delay was slept, want measured cost under 250ms", term.name, term.got)
+		}
+	}
+	if rep.TTC >= 2*time.Second {
+		t.Errorf("TTC = %v for 50 x /bin/true, want under 2s", rep.TTC)
+	}
+}
+
+// TestRealModeNoLeak: back-to-back real-mode runs in one process. The
+// pilot's hour of walltime is a guard armed on the wall clock; unless it
+// is disarmed when the pilot ends it pins the run's whole session and,
+// as a sleeping goroutine, shows in the goroutine count.
+func TestRealModeNoLeak(t *testing.T) {
+	c := trueCampaign(t, 20)
+	run := func() {
+		if _, err := Run(c, Options{Mode: ModeReal, Dir: t.TempDir()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// settled reads the goroutine count and live heap once the run's
+	// last goroutines have wound down.
+	settled := func(wantGoroutines int) (int, uint64) {
+		var n int
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			if n = runtime.NumGoroutine(); n <= wantGoroutines || time.Now().After(deadline) {
+				break
+			}
+		}
+		runtime.GC()
+		runtime.GC() // finalizers of the first cycle (os.File, exec.Cmd) free in the second
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return n, ms.HeapAlloc
+	}
+
+	g0 := runtime.NumGoroutine()
+	run()
+	_, heap1 := settled(g0)
+	for i := 0; i < 5; i++ {
+		run()
+	}
+	g6, heap6 := settled(g0)
+	if g6 != g0 {
+		t.Errorf("goroutines: %d before the first run, %d after the sixth", g0, g6)
+	}
+	if grown := int64(heap6) - int64(heap1); grown > 64<<10 {
+		t.Errorf("live heap grew %d KB between the first and the sixth run, want at most 64 KB", grown>>10)
+	}
 }

@@ -140,6 +140,7 @@ type ResourceSet struct {
 	deallocCtl   time.Duration // control-plane time spent in Deallocate
 	queueWait    time.Duration
 	agentStartup time.Duration
+	guards       []*vclock.Timer // activation deadlines and fault arms; stopped at Deallocate
 }
 
 // NewResourceSet validates the specs and prepares a set. Placement may
@@ -232,7 +233,7 @@ func (rs *ResourceSet) Allocate() error {
 
 	v := rs.cfg.Clock
 	t0 := v.Now()
-	v.Sleep(initOverhead)
+	v.Charge(initOverhead)
 	rs.sess = pilot.NewSession(v, rs.cfg.Cost, rs.cfg.Runtime)
 	prof := rs.sess.Prof
 	rs.coreEnt = prof.Intern("core")
@@ -277,6 +278,7 @@ func (rs *ResourceSet) Allocate() error {
 			}
 			rs.pilots = nil
 			rs.sess, rs.pm, rs.um, rs.batch = nil, nil, nil, nil
+			rs.stopGuards()
 			rs.mu.Lock()
 			rs.allocated = false
 			rs.mu.Unlock()
@@ -292,14 +294,37 @@ func (rs *ResourceSet) Allocate() error {
 		if rs.Rebind {
 			displaced = rs.redispatch
 		}
-		if err := rs.Faults.Arm(v, rs.pilots, displaced); err != nil {
+		armed, err := rs.Faults.Arm(v, rs.pilots, displaced)
+		if err != nil {
 			return err
 		}
+		rs.addGuards(armed...)
 	}
 	rs.mu.Lock()
 	rs.allocCtl = v.Now() - t0
 	rs.mu.Unlock()
 	return nil
+}
+
+// addGuards records timers for stopGuards to disarm.
+func (rs *ResourceSet) addGuards(ts ...*vclock.Timer) {
+	rs.mu.Lock()
+	rs.guards = append(rs.guards, ts...)
+	rs.mu.Unlock()
+}
+
+// stopGuards disarms the set's pending deadline and fault timers. A
+// stopped virtual timer still sleeps to its instant (no simulated
+// timeline moves); on the wall clock stopping is what keeps an armed
+// guard from holding the whole session until its instant.
+func (rs *ResourceSet) stopGuards() {
+	rs.mu.Lock()
+	guards := rs.guards
+	rs.guards = nil
+	rs.mu.Unlock()
+	for _, t := range guards {
+		t.Stop()
+	}
 }
 
 // armPilot attaches the fault-tolerance machinery of one freshly
@@ -325,11 +350,12 @@ func (rs *ResourceSet) armPilot(p *pilot.ComputePilot, spec PilotSpec) {
 	if spec.ActivationDeadline > 0 {
 		p := p
 		deadline := spec.ActivationDeadline
-		v.After(deadline, func() {
+		t := v.After(deadline, func() {
 			if p.State() == pilot.PilotPending {
 				p.Kill(fmt.Errorf("core: pilot %d missed activation deadline %v", p.ID, deadline))
 			}
 		})
+		rs.addGuards(t)
 	}
 }
 
@@ -576,6 +602,7 @@ func (rs *ResourceSet) Deallocate() error {
 	for _, p := range rs.pilots {
 		p.WaitFinal()
 	}
+	rs.stopGuards()
 	rs.sess.Prof.RecordID(rs.coreEnt, rs.evDeallocStop)
 	rs.mu.Lock()
 	rs.deallocCtl = v.Now() - t0

@@ -872,7 +872,7 @@ func (a *agent) executeUnit(lr launchReq) {
 
 	// Launch: bounded concurrency, per-task latency.
 	a.launch.Acquire(1)
-	v.Sleep(m.TaskLaunchLatency)
+	v.Charge(m.TaskLaunchLatency)
 	a.launch.Release(1)
 	if a.isStopped() {
 		u.finishFrom(lr.gen, UnitFailed, a.stopCause())

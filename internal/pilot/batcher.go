@@ -65,7 +65,7 @@ func (b *WaveBatcher) Submit(descs []UnitDescription) ([]*ComputeUnit, error) {
 	}
 	// Client-side creation/serialization cost for this wave — each
 	// member of a round pays its own, concurrently with the others.
-	b.um.sess.V.Sleep(time.Duration(len(units)) * b.um.sess.Cfg.UMSubmitPerUnit)
+	b.um.sess.V.Charge(time.Duration(len(units)) * b.um.sess.Cfg.UMSubmitPerUnit)
 	b.um.Dispatch(units)
 	return units, nil
 }

@@ -93,15 +93,17 @@ func (fp *FaultPlan) Validate(n int) error {
 // installed recovery path instead, so Arm leaves them to the teardown
 // watcher. A nil displaced fails displaced units with the fault cause,
 // mirroring an agent without recovery. Must be called from a registered
-// vclock process before the fault instants pass.
-func (fp *FaultPlan) Arm(v vclock.Clock, pilots []*ComputePilot, displaced func([]*ComputeUnit)) error {
+// vclock process before the fault instants pass. The returned timers,
+// one per fault, let the owner disarm what has not fired by teardown.
+func (fp *FaultPlan) Arm(v vclock.Clock, pilots []*ComputePilot, displaced func([]*ComputeUnit)) ([]*vclock.Timer, error) {
 	if err := fp.Validate(len(pilots)); err != nil {
-		return err
+		return nil, err
 	}
+	armed := make([]*vclock.Timer, 0, len(fp.Faults))
 	for _, f := range fp.Faults {
 		f := f
 		p := pilots[f.Pilot]
-		v.After(f.At, func() {
+		t := v.After(f.At, func() {
 			switch f.Kind {
 			case FaultKillPilot:
 				p.Kill(fmt.Errorf("fault: pilot %d killed at %v", p.ID, v.Now()))
@@ -122,6 +124,7 @@ func (fp *FaultPlan) Arm(v vclock.Clock, pilots []*ComputePilot, displaced func(
 				}
 			}
 		})
+		armed = append(armed, t)
 	}
-	return nil
+	return armed, nil
 }

@@ -179,7 +179,7 @@ func (um *UnitManager) Submit(descs []UnitDescription) ([]*ComputeUnit, error) {
 	defer um.endWave()
 	units := um.createAll(descs)
 	// Client-side creation/serialization cost for the whole batch.
-	um.sess.V.Sleep(time.Duration(len(descs)) * um.sess.Cfg.UMSubmitPerUnit)
+	um.sess.V.Charge(time.Duration(len(descs)) * um.sess.Cfg.UMSubmitPerUnit)
 	for _, u := range units {
 		um.dispatchOne(u)
 	}
@@ -205,7 +205,7 @@ func (um *UnitManager) SubmitStreamed(descs []UnitDescription) ([]*ComputeUnit, 
 	for i := range descs {
 		units[i] = um.create(descs[i])
 		// Client-side creation/serialization cost for this one unit.
-		um.sess.V.Sleep(perUnit)
+		um.sess.V.Charge(perUnit)
 		um.dispatchOne(units[i])
 	}
 	return units, nil
@@ -220,7 +220,7 @@ func (um *UnitManager) SubmitStreamed(descs []UnitDescription) ([]*ComputeUnit, 
 func (um *UnitManager) DispatchStreamed(units []*ComputeUnit) {
 	perUnit := um.sess.Cfg.UMSubmitPerUnit
 	for _, u := range units {
-		um.sess.V.Sleep(perUnit)
+		um.sess.V.Charge(perUnit)
 		um.dispatchOne(u)
 	}
 }

@@ -322,7 +322,7 @@ func (pm *PilotManager) Submit(desc PilotDescription) (*ComputePilot, error) {
 			return // cancelled while queued; final watcher handles it
 		}
 		pm.sess.Prof.RecordID(p.entityID, pm.sess.vocab.evJobRunning)
-		pm.sess.V.Sleep(be.machine.AgentBootTime)
+		pm.sess.V.Charge(be.machine.AgentBootTime)
 		if job.State() != saga.Running {
 			return
 		}

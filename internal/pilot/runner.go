@@ -11,9 +11,10 @@ import "time"
 // and its error surfaces through exactly the path an injected FailOn
 // failure would take, so the retry/rebind machinery upstream needs no
 // real-mode awareness at all. Everything around the window (launch
-// latency, staging, state transitions, profiler records, utilization
+// slot, staging, state transitions, profiler records, utilization
 // accounting) is shared between the modes; that shared structure is what
-// the sim-vs-real parity test pins.
+// the sim-vs-real parity test pins. The modelled launch latency is a
+// Clock.Charge: a delay in simulation, nothing on the wall clock.
 
 // ExecRequest describes one unit-execution window handed to a UnitRunner.
 type ExecRequest struct {

@@ -2,7 +2,9 @@ package realtime
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -188,4 +190,78 @@ func atoiOrFail(t *testing.T, s string) int {
 		t.Fatalf("not a pid: %q", s)
 	}
 	return n
+}
+
+// TestCloseRacesRunUnit pins "no process group escapes Close" now that
+// forks of different units overlap: Close lands at varying points of 64
+// concurrent RunUnit calls, every call must still return (an escaped
+// child would sleep on), and every process that got as far as printing
+// its pid — its pgid, each unit being its own group leader — is gone.
+func TestCloseRacesRunUnit(t *testing.T) {
+	const units = 64
+	for round, delay := range []time.Duration{0, time.Millisecond, 4 * time.Millisecond, 15 * time.Millisecond} {
+		x, err := New(Config{Dir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{}, units)
+		for i := 0; i < units; i++ {
+			req := shReq("race."+strconv.Itoa(i), round, "echo $$; exec sleep 30")
+			req.PilotCores = units
+			go func() {
+				_ = x.RunUnit(req) // refused, killed or — never — finished; all fine
+				done <- struct{}{}
+			}()
+		}
+		time.Sleep(delay)
+		x.Close()
+		for i := 0; i < units; i++ {
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("round %d: %d of %d RunUnit calls still blocked after Close", round, units-i, units)
+			}
+		}
+		outs, err := filepath.Glob(filepath.Join(x.Dir(), "race.*.out"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range outs {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pid := strings.TrimSpace(string(b)); pid != "" {
+				waitGone(t, atoiOrFail(t, pid))
+			}
+		}
+		if gs := x.RunningGroups(); len(gs) != 0 {
+			t.Errorf("round %d: RunningGroups after Close: %v", round, gs)
+		}
+	}
+}
+
+// TestOutputCap: a child that writes without pause keeps its first
+// OutputCap bytes and one marker line per stream, not the hundreds of
+// megabytes it produced, and still finishes as an ordinary success.
+func TestOutputCap(t *testing.T) {
+	if _, err := exec.LookPath("yes"); err != nil {
+		t.Skip("no yes(1) on this machine")
+	}
+	x := newTestExecutor(t)
+	if err := x.RunUnit(shReq("chatty", 0, "yes chatter & a=$!; yes chatter >&2 & b=$!; sleep 0.2; kill $a $b")); err != nil {
+		t.Fatalf("RunUnit: %v", err)
+	}
+	for _, ext := range []string{".out", ".err"} {
+		b, err := os.ReadFile(filepath.Join(x.Dir(), "chatty.a00"+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := OutputCap + len(truncationMarker); len(b) != want {
+			t.Errorf("%s: %d bytes captured, want the %d-byte cap plus marker = %d", ext, len(b), OutputCap, want)
+		}
+		if !strings.HasSuffix(string(b), truncationMarker) {
+			t.Errorf("%s: capture does not end with the truncation marker", ext)
+		}
+	}
 }

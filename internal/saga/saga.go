@@ -141,7 +141,7 @@ func (s *BatchService) Submit(jd JobDescription) (Job, error) {
 	if err := jd.Validate(); err != nil {
 		return nil, err
 	}
-	s.v.Sleep(2 * s.sys.Machine().NetLatency) // request + ack
+	s.v.Charge(2 * s.sys.Machine().NetLatency) // request + ack
 	bj, err := s.sys.Submit(batch.Request{
 		Name:     jd.Executable,
 		Cores:    jd.TotalCPUCount,
@@ -188,7 +188,7 @@ func (j *batchJob) WaitFinal() State {
 }
 
 func (j *batchJob) Cancel() {
-	j.v.Sleep(j.machine.NetLatency)
+	j.v.Charge(j.machine.NetLatency)
 	j.job.Cancel()
 }
 

@@ -19,7 +19,10 @@
 // real (see internal/realtime).
 package vclock
 
-import "time"
+import (
+	"sync/atomic"
+	"time"
+)
 
 // Clock is the process-clock contract the runtime is written against: a
 // time source plus the process-accounting hooks (Go/Run/Attach/Detach)
@@ -37,13 +40,24 @@ type Clock interface {
 	// Sleep suspends the calling process for d of this clock's time.
 	// Non-positive durations return immediately.
 	Sleep(d time.Duration)
+	// Charge accounts d of modelled toolkit overhead — control-plane
+	// work the simulation stands in for with a delay (client submission,
+	// network round trips, agent boot, launch latency). On a virtual
+	// clock it is Sleep(d). On the wall clock it is a no-op: real mode
+	// does that work itself, the wall clock already charges what it
+	// really costs, and sleeping the model on top would count it twice.
+	// Delays that stand in for work real mode does NOT do (a modelled
+	// kernel, a data transfer) and real limits (walltime, deadlines,
+	// fault instants) go through Sleep and After.
+	Charge(d time.Duration)
 	// Go spawns fn as a new registered process.
 	Go(fn func())
 	// Run executes fn inline as a registered process.
 	Run(fn func())
 	// After schedules fn to run at instant Now()+d as its own process —
-	// the timer primitive behind fault arming and deadlines.
-	After(d time.Duration, fn func())
+	// the timer primitive behind fault arming, deadlines and walltime
+	// guards. The returned Timer cancels it.
+	After(d time.Duration, fn func()) *Timer
 	// Attach counts a process back into the runnable accounting.
 	Attach()
 	// Detach removes the calling process from the runnable accounting.
@@ -57,3 +71,41 @@ type Clock interface {
 
 var _ Clock = (*Virtual)(nil)
 var _ Clock = (*Wall)(nil)
+
+// Timer is a pending After call. Stop cancels it: it reports true when it
+// prevented fn from running, false when fn already ran (or is running) or
+// the timer was stopped before.
+//
+// On a virtual clock a stopped timer's process still sleeps to its
+// instant and only skips fn, so stopping never moves a simulated
+// timeline — not even where the clock ends up once the run drains. On
+// the wall clock Stop releases the runtime timer at once, which is what
+// lets a guard armed for an hour not outlive the thing it guards.
+type Timer struct {
+	state atomic.Int32
+	wall  *time.Timer // wall clock only
+}
+
+const (
+	timerArmed int32 = iota
+	timerFired
+	timerStopped
+)
+
+// fire runs fn unless the timer was stopped first.
+func (t *Timer) fire(fn func()) {
+	if t.state.CompareAndSwap(timerArmed, timerFired) {
+		fn()
+	}
+}
+
+// Stop cancels the timer; see Timer.
+func (t *Timer) Stop() bool {
+	if !t.state.CompareAndSwap(timerArmed, timerStopped) {
+		return false
+	}
+	if t.wall != nil {
+		t.wall.Stop()
+	}
+	return true
+}

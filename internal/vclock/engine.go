@@ -128,6 +128,9 @@ func (v *Virtual) Now() time.Duration { return v.eng.now() }
 // the runnable accounting is corrupted.
 func (v *Virtual) Sleep(d time.Duration) { v.eng.sleep(d) }
 
+// Charge is Sleep: in simulation, modelled overhead is a delay.
+func (v *Virtual) Charge(d time.Duration) { v.eng.sleep(d) }
+
 // Go spawns fn as a new registered process. It may be called from inside or
 // outside the simulation; the process is counted as runnable from the
 // moment Go returns, so the clock cannot advance past work that fn is about
@@ -155,12 +158,15 @@ func (v *Virtual) Run(fn func()) {
 // moment After returns, so the clock can neither advance past the
 // pending trigger nor fire it early — fn runs at exactly the requested
 // instant, bit-reproducibly. fn must follow the same rules as a Go
-// process body.
-func (v *Virtual) After(d time.Duration, fn func()) {
+// process body. Stopping the returned timer skips fn only: the trigger
+// process still sleeps to its instant (see Timer).
+func (v *Virtual) After(d time.Duration, fn func()) *Timer {
+	t := &Timer{}
 	v.Go(func() {
 		v.Sleep(d)
-		fn()
+		t.fire(fn)
 	})
+	return t
 }
 
 // Detach removes the calling process from the runnable accounting, as if

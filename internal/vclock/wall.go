@@ -19,6 +19,9 @@ import "time"
 //     on the wall clock an external event (a process exiting, a signal)
 //     can always arrive, so a lost wake simply blocks — exactly as it
 //     would in any concurrent program.
+//   - Modelled overhead. Charge is a no-op: the delays the simulation
+//     inserts for the toolkit's own control-plane work are not slept, so
+//     a real run's TTC terms are what that work really cost.
 //   - Determinism. Two wall runs interleave however the OS schedules
 //     them. The structural shape of a campaign (which units ran, what
 //     retried, the per-unit event order) is reproducible; instants and
@@ -41,6 +44,10 @@ func (w *Wall) Now() time.Duration { return w.eng.now() }
 // Sleep blocks the calling goroutine for d of real time.
 func (w *Wall) Sleep(d time.Duration) { w.eng.sleep(d) }
 
+// Charge is a no-op: modelled toolkit overhead is not acted out on the
+// wall clock, which already charges what the toolkit really costs.
+func (w *Wall) Charge(time.Duration) {}
+
 // Go spawns fn as an ordinary goroutine (registration is a no-op on the
 // wall clock, kept so Clock callers behave identically on either engine).
 func (w *Wall) Go(fn func()) {
@@ -58,12 +65,12 @@ func (w *Wall) Run(fn func()) {
 	fn()
 }
 
-// After runs fn in its own goroutine once d of real time has passed.
-func (w *Wall) After(d time.Duration, fn func()) {
-	w.Go(func() {
-		w.Sleep(d)
-		fn()
-	})
+// After runs fn in its own goroutine once d of real time has passed. It
+// holds no goroutine while it waits, and Stop releases it immediately.
+func (w *Wall) After(d time.Duration, fn func()) *Timer {
+	t := &Timer{}
+	t.wall = time.AfterFunc(d, func() { t.fire(fn) })
+	return t
 }
 
 // Detach is a no-op: the wall clock keeps no runnable accounting.
