@@ -43,11 +43,7 @@
 //
 // -check exits nonzero on divergence, rendering the differing entities'
 // virtual-time timelines side by side; -assert does the same for unmet
-// expectations. -engine (handoff|ref) and -layout (columnar|ref) select
-// the simulation substrate; goldens recorded on one substrate are
-// comparable across layouts always, and across engines for campaigns
-// whose unit numbering does not depend on same-instant wake order
-// (single-pipeline campaigns).
+// expectations.
 //
 // -mode=real executes the same campaign file for real on the wall
 // clock: kernels carrying an "executable" (plus "args") run as local OS
@@ -82,8 +78,6 @@ func main() {
 		record  = flag.String("record", "", "write the run's trace to this golden file")
 		check   = flag.String("check", "", "diff the run's trace against this golden file")
 		asserts = flag.String("assert", "", "check the run's trace against this assertion spec file")
-		engine  = flag.String("engine", "handoff", "clock engine: handoff or ref (sim mode only)")
-		layout  = flag.String("layout", "columnar", "profiler layout: columnar or ref")
 		mode    = flag.String("mode", "sim", "execution mode: sim (virtual time) or real (wall clock, kernels with an executable run as OS processes)")
 		outdir  = flag.String("outdir", "", "real mode: directory for per-unit stdout/stderr captures (default: a fresh temp dir)")
 	)
@@ -100,12 +94,6 @@ func main() {
 
 	var opts campaign.Options
 	var err error
-	if opts.Engine, err = campaign.ParseEngine(*engine); err != nil {
-		log.Fatalf("entk-run: %v", err)
-	}
-	if opts.Layout, err = campaign.ParseLayout(*layout); err != nil {
-		log.Fatalf("entk-run: %v", err)
-	}
 	if opts.Mode, err = campaign.ParseMode(*mode); err != nil {
 		log.Fatalf("entk-run: %v", err)
 	}

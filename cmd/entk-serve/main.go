@@ -66,8 +66,6 @@ func main() {
 	log.SetPrefix("entk-serve: ")
 	addr := flag.String("addr", "127.0.0.1:8750", "listen address")
 	state := flag.String("state", "", "state directory for persistence and resume (empty: none)")
-	engine := flag.String("engine", "handoff", "clock engine: handoff or ref")
-	layout := flag.String("layout", "columnar", "profiler layout: columnar or ref")
 	tenantCap := flag.Int("tenant-cap", 0, "max in-flight campaigns per tenant (0: unlimited)")
 	maxInFlight := flag.Int("max-inflight", 0, "max in-flight campaigns total (0: unlimited)")
 	weights := flag.String("weights", "", "fair-share weights, e.g. alice=2,bob=1")
@@ -75,14 +73,6 @@ func main() {
 	outdir := flag.String("outdir", "", "real mode: directory for per-unit stdout/stderr captures (default: a fresh temp dir)")
 	flag.Parse()
 
-	eng, err := campaign.ParseEngine(*engine)
-	if err != nil {
-		log.Fatal(err)
-	}
-	lay, err := campaign.ParseLayout(*layout)
-	if err != nil {
-		log.Fatal(err)
-	}
 	w, err := parseWeights(*weights)
 	if err != nil {
 		log.Fatal(err)
@@ -93,8 +83,6 @@ func main() {
 	}
 
 	o, err := serve.New(serve.Options{
-		Engine:      eng,
-		Layout:      lay,
 		Mode:        md,
 		RealDir:     *outdir,
 		StateDir:    *state,
@@ -118,7 +106,7 @@ func main() {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	log.Printf("listening on http://%s (mode=%s engine=%s layout=%s)", *addr, md, eng, lay)
+	log.Printf("listening on http://%s (mode=%s)", *addr, md)
 	if dir := o.RunnerDir(); dir != "" {
 		log.Printf("real mode: unit output under %s", dir)
 	}

@@ -50,9 +50,7 @@
 // SimulationAnalysisLoop, and the higher-order Composite) remain the
 // concise front door for the classic scenarios; they are now thin
 // constructors that *lower* onto the graph model and run through the
-// same executor (ResourceHandle.Execute / Run). The seed pattern
-// executor is kept as a reference path (Config.Exec = ExecRef) and the
-// graph-parity tests pin both paths to bit-identical reports.
+// same executor (ResourceHandle.Execute / Run).
 //
 // Execution happens on a simulated HPC testbed (batch queues, pilot
 // agents, data staging) driven by a virtual clock, so thousand-core
@@ -136,8 +134,6 @@ type (
 	// ComputeUnit is the runtime's handle on one executed task, as seen
 	// by StageCtl.Units.
 	ComputeUnit = pilot.ComputeUnit
-	// ExecPath selects the executor implementation (Config.Exec).
-	ExecPath = core.ExecPath
 
 	// Pattern is an execution pattern.
 	Pattern = core.Pattern
@@ -160,15 +156,13 @@ type (
 	// StagingDirective moves data before or after a task.
 	StagingDirective = stage.Directive
 	// Clock is the process clock applications run under: the virtual
-	// simulation clock (NewClock / NewClockEngine) or the wall clock
+	// simulation clock (NewClock) or the wall clock
 	// (NewWallClock) that real-mode execution uses. It is an interface;
 	// construct through this package or vclock.
 	Clock = vclock.Clock
 	// VirtualClock is the concrete discrete-event clock behind NewClock,
 	// exported for callers that need the simulation-only surface.
 	VirtualClock = vclock.Virtual
-	// ClockEngine selects the discrete-event core behind a Clock.
-	ClockEngine = vclock.Engine
 	// UnitRunner executes real-mode unit commands; see NewWallClock and
 	// internal/realtime for the local process implementation.
 	UnitRunner = pilot.UnitRunner
@@ -176,22 +170,10 @@ type (
 	ExecRequest = pilot.ExecRequest
 	// RuntimeConfig tunes the pilot runtime.
 	RuntimeConfig = pilot.Config
-	// ProfilerLayout selects the profiler's event-storage layout
-	// (RuntimeConfig.ProfLayout).
-	ProfilerLayout = profile.Layout
 	// KernelRegistry resolves kernels and their cost models.
 	KernelRegistry = kernels.Registry
 	// KernelSpec defines a kernel plugin.
 	KernelSpec = kernels.Spec
-)
-
-// Executor paths (Config.Exec): the graph executor is the default; the
-// reference path is the seed pattern executor, kept as the semantic
-// baseline the graph-parity tests compare against (the executor
-// analogue of EngineRef and ProfLayoutRef).
-const (
-	ExecGraph = core.ExecGraph
-	ExecRef   = core.ExecRef
 )
 
 // Exchange mode values.
@@ -228,31 +210,8 @@ const (
 	FaultNodeLoss = pilot.FaultNodeLoss
 )
 
-// Clock engine values (see NewClockEngine): the direct-handoff engine is
-// the default; the reference engine is the seed's global-mutex design,
-// kept as the semantic baseline the engine-parity tests compare against.
-const (
-	EngineHandoff = vclock.EngineHandoff
-	EngineRef     = vclock.EngineRef
-)
-
-// Profiler event-storage layouts (RuntimeConfig.ProfLayout): the interned
-// columnar layout is the default; the reference layout is the seed's
-// string-backed store, kept as the baseline the layout-parity tests
-// compare against.
-const (
-	ProfLayoutColumnar = profile.LayoutColumnar
-	ProfLayoutRef      = profile.LayoutRef
-)
-
-// NewClock returns the virtual clock a simulation runs under, backed by
-// the default direct-handoff engine.
+// NewClock returns the virtual clock a simulation runs under.
 func NewClock() Clock { return vclock.NewVirtual() }
-
-// NewClockEngine returns a virtual clock backed by the selected engine.
-// Both engines produce bit-identical simulated time; they differ only in
-// wall-clock cost (see internal/vclock).
-func NewClockEngine(e ClockEngine) Clock { return vclock.NewVirtualEngine(e) }
 
 // NewWallClock returns the monotonic wall clock real-mode execution runs
 // under: Sleep really sleeps, walltime and fault timers really fire, and

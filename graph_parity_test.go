@@ -8,19 +8,18 @@ import (
 	"time"
 
 	"entk"
+	"entk/internal/core"
 )
 
-// This file is the graph-executor regression gate, the executor-level
-// analogue of TestEngineReportParity and TestProfilerLayoutParity: the
-// graph path (patterns lowered to Task/Stage/Pipeline graphs, the
-// default) must be a representation change only. Every legacy pattern —
-// EoP in all three submission modes, EE collective and pairwise, SAL
-// with every adaptive hook, and Composite — is run on the reference
-// pattern executor (Config.Exec = ExecRef) and on the graph executor,
-// across the engine × agent-scheduler matrix, and the reports must be
-// bit-identical: same TTC, same phase spans, busy times and occurrence
-// counts, same task and retry counts — or the lowering changed
-// simulated behaviour, not just the execution model.
+// This file is the graph-executor regression gate: the graph executor
+// (patterns lowered to Task/Stage/Pipeline graphs) must be a
+// representation change only. Every legacy pattern — EoP in all three
+// submission modes, EE collective and pairwise, SAL with every adaptive
+// hook, and Composite — is run on the seed pattern executor
+// (Config.Exec = core.ExecRef) and on the graph executor, and the
+// reports must be bit-identical: same TTC, same phase spans, busy times
+// and occurrence counts, same task and retry counts — or the lowering
+// changed simulated behaviour, not just the execution model.
 
 // graphParityWorkloads builds fresh pattern instances per run (hooks
 // close over per-run state, so instances must not be shared between
@@ -173,66 +172,48 @@ var graphParityWorkloads = []struct {
 	}},
 }
 
-// runGraphParityLeg executes one workload on an explicit executor path,
-// clock engine, and agent-scheduler configuration.
-func runGraphParityLeg(t *testing.T, build func() entk.Pattern, exec entk.ExecPath,
-	eng entk.ClockEngine, rescan bool, cores int) *entk.Report {
+// runGraphParityLeg executes one workload on the graph executor, or on
+// the seed pattern executor when ref is set.
+func runGraphParityLeg(t *testing.T, build func() entk.Pattern, ref bool, cores int) *entk.Report {
 	t.Helper()
-	v := entk.NewClockEngine(eng)
-	rcfg := entk.DefaultRuntimeConfig()
-	rcfg.Rescan = rescan
-	h, err := entk.NewResourceHandle("xsede.stampede", cores, 1000*time.Hour,
-		entk.Config{Clock: v, Exec: exec, Runtime: rcfg})
+	rep, err := runPattern(build, ref, cores)
 	if err != nil {
-		t.Fatal(err)
-	}
-	var rep *entk.Report
-	var runErr error
-	v.Run(func() {
-		rep, runErr = h.Execute(build())
-	})
-	if runErr != nil {
-		t.Fatalf("%v engine=%v rescan=%v: %v", exec, eng, rescan, runErr)
+		t.Fatalf("ref=%v: %v", ref, err)
 	}
 	return rep
 }
 
-// TestGraphReportParity runs every workload on the reference pattern
-// executor and on the graph executor over the engine × scheduler
-// matrix, requiring bit-identical reports.
+// runPattern executes one pattern on a fresh clock and Stampede pilot.
+func runPattern(build func() entk.Pattern, ref bool, cores int) (*entk.Report, error) {
+	exec := core.ExecGraph
+	if ref {
+		exec = core.ExecRef
+	}
+	v := entk.NewClock()
+	h, err := entk.NewResourceHandle("xsede.stampede", cores, 1000*time.Hour,
+		entk.Config{Clock: v, Exec: exec})
+	if err != nil {
+		return nil, err
+	}
+	var rep *entk.Report
+	v.Run(func() {
+		rep, err = h.Execute(build())
+	})
+	return rep, err
+}
+
+// TestGraphReportParity runs every workload on the seed pattern executor
+// and on the graph executor, requiring bit-identical reports.
 func TestGraphReportParity(t *testing.T) {
-	type leg struct {
-		name   string
-		eng    entk.ClockEngine
-		rescan bool
-	}
-	legs := []leg{
-		{"handoff/indexed", entk.EngineHandoff, false},
-		{"handoff/rescan", entk.EngineHandoff, true},
-		{"ref/indexed", entk.EngineRef, false},
-		{"ref/rescan", entk.EngineRef, true},
-	}
 	for _, w := range graphParityWorkloads {
-		w := w
 		t.Run(w.name, func(t *testing.T) {
-			base := runGraphParityLeg(t, w.build, entk.ExecGraph, legs[0].eng, legs[0].rescan, w.cores)
+			graph := runGraphParityLeg(t, w.build, false, w.cores)
 			// Guard against the vacuous pass: the workload must have run.
-			if base.Tasks == 0 || base.TTC <= 0 {
-				t.Fatalf("parity workload did not run: tasks=%d ttc=%v", base.Tasks, base.TTC)
+			if graph.Tasks == 0 || graph.TTC <= 0 {
+				t.Fatalf("parity workload did not run: tasks=%d ttc=%v", graph.Tasks, graph.TTC)
 			}
-			for _, l := range legs {
-				ref := runGraphParityLeg(t, w.build, entk.ExecRef, l.eng, l.rescan, w.cores)
-				if !reflect.DeepEqual(base, ref) {
-					t.Errorf("graph vs ref diverge on %s:\ngraph(%s):\n%v\nref(%s):\n%v",
-						l.name, legs[0].name, base, l.name, ref)
-				}
-				if l != legs[0] {
-					graph := runGraphParityLeg(t, w.build, entk.ExecGraph, l.eng, l.rescan, w.cores)
-					if !reflect.DeepEqual(base, graph) {
-						t.Errorf("graph path diverges across engine/scheduler %s:\nbase:\n%v\ngot:\n%v",
-							l.name, base, graph)
-					}
-				}
+			if ref := runGraphParityLeg(t, w.build, true, w.cores); !reflect.DeepEqual(graph, ref) {
+				t.Errorf("graph vs ref diverge:\ngraph:\n%v\nref:\n%v", graph, ref)
 			}
 		})
 	}
@@ -271,15 +252,12 @@ func TestGraphPairwiseInvariantParity(t *testing.T) {
 		}
 		return &c
 	}
-	base := invariant(runGraphParityLeg(t, build, entk.ExecGraph, entk.EngineHandoff, false, 32))
+	base := invariant(runGraphParityLeg(t, build, false, 32))
 	if base.Tasks != 8*2+4+3 { // sims + full cycle-1 pairing + cycle-2 pairing
 		t.Fatalf("pairwise workload ran %d tasks", base.Tasks)
 	}
-	for _, eng := range []entk.ClockEngine{entk.EngineHandoff, entk.EngineRef} {
-		ref := invariant(runGraphParityLeg(t, build, entk.ExecRef, eng, false, 32))
-		if !reflect.DeepEqual(base, ref) {
-			t.Errorf("invariant projection diverges on %v:\ngraph:\n%v\nref:\n%v", eng, base, ref)
-		}
+	if ref := invariant(runGraphParityLeg(t, build, true, 32)); !reflect.DeepEqual(base, ref) {
+		t.Errorf("invariant projection diverges:\ngraph:\n%v\nref:\n%v", base, ref)
 	}
 }
 
@@ -311,22 +289,8 @@ func TestGraphPairwiseFailureParity(t *testing.T) {
 			},
 		}
 	}
-	run := func(exec entk.ExecPath) (*entk.Report, error) {
-		v := entk.NewClock()
-		h, err := entk.NewResourceHandle("xsede.stampede", 16, 1000*time.Hour,
-			entk.Config{Clock: v, Exec: exec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var rep *entk.Report
-		var runErr error
-		v.Run(func() {
-			rep, runErr = h.Execute(build())
-		})
-		return rep, runErr
-	}
-	graph, gerr := run(entk.ExecGraph)
-	ref, rerr := run(entk.ExecRef)
+	graph, gerr := runPattern(build, false, 16)
+	ref, rerr := runPattern(build, true, 16)
 	for name, err := range map[string]error{"graph": gerr, "ref": rerr} {
 		var perr *entk.PatternError
 		if !errors.As(err, &perr) {
@@ -372,8 +336,8 @@ func TestGraphRetryParity(t *testing.T) {
 			},
 		}
 	}
-	graph := runGraphParityLeg(t, build, entk.ExecGraph, entk.EngineHandoff, false, 16)
-	ref := runGraphParityLeg(t, build, entk.ExecRef, entk.EngineHandoff, false, 16)
+	graph := runGraphParityLeg(t, build, false, 16)
+	ref := runGraphParityLeg(t, build, true, 16)
 	if graph.Retries != 2 || !reflect.DeepEqual(graph, ref) {
 		t.Errorf("retry accounting diverges:\ngraph:\n%v\nref:\n%v", graph, ref)
 	}

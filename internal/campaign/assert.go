@@ -207,8 +207,8 @@ func EntityTimeline(p *profile.Profiler, prefix string) string {
 
 // entityEvents groups a profiler's events by entity, each sequence
 // sorted by (T, Name). The sort makes the view independent of
-// recording interleavings at equal instants, which is what lets golden
-// traces compare across clock engines for single-pipeline campaigns.
+// recording interleavings at equal instants, which is what lets a
+// golden trace compare against a fresh run at all.
 func entityEvents(p *profile.Profiler, prefix string) map[string][]profile.Event {
 	byEnt := map[string][]profile.Event{}
 	for _, ev := range p.Events() {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"entk"
 	"entk/internal/profile"
 	"entk/internal/vclock"
 )
@@ -19,30 +18,11 @@ func marshal(c *Campaign) ([]byte, error) {
 	return json.MarshalIndent(c, "", "  ")
 }
 
-// goldenCases drives the golden-trace regression tier. Single-pipeline
-// campaigns produce the same per-entity sequences on both clock
-// engines (unit numbering cannot race), so one golden covers both;
-// multi-pipeline campaigns may assign unit ids differently at
-// same-instant submissions, so each engine pins its own golden.
-var goldenCases = []struct {
-	fixture   string
-	perEngine bool
-}{
-	{"demo-pipeline", false},
-	{"demo-multipilot", true},
-}
+// goldenFixtures drives the golden-trace regression tier: each fixture
+// campaign's full trace is pinned by testdata/<fixture>.trace.
+var goldenFixtures = []string{"demo-pipeline", "demo-multipilot"}
 
-func engineName(e entk.ClockEngine) string {
-	if e == entk.EngineRef {
-		return "ref"
-	}
-	return "handoff"
-}
-
-func goldenFile(fixture string, e entk.ClockEngine, perEngine bool) string {
-	if perEngine {
-		return filepath.Join("testdata", fixture+"."+engineName(e)+".trace")
-	}
+func goldenFile(fixture string) string {
 	return filepath.Join("testdata", fixture+".trace")
 }
 
@@ -61,49 +41,38 @@ func loadFixture(t *testing.T, name string) *Campaign {
 }
 
 // TestGoldenTraces replays the fixture campaigns and diffs their
-// traces against the committed goldens, across both clock engines and
-// both profiler layouts. Regenerate with:
+// traces against the committed goldens. Regenerate with:
 //
 //	ENTK_REGEN_GOLDEN=1 go test ./internal/campaign -run TestGoldenTraces
 func TestGoldenTraces(t *testing.T) {
 	regen := os.Getenv("ENTK_REGEN_GOLDEN") != ""
-	for _, gc := range goldenCases {
-		c := loadFixture(t, gc.fixture)
-		for _, engine := range []entk.ClockEngine{entk.EngineHandoff, entk.EngineRef} {
-			if regen {
-				// Goldens are recorded on the default (columnar) layout; the
-				// layout loop below proves the ref layout replays identically.
-				res, err := Run(c, Options{Engine: engine})
-				if err != nil {
-					t.Fatal(err)
-				}
-				path := goldenFile(gc.fixture, engine, gc.perEngine)
-				if !gc.perEngine && engine != entk.EngineHandoff {
-					continue // shared golden: record once
-				}
-				if err := WriteGolden(path, res.Prof); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("recorded %s (%d events)", path, res.Prof.EventCount())
-				continue
-			}
-			want, err := LoadGolden(goldenFile(gc.fixture, engine, gc.perEngine))
+	for _, fixture := range goldenFixtures {
+		c := loadFixture(t, fixture)
+		path := goldenFile(fixture)
+		if regen {
+			res, err := Run(c, Options{})
 			if err != nil {
-				t.Fatalf("%v (regenerate with ENTK_REGEN_GOLDEN=1)", err)
+				t.Fatal(err)
 			}
-			for _, layout := range []entk.ProfilerLayout{entk.ProfLayoutColumnar, entk.ProfLayoutRef} {
-				name := gc.fixture + "/" + engineName(engine) + "/" + layout.String()
-				t.Run(name, func(t *testing.T) {
-					res, err := Run(c, Options{Engine: engine, Layout: layout})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if diffs := DiffTraces(res.Prof, want); len(diffs) > 0 {
-						t.Errorf("trace diverges from golden:\n%s", RenderDiffs(diffs, 3))
-					}
-				})
+			if err := WriteGolden(path, res.Prof); err != nil {
+				t.Fatal(err)
 			}
+			t.Logf("recorded %s (%d events)", path, res.Prof.EventCount())
+			continue
 		}
+		want, err := LoadGolden(path)
+		if err != nil {
+			t.Fatalf("%v (regenerate with ENTK_REGEN_GOLDEN=1)", err)
+		}
+		t.Run(fixture, func(t *testing.T) {
+			res, err := Run(c, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diffs := DiffTraces(res.Prof, want); len(diffs) > 0 {
+				t.Errorf("trace diverges from golden:\n%s", RenderDiffs(diffs, 3))
+			}
+		})
 	}
 }
 
@@ -113,7 +82,7 @@ func TestGoldenTraces(t *testing.T) {
 // fail the check, and the rendered diff must name the divergent event
 // inside a per-entity timeline.
 func TestBrokenGoldenDiff(t *testing.T) {
-	raw, err := os.ReadFile(goldenFile("demo-pipeline", entk.EngineHandoff, false))
+	raw, err := os.ReadFile(goldenFile("demo-pipeline"))
 	if err != nil {
 		t.Fatalf("%v (regenerate with ENTK_REGEN_GOLDEN=1)", err)
 	}
@@ -144,31 +113,27 @@ func TestBrokenGoldenDiff(t *testing.T) {
 	}
 }
 
-// TestGoldenRoundTrip pins WriteGolden/LoadGolden as a lossless pair
-// over both profiler layouts: a reloaded golden diffs clean against
-// its source.
+// TestGoldenRoundTrip pins WriteGolden/LoadGolden as a lossless pair:
+// a reloaded golden diffs clean against its source.
 func TestGoldenRoundTrip(t *testing.T) {
 	c := loadFixture(t, "demo-pipeline")
-	for _, layout := range []entk.ProfilerLayout{entk.ProfLayoutColumnar, entk.ProfLayoutRef} {
-		res, err := Run(c, Options{Layout: layout})
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "golden.trace")
-		if err := WriteGolden(path, res.Prof); err != nil {
-			t.Fatal(err)
-		}
-		back, err := LoadGolden(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if back.EventCount() != res.Prof.EventCount() {
-			t.Errorf("layout %v: reloaded %d events, want %d",
-				layout, back.EventCount(), res.Prof.EventCount())
-		}
-		if diffs := DiffTraces(res.Prof, back); len(diffs) > 0 {
-			t.Errorf("layout %v: round trip diverges:\n%s", layout, RenderDiffs(diffs, 3))
-		}
+	res, err := Run(c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "golden.trace")
+	if err := WriteGolden(path, res.Prof); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadGolden(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.EventCount() != res.Prof.EventCount() {
+		t.Errorf("reloaded %d events, want %d", back.EventCount(), res.Prof.EventCount())
+	}
+	if diffs := DiffTraces(res.Prof, back); len(diffs) > 0 {
+		t.Errorf("round trip diverges:\n%s", RenderDiffs(diffs, 3))
 	}
 }
 

@@ -16,15 +16,12 @@ import (
 )
 
 // Options selects the execution substrate for one run. The zero value
-// is the production default (simulated, handoff clock engine, columnar
-// profiler).
+// is the default: a simulation on a fresh virtual clock.
 type Options struct {
-	Engine entk.ClockEngine
-	Layout entk.ProfilerLayout
 	// Mode selects simulated (default) or real execution. Real mode runs
 	// the identical campaign on the wall clock: kernels with an
 	// "executable" exec as OS processes, the rest sleep their modelled
-	// durations. Engine is ignored in real mode.
+	// durations.
 	Mode Mode
 	// Dir receives real-mode per-unit output captures; empty means a
 	// fresh temporary directory. Sim mode ignores it.
@@ -65,34 +62,12 @@ func ParseMode(s string) (Mode, error) {
 }
 
 // NewClock returns the clock a run with these options executes on: a
-// virtual clock with the selected engine, or the wall clock in real mode.
+// virtual clock, or the wall clock in real mode.
 func (o Options) NewClock() entk.Clock {
 	if o.Mode == ModeReal {
 		return entk.NewWallClock()
 	}
-	return entk.NewClockEngine(o.Engine)
-}
-
-// ParseEngine maps a CLI selector to a clock engine.
-func ParseEngine(s string) (entk.ClockEngine, error) {
-	switch s {
-	case "", "handoff":
-		return entk.EngineHandoff, nil
-	case "ref":
-		return entk.EngineRef, nil
-	}
-	return 0, fmt.Errorf("campaign: unknown clock engine %q (want handoff or ref)", s)
-}
-
-// ParseLayout maps a CLI selector to a profiler layout.
-func ParseLayout(s string) (entk.ProfilerLayout, error) {
-	switch s {
-	case "", "columnar":
-		return entk.ProfLayoutColumnar, nil
-	case "ref":
-		return entk.ProfLayoutRef, nil
-	}
-	return 0, fmt.Errorf("campaign: unknown profiler layout %q (want columnar or ref)", s)
+	return entk.NewClock()
 }
 
 // Result is one campaign execution: the report for whichever workload
@@ -131,16 +106,15 @@ func (r *Result) Summary() string {
 }
 
 // Config builds the core configuration a run of this campaign uses on
-// clock v: runtime defaults, the profiler layout from opts, and the
+// clock v: runtime defaults, the real-mode runner from opts, and the
 // campaign's own knobs (retry budget). Run and the service's
 // orchestrator share it, so an HTTP-submitted campaign executes on
 // exactly the substrate a library run would construct.
 func (c *Campaign) Config(v entk.Clock, opts Options) entk.Config {
 	cfg := entk.Config{Clock: v}
 	// Core only fills runtime defaults for a wholly-zero Runtime, so
-	// start from the defaults before selecting the profiler layout.
+	// start from the defaults before installing the runner.
 	cfg.Runtime = entk.DefaultRuntimeConfig()
-	cfg.Runtime.ProfLayout = opts.Layout
 	if opts.Mode == ModeReal {
 		cfg.Runtime.Runner = opts.Runner
 	}

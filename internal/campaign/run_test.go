@@ -75,38 +75,36 @@ func TestRunDeclarativeParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []entk.ClockEngine{entk.EngineHandoff, entk.EngineRef} {
-		res, err := Run(c, Options{Engine: engine})
-		if err != nil {
-			t.Fatalf("engine %v: declarative run: %v", engine, err)
-		}
+	res, err := Run(c, Options{})
+	if err != nil {
+		t.Fatalf("declarative run: %v", err)
+	}
 
-		v := entk.NewClockEngine(engine)
-		rs, err := entk.NewResourceSet([]entk.PilotSpec{
-			{Resource: "xsede.comet", Cores: 48, Walltime: 120 * time.Minute},
-			{Resource: "xsede.stampede", Cores: 64, Walltime: 120 * time.Minute, Tags: []string{"mpi"}},
-		}, entk.Config{Clock: v, MaxRetries: 1})
-		if err != nil {
+	v := entk.NewClock()
+	rs, err := entk.NewResourceSet([]entk.PilotSpec{
+		{Resource: "xsede.comet", Cores: 48, Walltime: 120 * time.Minute},
+		{Resource: "xsede.stampede", Cores: 64, Walltime: 120 * time.Minute, Tags: []string{"mpi"}},
+	}, entk.Config{Clock: v, MaxRetries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.Placement = entk.PlaceTagAffinity(nil)
+	var want *entk.CampaignReport
+	v.Run(func() {
+		if err := rs.Allocate(); err != nil {
 			t.Fatal(err)
 		}
-		rs.Placement = entk.PlaceTagAffinity(nil)
-		var want *entk.CampaignReport
-		v.Run(func() {
-			if err := rs.Allocate(); err != nil {
-				t.Fatal(err)
-			}
-			var err error
-			want, err = entk.NewAppManager(rs).Run(parityPipelines()...)
-			if err != nil {
-				t.Fatalf("engine %v: Go-constructed run: %v", engine, err)
-			}
-			rs.Deallocate()
-		})
-
-		if !reflect.DeepEqual(res.Campaign, want) {
-			t.Errorf("engine %v: declarative report diverges from Go-constructed:\ngot  %+v\nwant %+v",
-				engine, res.Campaign, want)
+		var err error
+		want, err = entk.NewAppManager(rs).Run(parityPipelines()...)
+		if err != nil {
+			t.Fatalf("Go-constructed run: %v", err)
 		}
+		rs.Deallocate()
+	})
+
+	if !reflect.DeepEqual(res.Campaign, want) {
+		t.Errorf("declarative report diverges from Go-constructed:\ngot  %+v\nwant %+v",
+			res.Campaign, want)
 	}
 }
 

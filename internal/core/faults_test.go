@@ -14,8 +14,7 @@ import (
 // Fault-tolerance suite: every injected failure must settle — full
 // completion when the survivors can absorb the displaced units, a
 // PatternError partial report when they cannot — and never deadlock or
-// panic. The whole file runs under -race in CI (twice), on both vclock
-// engines.
+// panic. The whole file runs under -race in CI (twice).
 
 // faultPipeline builds one untagged pipeline of width x depth 1-core
 // sleep tasks.
@@ -55,7 +54,7 @@ func infeasiblePipelines(streamed bool) []*Pipeline {
 // barrier, during a streamed submission drain}, crossed with {the
 // survivor can run everything — rebinding completes the campaign
 // exactly — or the displaced units are infeasible anywhere else and the
-// campaign settles as a PatternError partial report}, on both engines.
+// campaign settles as a PatternError partial report}.
 //
 // Timing notes: pilot 0 (test.bind.narrow) activates at ~3s, pilot 1
 // (test.bind.wide) at ~6s; campaigns gate on the slowest, so dispatch
@@ -63,6 +62,9 @@ func infeasiblePipelines(streamed bool) []*Pipeline {
 // can never tie with a model-derived event (same-instant wake order is
 // engine-dependent; see internal/pilot/faults.go).
 func TestFaultMatrix(t *testing.T) {
+	// Subtests are named for the clock engine they run on (the product's
+	// one virtual engine), as in the earlier engine matrix.
+	eng := vclock.EngineHandoff.String()
 	points := []struct {
 		name     string
 		at       time.Duration
@@ -79,97 +81,95 @@ func TestFaultMatrix(t *testing.T) {
 		// (dispatches spread from ~6s at 10ms per unit).
 		{"batcher-drain", 6200*time.Millisecond + time.Nanosecond, pilot.FaultKillPilot, true},
 	}
-	for _, eng := range []vclock.Engine{vclock.EngineHandoff, vclock.EngineRef} {
-		for _, pt := range points {
-			for _, infeasible := range []bool{false, true} {
-				name := pt.name + "/rebind"
-				if infeasible {
-					name = pt.name + "/infeasible"
-				}
-				t.Run(eng.String()+"/"+name, func(t *testing.T) {
-					v := vclock.NewVirtualEngine(eng)
-					rs := newTestSet(t, v)
-					rs.Rebind = true
-					var pls []*Pipeline
-					if infeasible {
-						// Kill the wide pilot: the big pipeline's 32-core MPI
-						// units exceed the 16-core survivor and must fail at
-						// placement (tag affinity would fall back to any
-						// eligible pilot; capacity cannot).
-						rs.Faults = &pilot.FaultPlan{Faults: []pilot.Fault{
-							{At: pt.at, Pilot: 1, Kind: pt.kind},
-						}}
-						pls = infeasiblePipelines(pt.streamed)
-					} else {
-						rs.Faults = &pilot.FaultPlan{Faults: []pilot.Fault{
-							{At: pt.at, Pilot: 0, Kind: pt.kind},
-						}}
-						pls = []*Pipeline{faultPipeline("bulk", 24, 2, 5, pt.streamed)}
-					}
-					var camp *CampaignReport
-					var err error
-					v.Run(func() {
-						if aerr := rs.Allocate(); aerr != nil {
-							t.Fatal(aerr)
-						}
-						camp, err = NewAppManager(rs).Run(pls...)
-						rs.Deallocate()
-					})
-					if camp == nil {
-						t.Fatalf("no campaign report (err=%v)", err)
-					}
-					if len(camp.Pilots) != 2 {
-						t.Fatalf("pilot rows = %d, want 2", len(camp.Pilots))
-					}
-					if infeasible {
-						var perr *PatternError
-						if !errors.As(err, &perr) {
-							t.Fatalf("err = %v, want a PatternError partial report", err)
-						}
-						// Exact partial accounting: the small pipeline rebinds
-						// and completes in full; the big pipeline always fails
-						// within stage 1 (its 5s units serialize on the doomed
-						// pilot, so the barrier is never reached), submitting
-						// exactly that stage's 2 units — each completed before
-						// the fault or named in the failure list, never lost.
-						small, big := camp.Pipelines[0], camp.Pipelines[1]
-						if small.Tasks != 16 || small.Retries != 0 {
-							t.Errorf("small pipeline tasks/retries = %d/%d, want 16/0",
-								small.Tasks, small.Retries)
-						}
-						if big.Tasks != 2 || len(perr.Failed) < 1 || len(perr.Failed) > 2 {
-							t.Errorf("big pipeline submitted=%d failed=%d, want 2 submitted with 1-2 failures\n%v",
-								big.Tasks, len(perr.Failed), perr.Failed)
-						}
-						if camp.Campaign.Tasks != small.Tasks+big.Tasks {
-							t.Errorf("campaign tasks %d != small %d + big %d",
-								camp.Campaign.Tasks, small.Tasks, big.Tasks)
-						}
-					} else {
-						if err != nil {
-							t.Fatalf("rebind campaign failed: %v", err)
-						}
-						if camp.Campaign.Tasks != 48 {
-							t.Errorf("campaign tasks = %d, want 48", camp.Campaign.Tasks)
-						}
-						// Rebinding returns units, it does not fail them:
-						// recovery must not burn the retry budget.
-						if camp.Campaign.Retries != 0 {
-							t.Errorf("campaign retries = %d, want 0 (rebind is not a retry)",
-								camp.Campaign.Retries)
-						}
-						// Every unit is counted exactly once, on the pilot
-						// where it actually finished.
-						if got := camp.Pilots[0].Units + camp.Pilots[1].Units; got != 48 {
-							t.Errorf("pilot units %d+%d = %d, want 48",
-								camp.Pilots[0].Units, camp.Pilots[1].Units, got)
-						}
-						if pt.name == "pre-activation" && camp.Pilots[0].Units != 0 {
-							t.Errorf("pilot killed before activation ran %d units", camp.Pilots[0].Units)
-						}
-					}
-				})
+	for _, pt := range points {
+		for _, infeasible := range []bool{false, true} {
+			name := pt.name + "/rebind"
+			if infeasible {
+				name = pt.name + "/infeasible"
 			}
+			t.Run(eng+"/"+name, func(t *testing.T) {
+				v := vclock.NewVirtual()
+				rs := newTestSet(t, v)
+				rs.Rebind = true
+				var pls []*Pipeline
+				if infeasible {
+					// Kill the wide pilot: the big pipeline's 32-core MPI
+					// units exceed the 16-core survivor and must fail at
+					// placement (tag affinity would fall back to any
+					// eligible pilot; capacity cannot).
+					rs.Faults = &pilot.FaultPlan{Faults: []pilot.Fault{
+						{At: pt.at, Pilot: 1, Kind: pt.kind},
+					}}
+					pls = infeasiblePipelines(pt.streamed)
+				} else {
+					rs.Faults = &pilot.FaultPlan{Faults: []pilot.Fault{
+						{At: pt.at, Pilot: 0, Kind: pt.kind},
+					}}
+					pls = []*Pipeline{faultPipeline("bulk", 24, 2, 5, pt.streamed)}
+				}
+				var camp *CampaignReport
+				var err error
+				v.Run(func() {
+					if aerr := rs.Allocate(); aerr != nil {
+						t.Fatal(aerr)
+					}
+					camp, err = NewAppManager(rs).Run(pls...)
+					rs.Deallocate()
+				})
+				if camp == nil {
+					t.Fatalf("no campaign report (err=%v)", err)
+				}
+				if len(camp.Pilots) != 2 {
+					t.Fatalf("pilot rows = %d, want 2", len(camp.Pilots))
+				}
+				if infeasible {
+					var perr *PatternError
+					if !errors.As(err, &perr) {
+						t.Fatalf("err = %v, want a PatternError partial report", err)
+					}
+					// Exact partial accounting: the small pipeline rebinds
+					// and completes in full; the big pipeline always fails
+					// within stage 1 (its 5s units serialize on the doomed
+					// pilot, so the barrier is never reached), submitting
+					// exactly that stage's 2 units — each completed before
+					// the fault or named in the failure list, never lost.
+					small, big := camp.Pipelines[0], camp.Pipelines[1]
+					if small.Tasks != 16 || small.Retries != 0 {
+						t.Errorf("small pipeline tasks/retries = %d/%d, want 16/0",
+							small.Tasks, small.Retries)
+					}
+					if big.Tasks != 2 || len(perr.Failed) < 1 || len(perr.Failed) > 2 {
+						t.Errorf("big pipeline submitted=%d failed=%d, want 2 submitted with 1-2 failures\n%v",
+							big.Tasks, len(perr.Failed), perr.Failed)
+					}
+					if camp.Campaign.Tasks != small.Tasks+big.Tasks {
+						t.Errorf("campaign tasks %d != small %d + big %d",
+							camp.Campaign.Tasks, small.Tasks, big.Tasks)
+					}
+				} else {
+					if err != nil {
+						t.Fatalf("rebind campaign failed: %v", err)
+					}
+					if camp.Campaign.Tasks != 48 {
+						t.Errorf("campaign tasks = %d, want 48", camp.Campaign.Tasks)
+					}
+					// Rebinding returns units, it does not fail them:
+					// recovery must not burn the retry budget.
+					if camp.Campaign.Retries != 0 {
+						t.Errorf("campaign retries = %d, want 0 (rebind is not a retry)",
+							camp.Campaign.Retries)
+					}
+					// Every unit is counted exactly once, on the pilot
+					// where it actually finished.
+					if got := camp.Pilots[0].Units + camp.Pilots[1].Units; got != 48 {
+						t.Errorf("pilot units %d+%d = %d, want 48",
+							camp.Pilots[0].Units, camp.Pilots[1].Units, got)
+					}
+					if pt.name == "pre-activation" && camp.Pilots[0].Units != 0 {
+						t.Errorf("pilot killed before activation ran %d units", camp.Pilots[0].Units)
+					}
+				}
+			})
 		}
 	}
 }
@@ -179,75 +179,74 @@ func TestFaultMatrix(t *testing.T) {
 // (an extra wave), and a unit too big for the shrunken pilot settles as
 // a PatternError instead of wedging the queue.
 func TestFaultNodeLoss(t *testing.T) {
-	for _, eng := range []vclock.Engine{vclock.EngineHandoff, vclock.EngineRef} {
-		t.Run(eng.String()+"/rebind", func(t *testing.T) {
-			v := vclock.NewVirtualEngine(eng)
-			registerBindingMachines(t)
-			rs, err := NewResourceSet([]PilotSpec{
-				{Resource: "test.bind.wide", Cores: 32, Walltime: 100 * time.Hour},
-			}, Config{Clock: v})
-			if err != nil {
+	eng := vclock.EngineHandoff.String() // see TestFaultMatrix
+	t.Run(eng+"/rebind", func(t *testing.T) {
+		v := vclock.NewVirtual()
+		registerBindingMachines(t)
+		rs, err := NewResourceSet([]PilotSpec{
+			{Resource: "test.bind.wide", Cores: 32, Walltime: 100 * time.Hour},
+		}, Config{Clock: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs.Rebind = true
+		// Lose 1 of the pilot's 2 nodes mid-wave: 16 executing units
+		// are displaced and must re-run on the surviving node.
+		rs.Faults = &pilot.FaultPlan{Faults: []pilot.Fault{
+			{At: 8*time.Second + time.Nanosecond, Pilot: 0, Kind: pilot.FaultNodeLoss, Nodes: 1},
+		}}
+		var camp *CampaignReport
+		v.Run(func() {
+			if err := rs.Allocate(); err != nil {
 				t.Fatal(err)
 			}
-			rs.Rebind = true
-			// Lose 1 of the pilot's 2 nodes mid-wave: 16 executing units
-			// are displaced and must re-run on the surviving node.
-			rs.Faults = &pilot.FaultPlan{Faults: []pilot.Fault{
-				{At: 8*time.Second + time.Nanosecond, Pilot: 0, Kind: pilot.FaultNodeLoss, Nodes: 1},
-			}}
-			var camp *CampaignReport
-			v.Run(func() {
-				if err := rs.Allocate(); err != nil {
-					t.Fatal(err)
-				}
-				var rerr error
-				camp, rerr = NewAppManager(rs).Run(faultPipeline("bulk", 32, 1, 5, false))
-				if rerr != nil {
-					t.Fatalf("node-loss rebind campaign failed: %v", rerr)
-				}
-				rs.Deallocate()
-			})
-			if camp.Campaign.Tasks != 32 || camp.Campaign.Retries != 0 {
-				t.Errorf("tasks/retries = %d/%d, want 32/0", camp.Campaign.Tasks, camp.Campaign.Retries)
+			var rerr error
+			camp, rerr = NewAppManager(rs).Run(faultPipeline("bulk", 32, 1, 5, false))
+			if rerr != nil {
+				t.Fatalf("node-loss rebind campaign failed: %v", rerr)
 			}
-			// The displaced half re-ran after the survivors finished: the
-			// stage spans at least two 5s waves.
-			if exec := camp.Pipelines[0].ExecTime(); exec < 10*time.Second {
-				t.Errorf("exec span %v, want >= two 5s waves after displacement", exec)
-			}
+			rs.Deallocate()
 		})
-		t.Run(eng.String()+"/infeasible", func(t *testing.T) {
-			v := vclock.NewVirtualEngine(eng)
-			registerBindingMachines(t)
-			rs, err := NewResourceSet([]PilotSpec{
-				{Resource: "test.bind.wide", Cores: 32, Walltime: 100 * time.Hour},
-			}, Config{Clock: v})
-			if err != nil {
+		if camp.Campaign.Tasks != 32 || camp.Campaign.Retries != 0 {
+			t.Errorf("tasks/retries = %d/%d, want 32/0", camp.Campaign.Tasks, camp.Campaign.Retries)
+		}
+		// The displaced half re-ran after the survivors finished: the
+		// stage spans at least two 5s waves.
+		if exec := camp.Pipelines[0].ExecTime(); exec < 10*time.Second {
+			t.Errorf("exec span %v, want >= two 5s waves after displacement", exec)
+		}
+	})
+	t.Run(eng+"/infeasible", func(t *testing.T) {
+		v := vclock.NewVirtual()
+		registerBindingMachines(t)
+		rs, err := NewResourceSet([]PilotSpec{
+			{Resource: "test.bind.wide", Cores: 32, Walltime: 100 * time.Hour},
+		}, Config{Clock: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs.Rebind = true
+		rs.Faults = &pilot.FaultPlan{Faults: []pilot.Fault{
+			{At: 5*time.Second + time.Nanosecond, Pilot: 0, Kind: pilot.FaultNodeLoss, Nodes: 1},
+		}}
+		var err2 error
+		v.Run(func() {
+			if err := rs.Allocate(); err != nil {
 				t.Fatal(err)
 			}
-			rs.Rebind = true
-			rs.Faults = &pilot.FaultPlan{Faults: []pilot.Fault{
-				{At: 5*time.Second + time.Nanosecond, Pilot: 0, Kind: pilot.FaultNodeLoss, Nodes: 1},
-			}}
-			var err2 error
-			v.Run(func() {
-				if err := rs.Allocate(); err != nil {
-					t.Fatal(err)
-				}
-				// One 32-core MPI task spanning both nodes: after the loss
-				// the 16-core remainder can never host it.
-				_, err2 = NewAppManager(rs).Run(&Pipeline{Name: "big", Stages: []*Stage{{
-					Tasks: []Task{{Kernel: &Kernel{Name: "misc.sleep",
-						Params: map[string]float64{"seconds": 30}, Cores: 32, MPI: true}}},
-				}}})
-				rs.Deallocate()
-			})
-			var perr *PatternError
-			if !errors.As(err2, &perr) || len(perr.Failed) != 1 {
-				t.Fatalf("err = %v, want a 1-task PatternError after the node loss", err2)
-			}
+			// One 32-core MPI task spanning both nodes: after the loss
+			// the 16-core remainder can never host it.
+			_, err2 = NewAppManager(rs).Run(&Pipeline{Name: "big", Stages: []*Stage{{
+				Tasks: []Task{{Kernel: &Kernel{Name: "misc.sleep",
+					Params: map[string]float64{"seconds": 30}, Cores: 32, MPI: true}}},
+			}}})
+			rs.Deallocate()
 		})
-	}
+		var perr *PatternError
+		if !errors.As(err2, &perr) || len(perr.Failed) != 1 {
+			t.Fatalf("err = %v, want a 1-task PatternError after the node loss", err2)
+		}
+	})
 }
 
 // TestFaultWalltimeExpiry pins the no-recovery path: without Rebind a

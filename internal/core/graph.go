@@ -23,8 +23,10 @@ import (
 // ExecPath selects the executor implementation behind ResourceHandle.Run
 // (Config.Exec). The graph path is the default; the seed pattern
 // executor is kept as the reference implementation the graph-parity
-// tests compare against — the executor analogue of pilot.Config.Rescan,
-// vclock.EngineRef, and profile.LayoutRef.
+// tests (graph_parity_test.go at the repo root) compare against. It is
+// the one reference still selectable from a Config: the clock engine,
+// profiler store, pending queue and forced rescan references live in
+// their packages' test files.
 type ExecPath int
 
 const (

@@ -97,8 +97,7 @@ func TestAppManagerHeterogeneousCampaign(t *testing.T) {
 // TestPostStageGrowsAndPrunes is the adaptivity gate: a PostStage hook
 // widens the next stage from observed execution (growth), a sibling
 // pipeline terminates itself early (pruning), and the resulting
-// campaign must be deterministic — bit-identical reports across runs
-// and across both clock engines.
+// campaign must be deterministic — bit-identical reports across runs.
 func TestPostStageGrowsAndPrunes(t *testing.T) {
 	build := func(v *vclock.Virtual) []*Pipeline {
 		var grow func(depth, width int) *Stage
@@ -135,15 +134,15 @@ func TestPostStageGrowsAndPrunes(t *testing.T) {
 		}}
 		return []*Pipeline{{Name: "grower", Stages: []*Stage{grow(1, 2)}}, pruner}
 	}
-	run := func(eng vclock.Engine) *CampaignReport {
-		v := vclock.NewVirtualEngine(eng)
+	run := func() *CampaignReport {
+		v := vclock.NewVirtual()
 		camp, err := runCampaign(t, v, 32, func() []*Pipeline { return build(v) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		return camp
 	}
-	base := run(vclock.EngineHandoff)
+	base := run()
 	grower, pruner := base.Pipelines[0], base.Pipelines[1]
 	if grower.Tasks != 2+4+8+16 {
 		t.Errorf("grower executed %d tasks, want 30", grower.Tasks)
@@ -161,16 +160,13 @@ func TestPostStageGrowsAndPrunes(t *testing.T) {
 	if grower.PlannedTasks != 2 || pruner.PlannedTasks != 67 {
 		t.Errorf("planned = %d/%d, want 2/67", grower.PlannedTasks, pruner.PlannedTasks)
 	}
-	// Determinism: repeated runs on both engines must reproduce the
-	// campaign bit for bit — adaptive growth steered by observed
-	// execution does not make the simulation nondeterministic.
+	// Determinism: repeated runs must reproduce the campaign bit for
+	// bit — adaptive growth steered by observed execution does not make
+	// the simulation nondeterministic.
 	for i := 0; i < 2; i++ {
-		for _, eng := range []vclock.Engine{vclock.EngineHandoff, vclock.EngineRef} {
-			got := run(eng)
-			if !reflect.DeepEqual(base, got) {
-				t.Errorf("adaptive campaign not deterministic on %v run %d:\nbase:\n%v\ngot:\n%v",
-					eng, i, base.Campaign, got.Campaign)
-			}
+		if got := run(); !reflect.DeepEqual(base, got) {
+			t.Errorf("adaptive campaign not deterministic on run %d:\nbase:\n%v\ngot:\n%v",
+				i, base.Campaign, got.Campaign)
 		}
 	}
 }

@@ -179,8 +179,8 @@ func newAgent(p *ComputePilot) *agent {
 		pilot:  p,
 		sess:   p.sess,
 		launch: vclock.NewSemaphore(p.sess.V, fmt.Sprintf("launcher pilot %d", p.ID), width),
-		sched:  newScheduler(nodes, p.sess.Cfg.Agent, p.sess.Cfg.Rescan),
-		pend:   newPendingQueue(p.sess.Cfg.PendingRef),
+		sched:  newScheduler(nodes, p.sess.Cfg.Agent),
+		pend:   newPendingQueue(),
 	}
 	if p.sess.Cfg.Agent == Backfill {
 		a.runEnds = make(map[*ComputeUnit]runInfo)

@@ -15,11 +15,10 @@ import "math"
 // sequence number merged across bucket heads. Cancellation is an O(1)
 // tombstone instead of a linear splice.
 //
-// Both implementations sit behind the pendingQueue interface and the
-// shared pass driver in agent.go; Config.PendingRef selects the seed
-// FIFO, kept as the reference implementation so the queue-parity tests
-// can pin bit-identical simulated timelines (the pending-queue analogue
-// of the Rescan / EngineRef / LayoutRef precedent).
+// The seed FIFO survives as a test oracle behind the same pendingQueue
+// interface and the shared pass driver in agent.go (pendq_ref_test.go),
+// so the queue-parity tests can pin bit-identical simulated timelines;
+// no product option selects it.
 //
 // The pass protocol (all calls under the owning agent's mu, which is
 // held for the whole pass, so no queue mutation interleaves):
@@ -78,118 +77,10 @@ type pendingQueue interface {
 	endPass()
 }
 
-// newPendingQueue builds the configured queue implementation.
-func newPendingQueue(ref bool) pendingQueue {
-	if ref {
-		return &fifoPending{minAny: math.MaxInt, minMPI: math.MaxInt}
-	}
+// newPendingQueue builds an agent's pending store. A variable only so
+// the queue-parity tests can swap in the seed FIFO (pendq_ref_test.go).
+var newPendingQueue = func() pendingQueue {
 	return &segPending{buckets: make(map[pendClass]*segBucket)}
-}
-
-// fifoPending is the seed's pending store: one flat FIFO slice,
-// compacted in place by every pass, with watermarks tightened on push
-// and recomputed exactly by any pass that scans the whole queue. Kept
-// bit-for-bit equivalent to the seed agent's inline queue handling.
-type fifoPending struct {
-	units  []*ComputeUnit
-	minAny int
-	minMPI int
-
-	// Pass state: units[:keep] are kept-so-far, units[scan] is the
-	// current candidate, cur* fold the kept units' minima.
-	scan, keep     int
-	curAny, curMPI int
-	passWork       uint64
-}
-
-func (q *fifoPending) push(u *ComputeUnit) {
-	q.units = append(q.units, u)
-	need := u.Desc.Cores
-	if need < q.minAny {
-		q.minAny = need
-	}
-	if u.Desc.MPI && need < q.minMPI {
-		q.minMPI = need
-	}
-}
-
-func (q *fifoPending) size() int { return len(q.units) }
-
-func (q *fifoPending) cancel(u *ComputeUnit) bool {
-	for i, x := range q.units {
-		if x == u {
-			q.units = append(q.units[:i], q.units[i+1:]...)
-			// Watermarks may now be lower than the true minimum; that is
-			// safe (at worst one extra pass recomputes them).
-			return true
-		}
-	}
-	return false
-}
-
-func (q *fifoPending) minNeedAny() int { return q.minAny }
-func (q *fifoPending) minNeedMPI() int { return q.minMPI }
-
-func (q *fifoPending) drain() []*ComputeUnit {
-	us := q.units
-	q.units = nil
-	return us
-}
-
-func (q *fifoPending) work() uint64 { return q.passWork }
-
-func (q *fifoPending) beginPass() {
-	q.scan, q.keep = 0, 0
-	q.curAny, q.curMPI = math.MaxInt, math.MaxInt
-}
-
-func (q *fifoPending) next() *ComputeUnit {
-	if q.scan >= len(q.units) {
-		return nil
-	}
-	return q.units[q.scan]
-}
-
-func (q *fifoPending) placed() { q.scan++ }
-
-func (q *fifoPending) skip() {
-	u := q.units[q.scan]
-	q.units[q.keep] = u
-	q.keep++
-	q.scan++
-	q.passWork++
-	need := u.Desc.Cores
-	if need < q.curAny {
-		q.curAny = need
-	}
-	if u.Desc.MPI && need < q.curMPI {
-		q.curMPI = need
-	}
-}
-
-// block has no class structure to act on here: the seed scan kept
-// re-prechecking later units of a blocked class, so keep doing that.
-func (q *fifoPending) block() { q.skip() }
-
-func (q *fifoPending) endPass() {
-	if full := q.scan >= len(q.units); full {
-		q.units = q.units[:q.keep]
-		q.minAny, q.minMPI = q.curAny, q.curMPI
-		return
-	}
-	// Aborted mid-queue (free cores ran out): keep the unscanned tail as
-	// is — the seed's tail copy, the O(pending) memmove this file exists
-	// to kill. The watermarks stay conservative: the tail's minima were
-	// already folded in by push or an earlier full pass.
-	q.passWork += uint64(len(q.units) - q.scan)
-	q.keep += copy(q.units[q.keep:], q.units[q.scan:])
-	q.units = q.units[:q.keep]
-	if q.curAny < q.minAny {
-		q.minAny = q.curAny
-	}
-	if q.curMPI < q.minMPI {
-		q.minMPI = q.curMPI
-	}
 }
 
 // pendClass is a placement class: units of one class are

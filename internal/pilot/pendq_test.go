@@ -16,6 +16,15 @@ func pendUnit(name string, cores int, mpi bool) *ComputeUnit {
 	return &ComputeUnit{Desc: UnitDescription{Name: name, Kernel: "misc.sleep", Cores: cores, MPI: mpi}}
 }
 
+// queueImpl builds the seed FIFO reference (ref) or the product's
+// segmented queue.
+func queueImpl(ref bool) pendingQueue {
+	if ref {
+		return newFIFOPending()
+	}
+	return newPendingQueue()
+}
+
 // eachQueue runs a subtest against both pending-queue implementations.
 func eachQueue(t *testing.T, fn func(t *testing.T, ref bool)) {
 	t.Helper()
@@ -51,7 +60,7 @@ func placeAll(q pendingQueue) []*ComputeUnit {
 // however the classes interleave.
 func TestPendingQueueFIFOAcrossClasses(t *testing.T) {
 	eachQueue(t, func(t *testing.T, ref bool) {
-		q := newPendingQueue(ref)
+		q := queueImpl(ref)
 		classes := []struct {
 			cores int
 			mpi   bool
@@ -94,7 +103,7 @@ func TestPendingQueueBlockSemantics(t *testing.T) {
 	a3 := pendUnit("a3", 1, false)
 
 	load := func(ref bool) pendingQueue {
-		q := newPendingQueue(ref)
+		q := queueImpl(ref)
 		for _, u := range []*ComputeUnit{a1, b1, a2, b2, a3} {
 			q.push(u)
 		}
@@ -160,7 +169,7 @@ func TestPendingQueueBlockSemantics(t *testing.T) {
 // and comes back on the next pass in FIFO position.
 func TestPendingQueueSkipKeepsUnit(t *testing.T) {
 	eachQueue(t, func(t *testing.T, ref bool) {
-		q := newPendingQueue(ref)
+		q := queueImpl(ref)
 		u1, u2, u3 := pendUnit("u1", 1, false), pendUnit("u2", 1, false), pendUnit("u3", 1, false)
 		for _, u := range []*ComputeUnit{u1, u2, u3} {
 			q.push(u)
@@ -198,7 +207,7 @@ func TestPendingQueueSkipKeepsUnit(t *testing.T) {
 // units reports false.
 func TestPendingQueueCancel(t *testing.T) {
 	eachQueue(t, func(t *testing.T, ref bool) {
-		q := newPendingQueue(ref)
+		q := queueImpl(ref)
 		units := make([]*ComputeUnit, 6)
 		for i := range units {
 			units[i] = pendUnit(fmt.Sprintf("u%d", i), 1+i%2*3, i%2 == 1)
@@ -234,7 +243,7 @@ func TestPendingQueueCancel(t *testing.T) {
 // seed), with their pending marks cleared.
 func TestPendingQueueDrainOrder(t *testing.T) {
 	eachQueue(t, func(t *testing.T, ref bool) {
-		q := newPendingQueue(ref)
+		q := queueImpl(ref)
 		units := make([]*ComputeUnit, 9)
 		for i := range units {
 			units[i] = pendUnit(fmt.Sprintf("u%d", i), []int{1, 4, 2}[i%3], i%3 != 0)
@@ -274,7 +283,7 @@ func TestPendingQueueDrainOrder(t *testing.T) {
 // next full pass).
 func TestPendingQueueWatermarks(t *testing.T) {
 	eachQueue(t, func(t *testing.T, ref bool) {
-		q := newPendingQueue(ref)
+		q := queueImpl(ref)
 		if q.minNeedAny() != math.MaxInt || q.minNeedMPI() != math.MaxInt {
 			t.Fatal("empty queue watermarks must be MaxInt")
 		}
@@ -305,7 +314,7 @@ func TestPendingQueueWatermarks(t *testing.T) {
 // once dead slots dominate, so the ring's memory and the next pass's
 // work track the live backlog, not its history.
 func TestSegPendingCompaction(t *testing.T) {
-	q := newPendingQueue(false).(*segPending)
+	q := newPendingQueue().(*segPending)
 	units := make([]*ComputeUnit, 512)
 	for i := range units {
 		units[i] = pendUnit(fmt.Sprintf("c%03d", i), 1, false)
@@ -339,7 +348,7 @@ func TestSegPendingCompaction(t *testing.T) {
 // deep homogeneous backlog via placed-at-head must eventually slide the
 // ring down instead of growing the backing array without bound.
 func TestSegPendingHeadReclaim(t *testing.T) {
-	q := newPendingQueue(false).(*segPending)
+	q := newPendingQueue().(*segPending)
 	const n = 3 * segReclaimMin
 	for i := 0; i < n; i++ {
 		q.push(pendUnit("r", 1, false))
@@ -369,7 +378,7 @@ func TestSegPendingHeadReclaim(t *testing.T) {
 // of 32 placements each — the steady state of a deep backlog — and
 // returns the queue's internal work per unit.
 func drainCost(ref bool, n int) float64 {
-	q := newPendingQueue(ref)
+	q := queueImpl(ref)
 	for i := 0; i < n; i++ {
 		q.push(pendUnit("p", 1, false))
 	}
@@ -412,9 +421,10 @@ func agentDrainCost(t *testing.T, ref bool, n int) float64 {
 	t.Helper()
 	v := vclock.NewVirtual()
 	testSession(t, v) // registers the test.pilot machine
-	cfg := DefaultConfig()
-	cfg.PendingRef = ref
-	s := NewSession(v, kernels.NewRegistry(), cfg)
+	if ref {
+		defer useFIFOPending()()
+	}
+	s := NewSession(v, kernels.NewRegistry(), DefaultConfig())
 	var perPlaced float64
 	v.Run(func() {
 		_, p := startPilot(t, s, 32)

@@ -3,13 +3,14 @@ package pilot
 // The agent scheduler: node-state bookkeeping and unit placement behind a
 // small interface, with two interchangeable implementations.
 //
-// rescanSched is the seed's reference algorithm: every placement linearly
-// scans the node array (O(nodes) per attempt, and the agent's scheduling
-// pass retries every pending unit, giving O(pending x nodes) per submit or
-// completion event). It is kept as the semantic baseline the tests compare
-// against.
+// rescanSched is the seed's algorithm: every placement linearly scans the
+// node array (O(nodes) per attempt, and the agent's scheduling pass
+// retries every pending unit, giving O(pending x nodes) per submit or
+// completion event). It runs pilots of linearScanMaxNodes nodes or fewer,
+// where the scan beats the index, and is the semantic baseline the tests
+// compare against.
 //
-// indexedSched is the production path: a segment tree over node free-core
+// indexedSched runs larger pilots: a segment tree over node free-core
 // counts answers "leftmost node with >= need free" and "largest free block"
 // in O(log nodes), free-value buckets answer best-fit in O(coresPerNode),
 // and running totals make infeasibility checks O(1). Combined with the
@@ -21,7 +22,7 @@ package pilot
 // (lowest node index) or best-fit (fewest free cores, ties to the lowest
 // index), and greedy left-to-right spanning for MPI units that no single
 // node can hold. Report-level equivalence is enforced by
-// TestIndexedSchedulerReportParity at the repo root.
+// TestIndexedSchedulerReportParity (sched_parity_test.go).
 
 import "math/bits"
 
@@ -93,23 +94,24 @@ type scheduler interface {
 // walk on constant factor (the segment tree measured 21% behind the
 // rescan scheduler at 256 cores / 16 nodes). Both implementations make
 // identical placement decisions (TestSchedulerImplEquivalence), so the
-// crossover is invisible to simulated time.
-const linearScanMaxNodes = 32
+// crossover is invisible to simulated time. A variable only so the
+// scheduler-parity tests can force the linear scan onto every pilot
+// (sched_parity_test.go); no product option sets it.
+var linearScanMaxNodes = 32
 
 // newScheduler builds the scheduler for an initial per-node capacity
 // layout. pack selects the node-packing rule (Backfill packs first-fit;
-// its queue discipline lives in the agent). rescan selects the reference
-// implementation; small layouts use the linear scan either way (see
-// linearScanMaxNodes).
-func newScheduler(nodes []int, pack Placement, rescan bool) scheduler {
-	if rescan || len(nodes) <= linearScanMaxNodes {
+// its queue discipline lives in the agent); small layouts use the
+// linear scan (see linearScanMaxNodes).
+func newScheduler(nodes []int, pack Placement) scheduler {
+	if len(nodes) <= linearScanMaxNodes {
 		return newRescanSched(nodes, pack)
 	}
 	return newIndexedSched(nodes, pack)
 }
 
 // ---------------------------------------------------------------------------
-// rescanSched: the seed's O(nodes)-per-attempt reference implementation.
+// rescanSched: the seed's O(nodes)-per-attempt linear scan.
 
 type rescanSched struct {
 	nodes []int

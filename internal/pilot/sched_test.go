@@ -2,6 +2,7 @@ package pilot
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -54,9 +55,18 @@ func newSchedImpl(caps []int, pack Placement, rescan bool) scheduler {
 	return newIndexedSched(caps, pack)
 }
 
+// forceRescan makes every scheduler built until restore is called run
+// the linear scan, whatever the pilot size: the forced-rescan reference
+// leg of the scheduler tests and TestIndexedSchedulerReportParity.
+func forceRescan() (restore func()) {
+	prev := linearScanMaxNodes
+	linearScanMaxNodes = math.MaxInt
+	return func() { linearScanMaxNodes = prev }
+}
+
 // TestSchedulerCrossover pins newScheduler's adaptive crossover: small
-// layouts take the linear scan even on the indexed configuration, large
-// layouts take the index, and the rescan flag always wins.
+// layouts take the linear scan, large layouts take the index, and
+// forceRescan always wins.
 func TestSchedulerCrossover(t *testing.T) {
 	small := make([]int, linearScanMaxNodes)
 	large := make([]int, linearScanMaxNodes+1)
@@ -66,14 +76,15 @@ func TestSchedulerCrossover(t *testing.T) {
 	for i := range large {
 		large[i] = 4
 	}
-	if _, ok := newScheduler(small, FirstFit, false).(*rescanSched); !ok {
-		t.Error("small indexed layout did not cross over to the linear scan")
+	if _, ok := newScheduler(small, FirstFit).(*rescanSched); !ok {
+		t.Error("small layout did not cross over to the linear scan")
 	}
-	if _, ok := newScheduler(large, FirstFit, false).(*indexedSched); !ok {
-		t.Error("large indexed layout did not use the index")
+	if _, ok := newScheduler(large, FirstFit).(*indexedSched); !ok {
+		t.Error("large layout did not use the index")
 	}
-	if _, ok := newScheduler(large, FirstFit, true).(*rescanSched); !ok {
-		t.Error("rescan flag did not select the reference implementation")
+	defer forceRescan()()
+	if _, ok := newScheduler(large, FirstFit).(*rescanSched); !ok {
+		t.Error("forceRescan did not select the linear scan")
 	}
 }
 
@@ -255,7 +266,9 @@ func TestAgentSoakAllPolicies(t *testing.T) {
 			v := vclock.NewVirtual()
 			s := testSession(t, v)
 			s.Cfg.Agent = tc.pack
-			s.Cfg.Rescan = tc.rescan
+			if tc.rescan {
+				t.Cleanup(forceRescan())
+			}
 			v.Run(func() {
 				_, p := startPilot(t, s, 32) // 8 nodes x 4 cores
 				um := NewUnitManager(s)
@@ -318,7 +331,9 @@ func TestOversizedUnitFailsFastOnSaturatedPilot(t *testing.T) {
 			v := vclock.NewVirtual()
 			s := testSession(t, v)
 			s.Cfg.Agent = tc.pack
-			s.Cfg.Rescan = tc.rescan
+			if tc.rescan {
+				t.Cleanup(forceRescan())
+			}
 			v.Run(func() {
 				_, p := startPilot(t, s, 8)
 				um := NewUnitManager(s)
@@ -367,7 +382,9 @@ func TestContinuousPoliciesOvertakeBlockedHead(t *testing.T) {
 				v := vclock.NewVirtual()
 				s := testSession(t, v)
 				s.Cfg.Agent = pack
-				s.Cfg.Rescan = rescan
+				if rescan {
+					t.Cleanup(forceRescan())
+				}
 				v.Run(func() {
 					_, p := startPilot(t, s, 8)
 					um := NewUnitManager(s)
@@ -402,7 +419,9 @@ func TestBackfillReservationProtectsHead(t *testing.T) {
 			v := vclock.NewVirtual()
 			s := testSession(t, v)
 			s.Cfg.Agent = Backfill
-			s.Cfg.Rescan = rescan
+			if rescan {
+				t.Cleanup(forceRescan())
+			}
 			v.Run(func() {
 				_, p := startPilot(t, s, 8)
 				um := NewUnitManager(s)
@@ -443,7 +462,9 @@ func TestBackfillAllowsHarmlessOvertake(t *testing.T) {
 			v := vclock.NewVirtual()
 			s := testSession(t, v)
 			s.Cfg.Agent = Backfill
-			s.Cfg.Rescan = rescan
+			if rescan {
+				t.Cleanup(forceRescan())
+			}
 			v.Run(func() {
 				_, p := startPilot(t, s, 8)
 				um := NewUnitManager(s)
@@ -484,7 +505,9 @@ func TestBackfillSpareCoresOvertake(t *testing.T) {
 			v := vclock.NewVirtual()
 			s := testSession(t, v)
 			s.Cfg.Agent = Backfill
-			s.Cfg.Rescan = rescan
+			if rescan {
+				t.Cleanup(forceRescan())
+			}
 			v.Run(func() {
 				_, p := startPilot(t, s, 8)
 				um := NewUnitManager(s)

@@ -71,24 +71,6 @@ type Config struct {
 	LauncherWidth int
 	// BatchPolicy is the queue discipline of the simulated batch systems.
 	BatchPolicy batch.Policy
-	// Rescan selects the seed's O(pending x nodes) rescan scheduler
-	// inside the agents instead of the indexed incremental one. The two
-	// produce identical placements and identical simulated time; the
-	// rescan path is kept as the reference implementation for regression
-	// tests (see sched.go).
-	Rescan bool
-	// ProfLayout selects the profiler's event-storage layout: the default
-	// interned columnar layout, or the seed string-backed store
-	// (profile.LayoutRef) kept as the reference implementation for the
-	// layout-parity tests — the profiler analogue of Rescan.
-	ProfLayout profile.Layout
-	// PendingRef selects the seed's flat compacting pending FIFO inside
-	// the agents instead of the segmented per-class queue. The two
-	// produce identical placements and identical simulated time; the
-	// FIFO path is kept as the reference implementation for the
-	// queue-parity tests (see pendq.go) — the pending-queue analogue of
-	// Rescan.
-	PendingRef bool
 	// Runner, when non-nil, switches the agents into real-mode execution:
 	// each unit's execution window is handed to the runner (which execs
 	// the unit's command or sleeps its modelled duration in real time)
@@ -199,7 +181,7 @@ func NewSession(v vclock.Clock, cost CostModel, cfg Config) *Session {
 	}
 	s := &Session{
 		V:        v,
-		Prof:     profile.NewLayout(v, cfg.ProfLayout),
+		Prof:     profile.New(v),
 		Cost:     cost,
 		Cfg:      cfg,
 		backends: make(map[string]*backend),

@@ -14,12 +14,12 @@ import (
 )
 
 // buildDumpFixture records a randomized but seeded event population on
-// the given layout: a fixed vocabulary over a few hundred entities with
+// a profiler from newP: a fixed vocabulary over a few hundred entities with
 // out-of-order interning, so the dump has to preserve id allocation
 // order, not just content.
-func buildDumpFixture(layout Layout) *Profiler {
+func buildDumpFixture(newP func(Clock) *Profiler) *Profiler {
 	v := vclock.NewVirtual()
-	p := NewLayout(v, layout)
+	p := newP(v)
 	rng := rand.New(rand.NewSource(42))
 	names := []string{"exec_start", "exec_stop", "state_DONE", "stagein_start", "stagein_stop"}
 	nids := make([]NameID, len(names))
@@ -75,9 +75,10 @@ func sortedEvents(p *Profiler) []Event {
 // reads it back into a fresh profiler on every layout pairing: events,
 // intern ids, and every query primitive must answer identically.
 func TestDumpRoundTrip(t *testing.T) {
-	for _, srcLayout := range []Layout{LayoutColumnar, LayoutRef} {
-		for _, dstLayout := range []Layout{LayoutColumnar, LayoutRef} {
-			src := buildDumpFixture(srcLayout)
+	for _, srcL := range layouts {
+		for _, dstL := range layouts {
+			srcLayout, dstLayout := srcL.name, dstL.name
+			src := buildDumpFixture(srcL.new)
 			var buf bytes.Buffer
 			n, err := src.WriteTo(&buf)
 			if err != nil {
@@ -86,7 +87,7 @@ func TestDumpRoundTrip(t *testing.T) {
 			if n != int64(buf.Len()) {
 				t.Errorf("%v->%v: WriteTo reported %d bytes, wrote %d", srcLayout, dstLayout, n, buf.Len())
 			}
-			dst := NewLayout(vclock.NewVirtual(), dstLayout)
+			dst := dstL.new(vclock.NewVirtual())
 			m, err := dst.ReadFrom(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatalf("%v->%v: ReadFrom: %v", srcLayout, dstLayout, err)
@@ -133,7 +134,7 @@ func TestDumpRoundTrip(t *testing.T) {
 // TestDumpRejectsGarbage pins the error paths: bad magic, bad version,
 // truncated streams, and non-empty destinations.
 func TestDumpRejectsGarbage(t *testing.T) {
-	src := buildDumpFixture(LayoutColumnar)
+	src := buildDumpFixture(New)
 	var buf bytes.Buffer
 	if _, err := src.WriteTo(&buf); err != nil {
 		t.Fatal(err)

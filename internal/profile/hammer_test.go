@@ -9,10 +9,17 @@ import (
 	"entk/internal/vclock"
 )
 
-// layouts enumerates both event-storage layouts so the behavioural suite
-// runs against each — the reference store is only worth keeping if it is
-// continuously proven equivalent.
-var layouts = []Layout{LayoutColumnar, LayoutRef}
+// layouts enumerates the columnar store and the reference store
+// (ref_store_test.go) so the behavioural suite runs against each — the
+// reference is only worth keeping if it is continuously proven
+// equivalent.
+var layouts = []struct {
+	name string
+	new  func(Clock) *Profiler
+}{
+	{"columnar", New},
+	{"ref", newRefProfiler},
+}
 
 // TestRecordConcurrentHammer hammers Record from many goroutines with
 // randomized entity fan-in across the stripes, on both layouts, and then
@@ -22,15 +29,14 @@ var layouts = []Layout{LayoutColumnar, LayoutRef}
 // clock). Run under -race this is the profiler's concurrency gate.
 func TestRecordConcurrentHammer(t *testing.T) {
 	for _, l := range layouts {
-		l := l
-		t.Run(l.String(), func(t *testing.T) {
+		t.Run(l.name, func(t *testing.T) {
 			const (
 				goroutines = 32
 				perG       = 1500
 				entities   = 64 // spread over all 16 stripes
 			)
 			v := vclock.NewVirtual()
-			p := NewLayout(v, l)
+			p := l.new(v)
 
 			// Pre-intern the vocabulary the way the runtime does; the ids
 			// are shared across all recording goroutines.
@@ -140,9 +146,9 @@ func TestRecordSteadyStateAllocFree(t *testing.T) {
 // Entities, FirstID/LastID, EventCount — answers identically. The
 // profiler-level complement of the end-to-end TestProfilerLayoutParity.
 func TestLayoutQueryParity(t *testing.T) {
-	build := func(l Layout) *Profiler {
+	build := func(newP func(Clock) *Profiler) *Profiler {
 		v := vclock.NewVirtual()
-		p := NewLayout(v, l)
+		p := newP(v)
 		v.Run(func() {
 			rng := rand.New(rand.NewSource(7))
 			for i := 0; i < 5000; i++ {
@@ -160,8 +166,8 @@ func TestLayoutQueryParity(t *testing.T) {
 		})
 		return p
 	}
-	col := build(LayoutColumnar)
-	ref := build(LayoutRef)
+	col := build(New)
+	ref := build(newRefProfiler)
 
 	if a, b := col.EventCount(), ref.EventCount(); a != b {
 		t.Fatalf("EventCount: columnar %d, ref %d", a, b)

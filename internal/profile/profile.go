@@ -9,9 +9,9 @@
 // pointer-free {entityID, nameID, t} record, so at 100k-task scale the GC
 // scans nothing per event (the seed layout's two string headers cost
 // ~40 B/event of scanned memory — the largest allocation source in the
-// tree before this layout). The seed string-backed store is kept as
-// LayoutRef behind the same store interface, mirroring the Rescan and
-// EngineRef precedents, so layout parity is testable forever.
+// tree before this layout). The seed string-backed store survives as a
+// test oracle behind the same store interface (ref_store_test.go), so
+// layout parity stays testable; no product option selects it.
 package profile
 
 import (
@@ -31,28 +31,6 @@ type EntityID uint32
 
 // NameID is an interned event name ("exec_start", "state_DONE", ...).
 type NameID uint32
-
-// Layout selects the event-storage layout behind a Profiler.
-type Layout int
-
-const (
-	// LayoutColumnar is the default: pointer-free {entityID, nameID, t}
-	// records in chunked stripes. Steady-state Record is alloc-free and
-	// the GC never scans the event log.
-	LayoutColumnar Layout = iota
-	// LayoutRef is the seed string-backed store ({Entity, Name string, T}
-	// records), kept as the reference implementation the layout-parity
-	// tests compare against — the profiler analogue of Config.Rescan and
-	// vclock.EngineRef.
-	LayoutRef
-)
-
-func (l Layout) String() string {
-	if l == LayoutRef {
-		return "ref"
-	}
-	return "columnar"
-}
 
 // Event is one timestamped occurrence for an entity, the resolved
 // (string-keyed) view returned by Events and consumed by Timeline.
@@ -164,7 +142,7 @@ func (t *interner) resolve(id uint32) string {
 func (t *interner) count() int { return int(t.n.Load()) }
 
 // ---------------------------------------------------------------------------
-// Chunked stripe log (shared by both layouts)
+// Chunked stripe log
 
 // Chunk sizing: events are stored in chunks so that recording never
 // re-copies the whole history (large runs record millions of events).
@@ -259,11 +237,12 @@ func (s *stripeLog[E]) count() int {
 }
 
 // ---------------------------------------------------------------------------
-// Store interface and the two layouts
+// Store interface and the columnar layout
 
 // store is the event-storage layout interface. Records travel as
 // pre-interned ids in both directions; how a layout materialises them —
-// pointer-free columns or seed-style string records — is its own business.
+// pointer-free columns here, seed-style string records in the test
+// oracle — is its own business.
 type store interface {
 	record(eid, nid uint32, t time.Duration)
 	// forEach visits all events, stripe by stripe, in per-entity
@@ -273,6 +252,9 @@ type store interface {
 	// forEachEntity visits the events of one entity, in insertion order.
 	forEachEntity(eid uint32, fn func(nid uint32, t time.Duration))
 	count() int
+	// snapshot freezes the log as it stands for Snapshot: safe to call
+	// while recorders run, immutable afterwards.
+	snapshot() *snapshotStore
 }
 
 // colEvent is the columnar record: two interned ids and the timestamp.
@@ -315,51 +297,6 @@ func (c *columnarStore) count() int {
 	return n
 }
 
-// refStore is the seed layout: string-keyed Event records, striped by
-// entity hash. Each record carries two string headers (~32 B of GC-scanned
-// memory) exactly as the seed did; the intern table is consulted only to
-// translate at the interface boundary. Kept as the reference for layout
-// parity tests.
-type refStore struct {
-	p       *Profiler
-	stripes [profStripes]stripeLog[Event]
-}
-
-func (r *refStore) record(eid, nid uint32, t time.Duration) {
-	entity := r.p.ents.resolve(eid)
-	name := r.p.names.resolve(nid)
-	r.stripes[strHash(entity)&(profStripes-1)].append(Event{Entity: entity, Name: name, T: t})
-}
-
-func (r *refStore) forEach(fn func(eid, nid uint32, t time.Duration)) {
-	for i := range r.stripes {
-		r.stripes[i].visit(func(e Event) {
-			// Both strings were interned at record time; lookups hit.
-			eid, _ := r.p.ents.lookup(e.Entity)
-			nid, _ := r.p.names.lookup(e.Name)
-			fn(eid, nid, e.T)
-		})
-	}
-}
-
-func (r *refStore) forEachEntity(eid uint32, fn func(nid uint32, t time.Duration)) {
-	entity := r.p.ents.resolve(eid)
-	r.stripes[strHash(entity)&(profStripes-1)].visit(func(e Event) {
-		if e.Entity == entity {
-			nid, _ := r.p.names.lookup(e.Name)
-			fn(nid, e.T)
-		}
-	})
-}
-
-func (r *refStore) count() int {
-	n := 0
-	for i := range r.stripes {
-		n += r.stripes[i].count()
-	}
-	return n
-}
-
 // ---------------------------------------------------------------------------
 // Profiler
 
@@ -376,33 +313,16 @@ type Clock interface {
 // stripe); cross-entity order across stripes is not meaningful — queries
 // are order-independent and Timeline sorts by time.
 type Profiler struct {
-	clock  Clock
-	layout Layout
-	ents   interner
-	names  interner
-	store  store
+	clock Clock
+	ents  interner
+	names interner
+	store store
 }
 
-// New returns an empty profiler reading timestamps from clock, on the
-// default columnar layout.
+// New returns an empty profiler reading timestamps from clock.
 func New(clock Clock) *Profiler {
-	return NewLayout(clock, LayoutColumnar)
+	return &Profiler{clock: clock, store: &columnarStore{}}
 }
-
-// NewLayout returns an empty profiler on an explicit event-storage layout.
-func NewLayout(clock Clock, l Layout) *Profiler {
-	p := &Profiler{clock: clock, layout: l}
-	if l == LayoutRef {
-		p.store = &refStore{p: p}
-	} else {
-		p.layout = LayoutColumnar
-		p.store = &columnarStore{}
-	}
-	return p
-}
-
-// Layout reports the event-storage layout in use.
-func (p *Profiler) Layout() Layout { return p.layout }
 
 // Intern returns the id for an entity key, assigning one on first sight.
 // Call sites that record repeatedly for the same entity intern once and

@@ -46,6 +46,20 @@ func (s *snapshotStore) forEachEntity(eid uint32, fn func(nid uint32, t time.Dur
 
 func (s *snapshotStore) count() int { return s.n }
 
+// snapshot of a snapshot: already frozen, share it.
+func (s *snapshotStore) snapshot() *snapshotStore { return s }
+
+// snapshot freezes every stripe of the columnar log.
+func (c *columnarStore) snapshot() *snapshotStore {
+	frozen := &snapshotStore{}
+	for i := range c.stripes {
+		chunks, n := c.stripes[i].freeze()
+		frozen.stripes[i] = chunks
+		frozen.n += n
+	}
+	return frozen
+}
+
 // freeze captures the stripe's records at this instant: sealed chunks
 // (len == cap) are aliased — append only ever touches the tail chunk —
 // and the unsealed tail is copied. The work under the stripe lock is
@@ -74,44 +88,14 @@ func (s *stripeLog[E]) freeze() (chunks [][]E, n int) {
 // it panics. This is what lets a service stream a live campaign's trace
 // without waiting for the run's barrier.
 func (p *Profiler) Snapshot() *Profiler {
-	frozen := &snapshotStore{}
-	switch st := p.store.(type) {
-	case *columnarStore:
-		for i := range st.stripes {
-			chunks, n := st.stripes[i].freeze()
-			frozen.stripes[i] = chunks
-			frozen.n += n
-		}
-	case *refStore:
-		// The reference layout stores string records; translate through
-		// the live intern tables (both strings were interned at record
-		// time, so lookups hit) into the columnar snapshot form. The
-		// string chunks are frozen first — the translation itself runs
-		// on immutable data, outside the stripe locks.
-		for i := range st.stripes {
-			chunks, n := st.stripes[i].freeze()
-			col := make([]colEvent, 0, n)
-			for _, c := range chunks {
-				for _, e := range c {
-					eid, _ := p.ents.lookup(e.Entity)
-					nid, _ := p.names.lookup(e.Name)
-					col = append(col, colEvent{eid: eid, nid: nid, t: int64(e.T)})
-				}
-			}
-			frozen.stripes[i] = [][]colEvent{col}
-			frozen.n += n
-		}
-	case *snapshotStore:
-		// Snapshot of a snapshot: already frozen, share it.
-		frozen = st
-	}
+	frozen := p.store.snapshot()
 
 	// Capture the tables AFTER the store: any id in a frozen record was
 	// interned before its record call, which happened before the freeze,
 	// so it is covered by the counts read here. Interning in id order
 	// reassigns the dense ids 0..n-1 exactly as the source allocated
 	// them, so dumps and queries agree with the live profiler.
-	s := &Profiler{clock: p.clock, layout: p.layout, store: frozen}
+	s := &Profiler{clock: p.clock, store: frozen}
 	for id, n := uint32(0), uint32(p.ents.count()); id < n; id++ {
 		s.ents.intern(p.ents.resolve(id))
 	}

@@ -24,8 +24,7 @@ func (c *tickClock) Now() time.Duration { return time.Duration(c.n.Add(1)) }
 // — the live-trace contract the service's /trace endpoint leans on.
 func TestConcurrentSnapshotHammer(t *testing.T) {
 	for _, l := range layouts {
-		l := l
-		t.Run(l.String(), func(t *testing.T) {
+		t.Run(l.name, func(t *testing.T) {
 			const (
 				recorders = 8
 				perG      = 4000
@@ -34,7 +33,7 @@ func TestConcurrentSnapshotHammer(t *testing.T) {
 				snaps     = 40
 			)
 			clock := &tickClock{}
-			p := NewLayout(clock, l)
+			p := l.new(clock)
 			// Each entity has a single writer: Now() and the store append
 			// are not one atomic step, so only single-writer entities have
 			// strictly increasing timestamps to assert on.
@@ -111,7 +110,7 @@ func TestConcurrentSnapshotHammer(t *testing.T) {
 			if _, err := snap.WriteTo(&buf); err != nil {
 				t.Fatalf("WriteTo on snapshot: %v", err)
 			}
-			reloaded := NewLayout(clock, l)
+			reloaded := l.new(clock)
 			if _, err := reloaded.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
 				t.Fatalf("ReadFrom of snapshot dump: %v", err)
 			}

@@ -176,8 +176,7 @@ func (o *Orchestrator) enqueue(h *handle) {
 // poolFor returns (building if needed) the shared pool matching the
 // campaign's resource signature.
 func (o *Orchestrator) poolFor(c *campaign.Campaign) *pool {
-	opts := campaign.Options{Engine: o.opts.Engine, Layout: o.opts.Layout,
-		Mode: o.opts.Mode, Runner: o.runner}
+	opts := campaign.Options{Mode: o.opts.Mode, Runner: o.runner}
 	key := poolKey(c, opts)
 	o.mu.Lock()
 	defer o.mu.Unlock()

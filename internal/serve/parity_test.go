@@ -8,7 +8,6 @@ import (
 	"os"
 	"testing"
 
-	"entk"
 	"entk/internal/campaign"
 )
 
@@ -18,73 +17,73 @@ const declarativeExample = "../../examples/declarative/campaign.json"
 
 // TestServeLibraryParity is the service↔library acceptance gate: the
 // example campaign submitted over HTTP against a loopback daemon must
-// yield a report byte-identical to the same JSON run via campaign.Run,
-// on both clock engines. This holds because a fresh pool's first
-// campaign replays the library driver's exact sequence (Bind →
-// Allocate → AppManager.Run from t=0) — the service layer adds no
-// virtual-time perturbation.
+// yield a report byte-identical to the same JSON run via campaign.Run.
+// This holds because a fresh pool's first campaign replays the library
+// driver's exact sequence (Bind → Allocate → AppManager.Run from t=0) —
+// the service layer adds no virtual-time perturbation. The subtest is
+// named for the clock engine it runs on, as in the earlier engine
+// matrix.
 func TestServeLibraryParity(t *testing.T) {
+	t.Run("handoff", testServeLibraryParity)
+}
+
+func testServeLibraryParity(t *testing.T) {
 	raw, err := os.ReadFile(declarativeExample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eng := range []entk.ClockEngine{entk.EngineHandoff, entk.EngineRef} {
-		eng := eng
-		t.Run(eng.String(), func(t *testing.T) {
-			// Library run.
-			c, err := campaign.Parse(bytes.NewReader(raw))
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := campaign.Run(c, campaign.Options{Engine: eng})
-			if err != nil {
-				t.Fatalf("library run: %v", err)
-			}
-			want, err := json.Marshal(buildReportDoc("c0001", "default", c.Name, res))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, '\n') // the handler's json.Encoder framing
+	// Library run.
+	c, err := campaign.Parse(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := campaign.Run(c, campaign.Options{})
+	if err != nil {
+		t.Fatalf("library run: %v", err)
+	}
+	want, err := json.Marshal(buildReportDoc("c0001", "default", c.Name, res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, '\n') // the handler's json.Encoder framing
 
-			// Service run over loopback HTTP.
-			o, err := New(Options{Engine: eng})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(NewHandler(o))
-			defer ts.Close()
-			resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", bytes.NewReader(raw))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var st Status
-			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusCreated || st.ID != "c0001" {
-				t.Fatalf("submit: status %d id %q, want 201 c0001", resp.StatusCode, st.ID)
-			}
-			if err := o.Wait(st.ID); err != nil {
-				t.Fatal(err)
-			}
-			resp, err = http.Get(ts.URL + "/v1/campaigns/" + st.ID + "/report")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			var got bytes.Buffer
-			if _, err := got.ReadFrom(resp.Body); err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("report: status %d body %s", resp.StatusCode, got.Bytes())
-			}
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("service report diverges from library run:\nservice %s\nlibrary %s",
-					got.Bytes(), want)
-			}
-		})
+	// Service run over loopback HTTP.
+	o, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(o))
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st Status
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated || st.ID != "c0001" {
+		t.Fatalf("submit: status %d id %q, want 201 c0001", resp.StatusCode, st.ID)
+	}
+	if err := o.Wait(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Get(ts.URL + "/v1/campaigns/" + st.ID + "/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got bytes.Buffer
+	if _, err := got.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("report: status %d body %s", resp.StatusCode, got.Bytes())
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("service report diverges from library run:\nservice %s\nlibrary %s",
+			got.Bytes(), want)
 	}
 }
 

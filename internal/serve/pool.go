@@ -70,7 +70,7 @@ type pool struct {
 // poolSignature is the canonical identity of a pool: everything that
 // is fixed per ResourceSet. Two campaigns land on the same pool iff
 // these all match — placement and retry budget are set on the
-// set/config once, and the simulation substrate is per clock.
+// set/config once, and the execution mode is per clock.
 type poolSignature struct {
 	Resource    string           `json:"resource,omitempty"`
 	Cores       int              `json:"cores,omitempty"`
@@ -78,8 +78,6 @@ type poolSignature struct {
 	Resources   []campaign.Pilot `json:"resources,omitempty"`
 	Placement   string           `json:"placement,omitempty"`
 	MaxRetries  int              `json:"max_retries,omitempty"`
-	Engine      string           `json:"engine"`
-	Layout      string           `json:"layout"`
 	Mode        string           `json:"mode,omitempty"`
 }
 
@@ -91,8 +89,6 @@ func poolKey(c *campaign.Campaign, opts campaign.Options) string {
 		WalltimeMin: c.WalltimeMin,
 		Resources:   c.Resources,
 		Placement:   c.Placement,
-		Engine:      opts.Engine.String(),
-		Layout:      opts.Layout.String(),
 	}
 	if opts.Mode == campaign.ModeReal {
 		sig.Mode = opts.Mode.String()

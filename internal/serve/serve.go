@@ -10,7 +10,7 @@
 //     report, trace, and checkpoint are fetched later against the id.
 //   - A resource set outlives any one campaign: the orchestrator keys
 //     shared pools by resource signature (pilot specs + placement +
-//     retry budget + simulation substrate), so tenants submitting
+//     retry budget + execution mode), so tenants submitting
 //     against the same machines share one allocated ResourceSet, one
 //     unit manager, and one wave batcher — the multi-AppManager path
 //     the core grew in PR 5.
@@ -39,12 +39,6 @@ import (
 
 // Options configures an Orchestrator.
 type Options struct {
-	// Engine and Layout select the simulation substrate every pool of
-	// this daemon runs on (part of the pool key, so a daemon restarted
-	// with different values simply builds different pools).
-	Engine entk.ClockEngine
-	Layout entk.ProfilerLayout
-
 	// Mode selects simulated (default) or real execution for every pool
 	// of this daemon (part of the pool key). In real mode pools run on
 	// the wall clock and one shared local process executor runs kernels

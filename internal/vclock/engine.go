@@ -9,53 +9,31 @@ import (
 	"time"
 )
 
-// Engine selects the discrete-event core behind a Virtual clock. Both
-// engines drive simulated time identically — same advance rule, same
-// deadline/seq tiebreak, same deadlock diagnostics — and the engine-parity
-// suite holds them to bit-identical reports; they differ only in how much
-// wall-clock the bookkeeping costs.
+// Engine names the core behind a Clock: the direct-handoff
+// discrete-event engine of a Virtual clock, or the real-time engine of
+// a Wall clock. The pilot layer reads it to refuse real-mode execution
+// under a virtual clock.
 type Engine int
 
 const (
-	// EngineHandoff is the production engine: a direct-handoff design with
-	// an atomic runnable counter, a hierarchical timer wheel that fires
-	// all same-deadline timers as one batch, per-primitive locks, and a
-	// cache-line-padded striped blocked table. When a wake lands in the
-	// window between a process publishing itself as a waiter and actually
-	// parking, the runnable token is handed straight across — neither side
-	// touches the global counter or a channel.
+	// EngineHandoff is the discrete-event engine: a direct-handoff design
+	// with an atomic runnable counter, a hierarchical timer wheel that
+	// fires all same-deadline timers as one batch, per-primitive locks,
+	// and a cache-line-padded striped blocked table. When a wake lands in
+	// the window between a process publishing itself as a waiter and
+	// actually parking, the runnable token is handed straight across —
+	// neither side touches the global counter or a channel.
 	EngineHandoff Engine = iota
-	// EngineRef is the reference engine: the seed's single global mutex,
-	// integer runnable count, and binary timer heap. It is kept as the
-	// semantic baseline the parity tests compare against, mirroring how
-	// pilot.Config.Rescan keeps the seed's agent scheduler.
-	EngineRef
 	// EngineWall backs a Wall clock: real time, real sleeps, no runnable
-	// accounting. It is selected by constructing NewWall, never by
-	// ParseEngine — the -engine flag picks between simulation cores, the
-	// sim/real decision is a mode, not an engine.
+	// accounting.
 	EngineWall
 )
 
 func (e Engine) String() string {
-	switch e {
-	case EngineRef:
-		return "ref"
-	case EngineWall:
+	if e == EngineWall {
 		return "wall"
 	}
 	return "handoff"
-}
-
-// ParseEngine maps an engine name ("handoff", "ref") to its Engine value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "handoff":
-		return EngineHandoff, nil
-	case "ref":
-		return EngineRef, nil
-	}
-	return 0, fmt.Errorf("vclock: unknown engine %q (have handoff, ref)", s)
 }
 
 // engine is the internal contract between the Virtual façade (and the
@@ -97,23 +75,14 @@ type engine interface {
 // that is the Run caller, fatal (by design — it is a programming-error
 // diagnostic) when it is a spawned process.
 //
-// The zero value is not usable; construct with NewVirtual (direct-handoff
-// engine) or NewVirtualEngine.
+// The zero value is not usable; construct with NewVirtual.
 type Virtual struct {
 	eng engine
 }
 
 // NewVirtual returns a virtual clock at time zero with no processes,
-// backed by the default direct-handoff engine.
-func NewVirtual() *Virtual { return NewVirtualEngine(EngineHandoff) }
-
-// NewVirtualEngine returns a virtual clock backed by the selected engine.
-func NewVirtualEngine(e Engine) *Virtual {
-	if e == EngineRef {
-		return &Virtual{eng: newRefEngine()}
-	}
-	return &Virtual{eng: newHandoffEngine()}
-}
+// backed by the direct-handoff engine.
+func NewVirtual() *Virtual { return &Virtual{eng: newHandoffEngine()} }
 
 // EngineKind reports which engine backs this clock.
 func (v *Virtual) EngineKind() Engine { return v.eng.kind() }
@@ -195,7 +164,8 @@ type descSource interface {
 // waiter is one parked process, published by a primitive and woken by
 // exactly one waker. The channel is a reusable capacity-1 signal; the
 // state word implements the handoff engine's wake-before-park fast path
-// (the reference engine parks and wakes through the channel only). n and
+// (the test-only reference engine parks and wakes through the channel
+// only). n and
 // aux are scratch owned by the semaphore that published the waiter.
 type waiter struct {
 	ch    chan struct{}
@@ -242,8 +212,8 @@ func putWaiter(w *waiter) {
 	waiterPool.Put(w)
 }
 
-// formatDeadlock renders the deadlock panic message shared by both
-// engines: the time of death and a sorted dump of every blocked waiter.
+// formatDeadlock renders the deadlock panic message shared by every
+// engine: the time of death and a sorted dump of every blocked waiter.
 func formatDeadlock(now time.Duration, descs []string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "vclock: deadlock at t=%v: no runnable process, no pending timer, %d blocked waiter(s):",

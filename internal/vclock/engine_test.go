@@ -9,34 +9,34 @@ import (
 	"time"
 )
 
-// engines lists every engine the parity suite runs on.
-var engines = []Engine{EngineHandoff, EngineRef}
+// engines lists every engine the parity suite runs on: the product's
+// direct-handoff engine and the reference engine (ref_engine_test.go).
+var engines = []struct {
+	name string
+	new  func() *Virtual
+}{
+	{"handoff", NewVirtual},
+	{"ref", newRefVirtual},
+}
 
 // forEachEngine runs fn as a subtest per engine.
 func forEachEngine(t *testing.T, fn func(t *testing.T, v *Virtual)) {
 	for _, e := range engines {
-		e := e
-		t.Run(e.String(), func(t *testing.T) {
-			fn(t, NewVirtualEngine(e))
+		t.Run(e.name, func(t *testing.T) {
+			fn(t, e.new())
 		})
 	}
 }
 
 func TestEngineKind(t *testing.T) {
 	if got := NewVirtual().EngineKind(); got != EngineHandoff {
-		t.Fatalf("default engine = %v, want handoff", got)
+		t.Fatalf("NewVirtual engine = %v, want handoff", got)
 	}
-	if got := NewVirtualEngine(EngineRef).EngineKind(); got != EngineRef {
-		t.Fatalf("NewVirtualEngine(EngineRef) = %v", got)
+	if got := NewWall().EngineKind(); got != EngineWall {
+		t.Fatalf("NewWall engine = %v, want wall", got)
 	}
-	if _, err := ParseEngine("warp"); err == nil {
-		t.Fatal("ParseEngine accepted junk")
-	}
-	for _, e := range engines {
-		got, err := ParseEngine(e.String())
-		if err != nil || got != e {
-			t.Fatalf("ParseEngine(%q) = %v, %v", e.String(), got, err)
-		}
+	if got := newRefVirtual().EngineKind(); got != engineRef {
+		t.Fatalf("reference engine kind = %d, want %d", got, engineRef)
 	}
 }
 
@@ -163,9 +163,8 @@ func TestEngineRepeatedDeadlineReuse(t *testing.T) {
 // same shape, and stay inspectable afterwards.
 func TestEngineDeadlockParity(t *testing.T) {
 	for _, e := range engines {
-		e := e
-		t.Run(e.String(), func(t *testing.T) {
-			v := NewVirtualEngine(e)
+		t.Run(e.name, func(t *testing.T) {
+			v := e.new()
 			done := make(chan interface{}, 1)
 			go func() {
 				defer func() { done <- recover() }()
@@ -196,7 +195,7 @@ func TestEngineDeadlockParity(t *testing.T) {
 				"event never-fired", "semaphore starved (acquire 5, avail 1)",
 			} {
 				if !strings.Contains(msg, want) {
-					t.Errorf("%s: deadlock report missing %q:\n%s", e, want, msg)
+					t.Errorf("%s: deadlock report missing %q:\n%s", e.name, want, msg)
 				}
 			}
 			if got := v.Now(); got != time.Second {
@@ -216,8 +215,8 @@ func TestEnginePrimitiveMix(t *testing.T) {
 		now    time.Duration
 		served []int
 	}
-	run := func(e Engine) result {
-		v := NewVirtualEngine(e)
+	run := func(newV func() *Virtual) result {
+		v := newV()
 		var res result
 		var mu sync.Mutex
 		v.Run(func() {
@@ -248,7 +247,7 @@ func TestEnginePrimitiveMix(t *testing.T) {
 		res.now = v.Now()
 		return res
 	}
-	a, b := run(EngineHandoff), run(EngineRef)
+	a, b := run(NewVirtual), run(newRefVirtual)
 	if a.now != b.now {
 		t.Fatalf("final time differs: handoff %v, ref %v", a.now, b.now)
 	}
@@ -265,8 +264,8 @@ func TestEnginePrimitiveMix(t *testing.T) {
 // evolution — including equal-deadline batching — exactly.
 func TestEngineTieSoak(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		a := runSoak(EngineHandoff, seed)
-		b := runSoak(EngineRef, seed)
+		a := runSoak(NewVirtual, seed)
+		b := runSoak(newRefVirtual, seed)
 		if len(a) != len(b) {
 			t.Fatalf("seed %d: trace lengths differ: handoff %d, ref %d\nhandoff: %v\nref: %v",
 				seed, len(a), len(b), a, b)
@@ -287,7 +286,7 @@ func TestEngineTieSoak(t *testing.T) {
 // equal-deadline ties (durations drawn from a tiny set, and a barrier —
 // a WaitGroup everyone arrives on, then an Event the root fires —
 // re-synchronising everyone every few steps).
-func runSoak(e Engine, seed int64) []string {
+func runSoak(newV func() *Virtual, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
 	const procs = 24
 	const rounds = 5
@@ -312,7 +311,7 @@ func runSoak(e Engine, seed int64) []string {
 	}
 	var mu sync.Mutex
 	var log []obs
-	v := NewVirtualEngine(e)
+	v := newV()
 	v.Run(func() {
 		arrived := make([]*WaitGroup, rounds)
 		open := make([]*Event, rounds)

@@ -6,13 +6,15 @@ import (
 	"time"
 )
 
-// refEngine is the reference discrete-event core (EngineRef): the seed's
-// design of one global mutex, an integer runnable count, and a binary
-// timer heap. Every operation — sleep, park, wake — serializes on mu,
-// which makes the invariants easy to audit: the runnable count, the heap,
-// and the blocked table can never be observed mid-update. The
-// direct-handoff engine (handoff.go) must stay bit-identical to this one
-// in simulated time; only wall-clock cost may differ.
+// refEngine is the reference discrete-event core, a test oracle only:
+// the seed's design of one global mutex, an integer runnable count, and
+// a binary timer heap. Every operation — sleep, park, wake — serializes
+// on mu, which makes the invariants easy to audit: the runnable count,
+// the heap, and the blocked table can never be observed mid-update. The
+// engine tests in this package and TestEngineReportParity
+// (engine_parity_test.go) hold the direct-handoff engine (handoff.go) to
+// it in simulated time; only wall-clock cost may differ. No product
+// option selects it.
 type refEngine struct {
 	mu sync.Mutex
 	// cur mirrors nowAtomic; the atomic copy lets now() — which sits on
@@ -38,7 +40,13 @@ func newRefEngine() *refEngine {
 	return &refEngine{blocked: make(map[*waiter]descSource)}
 }
 
-func (v *refEngine) kind() Engine { return EngineRef }
+// engineRef is the reference engine's kind; it is not a product Engine.
+const engineRef = EngineWall + 1
+
+// newRefVirtual returns a virtual clock backed by the reference engine.
+func newRefVirtual() *Virtual { return &Virtual{eng: newRefEngine()} }
+
+func (v *refEngine) kind() Engine { return engineRef }
 
 func (v *refEngine) now() time.Duration {
 	return time.Duration(v.nowAtomic.Load())

@@ -17,8 +17,8 @@ func TestTimerContract(t *testing.T) {
 		v    Clock
 		unit time.Duration
 	}{
-		{"handoff", NewVirtualEngine(EngineHandoff), time.Second},
-		{"ref", NewVirtualEngine(EngineRef), time.Second},
+		{"handoff", NewVirtual(), time.Second},
+		{"ref", newRefVirtual(), time.Second},
 		{"wall", NewWall(), 10 * time.Millisecond},
 	}
 	for _, c := range clocks {
@@ -62,9 +62,9 @@ func TestTimerContract(t *testing.T) {
 // to its instant, so the clock drains to exactly where it would have
 // without the Stop — stopping a guard cannot move a timeline.
 func TestStoppedVirtualTimerKeepsItsInstant(t *testing.T) {
-	for _, e := range []Engine{EngineHandoff, EngineRef} {
+	for _, e := range engines {
 		end := func(stop bool) time.Duration {
-			v := NewVirtualEngine(e)
+			v := e.new()
 			var ran atomic.Bool
 			v.Run(func() {
 				tm := v.After(90*time.Second, func() { ran.Store(true) })
@@ -80,12 +80,12 @@ func TestStoppedVirtualTimerKeepsItsInstant(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 			if ran.Load() == stop {
-				t.Errorf("%v: stop=%v but fn ran=%v", e, stop, ran.Load())
+				t.Errorf("%s: stop=%v but fn ran=%v", e.name, stop, ran.Load())
 			}
 			return v.Now()
 		}
 		if armed, stopped := end(false), end(true); armed != stopped || stopped != 90*time.Second {
-			t.Errorf("%v: clock drained to %v armed, %v stopped; want 1m30s both", e, armed, stopped)
+			t.Errorf("%s: clock drained to %v armed, %v stopped; want 1m30s both", e.name, armed, stopped)
 		}
 	}
 }

@@ -75,7 +75,6 @@ type FaultRunRow struct {
 	Tasks   int     `json:"tasks"`
 	Retries int     `json:"retries"`
 	TTCSec  float64 `json:"ttc_s"`
-	WallMS  float64 `json:"wall_ms"`
 	// PilotUnits is units per pilot, set order (doomed pilot last).
 	PilotUnits []int `json:"pilot_units"`
 }
@@ -91,13 +90,8 @@ type FaultTierResult struct {
 	RecoveryOverheadSec float64
 }
 
-// FaultTier runs the fault-recovery pair on the handoff engine.
+// FaultTier runs the fault-recovery pair (nil plan: FaultTierDefault).
 func FaultTier(p *FaultTierPlan) (*FaultTierResult, error) {
-	return FaultTierOn(p, vclock.EngineHandoff)
-}
-
-// FaultTierOn is FaultTier on an explicit vclock engine.
-func FaultTierOn(p *FaultTierPlan, eng vclock.Engine) (*FaultTierResult, error) {
 	if p == nil {
 		p = &FaultTierDefault
 	}
@@ -107,14 +101,11 @@ func FaultTierOn(p *FaultTierPlan, eng vclock.Engine) (*FaultTierResult, error) 
 	}
 
 	run := func(name string, faults *pilot.FaultPlan) (FaultRunRow, error) {
-		v := vclock.NewVirtualEngine(eng)
-		rcfg := pilot.DefaultConfig()
-		rcfg.ProfLayout = DefaultProfLayout
-		rcfg.PendingRef = DefaultPendingRef
+		v := vclock.NewVirtual()
 		rs, err := core.NewResourceSet([]core.PilotSpec{
 			{Resource: p.Machine, Cores: p.PilotCores, Walltime: 10000 * time.Hour},
 			{Resource: p.Machine, Cores: p.PilotCores, Walltime: 10000 * time.Hour},
-		}, core.Config{Clock: v, Runtime: rcfg})
+		}, core.Config{Clock: v})
 		if err != nil {
 			return FaultRunRow{}, err
 		}
@@ -123,7 +114,6 @@ func FaultTierOn(p *FaultTierPlan, eng vclock.Engine) (*FaultTierResult, error) 
 		pls := buildMixedPipelines([]StressMixedPipeline{{
 			Name: "ensemble", Width: p.Width, Depth: p.Depth, CoresPer: 1, Seconds: p.Seconds,
 		}})
-		t0 := time.Now()
 		var camp *core.CampaignReport
 		var runErr error
 		v.Run(func() {
@@ -143,7 +133,6 @@ func FaultTierOn(p *FaultTierPlan, eng vclock.Engine) (*FaultTierResult, error) 
 			Tasks:   camp.Campaign.Tasks,
 			Retries: camp.Campaign.Retries,
 			TTCSec:  camp.Campaign.TTC.Seconds(),
-			WallMS:  float64(time.Since(t0)) / float64(time.Millisecond),
 		}
 		for _, u := range camp.Pilots {
 			row.PilotUnits = append(row.PilotUnits, u.Units)
@@ -172,7 +161,7 @@ func FaultTierOn(p *FaultTierPlan, eng vclock.Engine) (*FaultTierResult, error) 
 
 // Table renders the clean/faulted pair and the recovery overhead.
 func (r *FaultTierResult) Table() string {
-	headers := []string{"run", "tasks", "retries", "ttc_s", "pilot0_units", "pilot1_units", "wall_ms"}
+	headers := []string{"run", "tasks", "retries", "ttc_s", "pilot0_units", "pilot1_units"}
 	var rows [][]string
 	for _, w := range []FaultRunRow{r.Clean, r.Faulted} {
 		p0, p1 := "-", "-"
@@ -180,7 +169,7 @@ func (r *FaultTierResult) Table() string {
 			p0, p1 = di(w.PilotUnits[0]), di(w.PilotUnits[1])
 		}
 		rows = append(rows, []string{
-			w.Name, di(w.Tasks), di(w.Retries), f1(w.TTCSec), p0, p1, f1(w.WallMS),
+			w.Name, di(w.Tasks), di(w.Retries), f1(w.TTCSec), p0, p1,
 		})
 	}
 	out := table(headers, rows)

@@ -11,8 +11,6 @@ import (
 	"time"
 
 	"entk/internal/core"
-	"entk/internal/pilot"
-	"entk/internal/profile"
 	"entk/internal/vclock"
 )
 
@@ -34,67 +32,20 @@ var (
 	Fig9CPS   = []int{1, 16, 32, 64} // cores per simulation
 )
 
-// DefaultProfLayout is the profiler event-storage layout the runners use.
-// The layout-parity tests flip it to profile.LayoutRef to prove the
-// columnar layout changes no figure or stress result.
-var DefaultProfLayout = profile.LayoutColumnar
-
-// DefaultPendingRef selects the agent's pending-queue implementation:
-// false is the segmented queue, true the seed's flat compacting FIFO
-// kept as the reference (pilot.Config.PendingRef). The queue-parity
-// legs flip it to prove the segmented queue changes no figure or
-// stress result.
-var DefaultPendingRef = false
-
-// WithPendingRef runs fn with DefaultPendingRef set to ref and restores
-// the previous value before returning — the pending-queue analogue of
-// WithProfLayout.
-func WithPendingRef(ref bool, fn func() error) error {
-	prev := DefaultPendingRef
-	DefaultPendingRef = ref
-	defer func() { DefaultPendingRef = prev }()
-	return fn()
-}
-
-// WithProfLayout runs fn with DefaultProfLayout set to l and restores the
-// previous layout before returning — the one sanctioned way to flip the
-// layout axis, so no caller can leave the global pointing at the wrong
-// layout for subsequent legs.
-func WithProfLayout(l profile.Layout, fn func() error) error {
-	prev := DefaultProfLayout
-	DefaultProfLayout = l
-	defer func() { DefaultProfLayout = prev }()
-	return fn()
-}
-
-// runOnFreshClock executes one pattern on a dedicated virtual clock
-// (the handoff engine) and resource handle, returning the report. Every
-// experiment point runs in its own simulated world so points are
-// independent and deterministic.
+// runOnFreshClock executes one pattern on a dedicated virtual clock and
+// resource handle, returning the report. Every experiment point runs in
+// its own simulated world so points are independent and deterministic.
 func runOnFreshClock(resource string, cores int, build func() core.Pattern) (*core.Report, error) {
-	return runOnFreshClockEngine(resource, cores, vclock.EngineHandoff, build)
-}
-
-// runOnFreshClockEngine is runOnFreshClock on an explicit vclock engine.
-func runOnFreshClockEngine(resource string, cores int, eng vclock.Engine, build func() core.Pattern) (*core.Report, error) {
-	v := vclock.NewVirtualEngine(eng)
-	rcfg := pilot.DefaultConfig()
-	rcfg.ProfLayout = DefaultProfLayout
-	rcfg.PendingRef = DefaultPendingRef
-	h, err := core.NewResourceHandle(resource, cores, 10000*time.Hour,
-		core.Config{Clock: v, Runtime: rcfg})
+	v := vclock.NewVirtual()
+	h, err := core.NewResourceHandle(resource, cores, 10000*time.Hour, core.Config{Clock: v})
 	if err != nil {
 		return nil, err
 	}
 	var rep *core.Report
-	var runErr error
 	v.Run(func() {
-		rep, runErr = h.Execute(build())
+		rep, err = h.Execute(build())
 	})
-	if runErr != nil {
-		return rep, runErr
-	}
-	return rep, nil
+	return rep, err
 }
 
 // table renders rows of (header, lines) as a fixed-width text table.

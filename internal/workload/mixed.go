@@ -62,16 +62,14 @@ var stress100kMixedSmokePlan = []StressMixedPipeline{
 // Stress100kMixedRow is one pipeline's (or the campaign's) measured
 // decomposition.
 type Stress100kMixedRow struct {
-	Name            string
-	Width           int
-	Depth           int
-	CoresPer        int
-	Tasks           int
-	TTCSec          float64
-	ExecSec         float64
-	PatternOvhSec   float64
-	WallMS          float64
-	UnitsPerSecWall float64
+	Name          string
+	Width         int
+	Depth         int
+	CoresPer      int
+	Tasks         int
+	TTCSec        float64
+	ExecSec       float64
+	PatternOvhSec float64
 }
 
 // Stress100kMixedResult holds the campaign outcome: the aggregate row,
@@ -115,33 +113,24 @@ func buildMixedPipelines(plan []StressMixedPipeline) []*core.Pipeline {
 	return pls
 }
 
-// Stress100kMixed runs the mixed campaign on the handoff engine.
+// Stress100kMixed runs the mixed campaign (nil plan: the full 100k
+// plan).
 func Stress100kMixed(plan []StressMixedPipeline) (*Stress100kMixedResult, error) {
-	return Stress100kMixedOn(plan, vclock.EngineHandoff)
-}
-
-// Stress100kMixedOn is Stress100kMixed on an explicit vclock engine.
-func Stress100kMixedOn(plan []StressMixedPipeline, eng vclock.Engine) (*Stress100kMixedResult, error) {
 	if plan == nil {
 		plan = Stress100kMixedPlan
 	}
-	return stressCampaignOn(Stress100kMachine, Stress100kCores, plan, eng)
+	return stressCampaignOn(Stress100kMachine, Stress100kCores, plan)
 }
 
 // stressCampaignOn runs a mixed campaign plan through one AppManager on
-// an explicit pilot (machine label + size) and vclock engine — the
-// shared runner behind the mixed and oversubscribed tiers.
-func stressCampaignOn(machine string, cores int, plan []StressMixedPipeline, eng vclock.Engine) (*Stress100kMixedResult, error) {
-	v := vclock.NewVirtualEngine(eng)
-	rcfg := pilot.DefaultConfig()
-	rcfg.ProfLayout = DefaultProfLayout
-	rcfg.PendingRef = DefaultPendingRef
-	h, err := core.NewResourceHandle(machine, cores, 10000*time.Hour,
-		core.Config{Clock: v, Runtime: rcfg})
+// an explicit pilot (machine label + size) — the shared runner behind
+// the mixed and oversubscribed tiers.
+func stressCampaignOn(machine string, cores int, plan []StressMixedPipeline) (*Stress100kMixedResult, error) {
+	v := vclock.NewVirtual()
+	h, err := core.NewResourceHandle(machine, cores, 10000*time.Hour, core.Config{Clock: v})
 	if err != nil {
 		return nil, err
 	}
-	t0 := time.Now()
 	var camp *core.CampaignReport
 	var runErr error
 	v.Run(func() {
@@ -156,7 +145,6 @@ func stressCampaignOn(machine string, cores int, plan []StressMixedPipeline, eng
 	if runErr != nil {
 		return nil, fmt.Errorf("stress 100k mixed: %w", runErr)
 	}
-	wall := time.Since(t0)
 	// Like handle.Execute, fold the dealloc control time (spent after
 	// Run returned) into the campaign's core overhead so this tier's
 	// column is computed under the same rule as the single-stage tier.
@@ -187,28 +175,22 @@ func stressCampaignOn(machine string, cores int, plan []StressMixedPipeline, eng
 		res.Pipelines = append(res.Pipelines, row(plan[i].Name, &plan[i], camp.Pipelines[i]))
 	}
 	res.Campaign = row("campaign", nil, camp.Campaign)
-	res.Campaign.WallMS = float64(wall) / float64(time.Millisecond)
-	res.Campaign.UnitsPerSecWall = float64(camp.Campaign.Tasks) / wall.Seconds()
 	return res, nil
 }
 
 // Table renders the campaign.
 func (r *Stress100kMixedResult) Table() string {
 	headers := []string{"pipeline", "width", "depth", "cores/task", "tasks",
-		"ttc_s", "exec_s", "pattern_ovh_s", "wall_ms", "units/s(wall)"}
+		"ttc_s", "exec_s", "pattern_ovh_s"}
 	var rows [][]string
 	for _, w := range append(append([]Stress100kMixedRow(nil), r.Pipelines...), r.Campaign) {
 		width, depth, cores := "-", "-", "-"
 		if w.Width > 0 {
 			width, depth, cores = di(w.Width), di(w.Depth), di(w.CoresPer)
 		}
-		wall, ups := "-", "-"
-		if w.WallMS > 0 {
-			wall, ups = f1(w.WallMS), f1(w.UnitsPerSecWall)
-		}
 		rows = append(rows, []string{
 			w.Name, width, depth, cores, di(w.Tasks),
-			f1(w.TTCSec), f1(w.ExecSec), f1(w.PatternOvhSec), wall, ups,
+			f1(w.TTCSec), f1(w.ExecSec), f1(w.PatternOvhSec),
 		})
 	}
 	return table(headers, rows)
@@ -302,17 +284,6 @@ func (r *Stress100kMixedResult) Check() error {
 			perNodeWait, r.QueueWaitSec)
 	}
 	return nil
-}
-
-// SimColumns returns the simulated-quantity rows (wall-clock zeroed) for
-// cross-engine parity assertions.
-func (r *Stress100kMixedResult) SimColumns() []Stress100kMixedRow {
-	out := append([]Stress100kMixedRow(nil), r.Pipelines...)
-	c := r.Campaign
-	c.WallMS = 0
-	c.UnitsPerSecWall = 0
-	out = append(out, c)
-	return out
 }
 
 // ---------------------------------------------------------------------------

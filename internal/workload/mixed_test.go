@@ -2,7 +2,6 @@ package workload
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"entk/internal/profile"
@@ -21,63 +20,18 @@ func TestStress100kMixedSweep(t *testing.T) {
 	if err := res.Check(); err != nil {
 		t.Errorf("%v\n%s", err, res.Table())
 	}
-	checkSimColumns(t, "stress_100k_mixed", res.SimColumns())
-}
-
-// TestStress100kMixedEngineParity asserts the campaign's simulated
-// columns are byte-identical across vclock engines — the acceptance
-// gate that a heterogeneous concurrent campaign at 100k scale is still
-// a deterministic simulation.
-func TestStress100kMixedEngineParity(t *testing.T) {
-	skip100k(t)
-	a, err := Stress100kMixedOn(nil, vclock.EngineHandoff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Stress100kMixedOn(nil, vclock.EngineRef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.SimColumns(), b.SimColumns()) {
-		t.Errorf("mixed campaign sim columns diverge across engines:\nhandoff:\n%s\nref:\n%s",
-			a.Table(), b.Table())
-	}
+	checkSimColumns(t, "stress_100k_mixed", append(res.Pipelines, res.Campaign))
 }
 
 // TestStress100kMixedSmoke keeps the scaled-down campaign in every tier
-// (including -short and -race) on both engines.
+// (including -short and -race).
 func TestStress100kMixedSmoke(t *testing.T) {
-	for _, eng := range []vclock.Engine{vclock.EngineHandoff, vclock.EngineRef} {
-		res, err := Stress100kMixedOn(stress100kMixedSmokePlan, eng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Check(); err != nil {
-			t.Errorf("engine %v: %v\n%s", eng, err, res.Table())
-		}
-	}
-}
-
-// TestStress100kMixedLayoutParity runs the smoke campaign on the seed
-// profiler layout and requires identical simulated columns — the mixed
-// tier's analogue of TestStress100kLayoutParity.
-func TestStress100kMixedLayoutParity(t *testing.T) {
-	base, err := Stress100kMixedOn(stress100kMixedSmokePlan, vclock.EngineHandoff)
+	res, err := Stress100kMixed(stress100kMixedSmokePlan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ref *Stress100kMixedResult
-	err = WithProfLayout(profile.LayoutRef, func() error {
-		var err error
-		ref, err = Stress100kMixedOn(stress100kMixedSmokePlan, vclock.EngineHandoff)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base.SimColumns(), ref.SimColumns()) {
-		t.Errorf("mixed campaign sim columns diverge across profiler layouts:\ncolumnar:\n%s\nref:\n%s",
-			base.Table(), ref.Table())
+	if err := res.Check(); err != nil {
+		t.Errorf("%v\n%s", err, res.Table())
 	}
 }
 

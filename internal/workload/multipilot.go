@@ -62,26 +62,22 @@ type MultiPilotResult struct {
 	CoreOvhSec      float64
 }
 
-// MultiPilotCampaignOn runs the two-machine campaign (nil plan:
-// MultiPilotPlan) on the given vclock engine.
-func MultiPilotCampaignOn(plan []StressMixedPipeline, eng vclock.Engine) (*MultiPilotResult, error) {
+// MultiPilotCampaign runs the two-machine campaign (nil plan:
+// MultiPilotPlan).
+func MultiPilotCampaign(plan []StressMixedPipeline) (*MultiPilotResult, error) {
 	if plan == nil {
 		plan = MultiPilotPlan
 	}
-	v := vclock.NewVirtualEngine(eng)
-	rcfg := pilot.DefaultConfig()
-	rcfg.ProfLayout = DefaultProfLayout
-	rcfg.PendingRef = DefaultPendingRef
+	v := vclock.NewVirtual()
 	rs, err := core.NewResourceSet([]core.PilotSpec{
 		{Resource: MultiPilotCPUMachine, Cores: MultiPilotCPUCores, Walltime: 10000 * time.Hour, Tags: []string{"cpu"}},
 		{Resource: MultiPilotMPIMachine, Cores: MultiPilotMPICores, Walltime: 10000 * time.Hour, Tags: []string{"mpi"}},
-	}, core.Config{Clock: v, Runtime: rcfg})
+	}, core.Config{Clock: v})
 	if err != nil {
 		return nil, err
 	}
 	rs.Placement = pilot.PlaceTagAffinity(nil)
 
-	t0 := time.Now()
 	var camp *core.CampaignReport
 	var runErr error
 	v.Run(func() {
@@ -96,7 +92,6 @@ func MultiPilotCampaignOn(plan []StressMixedPipeline, eng vclock.Engine) (*Multi
 	if runErr != nil {
 		return nil, fmt.Errorf("multipilot campaign: %w", runErr)
 	}
-	wall := time.Since(t0)
 	camp.Campaign.CoreOverhead = rs.ControlOverhead()
 
 	res := &MultiPilotResult{
@@ -123,8 +118,6 @@ func MultiPilotCampaignOn(plan []StressMixedPipeline, eng vclock.Engine) (*Multi
 		res.Pipelines = append(res.Pipelines, row(plan[i].Name, &plan[i], camp.Pipelines[i]))
 	}
 	res.Campaign = row("campaign", nil, camp.Campaign)
-	res.Campaign.WallMS = float64(wall) / float64(time.Millisecond)
-	res.Campaign.UnitsPerSecWall = float64(camp.Campaign.Tasks) / wall.Seconds()
 	for _, u := range camp.Pilots {
 		res.Pilots = append(res.Pilots, MultiPilotUtilRow{
 			Pilot:       u.Pilot,
@@ -143,20 +136,16 @@ func MultiPilotCampaignOn(plan []StressMixedPipeline, eng vclock.Engine) (*Multi
 // columns.
 func (r *MultiPilotResult) Table() string {
 	headers := []string{"pipeline", "width", "depth", "cores/task", "tasks",
-		"ttc_s", "exec_s", "pattern_ovh_s", "wall_ms", "units/s(wall)"}
+		"ttc_s", "exec_s", "pattern_ovh_s"}
 	var rows [][]string
 	for _, w := range append(append([]Stress100kMixedRow(nil), r.Pipelines...), r.Campaign) {
 		width, depth, cores := "-", "-", "-"
 		if w.Width > 0 {
 			width, depth, cores = di(w.Width), di(w.Depth), di(w.CoresPer)
 		}
-		wall, ups := "-", "-"
-		if w.WallMS > 0 {
-			wall, ups = f1(w.WallMS), f1(w.UnitsPerSecWall)
-		}
 		rows = append(rows, []string{
 			w.Name, width, depth, cores, di(w.Tasks),
-			f1(w.TTCSec), f1(w.ExecSec), f1(w.PatternOvhSec), wall, ups,
+			f1(w.TTCSec), f1(w.ExecSec), f1(w.PatternOvhSec),
 		})
 	}
 	out := table(headers, rows)
@@ -251,15 +240,4 @@ func (r *MultiPilotResult) Check() error {
 			r.Campaign.TTCSec, sumTTC)
 	}
 	return nil
-}
-
-// SimColumns returns the simulated-quantity rows (wall-clock zeroed)
-// plus the pilot utilization rows for cross-engine parity assertions.
-func (r *MultiPilotResult) SimColumns() ([]Stress100kMixedRow, []MultiPilotUtilRow) {
-	out := append([]Stress100kMixedRow(nil), r.Pipelines...)
-	c := r.Campaign
-	c.WallMS = 0
-	c.UnitsPerSecWall = 0
-	out = append(out, c)
-	return out, append([]MultiPilotUtilRow(nil), r.Pilots...)
 }

@@ -6,7 +6,6 @@ import (
 
 	"entk/internal/cluster"
 	"entk/internal/pilot"
-	"entk/internal/vclock"
 )
 
 // The oversubscribed tier closes the ROADMAP item the mixed tier left
@@ -45,23 +44,13 @@ var (
 	stressOversubSmokeCores = 1024
 )
 
-// Stress100kOversub runs the oversubscribed campaign on the handoff
-// engine.
+// Stress100kOversub runs the oversubscribed campaign (nil plan:
+// Stress100kOversubPlan).
 func Stress100kOversub(plan []StressMixedPipeline) (*Stress100kMixedResult, error) {
-	return Stress100kOversubOn(plan, vclock.EngineHandoff)
-}
-
-// Stress100kOversubOn is Stress100kOversub on an explicit vclock engine.
-func Stress100kOversubOn(plan []StressMixedPipeline, eng vclock.Engine) (*Stress100kMixedResult, error) {
 	if plan == nil {
 		plan = Stress100kOversubPlan
 	}
-	return stressCampaignOn(Stress100kMachine, Stress100kCores, plan, eng)
-}
-
-// stressOversubSmokeOn runs the smoke-scale oversubscribed campaign.
-func stressOversubSmokeOn(eng vclock.Engine) (*Stress100kMixedResult, error) {
-	return stressCampaignOn(StressMachine, stressOversubSmokeCores, stressOversubSmokePlan, eng)
+	return stressCampaignOn(Stress100kMachine, Stress100kCores, plan)
 }
 
 // CheckOversub asserts the oversubscribed tier's golden shapes — the

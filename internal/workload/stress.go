@@ -18,9 +18,9 @@ import (
 // the indexed agent scheduler — the seed's rescan scheduler made them the
 // slowest runs in the tree — and double as correctness checks that the
 // runtime keeps exact accounting when the workload no longer fits the
-// pilot in one wave. Each row carries its wall-clock cost beside the
-// simulated quantities; the simulated columns are pinned by
-// testdata/sim_columns.golden.json.
+// pilot in one wave. Every column is a simulated quantity, pinned by
+// testdata/sim_columns.golden.json; the wall-clock cost of these
+// workloads is bench/'s to measure.
 
 // StressMachine is the stress tier's resource label.
 const StressMachine = "sim.stress8k"
@@ -40,12 +40,9 @@ const (
 // returns its finished handle (the session behind it stays queryable,
 // which is how ProfileTrace dumps the run's events).
 func runThroughputWorkload() (*core.ResourceHandle, error) {
-	v := vclock.NewVirtualEngine(vclock.EngineHandoff)
-	rcfg := pilot.DefaultConfig()
-	rcfg.ProfLayout = DefaultProfLayout
-	rcfg.PendingRef = DefaultPendingRef
+	v := vclock.NewVirtual()
 	h, err := core.NewResourceHandle("xsede.stampede", throughputCores, 1000*time.Hour,
-		core.Config{Clock: v, Runtime: rcfg})
+		core.Config{Clock: v})
 	if err != nil {
 		return nil, err
 	}
@@ -88,7 +85,6 @@ type StressEEPoint struct {
 	SimSec      float64
 	ExchangeSec float64
 	TTCSec      float64
-	WallMS      float64 // real time spent simulating this point
 }
 
 // StressEEResult holds the EE weak-scaling stress sweep.
@@ -120,7 +116,6 @@ func StressEE(sizes []int) (*StressEEResult, error) {
 			Name:   "md.remd_exchange",
 			Params: map[string]float64{"replicas": float64(n)},
 		}
-		t0 := time.Now()
 		rep, err := runOnFreshClock(StressMachine, cores, func() core.Pattern {
 			return &core.EnsembleExchange{
 				Replicas: n,
@@ -142,7 +137,6 @@ func StressEE(sizes []int) (*StressEEResult, error) {
 			SimSec:      rep.Phase("simulation").Span.Seconds(),
 			ExchangeSec: rep.Phase("exchange").Span.Seconds(),
 			TTCSec:      rep.TTC.Seconds(),
-			WallMS:      float64(time.Since(t0)) / float64(time.Millisecond),
 		})
 	}
 	return res, nil
@@ -150,11 +144,11 @@ func StressEE(sizes []int) (*StressEEResult, error) {
 
 // Table renders the sweep.
 func (r *StressEEResult) Table() string {
-	headers := []string{"replicas", "cores", "sim_s", "exchange_s", "ttc_s", "wall_ms"}
+	headers := []string{"replicas", "cores", "sim_s", "exchange_s", "ttc_s"}
 	var rows [][]string
 	for _, w := range r.Rows {
 		rows = append(rows, []string{
-			di(w.Replicas), di(w.Cores), f1(w.SimSec), f2(w.ExchangeSec), f1(w.TTCSec), f1(w.WallMS),
+			di(w.Replicas), di(w.Cores), f1(w.SimSec), f2(w.ExchangeSec), f1(w.TTCSec),
 		})
 	}
 	return table(headers, rows)
@@ -203,14 +197,12 @@ func (r *StressEEResult) Check() error {
 
 // StressEoPPoint is one EoP stress configuration.
 type StressEoPPoint struct {
-	Pipelines       int
-	Stages          int
-	Tasks           int
-	TTCSec          float64
-	ExecSec         float64
-	PatternOvhSec   float64
-	WallMS          float64
-	UnitsPerSecWall float64 // simulated units per wall-clock second
+	Pipelines     int
+	Stages        int
+	Tasks         int
+	TTCSec        float64
+	ExecSec       float64
+	PatternOvhSec float64
 }
 
 // StressEoPResult holds the EoP stress sweep.
@@ -233,7 +225,6 @@ func StressEoP(sizes []int) (*StressEoPResult, error) {
 			Name:   "misc.sleep",
 			Params: map[string]float64{"seconds": stressEoPSeconds},
 		}
-		t0 := time.Now()
 		rep, err := runOnFreshClock(StressMachine, StressCores, func() core.Pattern {
 			return &core.EnsembleOfPipelines{
 				Pipelines:  n,
@@ -247,16 +238,13 @@ func StressEoP(sizes []int) (*StressEoPResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stress eop n=%d: %w", n, err)
 		}
-		wall := time.Since(t0)
 		res.Rows = append(res.Rows, StressEoPPoint{
-			Pipelines:       n,
-			Stages:          stressEoPStages,
-			Tasks:           rep.Tasks,
-			TTCSec:          rep.TTC.Seconds(),
-			ExecSec:         rep.ExecTime().Seconds(),
-			PatternOvhSec:   rep.PatternOverhead.Seconds(),
-			WallMS:          float64(wall) / float64(time.Millisecond),
-			UnitsPerSecWall: float64(rep.Tasks) / wall.Seconds(),
+			Pipelines:     n,
+			Stages:        stressEoPStages,
+			Tasks:         rep.Tasks,
+			TTCSec:        rep.TTC.Seconds(),
+			ExecSec:       rep.ExecTime().Seconds(),
+			PatternOvhSec: rep.PatternOverhead.Seconds(),
 		})
 	}
 	return res, nil
@@ -264,12 +252,12 @@ func StressEoP(sizes []int) (*StressEoPResult, error) {
 
 // Table renders the sweep.
 func (r *StressEoPResult) Table() string {
-	headers := []string{"pipelines", "stages", "tasks", "ttc_s", "exec_s", "pattern_ovh_s", "wall_ms", "units/s(wall)"}
+	headers := []string{"pipelines", "stages", "tasks", "ttc_s", "exec_s", "pattern_ovh_s"}
 	var rows [][]string
 	for _, w := range r.Rows {
 		rows = append(rows, []string{
 			di(w.Pipelines), di(w.Stages), di(w.Tasks),
-			f1(w.TTCSec), f1(w.ExecSec), f1(w.PatternOvhSec), f1(w.WallMS), f1(w.UnitsPerSecWall),
+			f1(w.TTCSec), f1(w.ExecSec), f1(w.PatternOvhSec),
 		})
 	}
 	return table(headers, rows)
@@ -311,8 +299,6 @@ type Stress100kPoint struct {
 	QueueWaitSec    float64
 	AgentStartupSec float64
 	CoreOvhSec      float64
-	WallMS          float64
-	UnitsPerSecWall float64
 }
 
 // Stress100kResult holds the 100k-task stress sweep.
@@ -320,13 +306,8 @@ type Stress100kResult struct {
 	Rows []Stress100kPoint
 }
 
-// Stress100k runs the 100k-task stress sweep on the handoff engine.
+// Stress100k runs the 100k-task stress sweep.
 func Stress100k(sizes []int) (*Stress100kResult, error) {
-	return Stress100kOn(sizes, vclock.EngineHandoff)
-}
-
-// Stress100kOn is Stress100k on an explicit vclock engine.
-func Stress100kOn(sizes []int, eng vclock.Engine) (*Stress100kResult, error) {
 	if sizes == nil {
 		sizes = Stress100kSizes
 	}
@@ -337,8 +318,7 @@ func Stress100kOn(sizes []int, eng vclock.Engine) (*Stress100kResult, error) {
 			Name:   "misc.sleep",
 			Params: map[string]float64{"seconds": stress100kSeconds},
 		}
-		t0 := time.Now()
-		rep, err := runOnFreshClockEngine(Stress100kMachine, Stress100kCores, eng, func() core.Pattern {
+		rep, err := runOnFreshClock(Stress100kMachine, Stress100kCores, func() core.Pattern {
 			return &core.EnsembleOfPipelines{
 				Pipelines:  n,
 				Stages:     1,
@@ -351,7 +331,6 @@ func Stress100kOn(sizes []int, eng vclock.Engine) (*Stress100kResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stress 100k n=%d: %w", n, err)
 		}
-		wall := time.Since(t0)
 		res.Rows = append(res.Rows, Stress100kPoint{
 			Pipelines:       n,
 			Tasks:           rep.Tasks,
@@ -361,8 +340,6 @@ func Stress100kOn(sizes []int, eng vclock.Engine) (*Stress100kResult, error) {
 			QueueWaitSec:    rep.QueueWait.Seconds(),
 			AgentStartupSec: rep.AgentStartup.Seconds(),
 			CoreOvhSec:      rep.CoreOverhead.Seconds(),
-			WallMS:          float64(wall) / float64(time.Millisecond),
-			UnitsPerSecWall: float64(rep.Tasks) / wall.Seconds(),
 		})
 	}
 	return res, nil
@@ -371,12 +348,12 @@ func Stress100kOn(sizes []int, eng vclock.Engine) (*Stress100kResult, error) {
 // Table renders the sweep.
 func (r *Stress100kResult) Table() string {
 	headers := []string{"pipelines", "tasks", "ttc_s", "exec_s", "pattern_ovh_s",
-		"queue_wait_s", "agent_boot_s", "core_ovh_s", "wall_ms", "units/s(wall)"}
+		"queue_wait_s", "agent_boot_s", "core_ovh_s"}
 	var rows [][]string
 	for _, w := range r.Rows {
 		rows = append(rows, []string{
 			di(w.Pipelines), di(w.Tasks), f1(w.TTCSec), f1(w.ExecSec), f1(w.PatternOvhSec),
-			f1(w.QueueWaitSec), f1(w.AgentStartupSec), f1(w.CoreOvhSec), f1(w.WallMS), f1(w.UnitsPerSecWall),
+			f1(w.QueueWaitSec), f1(w.AgentStartupSec), f1(w.CoreOvhSec),
 		})
 	}
 	return table(headers, rows)
@@ -477,20 +454,6 @@ func Stress1MProbe() (*Stress100kResult, error) {
 			w.TTCSec, w.ExecSec, w.PatternOvhSec)
 	}
 	return res, nil
-}
-
-// SimColumns returns the simulated-quantity columns (everything except
-// the wall-clock measurements) for cross-engine and cross-layout parity
-// assertions: two runs that simulate the same system must agree on these
-// byte for byte.
-func (r *Stress100kResult) SimColumns() []Stress100kPoint {
-	out := make([]Stress100kPoint, len(r.Rows))
-	for i, w := range r.Rows {
-		w.WallMS = 0
-		w.UnitsPerSecWall = 0
-		out[i] = w
-	}
-	return out
 }
 
 // Check asserts exact accounting at 10k scale: every task ran (no

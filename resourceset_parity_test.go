@@ -6,20 +6,20 @@ import (
 	"time"
 
 	"entk"
+	"entk/internal/core"
 )
 
-// This file is the resource-binding regression gate, the binding-level
-// analogue of TestEngineReportParity and TestGraphReportParity: a
-// single-pilot entk.ResourceSet must be a representation change only —
-// bit-identical Reports to the classic ResourceHandle (which is itself
-// the seed path, pinned by the graph-parity suite and the BENCH sim
-// columns) across the engine x scheduler x executor matrix, for both
-// the pattern path (Execute) and the campaign path (AppManager).
+// This file is the resource-binding regression gate: a single-pilot
+// entk.ResourceSet must be a representation change only — bit-identical
+// Reports to the classic ResourceHandle (pinned by the graph-parity
+// suite and the BENCH sim columns), for both the pattern path (Execute)
+// and the campaign path (AppManager).
 
 // setParityPattern builds a fresh pattern per run: bulk stages with
 // branching and an injected retry — the structurally densest
-// sequentially-submitting parity workload (see graph_parity_test.go for
-// the reorder-invariance constraints).
+// sequentially-submitting parity workload (see
+// graph_parity_test.go for the reorder-invariance
+// constraints).
 func setParityPattern() entk.Pattern {
 	return &entk.EnsembleOfPipelines{
 		Pipelines:  16,
@@ -65,145 +65,131 @@ func setParityPipelines() []*entk.Pipeline {
 	}
 }
 
-type setParityLeg struct {
-	name      string
-	eng       entk.ClockEngine
-	scheduler entk.RuntimeConfig
-	exec      entk.ExecPath
-}
-
-func setParityLegs() []setParityLeg {
-	var legs []setParityLeg
-	for _, eng := range []entk.ClockEngine{entk.EngineHandoff, entk.EngineRef} {
-		for _, rescan := range []bool{false, true} {
-			for _, exec := range []entk.ExecPath{entk.ExecGraph, entk.ExecRef} {
-				rcfg := entk.DefaultRuntimeConfig()
-				rcfg.Rescan = rescan
-				sched := "indexed"
-				if rescan {
-					sched = "rescan"
-				}
-				legs = append(legs, setParityLeg{
-					name: eng.String() + "/" + sched + "/" + exec.String(),
-					eng:  eng, scheduler: rcfg, exec: exec,
-				})
-			}
-		}
-	}
-	return legs
+// setParityLegs are the executor paths the pattern-path parity runs on.
+// Leg names keep the engine/scheduler/executor form of the earlier
+// matrix: the clock engine and the scheduler selection are now the
+// product's only ones, the executor is still selectable.
+var setParityLegs = []struct {
+	name string
+	exec core.ExecPath
+}{
+	{"handoff/indexed/graph", core.ExecGraph},
+	{"handoff/indexed/ref", core.ExecRef},
 }
 
 // TestResourceSetReportParity runs the pattern path on a handle and on
-// a single-pilot set, over the engine x scheduler x executor matrix,
-// requiring bit-identical Reports.
+// a single-pilot set, on both executor paths, requiring bit-identical
+// Reports.
 func TestResourceSetReportParity(t *testing.T) {
-	for _, l := range setParityLegs() {
-		l := l
-		t.Run(l.name, func(t *testing.T) {
-			run := func(asSet bool) *entk.Report {
-				v := entk.NewClockEngine(l.eng)
-				cfg := entk.Config{Clock: v, Exec: l.exec, Runtime: l.scheduler}
-				var rep *entk.Report
-				var err error
-				v.Run(func() {
-					if asSet {
-						var rs *entk.ResourceSet
-						rs, err = entk.NewResourceSet([]entk.PilotSpec{
-							{Resource: "xsede.stampede", Cores: 48, Walltime: 1000 * time.Hour},
-						}, cfg)
-						if err != nil {
-							return
-						}
-						rep, err = rs.Execute(setParityPattern())
-					} else {
-						var h *entk.ResourceHandle
-						h, err = entk.NewResourceHandle("xsede.stampede", 48, 1000*time.Hour, cfg)
-						if err != nil {
-							return
-						}
-						rep, err = h.Execute(setParityPattern())
-					}
-				})
+	for _, l := range setParityLegs {
+		t.Run(l.name, func(t *testing.T) { testSetReportParity(t, l.exec) })
+	}
+}
+
+func testSetReportParity(t *testing.T, exec core.ExecPath) {
+	run := func(asSet bool) *entk.Report {
+		v := entk.NewClock()
+		cfg := entk.Config{Clock: v, Exec: exec}
+		var rep *entk.Report
+		var err error
+		v.Run(func() {
+			if asSet {
+				var rs *entk.ResourceSet
+				rs, err = entk.NewResourceSet([]entk.PilotSpec{
+					{Resource: "xsede.stampede", Cores: 48, Walltime: 1000 * time.Hour},
+				}, cfg)
 				if err != nil {
-					t.Fatalf("asSet=%v: %v", asSet, err)
+					return
 				}
-				return rep
-			}
-			handle := run(false)
-			set := run(true)
-			if handle.Tasks == 0 || handle.Retries == 0 {
-				t.Fatalf("parity workload did not exercise retries: %+v", handle)
-			}
-			if !reflect.DeepEqual(handle, set) {
-				t.Errorf("single-pilot set diverges from handle:\nhandle:\n%v\nset:\n%v", handle, set)
+				rep, err = rs.Execute(setParityPattern())
+			} else {
+				var h *entk.ResourceHandle
+				h, err = entk.NewResourceHandle("xsede.stampede", 48, 1000*time.Hour, cfg)
+				if err != nil {
+					return
+				}
+				rep, err = h.Execute(setParityPattern())
 			}
 		})
+		if err != nil {
+			t.Fatalf("asSet=%v: %v", asSet, err)
+		}
+		return rep
+	}
+	handle := run(false)
+	set := run(true)
+	if handle.Tasks == 0 || handle.Retries == 0 {
+		t.Fatalf("parity workload did not exercise retries: %+v", handle)
+	}
+	if !reflect.DeepEqual(handle, set) {
+		t.Errorf("single-pilot set diverges from handle:\nhandle:\n%v\nset:\n%v", handle, set)
 	}
 }
 
 // TestResourceSetCampaignParity runs the same heterogeneous campaign
 // through an AppManager over a handle and over a single-pilot set,
 // requiring bit-identical CampaignReports — per-pipeline reports,
-// campaign aggregate, and per-pilot utilization rows alike.
+// campaign aggregate, and per-pilot utilization rows alike. The subtest
+// is named for the clock engine it runs on, as in the earlier engine
+// matrix.
 func TestResourceSetCampaignParity(t *testing.T) {
-	for _, eng := range []entk.ClockEngine{entk.EngineHandoff, entk.EngineRef} {
-		eng := eng
-		t.Run(eng.String(), func(t *testing.T) {
-			run := func(asSet bool) *entk.CampaignReport {
-				v := entk.NewClockEngine(eng)
-				cfg := entk.Config{Clock: v}
-				var camp *entk.CampaignReport
-				var err error
-				v.Run(func() {
-					var b entk.Binding
-					if asSet {
-						var rs *entk.ResourceSet
-						rs, err = entk.NewResourceSet([]entk.PilotSpec{
-							{Resource: "xsede.comet", Cores: 48, Walltime: 1000 * time.Hour},
-						}, cfg)
-						if err != nil {
-							return
-						}
-						b = rs
-					} else {
-						var h *entk.ResourceHandle
-						h, err = entk.NewResourceHandle("xsede.comet", 48, 1000*time.Hour, cfg)
-						if err != nil {
-							return
-						}
-						b = h
-					}
-					rs := b.(interface {
-						Allocate() error
-						Deallocate() error
-					})
-					if err = rs.Allocate(); err != nil {
-						return
-					}
-					camp, err = entk.NewAppManager(b).Run(setParityPipelines()...)
-					if derr := rs.Deallocate(); err == nil {
-						err = derr
-					}
-				})
+	t.Run("handoff", testSetCampaignParity)
+}
+
+func testSetCampaignParity(t *testing.T) {
+	run := func(asSet bool) *entk.CampaignReport {
+		v := entk.NewClock()
+		cfg := entk.Config{Clock: v}
+		var camp *entk.CampaignReport
+		var err error
+		v.Run(func() {
+			var b entk.Binding
+			if asSet {
+				var rs *entk.ResourceSet
+				rs, err = entk.NewResourceSet([]entk.PilotSpec{
+					{Resource: "xsede.comet", Cores: 48, Walltime: 1000 * time.Hour},
+				}, cfg)
 				if err != nil {
-					t.Fatalf("asSet=%v: %v", asSet, err)
+					return
 				}
-				return camp
+				b = rs
+			} else {
+				var h *entk.ResourceHandle
+				h, err = entk.NewResourceHandle("xsede.comet", 48, 1000*time.Hour, cfg)
+				if err != nil {
+					return
+				}
+				b = h
 			}
-			handle := run(false)
-			set := run(true)
-			if handle.Campaign.Tasks == 0 || len(handle.Pilots) != 1 {
-				t.Fatalf("campaign did not run: %+v", handle.Campaign)
+			rs := b.(interface {
+				Allocate() error
+				Deallocate() error
+			})
+			if err = rs.Allocate(); err != nil {
+				return
 			}
-			if handle.Pilots[0].Units != handle.Campaign.Tasks {
-				t.Errorf("pilot utilization row counts %d units, campaign ran %d",
-					handle.Pilots[0].Units, handle.Campaign.Tasks)
-			}
-			if !reflect.DeepEqual(handle, set) {
-				t.Errorf("single-pilot set campaign diverges from handle:\nhandle:\n%v\nset:\n%v",
-					handle.Campaign, set.Campaign)
+			camp, err = entk.NewAppManager(b).Run(setParityPipelines()...)
+			if derr := rs.Deallocate(); err == nil {
+				err = derr
 			}
 		})
+		if err != nil {
+			t.Fatalf("asSet=%v: %v", asSet, err)
+		}
+		return camp
+	}
+	handle := run(false)
+	set := run(true)
+	if handle.Campaign.Tasks == 0 || len(handle.Pilots) != 1 {
+		t.Fatalf("campaign did not run: %+v", handle.Campaign)
+	}
+	if handle.Pilots[0].Units != handle.Campaign.Tasks {
+		t.Errorf("pilot utilization row counts %d units, campaign ran %d",
+			handle.Pilots[0].Units, handle.Campaign.Tasks)
+	}
+	if !reflect.DeepEqual(handle, set) {
+		t.Errorf("single-pilot set campaign diverges from handle:\nhandle:\n%v\nset:\n%v",
+			handle.Campaign, set.Campaign)
 	}
 }
 
