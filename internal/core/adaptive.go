@@ -76,7 +76,8 @@ func (c *Composite) validate() error {
 }
 
 // runComposite executes members sequentially, merging phase stats with
-// member prefixes.
+// member prefixes. Each member runs through run, so it takes the same
+// executor as its parent.
 func (ex *executor) runComposite(c *Composite) error {
 	for i, m := range c.Members {
 		sub := newExecutor(ex.rs, m)

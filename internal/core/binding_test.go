@@ -234,31 +234,39 @@ func TestMultiPilotInfeasibleUnitFails(t *testing.T) {
 // TestNilKernelErrorsNotPanics pins the seed contract the validation
 // memo must preserve: a kernel callback returning nil where a kernel is
 // required (EE simulation slots) surfaces "core: nil kernel" as an
-// error on both executor paths — never a nil dereference in bind.
+// error on the graph executor and on the seed pattern executor — never
+// a nil dereference in bind.
 func TestNilKernelErrorsNotPanics(t *testing.T) {
-	for _, exec := range []ExecPath{ExecGraph, ExecRef} {
+	for _, ref := range []bool{false, true} {
 		v := vclock.NewVirtual()
 		registerTestMachine(t)
-		h, err := NewResourceHandle("test.core", 8, 100*time.Hour, Config{Clock: v, Exec: exec})
+		h, err := NewResourceHandle("test.core", 8, 100*time.Hour, Config{Clock: v})
 		if err != nil {
 			t.Fatal(err)
 		}
-		v.Run(func() {
-			_, err := h.Execute(&EnsembleExchange{
-				Replicas: 2,
-				Cycles:   1,
-				SimulationKernel: func(c, r int) *Kernel {
-					if r == 1 {
-						return nil
-					}
-					return sleepKernel(1)
-				},
-				ExchangeKernel: func(c int) *Kernel { return sleepKernel(1) },
+		run := func() {
+			v.Run(func() {
+				_, err := h.Execute(&EnsembleExchange{
+					Replicas: 2,
+					Cycles:   1,
+					SimulationKernel: func(c, r int) *Kernel {
+						if r == 1 {
+							return nil
+						}
+						return sleepKernel(1)
+					},
+					ExchangeKernel: func(c int) *Kernel { return sleepKernel(1) },
+				})
+				if err == nil || !strings.Contains(err.Error(), "nil kernel") {
+					t.Errorf("ref=%v: err = %v, want nil-kernel error", ref, err)
+				}
 			})
-			if err == nil || !strings.Contains(err.Error(), "nil kernel") {
-				t.Errorf("exec=%v: err = %v, want nil-kernel error", exec, err)
-			}
-		})
+		}
+		if ref {
+			withRefExecutor(t, run)
+		} else {
+			run()
+		}
 	}
 }
 

@@ -44,10 +44,9 @@ func eeTaskName(cycle, replica int) string {
 // executor is the execution engine's per-run state: it binds kernels
 // into pilot units, submits them (serialized, like the real toolkit's
 // client process), enforces synchronisation, retries failures, and
-// accumulates the report. Two implementations share it: the graph
-// executor (graph.go, the default — patterns are lowered to Pipelines,
-// see lower.go) and the seed pattern executor kept below as the
-// ExecRef reference path.
+// accumulates the report. Patterns are lowered to Pipelines (lower.go)
+// and run on the graph executor (graph.go); the seed pattern executor
+// the graph-parity tests compare against lives in executor_ref_test.go.
 type executor struct {
 	rs    *ResourceSet
 	pat   Pattern // nil for AppManager pipeline runs
@@ -217,40 +216,24 @@ func (ex *executor) report() *Report {
 	}
 }
 
-// run executes the pattern on the configured path: the graph executor
-// (default) or the seed reference executor (Config.Exec = ExecRef).
+// execHook, when non-nil, runs every pattern in place of the graph
+// executor. Only this package's tests set it, to run the seed pattern
+// executor (executor_ref_test.go) against the graph executor.
+var execHook func(*executor) error
+
+// run executes the pattern on the graph executor, or on execHook when a
+// test installed one.
 func (ex *executor) run() error {
-	if ex.rs.cfg.Exec == ExecRef {
-		return ex.runRef()
+	if execHook != nil {
+		return execHook(ex)
 	}
 	return ex.runGraph()
 }
 
-// runRef dispatches to the seed pattern-specific plugin — the reference
-// execution path the graph-parity tests compare against.
-func (ex *executor) runRef() error {
-	switch p := ex.pat.(type) {
-	case *EnsembleOfPipelines:
-		return ex.runEoP(p)
-	case *EnsembleExchange:
-		if p.Mode == PairwiseExchange {
-			return ex.runEEPairwise(p)
-		}
-		return ex.runEECollective(p)
-	case *SimulationAnalysisLoop:
-		return ex.runSAL(p)
-	case *Composite:
-		return ex.runComposite(p)
-	default:
-		return fmt.Errorf("core: no execution plugin for pattern %T", ex.pat)
-	}
-}
-
 // runGraph lowers the pattern to pipelines and runs them on the graph
-// executor. Composite recurses through runComposite (whose member
-// sub-executors dispatch per the configured path again), so composite
-// members lower individually and the accounting merge is shared with
-// the reference path.
+// executor. Composite recurses through runComposite, whose member
+// sub-executors go through run again, so composite members lower
+// individually (and follow execHook when it is set).
 func (ex *executor) runGraph() error {
 	if c, ok := ex.pat.(*Composite); ok {
 		return ex.runComposite(c)
@@ -406,314 +389,4 @@ func unitStats(units []*pilot.ComputeUnit) (span, busy time.Duration, n int) {
 		span = maxStop - minStart
 	}
 	return span, busy, n
-}
-
-// runPhase executes specs as one occurrence of the named phase and
-// records its stats.
-func (ex *executor) runPhase(name string, specs []taskSpec) ([]*pilot.ComputeUnit, error) {
-	units, err := ex.runTasks(specs, false)
-	if err != nil {
-		return units, err
-	}
-	span, busy, n := unitStats(units)
-	ex.mu.Lock()
-	ex.phases.add(name, span, busy, n)
-	ex.mu.Unlock()
-	return units, nil
-}
-
-// ---------------------------------------------------------------------------
-// Ensemble of Pipelines plugin
-
-func (ex *executor) runEoP(p *EnsembleOfPipelines) error {
-	if p.BulkStages {
-		return ex.runEoPBulk(p)
-	}
-	if p.Stages == 1 {
-		return ex.runEoPSingleStage(p)
-	}
-	// Pipelines execute independently; stages within a pipeline are
-	// sequential. Stage statistics are aggregated after the fact so that
-	// each stage appears once in the report.
-	stageUnits := make([][]*pilot.ComputeUnit, p.Stages)
-	var mu sync.Mutex
-	var firstErr error
-	wg := vclock.NewWaitGroup(ex.v, "eop pipelines")
-	for pl := 1; pl <= p.Pipelines; pl++ {
-		pl := pl
-		wg.Add(1)
-		ex.v.Go(func() {
-			defer wg.Done()
-			for st := 1; st <= p.Stages; st++ {
-				k := p.StageKernel(st, pl)
-				if k == nil {
-					// A nil kernel ends this pipeline early (branching).
-					return
-				}
-				name := eopTaskName(pl, st)
-				units, err := ex.runTasks([]taskSpec{{name, k}}, false)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				mu.Lock()
-				stageUnits[st-1] = append(stageUnits[st-1], units...)
-				mu.Unlock()
-			}
-		})
-	}
-	wg.Wait()
-	for st := 1; st <= p.Stages; st++ {
-		units := stageUnits[st-1]
-		if len(units) == 0 {
-			continue
-		}
-		span, busy, n := unitStats(units)
-		ex.mu.Lock()
-		ex.phases.add(fmt.Sprintf("stage.%d", st), span, busy, n)
-		ex.mu.Unlock()
-	}
-	return firstErr
-}
-
-// runEoPSingleStage executes a one-stage ensemble without per-pipeline
-// goroutines: with no inter-stage ordering to enforce, the tasks are
-// independent and can be submitted as one stream. The streaming path
-// dispatches unit i after i+1 client-side submission costs, exactly when
-// the default mode's i-th serialized single-unit submission would have,
-// so the simulated timeline of a clean run is unchanged — only the
-// client bookkeeping (goroutines, per-call locking) is saved. One
-// intended semantic difference: failed units are resubmitted per wave
-// (after the whole batch is waited on), like every other multi-task
-// phase (EE, SAL), instead of the seed's per-pipeline immediate retry.
-// This is the hot path of the unit-throughput benchmark and the EoP
-// stress tier.
-func (ex *executor) runEoPSingleStage(p *EnsembleOfPipelines) error {
-	specs := make([]taskSpec, 0, p.Pipelines)
-	for pl := 1; pl <= p.Pipelines; pl++ {
-		k := p.StageKernel(1, pl)
-		if k == nil {
-			continue // branching: this pipeline ends before stage 1
-		}
-		specs = append(specs, taskSpec{eopTaskName(pl, 1), k})
-	}
-	if len(specs) == 0 {
-		return nil
-	}
-	units, err := ex.runTasks(specs, true)
-	if len(units) > 0 {
-		span, busy, n := unitStats(units)
-		ex.mu.Lock()
-		ex.phases.add("stage.1", span, busy, n)
-		ex.mu.Unlock()
-	}
-	return err
-}
-
-// runEoPBulk executes the ensemble with a barrier between stages: stage s
-// of every still-live pipeline is one bulk submission (one tracked call),
-// the way EnTK submits a stage's CU descriptions with a single
-// submit_units. Selected by EnsembleOfPipelines.BulkStages.
-func (ex *executor) runEoPBulk(p *EnsembleOfPipelines) error {
-	live := make([]bool, p.Pipelines+1)
-	for pl := 1; pl <= p.Pipelines; pl++ {
-		live[pl] = true
-	}
-	for st := 1; st <= p.Stages; st++ {
-		specs := make([]taskSpec, 0, p.Pipelines)
-		for pl := 1; pl <= p.Pipelines; pl++ {
-			if !live[pl] {
-				continue
-			}
-			k := p.StageKernel(st, pl)
-			if k == nil {
-				live[pl] = false // branching: pipeline ends early
-				continue
-			}
-			specs = append(specs, taskSpec{eopTaskName(pl, st), k})
-		}
-		if len(specs) == 0 {
-			return nil
-		}
-		if _, err := ex.runPhase(fmt.Sprintf("stage.%d", st), specs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Ensemble Exchange plugin (collective mode)
-
-func (ex *executor) runEECollective(p *EnsembleExchange) error {
-	for cycle := 1; cycle <= p.Cycles; cycle++ {
-		specs := make([]taskSpec, p.Replicas)
-		for r := 1; r <= p.Replicas; r++ {
-			specs[r-1] = taskSpec{
-				name: eeTaskName(cycle, r),
-				k:    p.SimulationKernel(cycle, r),
-			}
-		}
-		if _, err := ex.runPhase("simulation", specs); err != nil {
-			return err
-		}
-		exSpec := taskSpec{
-			name: fmt.Sprintf("cycle%03d.exchange", cycle),
-			k:    p.ExchangeKernel(cycle),
-		}
-		if _, err := ex.runPhase("exchange", []taskSpec{exSpec}); err != nil {
-			return err
-		}
-		if p.ExchangeLogic != nil {
-			p.ExchangeLogic(cycle)
-		}
-		if p.StopWhen != nil && p.StopWhen(cycle) {
-			break
-		}
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Ensemble Exchange plugin (pairwise mode)
-
-func (ex *executor) runEEPairwise(p *EnsembleExchange) error {
-	partner := p.Partner
-	if partner == nil {
-		partner = func(cycle, replica int) int {
-			return defaultPartner(cycle, replica, p.Replicas)
-		}
-	}
-
-	rv := newPairRendezvous(ex.v, p, partner)
-	var mu sync.Mutex
-	var simUnits, exUnits []*pilot.ComputeUnit
-	var firstErr error
-
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-
-	wg := vclock.NewWaitGroup(ex.v, "ee replicas")
-	for r := 1; r <= p.Replicas; r++ {
-		r := r
-		wg.Add(1)
-		ex.v.Go(func() {
-			defer wg.Done()
-			for cycle := 1; cycle <= p.Cycles; cycle++ {
-				name := eeTaskName(cycle, r)
-				units, err := ex.runTasks([]taskSpec{{name, p.SimulationKernel(cycle, r)}}, false)
-				if err != nil {
-					fail(err)
-					// Release current and future partners before the
-					// replica disappears, or they would deadlock at
-					// their rendezvous.
-					rv.abandon(r, cycle)
-					return
-				}
-				mu.Lock()
-				simUnits = append(simUnits, units...)
-				mu.Unlock()
-
-				e, role := rv.arrive(r, cycle)
-				switch role {
-				case pairUnpaired:
-					continue // unpaired this cycle (or partner failed)
-				case pairFirst:
-					// First arriver waits for its partner to run the
-					// exchange — no other replicas are involved.
-					e.ev.Wait()
-					continue
-				}
-				// Second arriver executes the pairwise exchange task.
-				exName := fmt.Sprintf("cycle%03d.exchange.%05d-%05d", cycle, e.lo, e.hi)
-				exu, err := ex.runTasks([]taskSpec{{exName, p.ExchangeKernel(cycle)}}, false)
-				if err != nil {
-					fail(err)
-					e.ev.Fire()
-					rv.abandon(r, cycle+1)
-					return
-				}
-				mu.Lock()
-				exUnits = append(exUnits, exu...)
-				mu.Unlock()
-				if p.PairLogic != nil {
-					p.PairLogic(cycle, e.lo, e.hi)
-				}
-				e.ev.Fire()
-			}
-		})
-	}
-	wg.Wait()
-
-	span, busy, n := unitStats(simUnits)
-	ex.mu.Lock()
-	ex.phases.add("simulation", span, busy, n)
-	ex.mu.Unlock()
-	span, busy, n = unitStats(exUnits)
-	ex.mu.Lock()
-	ex.phases.add("exchange", span, busy, n)
-	ex.mu.Unlock()
-	return firstErr
-}
-
-// ---------------------------------------------------------------------------
-// Simulation Analysis Loop plugin
-
-func (ex *executor) runSAL(p *SimulationAnalysisLoop) error {
-	if p.PreLoop != nil {
-		if k := p.PreLoop(); k != nil {
-			if _, err := ex.runPhase("pre_loop", []taskSpec{{"pre_loop", k}}); err != nil {
-				return err
-			}
-		}
-	}
-	for iter := 1; iter <= p.Iterations; iter++ {
-		width := p.Simulations
-		if p.AdaptiveSimulations != nil {
-			width = p.AdaptiveSimulations(iter)
-			if err := validateAdaptiveWidth(width, iter); err != nil {
-				return err
-			}
-		}
-		sims := make([]taskSpec, width)
-		for i := 1; i <= width; i++ {
-			sims[i-1] = taskSpec{
-				name: fmt.Sprintf("iter%03d.sim%05d", iter, i),
-				k:    p.SimulationKernel(iter, i),
-			}
-		}
-		if _, err := ex.runPhase("simulation", sims); err != nil {
-			return err
-		}
-		anas := make([]taskSpec, p.Analyses)
-		for i := 1; i <= p.Analyses; i++ {
-			anas[i-1] = taskSpec{
-				name: fmt.Sprintf("iter%03d.ana%05d", iter, i),
-				k:    p.AnalysisKernel(iter, i),
-			}
-		}
-		if _, err := ex.runPhase("analysis", anas); err != nil {
-			return err
-		}
-		if p.AdaptiveStop != nil && p.AdaptiveStop(iter) {
-			break
-		}
-	}
-	if p.PostLoop != nil {
-		if k := p.PostLoop(); k != nil {
-			if _, err := ex.runPhase("post_loop", []taskSpec{{"post_loop", k}}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

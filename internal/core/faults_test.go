@@ -64,7 +64,7 @@ func infeasiblePipelines(streamed bool) []*Pipeline {
 func TestFaultMatrix(t *testing.T) {
 	// Subtests are named for the clock engine they run on (the product's
 	// one virtual engine), as in the earlier engine matrix.
-	eng := vclock.EngineHandoff.String()
+	eng := "handoff"
 	points := []struct {
 		name     string
 		at       time.Duration
@@ -179,7 +179,7 @@ func TestFaultMatrix(t *testing.T) {
 // (an extra wave), and a unit too big for the shrunken pilot settles as
 // a PatternError instead of wedging the queue.
 func TestFaultNodeLoss(t *testing.T) {
-	eng := vclock.EngineHandoff.String() // see TestFaultMatrix
+	eng := "handoff" // see TestFaultMatrix
 	t.Run(eng+"/rebind", func(t *testing.T) {
 		v := vclock.NewVirtual()
 		registerBindingMachines(t)

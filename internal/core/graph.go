@@ -20,31 +20,6 @@ import (
 // concurrent campaigns, runtime graph growth — is written against the
 // graph directly and submitted through an AppManager (appmanager.go).
 
-// ExecPath selects the executor implementation behind ResourceHandle.Run
-// (Config.Exec). The graph path is the default; the seed pattern
-// executor is kept as the reference implementation the graph-parity
-// tests (graph_parity_test.go at the repo root) compare against. It is
-// the one reference still selectable from a Config: the clock engine,
-// profiler store, pending queue and forced rescan references live in
-// their packages' test files.
-type ExecPath int
-
-const (
-	// ExecGraph lowers patterns to Pipelines and runs them on the graph
-	// executor.
-	ExecGraph ExecPath = iota
-	// ExecRef runs patterns on the seed pattern executor, kept as the
-	// semantic baseline. The two paths produce bit-identical Reports.
-	ExecRef
-)
-
-func (e ExecPath) String() string {
-	if e == ExecRef {
-		return "ref"
-	}
-	return "graph"
-}
-
 // Task is one node of the graph: a named kernel invocation. The kernel
 // carries the science tool, its cost-model parameters, core count, and
 // data staging (Kernel.InputStaging/OutputStaging); the task adds

@@ -1,4 +1,4 @@
-package entk_test
+package core
 
 import (
 	"errors"
@@ -7,8 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"entk"
-	"entk/internal/core"
+	"entk/internal/vclock"
 )
 
 // This file is the graph-executor regression gate: the graph executor
@@ -16,7 +15,7 @@ import (
 // representation change only. Every legacy pattern — EoP in all three
 // submission modes, EE collective and pairwise, SAL with every adaptive
 // hook, and Composite — is run on the seed pattern executor
-// (Config.Exec = core.ExecRef) and on the graph executor, and the
+// (executor_ref_test.go) and on the graph executor, and the
 // reports must be bit-identical: same TTC, same phase spans, busy times
 // and occurrence counts, same task and retry counts — or the lowering
 // changed simulated behaviour, not just the execution model.
@@ -42,28 +41,28 @@ import (
 var graphParityWorkloads = []struct {
 	name  string
 	cores int
-	build func() entk.Pattern
+	build func() Pattern
 }{
-	{"eop-default-multistage", 48, func() entk.Pattern {
-		return &entk.EnsembleOfPipelines{
+	{"eop-default-multistage", 48, func() Pattern {
+		return &EnsembleOfPipelines{
 			Pipelines: 12,
 			Stages:    3,
-			StageKernel: func(stage, pipe int) *entk.Kernel {
+			StageKernel: func(stage, pipe int) *Kernel {
 				// Identical pipelines; durations vary by stage only.
-				return &entk.Kernel{Name: "misc.sleep",
+				return &Kernel{Name: "misc.sleep",
 					Params: map[string]float64{"seconds": float64(1 + 2*stage)}}
 			},
 		}
 	}},
-	{"eop-single-stage-streamed", 48, func() entk.Pattern {
-		return &entk.EnsembleOfPipelines{
+	{"eop-single-stage-streamed", 48, func() Pattern {
+		return &EnsembleOfPipelines{
 			Pipelines: 96,
 			Stages:    1,
-			StageKernel: func(stage, pipe int) *entk.Kernel {
+			StageKernel: func(stage, pipe int) *Kernel {
 				if pipe%17 == 0 {
 					return nil
 				}
-				k := &entk.Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 3}}
+				k := &Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 3}}
 				if pipe == 31 {
 					k.FailOn = func(attempt int) bool { return attempt < 1 }
 					k.Retries = 1
@@ -72,16 +71,16 @@ var graphParityWorkloads = []struct {
 			},
 		}
 	}},
-	{"eop-bulk-stages", 48, func() entk.Pattern {
-		return &entk.EnsembleOfPipelines{
+	{"eop-bulk-stages", 48, func() Pattern {
+		return &EnsembleOfPipelines{
 			Pipelines:  16,
 			Stages:     3,
 			BulkStages: true,
-			StageKernel: func(stage, pipe int) *entk.Kernel {
+			StageKernel: func(stage, pipe int) *Kernel {
 				if stage > 1 && pipe%4 == 0 {
 					return nil // a quarter of the ensemble branches out
 				}
-				k := &entk.Kernel{Name: "misc.sleep",
+				k := &Kernel{Name: "misc.sleep",
 					Params: map[string]float64{"seconds": float64(2 * stage)}}
 				if stage == 2 && pipe == 6 {
 					k.FailOn = func(attempt int) bool { return attempt < 1 } // one retry
@@ -91,80 +90,80 @@ var graphParityWorkloads = []struct {
 			},
 		}
 	}},
-	{"ee-collective-stopwhen", 32, func() entk.Pattern {
+	{"ee-collective-stopwhen", 32, func() Pattern {
 		exchanged := 0
-		return &entk.EnsembleExchange{
+		return &EnsembleExchange{
 			Replicas: 8,
 			Cycles:   5,
-			SimulationKernel: func(c, r int) *entk.Kernel {
+			SimulationKernel: func(c, r int) *Kernel {
 				// Uniform within a cycle's wave, varying across cycles.
-				return &entk.Kernel{Name: "misc.sleep",
+				return &Kernel{Name: "misc.sleep",
 					Params: map[string]float64{"seconds": float64(4 + c%3)}}
 			},
-			ExchangeKernel: func(c int) *entk.Kernel {
-				return &entk.Kernel{Name: "md.remd_exchange", Params: map[string]float64{"replicas": 8}}
+			ExchangeKernel: func(c int) *Kernel {
+				return &Kernel{Name: "md.remd_exchange", Params: map[string]float64{"replicas": 8}}
 			},
 			ExchangeLogic: func(c int) { exchanged++ },
 			StopWhen:      func(c int) bool { return exchanged >= 3 }, // adaptive termination
 		}
 	}},
-	{"ee-pairwise", 32, func() entk.Pattern {
+	{"ee-pairwise", 32, func() Pattern {
 		// One pair over several cycles: with more pairs, the racy
 		// submission-slot → pair assignment makes each pair's rendezvous
 		// max vary run to run (on the reference path too), so only the
 		// single-pair ladder is bit-exact. The wide pairwise case is
 		// gated by TestGraphPairwiseInvariantParity below.
-		return &entk.EnsembleExchange{
+		return &EnsembleExchange{
 			Replicas: 2,
 			Cycles:   3,
-			Mode:     entk.PairwiseExchange,
+			Mode:     PairwiseExchange,
 			Partner:  func(c, r int) int { return 3 - r }, // always (1,2)
-			SimulationKernel: func(c, r int) *entk.Kernel {
-				return &entk.Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": float64(2 + c)}}
+			SimulationKernel: func(c, r int) *Kernel {
+				return &Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": float64(2 + c)}}
 			},
-			ExchangeKernel: func(c int) *entk.Kernel {
-				return &entk.Kernel{Name: "md.remd_exchange", Params: map[string]float64{"replicas": 2}}
+			ExchangeKernel: func(c int) *Kernel {
+				return &Kernel{Name: "md.remd_exchange", Params: map[string]float64{"replicas": 2}}
 			},
 		}
 	}},
-	{"sal-adaptive", 32, func() entk.Pattern {
+	{"sal-adaptive", 32, func() Pattern {
 		widths := []int{3, 6, 2, 4}
-		return &entk.SimulationAnalysisLoop{
+		return &SimulationAnalysisLoop{
 			Iterations:          4,
 			Simulations:         1, // overridden per iteration
 			Analyses:            2,
 			AdaptiveSimulations: func(iter int) int { return widths[iter-1] },
 			AdaptiveStop:        func(iter int) bool { return iter == 3 }, // prunes iteration 4
-			PreLoop:             func() *entk.Kernel { return &entk.Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 1}} },
-			SimulationKernel: func(it, i int) *entk.Kernel {
-				return &entk.Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": float64(2 + it)}}
+			PreLoop:             func() *Kernel { return &Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 1}} },
+			SimulationKernel: func(it, i int) *Kernel {
+				return &Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": float64(2 + it)}}
 			},
-			AnalysisKernel: func(it, i int) *entk.Kernel {
-				return &entk.Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 2}}
+			AnalysisKernel: func(it, i int) *Kernel {
+				return &Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 2}}
 			},
-			PostLoop: func() *entk.Kernel { return &entk.Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 1}} },
+			PostLoop: func() *Kernel { return &Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 1}} },
 		}
 	}},
-	{"composite", 32, func() entk.Pattern {
-		return &entk.Composite{
+	{"composite", 32, func() Pattern {
+		return &Composite{
 			Name: "equilibrate-then-sample",
-			Members: []entk.Pattern{
-				&entk.EnsembleOfPipelines{
+			Members: []Pattern{
+				&EnsembleOfPipelines{
 					Pipelines: 8,
 					Stages:    2,
-					StageKernel: func(stage, pipe int) *entk.Kernel {
-						return &entk.Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 2}}
+					StageKernel: func(stage, pipe int) *Kernel {
+						return &Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 2}}
 					},
 				},
-				&entk.SimulationAnalysisLoop{
+				&SimulationAnalysisLoop{
 					Iterations:  2,
 					Simulations: 6,
 					Analyses:    1,
-					SimulationKernel: func(int, int) *entk.Kernel {
-						return &entk.Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 3}}
+					SimulationKernel: func(int, int) *Kernel {
+						return &Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 3}}
 					},
-					AnalysisKernel: func(int, int) *entk.Kernel {
-						return &entk.Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 1}}
+					AnalysisKernel: func(int, int) *Kernel {
+						return &Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 1}}
 					},
 				},
 			},
@@ -174,31 +173,34 @@ var graphParityWorkloads = []struct {
 
 // runGraphParityLeg executes one workload on the graph executor, or on
 // the seed pattern executor when ref is set.
-func runGraphParityLeg(t *testing.T, build func() entk.Pattern, ref bool, cores int) *entk.Report {
+func runGraphParityLeg(t *testing.T, build func() Pattern, ref bool, cores int) *Report {
 	t.Helper()
-	rep, err := runPattern(build, ref, cores)
+	rep, err := runPattern(t, build, ref, cores)
 	if err != nil {
 		t.Fatalf("ref=%v: %v", ref, err)
 	}
 	return rep
 }
 
-// runPattern executes one pattern on a fresh clock and Stampede pilot.
-func runPattern(build func() entk.Pattern, ref bool, cores int) (*entk.Report, error) {
-	exec := core.ExecGraph
-	if ref {
-		exec = core.ExecRef
-	}
-	v := entk.NewClock()
-	h, err := entk.NewResourceHandle("xsede.stampede", cores, 1000*time.Hour,
-		entk.Config{Clock: v, Exec: exec})
+// runPattern executes one pattern on a fresh clock and Stampede pilot,
+// on the seed pattern executor when ref is set.
+func runPattern(t *testing.T, build func() Pattern, ref bool, cores int) (*Report, error) {
+	v := vclock.NewVirtual()
+	h, err := NewResourceHandle("xsede.stampede", cores, 1000*time.Hour, Config{Clock: v})
 	if err != nil {
 		return nil, err
 	}
-	var rep *entk.Report
-	v.Run(func() {
-		rep, err = h.Execute(build())
-	})
+	var rep *Report
+	run := func() {
+		v.Run(func() {
+			rep, err = h.Execute(build())
+		})
+	}
+	if ref {
+		withRefExecutor(t, run)
+	} else {
+		run()
+	}
 	return rep, err
 }
 
@@ -227,26 +229,26 @@ func TestGraphReportParity(t *testing.T) {
 // retry and occurrence counts, cumulative busy times, pattern overhead,
 // and the handle-level components — zeroing the wall spans and TTC.
 func TestGraphPairwiseInvariantParity(t *testing.T) {
-	build := func() entk.Pattern {
+	build := func() Pattern {
 		var mu sync.Mutex
 		pairs := 0
-		return &entk.EnsembleExchange{
+		return &EnsembleExchange{
 			Replicas: 8,
 			Cycles:   2,
-			Mode:     entk.PairwiseExchange,
-			SimulationKernel: func(c, r int) *entk.Kernel {
-				return &entk.Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 3}}
+			Mode:     PairwiseExchange,
+			SimulationKernel: func(c, r int) *Kernel {
+				return &Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 3}}
 			},
-			ExchangeKernel: func(c int) *entk.Kernel {
-				return &entk.Kernel{Name: "md.remd_exchange", Params: map[string]float64{"replicas": 2}}
+			ExchangeKernel: func(c int) *Kernel {
+				return &Kernel{Name: "md.remd_exchange", Params: map[string]float64{"replicas": 2}}
 			},
 			PairLogic: func(c, lo, hi int) { mu.Lock(); pairs++; mu.Unlock() },
 		}
 	}
-	invariant := func(r *entk.Report) *entk.Report {
+	invariant := func(r *Report) *Report {
 		c := *r
 		c.TTC = 0
-		c.Phases = append([]entk.PhaseStat(nil), r.Phases...)
+		c.Phases = append([]PhaseStat(nil), r.Phases...)
 		for i := range c.Phases {
 			c.Phases[i].Span = 0
 		}
@@ -271,28 +273,28 @@ func TestGraphPairwiseInvariantParity(t *testing.T) {
 // both paths equally, so wall spans are not bit-stable here (see
 // TestGraphPairwiseInvariantParity for the same constraint).
 func TestGraphPairwiseFailureParity(t *testing.T) {
-	build := func() entk.Pattern {
-		return &entk.EnsembleExchange{
+	build := func() Pattern {
+		return &EnsembleExchange{
 			Replicas: 2,
 			Cycles:   3,
-			Mode:     entk.PairwiseExchange,
+			Mode:     PairwiseExchange,
 			Partner:  func(c, r int) int { return 3 - r }, // always (1,2)
-			SimulationKernel: func(c, r int) *entk.Kernel {
-				k := &entk.Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 3}}
+			SimulationKernel: func(c, r int) *Kernel {
+				k := &Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 3}}
 				if r == 2 && c == 1 {
 					k.FailOn = func(int) bool { return true } // replica 2 dies in cycle 1
 				}
 				return k
 			},
-			ExchangeKernel: func(c int) *entk.Kernel {
-				return &entk.Kernel{Name: "md.remd_exchange", Params: map[string]float64{"replicas": 2}}
+			ExchangeKernel: func(c int) *Kernel {
+				return &Kernel{Name: "md.remd_exchange", Params: map[string]float64{"replicas": 2}}
 			},
 		}
 	}
-	graph, gerr := runPattern(build, false, 16)
-	ref, rerr := runPattern(build, true, 16)
+	graph, gerr := runPattern(t, build, false, 16)
+	ref, rerr := runPattern(t, build, true, 16)
 	for name, err := range map[string]error{"graph": gerr, "ref": rerr} {
-		var perr *entk.PatternError
+		var perr *PatternError
 		if !errors.As(err, &perr) {
 			t.Fatalf("%s path: err = %v, want *PatternError (deadlock fixed?)", name, err)
 		}
@@ -304,10 +306,10 @@ func TestGraphPairwiseFailureParity(t *testing.T) {
 	if exc := graph.Phase("exchange"); exc.Tasks != 0 || exc.Occurrences != 1 {
 		t.Errorf("exchange phase = %+v, want 0 tasks (abandoned pairings)", exc)
 	}
-	invariant := func(r *entk.Report) *entk.Report {
+	invariant := func(r *Report) *Report {
 		c := *r
 		c.TTC = 0
-		c.Phases = append([]entk.PhaseStat(nil), r.Phases...)
+		c.Phases = append([]PhaseStat(nil), r.Phases...)
 		for i := range c.Phases {
 			c.Phases[i].Span = 0
 		}
@@ -322,12 +324,12 @@ func TestGraphPairwiseFailureParity(t *testing.T) {
 // both count the same resubmissions and surface the same PatternError
 // once budgets are exhausted.
 func TestGraphRetryParity(t *testing.T) {
-	build := func() entk.Pattern {
-		return &entk.EnsembleOfPipelines{
+	build := func() Pattern {
+		return &EnsembleOfPipelines{
 			Pipelines: 4,
 			Stages:    1,
-			StageKernel: func(stage, pipe int) *entk.Kernel {
-				k := &entk.Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 1}}
+			StageKernel: func(stage, pipe int) *Kernel {
+				k := &Kernel{Name: "misc.sleep", Params: map[string]float64{"seconds": 1}}
 				if pipe == 2 {
 					k.FailOn = func(attempt int) bool { return attempt < 2 }
 					k.Retries = 3

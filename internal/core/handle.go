@@ -10,7 +10,8 @@ import (
 	"entk/internal/vclock"
 )
 
-// Config carries the toolkit's runtime knobs.
+// Config carries the toolkit's runtime knobs. None of them selects an
+// implementation: patterns always run on the graph executor.
 type Config struct {
 	// Clock is the virtual clock driving the simulation. Required.
 	Clock vclock.Clock
@@ -19,12 +20,6 @@ type Config struct {
 	Cost pilot.CostModel
 	// Runtime tunes the pilot layer; zero value takes pilot defaults.
 	Runtime pilot.Config
-	// Exec selects the executor implementation: the graph executor
-	// (default — patterns are lowered to Task/Stage/Pipeline graphs and
-	// run by the engine in graph.go) or the seed pattern executor
-	// (ExecRef), kept as the reference path the graph-parity tests
-	// compare against. Both produce bit-identical Reports.
-	Exec ExecPath
 	// MaxRetries is the default per-task retry budget (0 = no retries).
 	MaxRetries int
 }

@@ -51,9 +51,9 @@ type agent struct {
 	pilot *ComputePilot
 	sess  *Session
 
-	// launch bounds concurrent task launches; each launch also pays the
-	// machine's per-task launch latency. This is the runtime-side,
-	// per-task overhead component.
+	// launch bounds concurrent task launches to one slot per allocated
+	// node; each launch also pays the machine's per-task launch latency.
+	// This is the runtime-side, per-task overhead component.
 	launch *vclock.Semaphore
 
 	mu      sync.Mutex
@@ -171,14 +171,10 @@ func newAgent(p *ComputePilot) *agent {
 		nodes[i] = take
 		rem -= take
 	}
-	width := p.sess.Cfg.LauncherWidth
-	if width <= 0 {
-		width = nNodes
-	}
 	a := &agent{
 		pilot:  p,
 		sess:   p.sess,
-		launch: vclock.NewSemaphore(p.sess.V, fmt.Sprintf("launcher pilot %d", p.ID), width),
+		launch: vclock.NewSemaphore(p.sess.V, fmt.Sprintf("launcher pilot %d", p.ID), nNodes),
 		sched:  newScheduler(nodes, p.sess.Cfg.Agent),
 		pend:   newPendingQueue(),
 	}

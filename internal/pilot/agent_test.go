@@ -1,33 +1,44 @@
 package pilot
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"entk/internal/vclock"
 )
 
+// TestLauncherWidthSerializesLaunches pins the launcher rule: one launch
+// slot per allocated node. On a one-node pilot four units submitted as
+// one wave launch strictly one after another, so with a 10ms launch
+// latency unit k (1..4) starts executing 40ms (the wave's client-side
+// cost) + k×10ms after submission. Any other width moves the starts.
 func TestLauncherWidthSerializesLaunches(t *testing.T) {
-	// With LauncherWidth=1 and launch latency 10ms, 8 concurrent units
-	// pay 80ms of serialized launch before the last one starts.
 	v := vclock.NewVirtual()
 	s := testSession(t, v)
-	s.Cfg.LauncherWidth = 1
 	v.Run(func() {
-		_, p := startPilot(t, s, 8)
+		_, p := startPilot(t, s, 4) // one node of the 4-core test machine
 		um := NewUnitManager(s)
 		um.AddPilot(p)
-		descs := make([]UnitDescription, 8)
+		descs := make([]UnitDescription, 4)
 		for i := range descs {
 			descs[i] = sleepUnit("w1", 1)
 		}
 		t0 := v.Now()
 		units, _ := um.Submit(descs)
 		um.WaitAll(units)
-		elapsed := v.Now() - t0
-		// submission 80ms + serialized launches 80ms + 1s exec.
-		if elapsed < 1100*time.Millisecond {
-			t.Errorf("elapsed %v, want >= 1.1s with serialized launcher", elapsed)
+		var starts []time.Duration
+		for _, u := range units {
+			start, stop, ok := u.ExecWindow()
+			if !ok || stop-start != time.Second {
+				t.Fatalf("unit %s window [%v, %v] ok=%v, want 1s executed", u.Desc.Name, start, stop, ok)
+			}
+			starts = append(starts, start-t0)
+		}
+		slices.Sort(starts)
+		want := []time.Duration{50 * time.Millisecond, 60 * time.Millisecond, 70 * time.Millisecond, 80 * time.Millisecond}
+		if !slices.Equal(starts, want) {
+			t.Errorf("exec starts after submit = %v, want %v (one launch slot on one node)", starts, want)
 		}
 		p.Cancel()
 	})

@@ -21,7 +21,8 @@ import (
 // each member wave still pays its own client-side submission cost
 // (len(descs) × UMSubmitPerUnit) from the instant it arrived before its
 // units dispatch — exactly the cost and the dispatch instant of an
-// unbatched UnitManager.Submit. Only the wall-clock shape changes:
+// unbatched submission (the reference intake the batcher tests keep in
+// manager_ref_test.go). Only the wall-clock shape changes:
 // fewer brackets, fewer per-unit lock round trips, one scheduling-pass
 // request per pilot per wave.
 //
@@ -53,7 +54,7 @@ func NewWaveBatcher(um *UnitManager) *WaveBatcher {
 // UnitManager returns the wrapped manager.
 func (b *WaveBatcher) UnitManager() *UnitManager { return b.um }
 
-// Submit is UnitManager.Submit through the shared batcher: validate,
+// Submit submits one bulk wave through the shared batcher: validate,
 // create the wave's units (coalesced with every other wave of the same
 // round), pay this wave's own client-side submission cost, then
 // late-bind and dispatch. It must be called from a registered vclock
@@ -70,8 +71,8 @@ func (b *WaveBatcher) Submit(descs []UnitDescription) ([]*ComputeUnit, error) {
 	return units, nil
 }
 
-// SubmitStreamed is UnitManager.SubmitStreamed through the shared
-// batcher: the wave joins the same creation rounds as bulk waves — all
+// SubmitStreamed submits one streamed wave through the shared batcher:
+// the wave joins the same creation rounds as bulk waves — all
 // waves arriving at one virtual instant are created under one umgr
 // bracket — and then dispatches each unit individually as its own
 // client-side cost elapses. Every unit still reaches its pilot at
@@ -95,9 +96,8 @@ func (b *WaveBatcher) SubmitStreamed(descs []UnitDescription) ([]*ComputeUnit, e
 // in description order, with no virtual time elapsed.
 func (b *WaveBatcher) join(descs []UnitDescription) ([]*ComputeUnit, error) {
 	// Validate before joining a round, so a malformed wave creates no
-	// units, brackets no wave, and poisons no round (matching
-	// UnitManager.Submit); the leader then creates units without a
-	// second validation pass.
+	// units, brackets no wave, and poisons no round; the leader then
+	// creates units without a second validation pass.
 	if err := validate(descs); err != nil {
 		return nil, err
 	}

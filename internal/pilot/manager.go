@@ -3,21 +3,21 @@ package pilot
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"entk/internal/profile"
 )
 
 // UnitManager accepts unit descriptions, binds each to a pilot — per the
 // installed placement policy, else round-robin — and forwards it to that
-// pilot's agent
-// (mirroring rp.UnitManager). Submissions arrive as bulk waves — one
-// Submit or SubmitStreamed call per wave — and waves from any number of
-// concurrent callers (the AppManager runs one submitting process per
-// live pipeline) interleave safely: per-wave state is call-local, the
-// pilot table and round-robin cursor are locked, and the agents accept
-// units from many submitters at once. Each wave brackets itself on the
-// "umgr" entity so interleaving is visible in the trace.
+// pilot's agent (mirroring rp.UnitManager). It has one intake: the
+// WaveBatcher (batcher.go) creates the units of every wave arriving at
+// one instant together, then hands each wave back to Dispatch or
+// DispatchStreamed. Waves from any number of concurrent callers (the
+// AppManager runs one submitting process per live pipeline) interleave
+// safely: per-wave state is call-local, the pilot table and round-robin
+// cursor are locked, and the agents accept units from many submitters
+// at once. Each creation round brackets itself on the "umgr" entity so
+// interleaving is visible in the trace.
 type UnitManager struct {
 	sess *Session
 	ent  profile.EntityID // "umgr": wave brackets record here
@@ -26,7 +26,7 @@ type UnitManager struct {
 	pilots []*ComputePilot
 	rr     int             // round-robin cursor (no placement policy)
 	place  PlacementPolicy // nil = round-robin over the pilots
-	waves  int             // waves accepted (Submit + SubmitStreamed + batched rounds)
+	waves  int             // creation rounds bracketed (beginWave calls)
 }
 
 // NewUnitManager returns a unit manager bound to the session.
@@ -123,8 +123,8 @@ func validate(descs []UnitDescription) error {
 
 // create constructs the unit for an already-validated description and
 // records its NEW event, charging no virtual time. It is the one place
-// units come from: Submit and the wave batcher create a whole wave up
-// front, SubmitStreamed one unit per elapsed client-side cost.
+// units come from: the wave batcher creates each round's waves up
+// front, before any of their client-side cost elapses.
 func (um *UnitManager) create(d UnitDescription) *ComputeUnit {
 	u := newUnit(um.sess, d)
 	um.sess.Prof.RecordID(u.entityID, um.sess.vocab.evNew)
@@ -158,65 +158,19 @@ func (um *UnitManager) bind(u *ComputeUnit) *ComputePilot {
 }
 
 // dispatchOne binds one unit and hands it to its pilot's agent — the
-// per-unit dispatch step of the unbatched and streamed paths.
+// per-unit dispatch step of DispatchStreamed.
 func (um *UnitManager) dispatchOne(u *ComputeUnit) {
 	if p := um.bind(u); p != nil {
 		p.agent.submit(u)
 	}
 }
 
-// Submit validates and submits unit descriptions in bulk: the client
-// first creates every unit (paying the per-unit submission cost, which is
-// what makes toolkit overhead grow with task count), then dispatches the
-// whole batch to the pilots' agents — like EnTK building a stage's CU
-// descriptions and calling submit_units once. It must be called from a
-// registered vclock process.
-func (um *UnitManager) Submit(descs []UnitDescription) ([]*ComputeUnit, error) {
-	if err := validate(descs); err != nil {
-		return nil, err
-	}
-	um.beginWave()
-	defer um.endWave()
-	units := um.createAll(descs)
-	// Client-side creation/serialization cost for the whole batch.
-	um.sess.V.Charge(time.Duration(len(descs)) * um.sess.Cfg.UMSubmitPerUnit)
-	for _, u := range units {
-		um.dispatchOne(u)
-	}
-	return units, nil
-}
-
-// SubmitStreamed validates and submits unit descriptions as a stream:
-// each unit is created and dispatched to its pilot as soon as its own
-// client-side submission cost has elapsed, instead of after the whole
-// batch's. Unit i therefore reaches an agent at the same virtual time as
-// the i-th of N serialized single-unit Submit calls, which is exactly the
-// timeline the ensemble-of-pipelines executor produces with one goroutine
-// per pipeline — without the N goroutines. It must be called from a
-// registered vclock process.
-func (um *UnitManager) SubmitStreamed(descs []UnitDescription) ([]*ComputeUnit, error) {
-	if err := validate(descs); err != nil {
-		return nil, err
-	}
-	um.beginWave()
-	defer um.endWave()
-	perUnit := um.sess.Cfg.UMSubmitPerUnit
-	units := make([]*ComputeUnit, len(descs))
-	for i := range descs {
-		units[i] = um.create(descs[i])
-		// Client-side creation/serialization cost for this one unit.
-		um.sess.V.Charge(perUnit)
-		um.dispatchOne(units[i])
-	}
-	return units, nil
-}
-
 // DispatchStreamed late-binds already-created units one at a time, each
-// after its own client-side cost has elapsed — the dispatch half of
-// SubmitStreamed, used by the wave batcher once a streamed wave's units
-// were created in a shared round. Unit i is picked and submitted at
-// exactly the instant the unbatched streamed path would dispatch it.
-// Must be called from a registered vclock process.
+// after its own client-side cost has elapsed: the wave batcher's
+// streamed dispatch, once the wave's units were created in a shared
+// round. Unit i is picked and submitted at arrival + (i+1) ×
+// UMSubmitPerUnit, the instant of the i-th of N serialized single-unit
+// submissions. Must be called from a registered vclock process.
 func (um *UnitManager) DispatchStreamed(units []*ComputeUnit) {
 	perUnit := um.sess.Cfg.UMSubmitPerUnit
 	for _, u := range units {
@@ -232,7 +186,7 @@ func (um *UnitManager) DispatchStreamed(units []*ComputeUnit) {
 const dispatchChunkMin = 64
 
 // Dispatch late-binds created units to pilots and hands them to the
-// agents — the dispatch half of Submit, called once the wave's
+// agents: the wave batcher's bulk dispatch, called once the wave's
 // client-side cost has elapsed. Consecutive units bound to the same
 // pilot are forwarded as bulk agent submissions (one queue insertion
 // and one scheduling-pass request per run), so a single-pilot wave
@@ -280,15 +234,6 @@ func (um *UnitManager) Dispatch(units []*ComputeUnit) {
 		}
 	}
 	flush()
-}
-
-// SubmitOne is a convenience wrapper for a single description.
-func (um *UnitManager) SubmitOne(d UnitDescription) (*ComputeUnit, error) {
-	us, err := um.Submit([]UnitDescription{d})
-	if err != nil {
-		return nil, err
-	}
-	return us[0], nil
 }
 
 // WaitAll blocks until every unit is terminal and returns their final

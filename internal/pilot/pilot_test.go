@@ -59,6 +59,33 @@ func sleepUnit(name string, seconds float64) UnitDescription {
 	}
 }
 
+// nopRunner is a real-mode runner that runs nothing.
+type nopRunner struct{}
+
+func (nopRunner) RunUnit(ExecRequest) error { return nil }
+func (nopRunner) ReleasePilot(int)          {}
+
+// TestNewSessionRunnerNeedsWallClock pins the real-mode guard: a Runner
+// blocks on real processes outside the virtual engine's accounting, so
+// NewSession refuses one under a virtual clock and accepts it under a
+// wall clock.
+func TestNewSessionRunnerNeedsWallClock(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Runner = nopRunner{}
+	newSession := func(v vclock.Clock) (msg any) {
+		defer func() { msg = recover() }()
+		NewSession(v, kernels.NewRegistry(), cfg)
+		return nil
+	}
+	want := "pilot: Config.Runner requires a wall clock (vclock.NewWall); real execution cannot run under a virtual engine"
+	if got := newSession(vclock.NewVirtual()); got != want {
+		t.Errorf("virtual clock: panic = %v, want %q", got, want)
+	}
+	if got := newSession(vclock.NewWall()); got != nil {
+		t.Errorf("wall clock: panic = %v, want none", got)
+	}
+}
+
 func TestPilotDescriptionValidate(t *testing.T) {
 	bad := []PilotDescription{
 		{Cores: 1, Walltime: time.Hour},

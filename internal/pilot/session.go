@@ -66,9 +66,6 @@ type Config struct {
 	UMSubmitPerUnit time.Duration
 	// Agent picks the node-packing strategy inside each pilot.
 	Agent Placement
-	// LauncherWidth bounds concurrent task launches inside one pilot;
-	// zero means one launcher slot per allocated node.
-	LauncherWidth int
 	// BatchPolicy is the queue discipline of the simulated batch systems.
 	BatchPolicy batch.Policy
 	// Runner, when non-nil, switches the agents into real-mode execution:
@@ -86,7 +83,6 @@ func DefaultConfig() Config {
 	return Config{
 		UMSubmitPerUnit: 10 * time.Millisecond,
 		Agent:           FirstFit,
-		LauncherWidth:   0,
 		BatchPolicy:     batch.FIFO,
 	}
 }
@@ -176,7 +172,7 @@ type backend struct {
 // execution blocks outside the engine's accounting, which would stall
 // (and likely deadlock-panic) a virtual simulation.
 func NewSession(v vclock.Clock, cost CostModel, cfg Config) *Session {
-	if cfg.Runner != nil && v.EngineKind() != vclock.EngineWall {
+	if _, wall := v.(*vclock.Wall); cfg.Runner != nil && !wall {
 		panic("pilot: Config.Runner requires a wall clock (vclock.NewWall); real execution cannot run under a virtual engine")
 	}
 	s := &Session{

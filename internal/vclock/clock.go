@@ -62,8 +62,6 @@ type Clock interface {
 	Attach()
 	// Detach removes the calling process from the runnable accounting.
 	Detach()
-	// EngineKind reports which engine backs this clock.
-	EngineKind() Engine
 
 	// core exposes the internal engine to this package's primitives.
 	core() engine

@@ -9,33 +9,6 @@ import (
 	"time"
 )
 
-// Engine names the core behind a Clock: the direct-handoff
-// discrete-event engine of a Virtual clock, or the real-time engine of
-// a Wall clock. The pilot layer reads it to refuse real-mode execution
-// under a virtual clock.
-type Engine int
-
-const (
-	// EngineHandoff is the discrete-event engine: a direct-handoff design
-	// with an atomic runnable counter, a hierarchical timer wheel that
-	// fires all same-deadline timers as one batch, per-primitive locks,
-	// and a cache-line-padded striped blocked table. When a wake lands in
-	// the window between a process publishing itself as a waiter and
-	// actually parking, the runnable token is handed straight across —
-	// neither side touches the global counter or a channel.
-	EngineHandoff Engine = iota
-	// EngineWall backs a Wall clock: real time, real sleeps, no runnable
-	// accounting.
-	EngineWall
-)
-
-func (e Engine) String() string {
-	if e == EngineWall {
-		return "wall"
-	}
-	return "handoff"
-}
-
 // engine is the internal contract between the Virtual façade (and the
 // blocking primitives) and a discrete-event core. A primitive blocks by
 // publishing a waiter in its own data structure (under its own lock) and
@@ -60,8 +33,6 @@ type engine interface {
 	// wake makes the process parked on w runnable again and releases it.
 	// Each published waiter must be woken exactly once.
 	wake(w *waiter)
-	// kind reports which engine this is.
-	kind() Engine
 }
 
 // Virtual is a discrete-event virtual clock.
@@ -83,9 +54,6 @@ type Virtual struct {
 // NewVirtual returns a virtual clock at time zero with no processes,
 // backed by the direct-handoff engine.
 func NewVirtual() *Virtual { return &Virtual{eng: newHandoffEngine()} }
-
-// EngineKind reports which engine backs this clock.
-func (v *Virtual) EngineKind() Engine { return v.eng.kind() }
 
 func (v *Virtual) core() engine { return v.eng }
 

@@ -28,18 +28,6 @@ func forEachEngine(t *testing.T, fn func(t *testing.T, v *Virtual)) {
 	}
 }
 
-func TestEngineKind(t *testing.T) {
-	if got := NewVirtual().EngineKind(); got != EngineHandoff {
-		t.Fatalf("NewVirtual engine = %v, want handoff", got)
-	}
-	if got := NewWall().EngineKind(); got != EngineWall {
-		t.Fatalf("NewWall engine = %v, want wall", got)
-	}
-	if got := newRefVirtual().EngineKind(); got != engineRef {
-		t.Fatalf("reference engine kind = %d, want %d", got, engineRef)
-	}
-}
-
 // TestEngineSleepOrdering: wake order and final time match on both
 // engines for out-of-order sleepers.
 func TestEngineSleepOrdering(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 	"entk/internal/pad"
 )
 
-// handoffEngine is the production discrete-event core (EngineHandoff).
+// handoffEngine is the production discrete-event core.
 // Where the reference engine serialises every operation on one global
 // mutex, this engine splits the state by contention domain:
 //
@@ -51,8 +51,6 @@ type handoffEngine struct {
 }
 
 func newHandoffEngine() *handoffEngine { return &handoffEngine{} }
-
-func (e *handoffEngine) kind() Engine { return EngineHandoff }
 
 func (e *handoffEngine) now() time.Duration {
 	return time.Duration(e.nowAtomic.Load())

@@ -40,13 +40,8 @@ func newRefEngine() *refEngine {
 	return &refEngine{blocked: make(map[*waiter]descSource)}
 }
 
-// engineRef is the reference engine's kind; it is not a product Engine.
-const engineRef = EngineWall + 1
-
 // newRefVirtual returns a virtual clock backed by the reference engine.
 func newRefVirtual() *Virtual { return &Virtual{eng: newRefEngine()} }
-
-func (v *refEngine) kind() Engine { return engineRef }
 
 func (v *refEngine) now() time.Duration {
 	return time.Duration(v.nowAtomic.Load())

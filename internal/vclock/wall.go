@@ -35,9 +35,6 @@ type Wall struct {
 // NewWall returns a wall clock whose origin is now.
 func NewWall() *Wall { return &Wall{eng: newWallEngine()} }
 
-// EngineKind reports EngineWall.
-func (w *Wall) EngineKind() Engine { return w.eng.kind() }
-
 // Now returns the monotonic wall time elapsed since NewWall.
 func (w *Wall) Now() time.Duration { return w.eng.now() }
 
@@ -91,8 +88,6 @@ type wallEngine struct {
 }
 
 func newWallEngine() *wallEngine { return &wallEngine{start: time.Now()} }
-
-func (e *wallEngine) kind() Engine { return EngineWall }
 
 func (e *wallEngine) now() time.Duration { return time.Since(e.start) }
 

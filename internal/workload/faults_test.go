@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"testing"
-
-	"entk/internal/vclock"
-)
+import "testing"
 
 // TestFaultTierSmoke runs the shape-identical smoke plan — small enough
 // for -race, covering the rebind path end to end with the tier's golden
@@ -12,7 +8,7 @@ import (
 func TestFaultTierSmoke(t *testing.T) {
 	// Named for the clock engine it runs on, as in the earlier engine
 	// matrix.
-	t.Run(vclock.EngineHandoff.String(), func(t *testing.T) {
+	t.Run("handoff", func(t *testing.T) {
 		res, err := FaultTier(&FaultTierSmoke)
 		if err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"entk"
-	"entk/internal/core"
 )
 
 // This file is the resource-binding regression gate: a single-pilot
@@ -18,7 +17,7 @@ import (
 // setParityPattern builds a fresh pattern per run: bulk stages with
 // branching and an injected retry — the structurally densest
 // sequentially-submitting parity workload (see
-// graph_parity_test.go for the reorder-invariance
+// internal/core/graph_parity_test.go for the reorder-invariance
 // constraints).
 func setParityPattern() entk.Pattern {
 	return &entk.EnsembleOfPipelines{
@@ -65,31 +64,19 @@ func setParityPipelines() []*entk.Pipeline {
 	}
 }
 
-// setParityLegs are the executor paths the pattern-path parity runs on.
-// Leg names keep the engine/scheduler/executor form of the earlier
-// matrix: the clock engine and the scheduler selection are now the
-// product's only ones, the executor is still selectable.
-var setParityLegs = []struct {
-	name string
-	exec core.ExecPath
-}{
-	{"handoff/indexed/graph", core.ExecGraph},
-	{"handoff/indexed/ref", core.ExecRef},
-}
-
 // TestResourceSetReportParity runs the pattern path on a handle and on
-// a single-pilot set, on both executor paths, requiring bit-identical
-// Reports.
+// a single-pilot set, requiring bit-identical Reports. The subtest keeps
+// the engine/scheduler/executor name of the earlier matrix; the
+// graph executor is compared with the seed pattern executor by
+// TestGraphReportParity in internal/core.
 func TestResourceSetReportParity(t *testing.T) {
-	for _, l := range setParityLegs {
-		t.Run(l.name, func(t *testing.T) { testSetReportParity(t, l.exec) })
-	}
+	t.Run("handoff/indexed/graph", testSetReportParity)
 }
 
-func testSetReportParity(t *testing.T, exec core.ExecPath) {
+func testSetReportParity(t *testing.T) {
 	run := func(asSet bool) *entk.Report {
 		v := entk.NewClock()
-		cfg := entk.Config{Clock: v, Exec: exec}
+		cfg := entk.Config{Clock: v}
 		var rep *entk.Report
 		var err error
 		v.Run(func() {
