@@ -33,8 +33,8 @@ import (
 // (EoP default mode, pairwise EE) use pipelines that are identical to
 // each other (durations may vary by stage, not by pipeline, and
 // branching/retry classes would couple slot order to the timeline), and
-// bulk waves are internally homogeneous (the agent's launcher slots
-// pair racily with wave members). Branching and retry coverage
+// bulk waves are internally homogeneous (a member's launcher slot
+// follows its place in the wave's placement order). Branching and retry coverage
 // therefore lives in the sequentially-submitting modes — bulk EoP,
 // streamed single-stage EoP, SAL — where wave membership is
 // deterministic, and each wave varies durations only across waves.

@@ -12,13 +12,12 @@ import (
 
 // agent is the pilot's on-resource component: it owns the allocation's
 // cores and schedules compute units onto them at the application level.
-// Units wait in a pending queue (pendq.go: segmented per-class buckets,
-// or the seed's flat FIFO as the selectable reference); submissions and
-// completions trigger a continuous-scheduling pass that places
-// whichever pending units fit. Each agent owns its queue outright, so a
-// multi-pilot ResourceSet's pending work is sharded per pilot: the
-// WaveBatcher's per-pilot bulk runs land in disjoint queues and the
-// pilots schedule independently.
+// Units wait in a pending queue (pendq.go: segmented per-class
+// buckets); submissions and completions trigger a continuous-scheduling
+// pass that places whichever pending units fit. Each agent owns its
+// queue outright, so a multi-pilot ResourceSet's pending work is
+// sharded per pilot: the WaveBatcher's per-pilot bulk runs land in
+// disjoint queues and the pilots schedule independently.
 //
 // The pass is incremental (see sched.go for the placement index and
 // pendq.go for the queue):
@@ -51,11 +50,6 @@ type agent struct {
 	pilot *ComputePilot
 	sess  *Session
 
-	// launch bounds concurrent task launches to one slot per allocated
-	// node; each launch also pays the machine's per-task launch latency.
-	// This is the runtime-side, per-task overhead component.
-	launch *vclock.Semaphore
-
 	mu      sync.Mutex
 	sched   scheduler
 	pend    pendingQueue
@@ -73,6 +67,18 @@ type agent struct {
 	inPass  bool
 	dirty   bool
 	scratch []launchReq
+
+	// launchFree is the launcher: one slot per allocated node, each
+	// holding the instant it next falls free. Every launch pays the
+	// machine's per-task launch latency, the runtime-side, per-task
+	// overhead component. The pass hands slots out round-robin from
+	// launchNext under mu. The latency is one constant per machine and
+	// Now never decreases, so the ring slot is always the earliest-free
+	// one and no scan for the minimum is needed; launch order is
+	// placement order. The slot count is fixed at allocation: node loss
+	// does not shrink it.
+	launchFree []time.Duration
+	launchNext int
 
 	// idle is a LIFO free list of executor workers whose chains ran dry:
 	// parked on plain channels and detached from the virtual clock, so
@@ -147,6 +153,9 @@ type launchReq struct {
 	u     *ComputeUnit
 	alloc allocation
 	gen   int
+	// launchEnd is the instant the unit's launch completes, computed by
+	// the pass from its launcher slot.
+	launchEnd time.Duration
 }
 
 // execSlot is one idle executor worker: a capacity-1 work channel (the
@@ -172,11 +181,11 @@ func newAgent(p *ComputePilot) *agent {
 		rem -= take
 	}
 	a := &agent{
-		pilot:  p,
-		sess:   p.sess,
-		launch: vclock.NewSemaphore(p.sess.V, fmt.Sprintf("launcher pilot %d", p.ID), nNodes),
-		sched:  newScheduler(nodes, p.sess.Cfg.Agent),
-		pend:   newPendingQueue(),
+		pilot:      p,
+		sess:       p.sess,
+		sched:      newScheduler(nodes, p.sess.Cfg.Agent),
+		pend:       newPendingQueue(),
+		launchFree: make([]time.Duration, nNodes),
 	}
 	if p.sess.Cfg.Agent == Backfill {
 		a.runEnds = make(map[*ComputeUnit]runInfo)
@@ -482,9 +491,8 @@ func (a *agent) submitBatch(us []*ComputeUnit) {
 }
 
 // cancelQueued removes a unit from the pending queue if still there —
-// an O(1) tombstone on the segmented queue (the seed reference keeps
-// its linear splice), so cancelling under a deep backlog never touches
-// unrelated entries.
+// an O(1) tombstone in its bucket, so cancelling under a deep backlog
+// never touches unrelated entries.
 func (a *agent) cancelQueued(u *ComputeUnit) {
 	a.mu.Lock()
 	ok := a.pend.cancel(u)
@@ -763,9 +771,8 @@ func (a *agent) passLocked() []launchReq {
 		}
 		alloc, ok := a.sched.tryPlace(need, u.Desc.MPI)
 		if !ok {
-			// Defensive (the precheck implies placement succeeds on both
-			// scheduler implementations): keep just this unit, claiming
-			// no class-wide knowledge.
+			// Defensive (the precheck implies placement succeeds): keep
+			// just this unit, claiming no class-wide knowledge.
 			if backfill && !blocked {
 				blocked = true
 				shadow, extra = a.reservationLocked(need)
@@ -789,13 +796,23 @@ func (a *agent) passLocked() []launchReq {
 			g = u.generation()
 			a.inflight[u] = flightInfo{alloc: alloc, gen: g}
 		}
-		launches = append(launches, launchReq{u, alloc, g})
+		launches = append(launches, launchReq{u, alloc, g, a.launchLocked(m.TaskLaunchLatency)})
 		q.placed()
 	}
 	q.endPass()
 	a.passPlaced += uint64(len(launches))
 	a.scratch = launches
 	return launches
+}
+
+// launchLocked takes the next launcher slot for a unit placed now and
+// returns the instant its launch completes. Caller holds mu.
+func (a *agent) launchLocked(latency time.Duration) time.Duration {
+	i := a.launchNext
+	a.launchNext = (i + 1) % len(a.launchFree)
+	end := max(a.sess.V.Now(), a.launchFree[i]) + latency
+	a.launchFree[i] = end
+	return end
 }
 
 // predictLocked estimates a unit's execution duration via the cost model
@@ -837,10 +854,8 @@ func (a *agent) reservationLocked(headNeed int) (shadow time.Duration, extra int
 // one back — continues directly with a successor unit, so a saturated
 // pilot reuses one goroutine per core chain instead of spawning one per
 // unit. The chain is also what feeds the vclock engine's direct-handoff
-// fast path: the successor's launcher Acquire and first Sleep issue from
-// an already-running process, so same-instant block→wake pairs (launcher
-// release racing the next acquire) resolve by token handoff instead of a
-// park/unpark round trip through the Go scheduler.
+// fast path: the successor's launch and execution sleeps issue from an
+// already-running process instead of a freshly woken goroutine.
 func (a *agent) execute(lr launchReq) {
 	for {
 		a.executeUnit(lr)
@@ -866,10 +881,8 @@ func (a *agent) executeUnit(lr launchReq) {
 	prof := a.sess.Prof
 	vocab := &a.sess.vocab
 
-	// Launch: bounded concurrency, per-task latency.
-	a.launch.Acquire(1)
-	v.Charge(m.TaskLaunchLatency)
-	a.launch.Release(1)
+	// Launch: wait out the launcher slot the pass computed.
+	v.Charge(lr.launchEnd - v.Now())
 	if a.isStopped() {
 		u.finishFrom(lr.gen, UnitFailed, a.stopCause())
 		return

@@ -1,6 +1,7 @@
 package pilot
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -9,39 +10,58 @@ import (
 )
 
 // TestLauncherWidthSerializesLaunches pins the launcher rule: one launch
-// slot per allocated node. On a one-node pilot four units submitted as
-// one wave launch strictly one after another, so with a 10ms launch
-// latency unit k (1..4) starts executing 40ms (the wave's client-side
-// cost) + k×10ms after submission. Any other width moves the starts.
+// slot per allocated node, handed out in placement order. Units submitted
+// as one wave pay the wave's client-side cost (10ms each) and then launch
+// in submission order, one node-width group at a time, each group 10ms
+// (the launch latency) after the one before. On a one-node pilot unit k
+// therefore starts executing 40ms + (k+1)×10ms after submission; on a
+// two-node pilot eight units start in pairs from 90ms. Any other width,
+// or any launch order but placement order, moves the starts.
 func TestLauncherWidthSerializesLaunches(t *testing.T) {
-	v := vclock.NewVirtual()
-	s := testSession(t, v)
-	v.Run(func() {
-		_, p := startPilot(t, s, 4) // one node of the 4-core test machine
-		um := NewUnitManager(s)
-		um.AddPilot(p)
-		descs := make([]UnitDescription, 4)
-		for i := range descs {
-			descs[i] = sleepUnit("w1", 1)
+	ms := func(ds ...int) []time.Duration {
+		out := make([]time.Duration, len(ds))
+		for i, d := range ds {
+			out[i] = time.Duration(d) * time.Millisecond
 		}
-		t0 := v.Now()
-		units, _ := um.Submit(descs)
-		um.WaitAll(units)
-		var starts []time.Duration
-		for _, u := range units {
-			start, stop, ok := u.ExecWindow()
-			if !ok || stop-start != time.Second {
-				t.Fatalf("unit %s window [%v, %v] ok=%v, want 1s executed", u.Desc.Name, start, stop, ok)
-			}
-			starts = append(starts, start-t0)
-		}
-		slices.Sort(starts)
-		want := []time.Duration{50 * time.Millisecond, 60 * time.Millisecond, 70 * time.Millisecond, 80 * time.Millisecond}
-		if !slices.Equal(starts, want) {
-			t.Errorf("exec starts after submit = %v, want %v (one launch slot on one node)", starts, want)
-		}
-		p.Cancel()
-	})
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		cores int // test machine nodes are 4 cores wide
+		want  []time.Duration
+	}{
+		{"one-node", 4, ms(50, 60, 70, 80)},
+		{"two-node", 8, ms(90, 90, 100, 100, 110, 110, 120, 120)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := vclock.NewVirtual()
+			s := testSession(t, v)
+			v.Run(func() {
+				_, p := startPilot(t, s, tc.cores)
+				um := NewUnitManager(s)
+				um.AddPilot(p)
+				descs := make([]UnitDescription, len(tc.want))
+				for i := range descs {
+					descs[i] = sleepUnit(fmt.Sprintf("w%d", i), 1)
+				}
+				t0 := v.Now()
+				units, _ := um.Submit(descs)
+				um.WaitAll(units)
+				var starts []time.Duration
+				for _, u := range units {
+					start, stop, ok := u.ExecWindow()
+					if !ok || stop-start != time.Second {
+						t.Fatalf("unit %s window [%v, %v] ok=%v, want 1s executed", u.Desc.Name, start, stop, ok)
+					}
+					starts = append(starts, start-t0)
+				}
+				if !slices.Equal(starts, tc.want) {
+					t.Errorf("exec starts after submit, in submission order = %v, want %v", starts, tc.want)
+				}
+				p.Cancel()
+			})
+		})
+	}
 }
 
 func TestBestFitPacksTightestNode(t *testing.T) {

@@ -230,8 +230,12 @@ func (o *Orchestrator) launch(h *handle, release func()) {
 // settle records a campaign's terminal state. It runs inside the
 // pool's simulation process (its last act before the pool idles), so
 // everything here must stay wall-clock-light and must not block on
-// vclock primitives of other pools.
+// vclock primitives of other pools. A run that returns no error but
+// whose report did not execute its whole task plan settles failed.
 func (o *Orchestrator) settle(h *handle, res *campaign.Result, err error, release func()) {
+	if err == nil {
+		err = countMismatch(res)
+	}
 	h.mu.Lock()
 	h.result = res
 	interrupted := h.state == StateCheckpointed || h.state == StateAborted
@@ -256,6 +260,24 @@ func (o *Orchestrator) settle(h *handle, res *campaign.Result, err error, releas
 	}
 	close(h.done)
 	release()
+}
+
+// countMismatch reports a run whose top-level report executed a task
+// count other than its plan. Served campaigns carry no adaptive hooks,
+// so their plan is exact and any difference means lost or extra work.
+func countMismatch(res *campaign.Result) error {
+	var rep *entk.Report
+	switch {
+	case res == nil:
+	case res.Campaign != nil:
+		rep = res.Campaign.Campaign
+	default:
+		rep = res.Report
+	}
+	if rep == nil || rep.Tasks == rep.PlannedTasks {
+		return nil
+	}
+	return fmt.Errorf("serve: campaign ran %d tasks of %d planned", rep.Tasks, rep.PlannedTasks)
 }
 
 // Status returns one campaign's current status.
