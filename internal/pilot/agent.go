@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"entk/internal/profile"
 	"entk/internal/vclock"
 )
 
@@ -25,9 +26,9 @@ import (
 //   - a pending-need watermark (minNeedAny/minNeedMPI) lets completion
 //     events skip the pass entirely when no pending unit can fit the
 //     newly freed capacity — the common case for a saturated pilot;
-//   - passes are batched: while one pass runs, further submit/completion
-//     events only mark the queue dirty, and the running pass loops until
-//     clean, so one pass services many same-instant completions;
+//   - a pass runs whole under the agent lock and arms each placement's
+//     run (a unitRun driven by clock timers, not a goroutine) as it
+//     places it, so no event can interleave with a pass;
 //   - within a pass, an O(1) feasibility precheck (against the free-core
 //     index) rejects units without touching the node state — and, on the
 //     segmented queue, blocks the unit's whole placement class for the
@@ -57,16 +58,9 @@ type agent struct {
 	stopped bool
 	stopErr error
 	running int
-	// stoppedFlag mirrors stopped for the executor's lock-free checks on
+	// stoppedFlag mirrors stopped for the unit runs' lock-free checks on
 	// the per-unit hot path; written under mu, read via atomic.
 	stoppedFlag atomic.Bool
-
-	// inPass and dirty coalesce scheduling passes; scratch is a
-	// pass-local buffer reused across passes (only the pass owner
-	// touches it).
-	inPass  bool
-	dirty   bool
-	scratch []launchReq
 
 	// launchFree is the launcher: one slot per allocated node, each
 	// holding the instant it next falls free. Every launch pays the
@@ -80,15 +74,10 @@ type agent struct {
 	launchFree []time.Duration
 	launchNext int
 
-	// idle is a LIFO free list of executor workers whose chains ran dry:
-	// parked on plain channels and detached from the virtual clock, so
-	// they are invisible to the engine while idle, and a new scheduling
-	// wave re-attaches them instead of spawning fresh goroutines (whose
-	// stacks would have to regrow — 8k-goroutine waves made the runtime's
-	// stack machinery a top profile entry). Guarded by idleMu; drained by
-	// stop.
-	idleMu sync.Mutex
-	idle   *execSlot
+	// freeRuns recycles released run records (under mu): a pilot keeps
+	// as many as it ever ran at once, so a steady stream of placements
+	// allocates none.
+	freeRuns *unitRun
 
 	// passCount/passScanned/passPlaced instrument the scheduling passes
 	// (under mu): passes run, units yielded by the queue, units placed.
@@ -142,28 +131,6 @@ type flightInfo struct {
 type runInfo struct {
 	end   time.Duration
 	cores int
-}
-
-// launchReq is one placement decided by a pass, executed after unlock.
-// gen is the unit's rebind generation at placement time (-1 on agents
-// that do not track in-flight work): every effect the executor applies
-// is gated on it, so a unit stolen for rebinding mid-flight cannot be
-// double-settled by its stale executor.
-type launchReq struct {
-	u     *ComputeUnit
-	alloc allocation
-	gen   int
-	// launchEnd is the instant the unit's launch completes, computed by
-	// the pass from its launcher slot.
-	launchEnd time.Duration
-}
-
-// execSlot is one idle executor worker: a capacity-1 work channel (the
-// dispatcher must never block handing work to a parked worker) and the
-// free-list link. Allocated once per worker goroutine.
-type execSlot struct {
-	ch   chan launchReq
-	next *execSlot
 }
 
 func newAgent(p *ComputePilot) *agent {
@@ -242,9 +209,9 @@ func (a *agent) start() {
 
 // halt is the teardown stop and stopWithReturn share: it marks the agent
 // stopped with cause, empties the pending queue and the in-flight table,
-// releases the idle executor pool and (real mode) the pilot's processes,
-// and returns what it took. Both results are nil on an agent already
-// stopped; running is nil on agents that do not track in-flight work.
+// releases (real mode) the pilot's processes, and returns what it took.
+// Both results are nil on an agent already stopped; running is nil on
+// agents that do not track in-flight work.
 func (a *agent) halt(cause error) (running, pend []*ComputeUnit) {
 	a.mu.Lock()
 	if a.stopped {
@@ -263,18 +230,8 @@ func (a *agent) halt(cause error) (running, pend []*ComputeUnit) {
 		a.inflight = make(map[*ComputeUnit]flightInfo)
 	}
 	a.mu.Unlock()
-	// Drain the idle executor pool: closing each slot releases its
-	// parked (clock-detached) worker goroutine. stoppedFlag is already
-	// set, so a worker racing onto the list exits before parking.
-	a.idleMu.Lock()
-	idle := a.idle
-	a.idle = nil
-	a.idleMu.Unlock()
-	for w := idle; w != nil; w = w.next {
-		close(w.ch)
-	}
 	// Real mode: reap every OS process still running for this pilot.
-	// Their executors' RunUnit calls return with the kill error, and the
+	// Their runs' RunUnit calls return with the kill error, and the
 	// units either fail with the stop cause or — stolen for rebinding —
 	// have every later effect generation-gated away. No orphans outlive
 	// the agent.
@@ -285,7 +242,7 @@ func (a *agent) halt(cause error) (running, pend []*ComputeUnit) {
 }
 
 // stop fails all queued units and refuses future work. Running units
-// fail with the stop cause at their executor's next stop check.
+// fail with the stop cause at their run's next stop check.
 func (a *agent) stop(cause error) {
 	_, doomed := a.halt(cause)
 	for _, u := range doomed {
@@ -296,9 +253,9 @@ func (a *agent) stop(cause error) {
 // stopWithReturn is stop for a pilot with a recovery path installed:
 // instead of failing the backlog it returns the drained pending queue
 // and the stolen in-flight units for the caller to rebind onto surviving
-// pilots. A stolen unit's stale executor keeps running — virtual sleeps
-// cannot be interrupted — but every subsequent effect is generation-gated
-// (unit.go), so it exits harmlessly at its next gate.
+// pilots. A stolen unit's stale run is not cancelled — its pending timer
+// stays armed — but every subsequent effect is generation-gated
+// (unit.go), so it ends harmlessly at its next gate.
 func (a *agent) stopWithReturn(cause error) []*ComputeUnit {
 	return displaced(a.halt(cause))
 }
@@ -527,23 +484,14 @@ func (a *agent) passStats() (passes, scanned, placed, queueWork uint64) {
 	return a.passCount, a.passScanned, a.passPlaced, a.pend.work()
 }
 
-// requestPass is the tail every intake shares: mark the queue dirty and
-// run the scheduling passes, unless the agent is not scheduling (not yet
-// started, or stopped) or a pass is already running — it loops until
-// clean, so it picks the flag up. Caller holds mu; released on return.
+// requestPass is the tail every intake shares: run a scheduling pass
+// unless the agent is not scheduling (not yet started, or stopped).
+// Caller holds mu; released on return.
 func (a *agent) requestPass() {
-	if !a.started || a.stopped {
-		a.mu.Unlock()
-		return
+	if a.started && !a.stopped {
+		a.passLocked(false)
 	}
-	a.dirty = true
-	if a.inPass {
-		a.mu.Unlock()
-		return
-	}
-	if lr, ok := a.runPassesTakeOne(); ok { // unlocks
-		a.spawnExec(lr)
-	}
+	a.mu.Unlock()
 }
 
 // utilSnapshot reads the utilization counters.
@@ -553,49 +501,40 @@ func (a *agent) utilSnapshot() UtilSnapshot {
 	return UtilSnapshot{Units: a.utilUnits, CoreBusy: a.utilBusy}
 }
 
-// release returns an allocation's cores and reschedules. The watermark
-// check makes completions O(1) when nothing pending can use the freed
-// capacity. When the triggered pass places units, the first placement is
-// handed back to the caller — a completing executor goroutine runs its
-// successor directly instead of spawning a fresh goroutine per unit.
-func (a *agent) release(lr launchReq) (launchReq, bool) {
+// release is a run's last step: it returns the allocation's cores, puts
+// the record back on the free list, and reschedules — the pass arms the
+// successors the freed capacity admits, and hands back the first whose
+// launch wait is already over (see passLocked) for the caller to run on
+// its own goroutine. The watermark check makes completions O(1) when
+// nothing pending can use the freed capacity.
+func (a *agent) release(r *unitRun) (next *unitRun) {
 	a.mu.Lock()
-	a.releaseAllocLocked(lr.alloc)
+	a.releaseAllocLocked(r.alloc)
 	a.running--
 	if a.runEnds != nil {
-		delete(a.runEnds, lr.u)
+		delete(a.runEnds, r.u)
 	}
 	if a.inflight != nil {
 		// Only the entry of this very placement: the unit may already be
 		// re-placed here under a newer generation.
-		if fi, ok := a.inflight[lr.u]; ok && fi.gen == lr.gen {
-			delete(a.inflight, lr.u)
+		if fi, ok := a.inflight[r.u]; ok && fi.gen == r.gen {
+			delete(a.inflight, r.u)
 		}
 	}
+	*r = unitRun{a: a, step: r.step, next: a.freeRuns}
+	a.freeRuns = r
 	var quiesce *vclock.Event
 	if a.running == 0 && a.quiesceEv != nil {
 		quiesce = a.quiesceEv
 	}
-	if !a.started || a.stopped || a.pend.size() == 0 || !a.fitPossible() {
-		a.mu.Unlock()
-		if quiesce != nil {
-			quiesce.Fire()
-		}
-		return launchReq{}, false
+	if a.started && !a.stopped && a.pend.size() > 0 && a.fitPossible() {
+		next = a.passLocked(true)
 	}
-	a.dirty = true
-	if a.inPass {
-		a.mu.Unlock()
-		if quiesce != nil {
-			quiesce.Fire()
-		}
-		return launchReq{}, false
-	}
-	next, ok := a.runPassesTakeOne() // unlocks
+	a.mu.Unlock()
 	if quiesce != nil {
 		quiesce.Fire()
 	}
-	return next, ok
+	return next
 }
 
 // releaseAllocLocked returns an allocation's cores to the scheduler,
@@ -622,97 +561,22 @@ func (a *agent) releaseAllocLocked(alloc allocation) {
 	}
 }
 
-// spawnExec starts lr on an executor: an idle pooled worker when one is
-// parked, else a fresh goroutine. The worker is attached to the clock
-// before the handoff so the engine cannot advance past the pending work.
-func (a *agent) spawnExec(lr launchReq) {
-	a.idleMu.Lock()
-	w := a.idle
-	if w != nil {
-		a.idle = w.next
-	}
-	a.idleMu.Unlock()
-	if w != nil {
-		a.sess.V.Attach()
-		w.ch <- lr // never blocks: cap 1, worker is parked empty
-		return
-	}
-	a.sess.V.Go(func() { a.executorLoop(lr) })
-}
-
-// executorLoop is the body of one executor worker goroutine: run chains
-// (execute), and between chains park detached on the idle list until the
-// next wave dispatches work or stop drains the pool.
-func (a *agent) executorLoop(lr launchReq) {
-	var slot *execSlot
-	for {
-		a.execute(lr)
-		// Chain dry: park as an idle worker, invisible to the clock.
-		if slot == nil {
-			slot = &execSlot{ch: make(chan launchReq, 1)}
-		}
-		a.idleMu.Lock()
-		if a.stoppedFlag.Load() {
-			a.idleMu.Unlock()
-			return // still attached; Go's deregister balances
-		}
-		slot.next = a.idle
-		a.idle = slot
-		a.idleMu.Unlock()
-		a.sess.V.Detach()
-		next, ok := <-slot.ch
-		if !ok {
-			// Drained by stop: rejoin the clock so the enclosing Go
-			// wrapper's deregister stays balanced, then exit.
-			a.sess.V.Attach()
-			return
-		}
-		lr = next
-	}
-}
-
-// runPassesTakeOne drains the dirty flag: it runs scheduling passes until
-// no new event arrived during the last one, spawning an executor per
-// placement except the first of the cascade, which is returned for the
-// caller to run itself (release) or spawn (requestPass). Caller holds mu
-// with inPass false and dirty true; the mutex is released on return.
-func (a *agent) runPassesTakeOne() (launchReq, bool) {
-	var first launchReq
-	var haveFirst bool
-	a.inPass = true
-	for a.dirty && a.started && !a.stopped {
-		a.dirty = false
-		launches := a.passLocked()
-		if len(launches) == 0 {
-			continue
-		}
-		a.mu.Unlock()
-		for _, lr := range launches {
-			if !haveFirst {
-				first, haveFirst = lr, true
-				continue
-			}
-			a.spawnExec(lr)
-		}
-		a.mu.Lock()
-	}
-	a.inPass = false
-	a.mu.Unlock()
-	return first, haveFirst
-}
-
 // passLocked performs one continuous-scheduling pass over the pending
-// queue, returning the placements decided. Caller holds mu for the
-// whole pass (so the queue's pass cursors see no interleaved mutation);
-// the returned slice is agent-owned scratch, valid until the next pass.
-func (a *agent) passLocked() []launchReq {
+// queue and arms a run for each placement, in placement order: a timer
+// at its launch end. Waiting out the launcher slot is modelled overhead,
+// so the wait is what the clock charges — nothing on the wall clock.
+// With take, the first placement left no wait is returned unarmed
+// instead, for the caller (a run at its end) to continue with on its own
+// goroutine rather than starting another. Caller holds mu for the whole
+// pass (so the queue's pass cursors see no interleaved mutation).
+func (a *agent) passLocked(take bool) (next *unitRun) {
 	if a.sched.freeCores() == 0 {
 		// Saturated: nothing can be placed, leave the queue untouched.
 		// (Never-placeable units cannot be in it: submit rejects them.)
 		return nil
 	}
-	launches := a.scratch[:0]
 	m := a.pilot.backend.machine
+	v := a.sess.V
 	backfill := a.sess.Cfg.Agent == Backfill
 
 	// Backfill reservation state: set once the FIFO head blocks.
@@ -796,13 +660,18 @@ func (a *agent) passLocked() []launchReq {
 			g = u.generation()
 			a.inflight[u] = flightInfo{alloc: alloc, gen: g}
 		}
-		launches = append(launches, launchReq{u, alloc, g, a.launchLocked(m.TaskLaunchLatency)})
+		r := a.newRunLocked(u, alloc, g)
+		wait := v.Charged(a.launchLocked(m.TaskLaunchLatency) - v.Now())
+		if take && next == nil && wait <= 0 {
+			next = r
+		} else {
+			v.After(wait, r.step)
+		}
+		a.passPlaced++
 		q.placed()
 	}
 	q.endPass()
-	a.passPlaced += uint64(len(launches))
-	a.scratch = launches
-	return launches
+	return next
 }
 
 // launchLocked takes the next launcher slot for a unit placed now and
@@ -849,143 +718,196 @@ func (a *agent) reservationLocked(headNeed int) (shadow time.Duration, extra int
 	return 0, -1
 }
 
-// execute is an executor goroutine: it runs the launched unit's
-// lifecycle, releases its allocation, and — when the release's pass hands
-// one back — continues directly with a successor unit, so a saturated
-// pilot reuses one goroutine per core chain instead of spawning one per
-// unit. The chain is also what feeds the vclock engine's direct-handoff
-// fast path: the successor's launch and execution sleeps issue from an
-// already-running process instead of a freshly woken goroutine.
-func (a *agent) execute(lr launchReq) {
-	for {
-		a.executeUnit(lr)
-		next, ok := a.release(lr)
-		if !ok {
-			return
+// unitRun is one placement's run: the unit, its allocation, and the
+// rebind generation captured at placement (-1 on agents that do not
+// track in-flight work). No goroutine carries a run. Clock timers drive
+// its chain of steps — launch end, stage-in, exec start, exec end
+// (simulation), exec stop and stage-out, finish, release — and a step
+// that only records or computes runs inside the timer callback. A step
+// that can block (a staging mover, the unit's Work) runs on a process of
+// its own, which continues the same chain when the call returns; the
+// real-mode runner needs the wall clock, where the chain already runs on
+// a goroutine of its own. Each step returns the run its goroutine
+// continues with: nil, or the successor its release handed back. Every
+// effect is gated on gen: when the unit was stolen for rebinding
+// mid-flight, this stale run's transitions, profiler records,
+// utilization bumps and finish are all discarded — the rebound run owns
+// them — and only its release still happens.
+type unitRun struct {
+	a     *agent
+	u     *ComputeUnit
+	alloc allocation
+	gen   int
+	start time.Duration // exec start
+	// executing selects the timer step resume runs: exec end, not
+	// launch end.
+	executing bool
+	// step is resume bound once per record, so arming a timer allocates
+	// only the timer.
+	step func()
+	next *unitRun // free list
+}
+
+// newRunLocked takes a run record for a unit placed now. Caller holds
+// mu.
+func (a *agent) newRunLocked(u *ComputeUnit, alloc allocation, gen int) *unitRun {
+	r := a.freeRuns
+	if r == nil {
+		r = &unitRun{a: a}
+		r.step = r.resume
+	} else {
+		a.freeRuns, r.next = r.next, nil
+	}
+	r.u, r.alloc, r.gen = u, alloc, gen
+	return r
+}
+
+// resume is the run's timer callback, and the loop a goroutine runs
+// chains in: a run that hands back a successor continues with it here
+// rather than one call deeper. r may be nil.
+func (r *unitRun) resume() {
+	for r != nil {
+		if r.executing {
+			r = r.executed(nil)
+		} else {
+			r = r.launched()
 		}
-		lr = next
 	}
 }
 
-// executeUnit runs one unit's full lifecycle on its allocation: launch,
-// staging-in, execution (virtual sleep of the cost-model duration plus the
-// optional real Work), staging-out. The caller releases the allocation.
-// Every effect is gated on lr.gen: when the unit was stolen for rebinding
-// mid-flight, this (now stale) executor's transitions, profiler records,
-// utilization bumps, and finish are all discarded — the rebound run owns
-// them. lr.gen is -1 (no gating) on agents without in-flight tracking.
-func (a *agent) executeUnit(lr launchReq) {
-	u := lr.u
-	v := a.sess.V
-	m := a.pilot.backend.machine
-	prof := a.sess.Prof
-	vocab := &a.sess.vocab
-
-	// Launch: wait out the launcher slot the pass computed.
-	v.Charge(lr.launchEnd - v.Now())
+// launched is the launch-end step: the stop check, then input staging or
+// straight to execution.
+func (r *unitRun) launched() *unitRun {
+	a, u := r.a, r.u
 	if a.isStopped() {
-		u.finishFrom(lr.gen, UnitFailed, a.stopCause())
-		return
+		return r.finish(UnitFailed, a.stopCause())
 	}
-
-	// Input staging.
-	if len(u.Desc.InputStaging) > 0 {
-		if !u.setStateFrom(lr.gen, UnitStagingInput) {
-			return
-		}
-		prof.RecordID(u.entityID, vocab.evStageinStart)
-		if _, err := a.pilot.backend.mover.Run(u.Desc.InputStaging); err != nil {
-			u.finishFrom(lr.gen, UnitFailed, fmt.Errorf("input staging: %w", err))
-			return
-		}
-		if u.staleGen(lr.gen) {
-			return
-		}
-		prof.RecordID(u.entityID, vocab.evStageinStop)
+	if len(u.Desc.InputStaging) == 0 {
+		return r.execute()
 	}
+	vocab := &a.sess.vocab
+	return r.stage(UnitStagingInput, u.Desc.InputStaging, vocab.evStageinStart, vocab.evStageinStop, "input", r.execute)
+}
 
-	// Execution.
-	dur, err := a.sess.Cost.Duration(u.Desc.Kernel, u.Desc.Params, u.Desc.Cores, m)
+// stage runs one staging step: the state transition and start record
+// here, then the mover — it sleeps out the modelled transfer — on a
+// process of its own, which records the stop and continues with then.
+func (r *unitRun) stage(st UnitState, dirs []Directive, evStart, evStop profile.NameID, what string, then func() *unitRun) *unitRun {
+	a, u := r.a, r.u
+	if !u.setStateFrom(r.gen, st) {
+		return a.release(r)
+	}
+	a.sess.Prof.RecordID(u.entityID, evStart)
+	a.sess.V.Go(func() {
+		if _, err := a.pilot.backend.mover.Run(dirs); err != nil {
+			r.finish(UnitFailed, fmt.Errorf("%s staging: %w", what, err)).resume()
+			return
+		}
+		if u.staleGen(r.gen) {
+			a.release(r).resume()
+			return
+		}
+		a.sess.Prof.RecordID(u.entityID, evStop)
+		then().resume()
+	})
+	return nil
+}
+
+// execute opens the execution window: the cost-model duration, EXECUTING
+// and exec_start, then the window itself — a timer of the modelled
+// duration in simulation, the runner's blocking call in real mode.
+func (r *unitRun) execute() *unitRun {
+	a, u := r.a, r.u
+	v := a.sess.V
+	dur, err := a.sess.Cost.Duration(u.Desc.Kernel, u.Desc.Params, u.Desc.Cores, a.pilot.backend.machine)
 	if err != nil {
-		u.finishFrom(lr.gen, UnitFailed, err)
-		return
+		return r.finish(UnitFailed, err)
 	}
-	if !u.setStateFrom(lr.gen, UnitExecuting) {
-		return
+	if !u.setStateFrom(r.gen, UnitExecuting) {
+		return a.release(r)
 	}
-	start := v.Now()
-	prof.RecordID(u.entityID, vocab.evExecStart)
-	var execErr error
-	if r := a.sess.Cfg.Runner; r != nil {
-		// Real mode: the runner blocks for as long as the unit really
-		// takes (an OS process, or a wall sleep of the modelled duration
-		// for kernels without a command). The window is still bracketed
-		// by the same records and accounting as the simulated path.
-		execErr = r.RunUnit(ExecRequest{
-			PilotID:    a.pilot.ID,
-			PilotCores: a.pilot.Desc.Cores,
-			Unit:       u.Desc.Name,
-			UnitID:     u.ID,
-			Attempt:    u.Desc.Attempt,
-			Kernel:     u.Desc.Kernel,
-			Executable: u.Desc.Executable,
-			Args:       u.Desc.Args,
-			Cores:      u.Desc.Cores,
-			Model:      dur,
-		})
-	} else {
-		v.Sleep(dur)
+	r.start = v.Now()
+	a.sess.Prof.RecordID(u.entityID, a.sess.vocab.evExecStart)
+	runner := a.sess.Cfg.Runner
+	if runner == nil {
+		r.executing = true
+		v.After(dur, r.step)
+		return nil
 	}
-	stop := v.Now()
-	if !u.markExecFrom(lr.gen, start, stop) {
-		return
+	// Real mode: the runner blocks for as long as the unit really takes
+	// (an OS process, or a wall sleep of the modelled duration for
+	// kernels without a command). The window is still bracketed by the
+	// same records and accounting as the simulated one. A runner needs
+	// the wall clock (NewSession), where this step already runs on a
+	// goroutine of its own, so the call blocks here.
+	return r.executed(runner.RunUnit(ExecRequest{
+		PilotID:    a.pilot.ID,
+		PilotCores: a.pilot.Desc.Cores,
+		Unit:       u.Desc.Name,
+		UnitID:     u.ID,
+		Attempt:    u.Desc.Attempt,
+		Kernel:     u.Desc.Kernel,
+		Executable: u.Desc.Executable,
+		Args:       u.Desc.Args,
+		Cores:      u.Desc.Cores,
+		Model:      dur,
+	}))
+}
+
+// executed closes the execution window: exec_stop and the utilization
+// counters, then the failure checks, the unit's Work (on a process: it
+// may block) and output staging.
+func (r *unitRun) executed(execErr error) *unitRun {
+	a, u := r.a, r.u
+	stop := a.sess.V.Now()
+	if !u.markExecFrom(r.gen, r.start, stop) {
+		return a.release(r)
 	}
-	prof.RecordID(u.entityID, vocab.evExecStop)
+	a.sess.Prof.RecordID(u.entityID, a.sess.vocab.evExecStop)
 	// Utilization counters are bumped before the unit can turn final, so
 	// a snapshot taken when a campaign's last unit settles cannot miss
 	// its execution.
 	a.mu.Lock()
 	a.utilUnits++
-	a.utilBusy += (stop - start) * time.Duration(u.Desc.Cores)
+	a.utilBusy += (stop - r.start) * time.Duration(u.Desc.Cores)
 	a.mu.Unlock()
 
-	if execErr != nil {
-		u.finishFrom(lr.gen, UnitFailed, fmt.Errorf("unit %q exec: %w", u.Desc.Name, execErr))
-		return
-	}
-	if u.Desc.FailOn != nil && u.Desc.FailOn(u.Desc.Attempt) {
-		u.finishFrom(lr.gen, UnitFailed, fmt.Errorf("unit %q failed (injected, attempt %d)",
+	switch {
+	case execErr != nil:
+		return r.finish(UnitFailed, fmt.Errorf("unit %q exec: %w", u.Desc.Name, execErr))
+	case u.Desc.FailOn != nil && u.Desc.FailOn(u.Desc.Attempt):
+		return r.finish(UnitFailed, fmt.Errorf("unit %q failed (injected, attempt %d)",
 			u.Desc.Name, u.Desc.Attempt))
-		return
+	case a.isStopped():
+		return r.finish(UnitFailed, a.stopCause())
+	case u.Desc.Work != nil:
+		a.sess.V.Go(func() {
+			if err := u.Desc.Work(); err != nil {
+				r.finish(UnitFailed, fmt.Errorf("unit %q work: %w", u.Desc.Name, err)).resume()
+				return
+			}
+			r.stageOut().resume()
+		})
+		return nil
+	default:
+		return r.stageOut()
 	}
-	if a.isStopped() {
-		u.finishFrom(lr.gen, UnitFailed, a.stopCause())
-		return
-	}
-	if u.Desc.Work != nil {
-		if err := u.Desc.Work(); err != nil {
-			u.finishFrom(lr.gen, UnitFailed, fmt.Errorf("unit %q work: %w", u.Desc.Name, err))
-			return
-		}
-	}
+}
 
-	// Output staging.
-	if len(u.Desc.OutputStaging) > 0 {
-		if !u.setStateFrom(lr.gen, UnitStagingOutput) {
-			return
-		}
-		prof.RecordID(u.entityID, vocab.evStageoutStart)
-		if _, err := a.pilot.backend.mover.Run(u.Desc.OutputStaging); err != nil {
-			u.finishFrom(lr.gen, UnitFailed, fmt.Errorf("output staging: %w", err))
-			return
-		}
-		if u.staleGen(lr.gen) {
-			return
-		}
-		prof.RecordID(u.entityID, vocab.evStageoutStop)
+// stageOut runs output staging, if any, and finishes the unit DONE.
+func (r *unitRun) stageOut() *unitRun {
+	if len(r.u.Desc.OutputStaging) == 0 {
+		return r.finish(UnitDone, nil)
 	}
+	vocab := &r.a.sess.vocab
+	return r.stage(UnitStagingOutput, r.u.Desc.OutputStaging, vocab.evStageoutStart, vocab.evStageoutStop, "output",
+		func() *unitRun { return r.finish(UnitDone, nil) })
+}
 
-	u.finishFrom(lr.gen, UnitDone, nil)
+// finish settles the unit (gated on gen) and releases the run.
+func (r *unitRun) finish(st UnitState, err error) *unitRun {
+	r.u.finishFrom(r.gen, st, err)
+	return r.a.release(r)
 }
 
 func (a *agent) isStopped() bool {

@@ -2,10 +2,12 @@ package pilot
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
 
+	"entk/internal/kernels"
 	"entk/internal/vclock"
 )
 
@@ -223,4 +225,97 @@ func TestAgentContinuousSchedulingSkipsBlockedHead(t *testing.T) {
 		}
 		p.Cancel()
 	})
+}
+
+// TestWorkMayBlockOnTheClock pins where a run's blocking steps execute:
+// a unit's Work runs on a process of its own, so it may wait on the
+// clock. Unit "a" (1 s) waits in its Work for an event that unit "b"
+// (5 s) fires in its own Work when it completes. Run inline in the timer
+// callback, the wait would stall the advance loop under the rest of its
+// batch, and the run could never finish.
+func TestWorkMayBlockOnTheClock(t *testing.T) {
+	v := vclock.NewVirtual()
+	s := testSession(t, v)
+	v.Run(func() {
+		_, p := startPilot(t, s, 4)
+		um := NewUnitManager(s)
+		um.AddPilot(p)
+		bDone := vclock.NewEvent(v, "b completed")
+		var aSettled time.Duration
+		a := sleepUnit("a", 1)
+		a.Work = func() error { bDone.Wait(); aSettled = v.Now(); return nil }
+		b := sleepUnit("b", 5)
+		b.Work = func() error { bDone.Fire(); return nil }
+		units, err := um.Submit([]UnitDescription{a, b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range um.WaitAll(units) {
+			if st != UnitDone {
+				t.Errorf("unit %s final state %v, want DONE", units[i].Desc.Name, st)
+			}
+		}
+		aStart, aStop, _ := units[0].ExecWindow()
+		_, bStop, _ := units[1].ExecWindow()
+		if aStop-aStart != time.Second {
+			t.Errorf("unit a executed %v, want 1s: a blocked Work must not stretch the exec window", aStop-aStart)
+		}
+		if aSettled != bStop {
+			t.Errorf("unit a's Work returned at %v, want b's completion at %v", aSettled, bStop)
+		}
+		p.Cancel()
+	})
+}
+
+// TestRunsHoldNoGoroutines pins that a running unit costs no goroutine:
+// with an 8,192-unit wave on a 4,096-core pilot, sampled from a timer
+// callback while the first half executes and the second half waits, the
+// process holds a handful of goroutines, not one per running unit.
+func TestRunsHoldNoGoroutines(t *testing.T) {
+	v := vclock.NewVirtual()
+	s := NewSession(v, kernels.NewRegistry(), DefaultConfig())
+	var goroutines, executing int
+	v.Run(func() {
+		pm := NewPilotManager(s)
+		p, err := pm.Submit(PilotDescription{
+			Resource: "xsede.stampede", Cores: 4096, Walltime: 100 * time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.WaitActive()
+		um := NewUnitManager(s)
+		um.AddPilot(p)
+		descs := make([]UnitDescription, 8192)
+		for i := range descs {
+			descs[i] = sleepUnit("wave", 30)
+		}
+		units, err := um.Submit(descs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sampled := vclock.NewEvent(v, "sampled")
+		v.After(10*time.Second, func() {
+			goroutines = runtime.NumGoroutine()
+			for _, u := range units {
+				if u.State() == UnitExecuting {
+					executing++
+				}
+			}
+			sampled.Fire()
+		})
+		sampled.Wait()
+		for _, st := range um.WaitAll(units) {
+			if st != UnitDone {
+				t.Fatalf("unit final state %v, want DONE", st)
+			}
+		}
+		p.Cancel()
+	})
+	if executing != 4096 {
+		t.Fatalf("%d units executing at the sample, want the pilot full (4096)", executing)
+	}
+	if goroutines >= 64 {
+		t.Errorf("%d goroutines with 4096 units executing, want < 64", goroutines)
+	}
 }

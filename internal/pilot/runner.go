@@ -3,9 +3,10 @@ package pilot
 import "time"
 
 // The real-mode execution seam. In simulation, a unit's execution window
-// is a virtual Sleep of the cost-model duration. With a UnitRunner
+// is a virtual timer of the cost-model duration. With a UnitRunner
 // installed (Config.Runner) and the session on a wall clock, the agent
-// hands the window to the runner instead: the runner blocks for as long
+// hands the window to the runner instead, on the unit's run goroutine:
+// the runner blocks for as long
 // as the unit really takes — executing the unit's command as an OS
 // process, or sleeping the modelled duration for kernels without one —
 // and its error surfaces through exactly the path an injected FailOn
@@ -13,8 +14,8 @@ import "time"
 // real-mode awareness at all. Everything around the window (launch
 // slot, staging, state transitions, profiler records, utilization
 // accounting) is shared between the modes; that shared structure is what
-// the sim-vs-real parity test pins. The modelled launch latency is a
-// Clock.Charge: a delay in simulation, nothing on the wall clock.
+// the sim-vs-real parity test pins. The modelled launch latency is
+// Clock.Charged: a delay in simulation, nothing on the wall clock.
 
 // ExecRequest describes one unit-execution window handed to a UnitRunner.
 type ExecRequest struct {

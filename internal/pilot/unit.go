@@ -172,7 +172,7 @@ type ComputeUnit struct {
 	canceled bool          // cancellation requested
 	// gen is the rebind generation. When a pilot dies with a recovery
 	// path installed, its teardown steals the unit — bumping gen — and
-	// rebinding re-runs it elsewhere; the stale executor still holds the
+	// rebinding re-runs it elsewhere; the stale run still holds the
 	// old generation, so its remaining effects (state transitions, exec
 	// window, finish) are discarded by the *From accessors below. Zero
 	// for the whole life of any unit that is never stolen.
@@ -311,7 +311,7 @@ func (u *ComputeUnit) setState(st UnitState) {
 // finish moves the unit to a terminal state and fires its final event.
 func (u *ComputeUnit) finish(st UnitState, err error) { u.finishFrom(-1, st, err) }
 
-// finishFrom is finish gated on the rebind generation: a stale executor
+// finishFrom is finish gated on the rebind generation: a stale run
 // (gen >= 0, no longer current) must not settle a unit that was stolen
 // and re-dispatched. gen < 0 disables the gate (external finishers, and
 // agents that do not track in-flight work).
@@ -346,7 +346,7 @@ func (u *ComputeUnit) setStateFrom(gen int, st UnitState) bool {
 }
 
 // markExecFrom records the execution window for ExecDuration, gated on
-// the rebind generation; a false return tells the (stale) executor to
+// the rebind generation; a false return tells the (stale) run to
 // abandon the unit — the exec-stop record, utilization bump, and finish
 // all belong to the rebound run.
 func (u *ComputeUnit) markExecFrom(gen int, start, stop time.Duration) bool {
@@ -370,7 +370,7 @@ func (u *ComputeUnit) staleGen(gen int) bool {
 }
 
 // generation snapshots the current rebind generation; the agent captures
-// it at placement so the executor's effects can be matched to the
+// it at placement so the run's effects can be matched to the
 // placement they came from.
 func (u *ComputeUnit) generation() int {
 	u.mu.Lock()
@@ -380,11 +380,11 @@ func (u *ComputeUnit) generation() int {
 
 // steal reclaims a non-final unit from a dead (or shrinking) pilot for
 // rebinding: the generation is bumped — discarding every later effect of
-// the stale executor — and the exec window is cleared for the re-run.
-// The stale executor itself cannot be interrupted mid-Sleep (virtual
-// time has no cancellable timer); it wakes no later than the rebound
-// replacement finishes (its sleep started earlier and runs the same
-// modelled duration) and exits at its next generation gate.
+// the stale run — and the exec window is cleared for the re-run. The
+// stale run itself is not cancelled: its pending timer stays armed and
+// fires no later than the rebound replacement finishes (it was armed
+// earlier for the same modelled duration), and the run ends at its next
+// generation gate, releasing its allocation.
 func (u *ComputeUnit) steal() bool {
 	u.mu.Lock()
 	defer u.mu.Unlock()

@@ -54,10 +54,18 @@ type Clock interface {
 	Go(fn func())
 	// Run executes fn inline as a registered process.
 	Run(fn func())
-	// After schedules fn to run at instant Now()+d as its own process —
-	// the timer primitive behind fault arming, deadlines and walltime
-	// guards. The returned Timer cancels it.
+	// After schedules fn to run at instant Now()+d — the timer primitive
+	// behind fault arming, deadlines, walltime guards and the pilot
+	// agent's unit runs. On a virtual clock fn runs inline in the process
+	// that advances the clock, so it must not block on the clock: code
+	// that needs to block spawns a process with Go. The returned Timer
+	// cancels it.
 	After(d time.Duration, fn func()) *Timer
+	// Charged reports how much of d of modelled toolkit overhead this
+	// clock acts out: d on a virtual clock, nothing on the wall clock.
+	// Charge(d) sleeps exactly that; code that waits out modelled
+	// overhead with a timer arms After(Charged(d), fn).
+	Charged(d time.Duration) time.Duration
 	// Attach counts a process back into the runnable accounting.
 	Attach()
 	// Detach removes the calling process from the runnable accounting.
@@ -74,13 +82,17 @@ var _ Clock = (*Wall)(nil)
 // prevented fn from running, false when fn already ran (or is running) or
 // the timer was stopped before.
 //
-// On a virtual clock a stopped timer's process still sleeps to its
-// instant and only skips fn, so stopping never moves a simulated
+// On a virtual clock a stopped timer stays filed in the timer wheel and
+// fires at its instant as a no-op, so stopping never moves a simulated
 // timeline — not even where the clock ends up once the run drains. On
 // the wall clock Stop releases the runtime timer at once, which is what
 // lets a guard armed for an hour not outlive the thing it guards.
 type Timer struct {
+	// node is the timer's wheel entry on a virtual clock: embedding it
+	// keeps After at one allocation.
+	node  waiter
 	state atomic.Int32
+	fn    func()
 	wall  *time.Timer // wall clock only
 }
 
@@ -91,9 +103,9 @@ const (
 )
 
 // fire runs fn unless the timer was stopped first.
-func (t *Timer) fire(fn func()) {
+func (t *Timer) fire() {
 	if t.state.CompareAndSwap(timerArmed, timerFired) {
-		fn()
+		t.fn()
 	}
 }
 

@@ -33,6 +33,8 @@ type engine interface {
 	// wake makes the process parked on w runnable again and releases it.
 	// Each published waiter must be woken exactly once.
 	wake(w *waiter)
+	// after arms t to fire (run t.fn unless stopped) d from now.
+	after(t *Timer, d time.Duration)
 }
 
 // Virtual is a discrete-event virtual clock.
@@ -89,22 +91,30 @@ func (v *Virtual) Run(fn func()) {
 	fn()
 }
 
-// After schedules fn to run at virtual instant Now()+d as its own
-// registered process. It is the arming primitive behind deterministic
-// fault injection: the trigger process is counted runnable from the
-// moment After returns, so the clock can neither advance past the
-// pending trigger nor fire it early — fn runs at exactly the requested
-// instant, bit-reproducibly. fn must follow the same rules as a Go
-// process body. Stopping the returned timer skips fn only: the trigger
-// process still sleeps to its instant (see Timer).
+// After schedules fn to run at virtual instant Now()+d. The timer is a
+// node in the engine's timer wheel, not a process. fn runs inline in
+// whichever process advances the clock to that instant: after the
+// instant's sleepers are released, in arm order among the instant's
+// callbacks, and holding one runnable token, so the clock cannot move
+// while it runs. fn therefore fires at exactly the requested instant,
+// bit-reproducibly, and must not block on the clock (Sleep, Charge, a
+// Wait or an Acquire that parks): code that needs to block spawns a
+// process with Go and continues there. For the same reason, a process
+// must not hold a lock that a callback takes while it blocks on the
+// clock: the callback may run on that very process. fn may arm further
+// timers; one armed with d = 0 fires at the same instant, before the
+// clock moves. Call After from a registered process or from another
+// callback: the clock fires timers only when it advances. Stopping the
+// returned timer skips fn only: the timer stays filed and fires as a
+// no-op at its instant (see Timer).
 func (v *Virtual) After(d time.Duration, fn func()) *Timer {
-	t := &Timer{}
-	v.Go(func() {
-		v.Sleep(d)
-		t.fire(fn)
-	})
+	t := &Timer{fn: fn}
+	v.eng.after(t, d)
 	return t
 }
+
+// Charged is d: in simulation, modelled overhead is a delay.
+func (v *Virtual) Charged(d time.Duration) time.Duration { return d }
 
 // Detach removes the calling process from the runnable accounting, as if
 // it had exited. It exists for worker pools that keep goroutines alive
@@ -142,11 +152,14 @@ type waiter struct {
 	n     int    // semaphore: permits requested
 	aux   int    // semaphore: availability snapshot for the report
 
-	// Timer-wheel fields (handoff engine sleeps only): the waiter doubles
-	// as the intrusive wheel node, so the sleep path allocates nothing.
+	// Timer-wheel fields (handoff engine only): the waiter doubles as
+	// the intrusive wheel node, so the sleep path allocates nothing. A
+	// node with timer set is an After callback (the Timer embeds it)
+	// rather than a sleeping process.
 	deadline int64
 	tseq     int64
 	tnext    *waiter
+	timer    *Timer
 }
 
 // Waiter states for the handoff fast path. A parker swaps in wParked; if

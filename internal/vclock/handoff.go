@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,8 +17,11 @@ import (
 //     decrement, waking one atomic increment, and only the process that
 //     decrements it to zero pays for time advancement;
 //   - timers live in a hierarchical wheel (wheel.go) behind a dedicated
-//     timer lock touched only by Sleep and the advance loop, and all
-//     timers sharing the earliest deadline fire as one batch;
+//     timer lock touched only by Sleep, After and the advance loop, and
+//     all timers sharing the earliest deadline fire as one batch: the
+//     batch's sleepers are released and its After callbacks run inline
+//     in the advancing process, so a pending callback holds no
+//     goroutine;
 //   - primitive state (event/semaphore waiter lists) moved behind
 //     per-primitive locks (primitives.go), so two unrelated semaphores
 //     never contend;
@@ -40,12 +44,15 @@ type handoffEngine struct {
 	dead      atomic.Bool
 	_         pad.Line
 
-	// timerMu guards the wheel, seq, and fireBuf. Time itself is read
-	// through nowAtomic and written only by the advance loop.
+	// timerMu guards the wheel, seq, fireBuf and firing. Time itself is
+	// read through nowAtomic and written only by the advance loop.
 	timerMu sync.Mutex
 	wh      wheel
 	seq     int64
 	fireBuf []*waiter
+	// firing is set while the advance loop runs a batch's callbacks
+	// with timerMu released (see advance).
+	firing bool
 
 	blocked blockedTable
 }
@@ -114,18 +121,29 @@ func (e *handoffEngine) sleep(d time.Duration) {
 		return
 	}
 	w := getWaiter()
+	e.file(w, d)
+	e.park(w, nil) // the wheel, not the blocked table, tracks sleepers
+	putWaiter(w)
+}
+
+// after files t's embedded node as a callback; no process waits for it.
+func (e *handoffEngine) after(t *Timer, d time.Duration) {
+	t.node.timer = t
+	e.file(&t.node, max(d, 0))
+}
+
+// file pushes w into the wheel at d from now, stamped with the next seq.
+func (e *handoffEngine) file(w *waiter, d time.Duration) {
 	e.timerMu.Lock()
 	w.deadline = e.nowAtomic.Load() + int64(d)
 	e.seq++
 	w.tseq = e.seq
 	e.wh.push(w)
 	e.timerMu.Unlock()
-	e.park(w, nil) // the wheel, not the blocked table, tracks sleepers
-	putWaiter(w)
 }
 
-// advance jumps virtual time to the earliest pending deadline and wakes
-// its sleepers, batch by batch, while no process is runnable. It runs on
+// advance jumps virtual time to the earliest pending deadline and fires
+// its batch, batch by batch, while no process is runnable. It runs on
 // whichever process took the runnable count to zero; timerMu serialises
 // competing advancers, each of which re-checks the count under the lock.
 //
@@ -133,9 +151,22 @@ func (e *handoffEngine) sleep(d time.Duration) {
 // parked (a process is counted until its own blockOne, and every wake
 // credits the counter before signalling), so the loop body observes the
 // wheel and the blocked table at rest.
+//
+// A batch fires in (deadline, seq) order: its sleepers are credited and
+// signalled, and then its After callbacks run inline, in order, on this
+// process. They run with timerMu released, so they can arm timers, and
+// holding one runnable token, so no other process can advance the clock
+// under them. The count can therefore reach zero while callbacks run only
+// if a callback itself blocked on the clock, which the contract forbids;
+// the next advancer reports it instead of firing timers out of order.
 func (e *handoffEngine) advance() {
 	e.timerMu.Lock()
 	for !e.dead.Load() && e.runnable.Load() == 0 {
+		if e.firing {
+			e.dead.Store(true)
+			e.timerMu.Unlock()
+			panic(fmt.Sprintf("vclock: an After callback blocked on the clock at t=%v", e.now()))
+		}
 		batch, deadline, ok := e.wh.popBatch(e.fireBuf)
 		if !ok {
 			if e.blocked.count() > 0 {
@@ -153,11 +184,42 @@ func (e *handoffEngine) advance() {
 			panic("vclock: timer deadline in the past")
 		}
 		e.nowAtomic.Store(deadline)
-		// Every sleeper in the batch is fully parked (see above), so the
-		// batch is credited with one atomic add and signalled directly.
-		e.runnable.Add(int64(len(batch)))
+		callbacks := 0
 		for _, w := range batch {
+			if w.timer != nil {
+				callbacks++
+			}
+		}
+		// Every sleeper in the batch is fully parked (see above), so the
+		// sleepers and the callbacks' one token are credited with one
+		// atomic add, and the sleepers are signalled directly. The
+		// callbacks are compacted to the front of the batch meanwhile.
+		credit := len(batch) - callbacks
+		if callbacks > 0 {
+			credit++
+		}
+		e.runnable.Add(int64(credit))
+		fns := batch[:0]
+		for _, w := range batch {
+			if w.timer != nil {
+				fns = append(fns, w)
+				continue
+			}
 			w.ch <- struct{}{} // never blocks: cap 1, one sleeper
+		}
+		if callbacks > 0 {
+			// No other advancer can reach popBatch (and fireBuf) until
+			// the token is dropped.
+			e.firing = true
+			e.timerMu.Unlock()
+			for _, w := range fns {
+				w.timer.fire()
+			}
+			e.timerMu.Lock()
+			e.firing = false
+			if e.runnable.Add(-1) < 0 {
+				panic(underflowPanic)
+			}
 		}
 		e.fireBuf = batch[:0]
 	}

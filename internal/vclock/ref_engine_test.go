@@ -109,6 +109,20 @@ func (v *refEngine) wake(w *waiter) {
 	w.ch <- struct{}{} // never blocks: cap 1, exactly one parker
 }
 
+// after keeps the seed's process-per-timer design: a registered process
+// sleeps to the instant and fires t. It is counted runnable from the
+// moment after returns, so the clock can neither pass the instant nor
+// fire it early; unlike the handoff engine's inline callbacks, t.fn runs
+// as a process of its own.
+func (v *refEngine) after(t *Timer, d time.Duration) {
+	v.register()
+	go func() {
+		defer v.deregister()
+		v.sleep(d)
+		t.fire()
+	}()
+}
+
 // nextSeq returns a fresh sequence number. Caller holds mu.
 func (v *refEngine) nextSeq() int64 {
 	v.seq++

@@ -1,6 +1,10 @@
 package vclock
 
 import (
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -87,5 +91,104 @@ func TestStoppedVirtualTimerKeepsItsInstant(t *testing.T) {
 		if armed, stopped := end(false), end(true); armed != stopped || stopped != 90*time.Second {
 			t.Errorf("%s: clock drained to %v armed, %v stopped; want 1m30s both", e.name, armed, stopped)
 		}
+	}
+}
+
+// TestAfterCallbacksRunInlineInArmOrder pins the handoff engine's timer
+// design: a pending After is a wheel node, not a process, so arming 10k
+// of them starts no goroutine, and callbacks sharing one deadline run in
+// the order they were armed, all at that instant.
+func TestAfterCallbacksRunInlineInArmOrder(t *testing.T) {
+	const n = 10000
+	v := NewVirtual()
+	var order []int
+	var grew int
+	v.Run(func() {
+		before := runtime.NumGoroutine()
+		for i := 0; i < n; i++ {
+			v.After(time.Second, func() {
+				if v.Now() != time.Second {
+					t.Errorf("callback %d ran at %v, want 1s", i, v.Now())
+				}
+				order = append(order, i)
+			})
+		}
+		grew = runtime.NumGoroutine() - before
+		v.Sleep(2 * time.Second)
+	})
+	// A few goroutines of the runtime's or the test framework's own may
+	// come and go; a process per timer would add ten thousand.
+	if grew > 8 {
+		t.Errorf("arming %d timers grew the goroutine count by %d", n, grew)
+	}
+	if len(order) != n {
+		t.Fatalf("%d of %d callbacks ran", len(order), n)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("callback %d ran in position %d: same-deadline callbacks must run in arm order", got, i)
+		}
+	}
+}
+
+// TestAfterZeroFromCallbackFiresSameInstant: a callback that arms
+// After(0, fn) gets fn at its own instant, before the clock moves on to
+// the next pending timer — here one a nanosecond later.
+func TestAfterZeroFromCallbackFiresSameInstant(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, v *Virtual) {
+		var mu sync.Mutex
+		var at atomic.Int64
+		var log []string
+		note := func(s string) { mu.Lock(); log = append(log, s); mu.Unlock() }
+		v.Run(func() {
+			v.After(5*time.Second, func() {
+				v.After(0, func() { at.Store(int64(v.Now())); note("zero") })
+			})
+			v.After(5*time.Second+1, func() { note("next") })
+			v.Sleep(10 * time.Second)
+		})
+		if got := time.Duration(at.Load()); got != 5*time.Second {
+			t.Errorf("After(0) from a callback fired at %v, want 5s", got)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if want := []string{"zero", "next"}; !slices.Equal(log, want) {
+			t.Errorf("firing order %v, want %v", log, want)
+		}
+	})
+}
+
+// TestAfterCallbackReleasesParkedProcess: a callback that fires an Event
+// releases the process parked on it at the callback's instant.
+func TestAfterCallbackReleasesParkedProcess(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, v *Virtual) {
+		var woke time.Duration
+		v.Run(func() {
+			ev := NewEvent(v, "released by a callback")
+			v.After(3*time.Second, ev.Fire)
+			ev.Wait()
+			woke = v.Now()
+		})
+		if woke != 3*time.Second {
+			t.Errorf("parked process woke at %v, want 3s", woke)
+		}
+	})
+}
+
+// TestBlockingAfterCallbackPanics: a callback runs inside the advance
+// loop, so one that blocks on the clock would let time move under the
+// rest of its batch. The engine reports it instead.
+func TestBlockingAfterCallbackPanics(t *testing.T) {
+	v := NewVirtual()
+	msg := func() (msg any) {
+		defer func() { msg = recover() }()
+		v.Run(func() {
+			v.After(time.Second, func() { v.Sleep(time.Second) })
+			v.Sleep(5 * time.Second)
+		})
+		return nil
+	}()
+	if s, _ := msg.(string); !strings.Contains(s, "After callback blocked") {
+		t.Fatalf("blocking callback: recovered %v, want the blocked-callback panic", msg)
 	}
 }

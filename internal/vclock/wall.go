@@ -19,9 +19,10 @@ import "time"
 //     on the wall clock an external event (a process exiting, a signal)
 //     can always arrive, so a lost wake simply blocks — exactly as it
 //     would in any concurrent program.
-//   - Modelled overhead. Charge is a no-op: the delays the simulation
-//     inserts for the toolkit's own control-plane work are not slept, so
-//     a real run's TTC terms are what that work really cost.
+//   - Modelled overhead. Charge is a no-op and Charged is zero: the
+//     delays the simulation inserts for the toolkit's own control-plane
+//     work are not slept, so a real run's TTC terms are what that work
+//     really cost.
 //   - Determinism. Two wall runs interleave however the OS schedules
 //     them. The structural shape of a campaign (which units ran, what
 //     retried, the per-unit event order) is reproducible; instants and
@@ -65,10 +66,14 @@ func (w *Wall) Run(fn func()) {
 // After runs fn in its own goroutine once d of real time has passed. It
 // holds no goroutine while it waits, and Stop releases it immediately.
 func (w *Wall) After(d time.Duration, fn func()) *Timer {
-	t := &Timer{}
-	t.wall = time.AfterFunc(d, func() { t.fire(fn) })
+	t := &Timer{fn: fn}
+	w.eng.after(t, d)
 	return t
 }
+
+// Charged is zero: modelled toolkit overhead is not acted out on the
+// wall clock (see Charge).
+func (w *Wall) Charged(time.Duration) time.Duration { return 0 }
 
 // Detach is a no-op: the wall clock keeps no runnable accounting.
 func (w *Wall) Detach() { w.eng.deregister() }
@@ -106,4 +111,14 @@ func (e *wallEngine) park(w *waiter, _ descSource) {
 
 func (e *wallEngine) wake(w *waiter) {
 	w.ch <- struct{}{} // never blocks: cap 1, exactly one parker
+}
+
+// after starts a timer with nothing to wait for on a goroutine at once,
+// without a runtime timer.
+func (e *wallEngine) after(t *Timer, d time.Duration) {
+	if d <= 0 {
+		go t.fire()
+		return
+	}
+	t.wall = time.AfterFunc(d, t.fire)
 }

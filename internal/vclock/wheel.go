@@ -15,9 +15,10 @@ import (
 // the entire set of earliest-deadline timers as one batch.
 //
 // Storage is intrusive: a sleeping process's pooled waiter IS the timer
-// node (deadline, seq, tnext), so the wheel allocates nothing on the
-// sleep path — buckets are just head/tail pointers and cascading relinks
-// nodes instead of copying them.
+// node (deadline, seq, tnext), and an After callback's node is embedded
+// in its Timer, so the wheel allocates nothing of its own — buckets are
+// just head/tail pointers and cascading relinks nodes instead of copying
+// them.
 //
 // Layout: wheelLevels levels of wheelSlots buckets each. Level l has tick
 // t_l = 2^(wheelBaseShift + wheelSlotBits*l) nanoseconds; a bucket at
