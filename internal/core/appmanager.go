@@ -181,6 +181,7 @@ func (am *AppManager) run(cp *CampaignCheckpoint, pls []*Pipeline) (*CampaignRep
 		v.Go(func() {
 			defer wg.Done()
 			ex := newNamedExecutor(rs, names[i])
+			ex.rank = i
 			ex.planned = pl.TaskCount()
 			if pc := cp.Pipeline(names[i]); pc != nil {
 				ex.seedFrom(pc)

@@ -57,6 +57,11 @@ type executor struct {
 	// subLock serializes task submission; the time spent holding it is
 	// the pattern overhead.
 	subLock *vclock.Semaphore
+	// rank orders this executor's waves within a same-instant batcher
+	// round: a campaign pipeline's executor takes the pipeline's index.
+	// One executor's own waves never share a round, since each holds
+	// subLock until its round is created.
+	rank int
 
 	// Pattern-overhead profiler ids, interned once per executor: every
 	// tracked submission brackets itself on the "pattern" entity, so the
@@ -276,13 +281,7 @@ func (ex *executor) submit(specs []taskSpec, attempts []int, streamed bool) ([]*
 	ex.subLock.Acquire(1)
 	ex.prof.RecordID(ex.patEnt, ex.evSubStart)
 	t0 := ex.v.Now()
-	var units []*pilot.ComputeUnit
-	var err error
-	if streamed {
-		units, err = ex.batch.SubmitStreamed(descs)
-	} else {
-		units, err = ex.batch.Submit(descs)
-	}
+	units, err := ex.batch.SubmitWave(ex.rank, descs, streamed)
 	dt := ex.v.Now() - t0
 	ex.prof.RecordID(ex.patEnt, ex.evSubStop)
 	ex.subLock.Release(1)

@@ -489,7 +489,7 @@ func (a *agent) passStats() (passes, scanned, placed, queueWork uint64) {
 // Caller holds mu; released on return.
 func (a *agent) requestPass() {
 	if a.started && !a.stopped {
-		a.passLocked(false)
+		a.passLocked()
 	}
 	a.mu.Unlock()
 }
@@ -503,11 +503,9 @@ func (a *agent) utilSnapshot() UtilSnapshot {
 
 // release is a run's last step: it returns the allocation's cores, puts
 // the record back on the free list, and reschedules — the pass arms the
-// successors the freed capacity admits, and hands back the first whose
-// launch wait is already over (see passLocked) for the caller to run on
-// its own goroutine. The watermark check makes completions O(1) when
-// nothing pending can use the freed capacity.
-func (a *agent) release(r *unitRun) (next *unitRun) {
+// successors the freed capacity admits. The watermark check makes
+// completions O(1) when nothing pending can use the freed capacity.
+func (a *agent) release(r *unitRun) {
 	a.mu.Lock()
 	a.releaseAllocLocked(r.alloc)
 	a.running--
@@ -528,13 +526,12 @@ func (a *agent) release(r *unitRun) (next *unitRun) {
 		quiesce = a.quiesceEv
 	}
 	if a.started && !a.stopped && a.pend.size() > 0 && a.fitPossible() {
-		next = a.passLocked(true)
+		a.passLocked()
 	}
 	a.mu.Unlock()
 	if quiesce != nil {
 		quiesce.Fire()
 	}
-	return next
 }
 
 // releaseAllocLocked returns an allocation's cores to the scheduler,
@@ -565,15 +562,13 @@ func (a *agent) releaseAllocLocked(alloc allocation) {
 // queue and arms a run for each placement, in placement order: a timer
 // at its launch end. Waiting out the launcher slot is modelled overhead,
 // so the wait is what the clock charges — nothing on the wall clock.
-// With take, the first placement left no wait is returned unarmed
-// instead, for the caller (a run at its end) to continue with on its own
-// goroutine rather than starting another. Caller holds mu for the whole
-// pass (so the queue's pass cursors see no interleaved mutation).
-func (a *agent) passLocked(take bool) (next *unitRun) {
+// Caller holds mu for the whole pass (so the queue's pass cursors see no
+// interleaved mutation).
+func (a *agent) passLocked() {
 	if a.sched.freeCores() == 0 {
 		// Saturated: nothing can be placed, leave the queue untouched.
 		// (Never-placeable units cannot be in it: submit rejects them.)
-		return nil
+		return
 	}
 	m := a.pilot.backend.machine
 	v := a.sess.V
@@ -661,17 +656,11 @@ func (a *agent) passLocked(take bool) (next *unitRun) {
 			a.inflight[u] = flightInfo{alloc: alloc, gen: g}
 		}
 		r := a.newRunLocked(u, alloc, g)
-		wait := v.Charged(a.launchLocked(m.TaskLaunchLatency) - v.Now())
-		if take && next == nil && wait <= 0 {
-			next = r
-		} else {
-			v.After(wait, r.step)
-		}
+		v.After(v.Charged(a.launchLocked(m.TaskLaunchLatency)-v.Now()), r.step)
 		a.passPlaced++
 		q.placed()
 	}
 	q.endPass()
-	return next
 }
 
 // launchLocked takes the next launcher slot for a unit placed now and
@@ -727,9 +716,7 @@ func (a *agent) reservationLocked(headNeed int) (shadow time.Duration, extra int
 // that can block (a staging mover, the unit's Work) runs on a process of
 // its own, which continues the same chain when the call returns; the
 // real-mode runner needs the wall clock, where the chain already runs on
-// a goroutine of its own. Each step returns the run its goroutine
-// continues with: nil, or the successor its release handed back. Every
-// effect is gated on gen: when the unit was stolen for rebinding
+// a goroutine of its own. Every effect is gated on gen: when the unit was stolen for rebinding
 // mid-flight, this stale run's transitions, profiler records,
 // utilization bumps and finish are all discarded — the rebound run owns
 // them — and only its release still happens.
@@ -762,69 +749,70 @@ func (a *agent) newRunLocked(u *ComputeUnit, alloc allocation, gen int) *unitRun
 	return r
 }
 
-// resume is the run's timer callback, and the loop a goroutine runs
-// chains in: a run that hands back a successor continues with it here
-// rather than one call deeper. r may be nil.
+// resume is the run's timer callback: launch end, or exec end once the
+// window is open.
 func (r *unitRun) resume() {
-	for r != nil {
-		if r.executing {
-			r = r.executed(nil)
-		} else {
-			r = r.launched()
-		}
+	if r.executing {
+		r.executed(nil)
+	} else {
+		r.launched()
 	}
 }
 
 // launched is the launch-end step: the stop check, then input staging or
 // straight to execution.
-func (r *unitRun) launched() *unitRun {
+func (r *unitRun) launched() {
 	a, u := r.a, r.u
 	if a.isStopped() {
-		return r.finish(UnitFailed, a.stopCause())
+		r.finish(UnitFailed, a.stopCause())
+		return
 	}
 	if len(u.Desc.InputStaging) == 0 {
-		return r.execute()
+		r.execute()
+		return
 	}
 	vocab := &a.sess.vocab
-	return r.stage(UnitStagingInput, u.Desc.InputStaging, vocab.evStageinStart, vocab.evStageinStop, "input", r.execute)
+	r.stage(UnitStagingInput, u.Desc.InputStaging, vocab.evStageinStart, vocab.evStageinStop, "input", r.execute)
 }
 
 // stage runs one staging step: the state transition and start record
 // here, then the mover — it sleeps out the modelled transfer — on a
 // process of its own, which records the stop and continues with then.
-func (r *unitRun) stage(st UnitState, dirs []Directive, evStart, evStop profile.NameID, what string, then func() *unitRun) *unitRun {
+func (r *unitRun) stage(st UnitState, dirs []Directive, evStart, evStop profile.NameID, what string, then func()) {
 	a, u := r.a, r.u
 	if !u.setStateFrom(r.gen, st) {
-		return a.release(r)
+		a.release(r)
+		return
 	}
 	a.sess.Prof.RecordID(u.entityID, evStart)
 	a.sess.V.Go(func() {
 		if _, err := a.pilot.backend.mover.Run(dirs); err != nil {
-			r.finish(UnitFailed, fmt.Errorf("%s staging: %w", what, err)).resume()
+			r.finish(UnitFailed, fmt.Errorf("%s staging: %w", what, err))
 			return
 		}
 		if u.staleGen(r.gen) {
-			a.release(r).resume()
+			a.release(r)
 			return
 		}
 		a.sess.Prof.RecordID(u.entityID, evStop)
-		then().resume()
+		then()
 	})
-	return nil
 }
 
 // execute opens the execution window: the cost-model duration, EXECUTING
 // and exec_start, then the window itself — a timer of the modelled
 // duration in simulation, the runner's blocking call in real mode.
-func (r *unitRun) execute() *unitRun {
+func (r *unitRun) execute() {
 	a, u := r.a, r.u
 	v := a.sess.V
 	dur, err := a.sess.Cost.Duration(u.Desc.Kernel, u.Desc.Params, u.Desc.Cores, a.pilot.backend.machine)
 	if err != nil {
-		return r.finish(UnitFailed, err)
+		r.finish(UnitFailed, err)
+		return
 	}
 	if !u.setStateFrom(r.gen, UnitExecuting) {
-		return a.release(r)
+		a.release(r)
+		return
 	}
 	r.start = v.Now()
 	a.sess.Prof.RecordID(u.entityID, a.sess.vocab.evExecStart)
@@ -832,7 +820,7 @@ func (r *unitRun) execute() *unitRun {
 	if runner == nil {
 		r.executing = true
 		v.After(dur, r.step)
-		return nil
+		return
 	}
 	// Real mode: the runner blocks for as long as the unit really takes
 	// (an OS process, or a wall sleep of the modelled duration for
@@ -840,7 +828,7 @@ func (r *unitRun) execute() *unitRun {
 	// same records and accounting as the simulated one. A runner needs
 	// the wall clock (NewSession), where this step already runs on a
 	// goroutine of its own, so the call blocks here.
-	return r.executed(runner.RunUnit(ExecRequest{
+	r.executed(runner.RunUnit(ExecRequest{
 		PilotID:    a.pilot.ID,
 		PilotCores: a.pilot.Desc.Cores,
 		Unit:       u.Desc.Name,
@@ -857,11 +845,12 @@ func (r *unitRun) execute() *unitRun {
 // executed closes the execution window: exec_stop and the utilization
 // counters, then the failure checks, the unit's Work (on a process: it
 // may block) and output staging.
-func (r *unitRun) executed(execErr error) *unitRun {
+func (r *unitRun) executed(execErr error) {
 	a, u := r.a, r.u
 	stop := a.sess.V.Now()
 	if !u.markExecFrom(r.gen, r.start, stop) {
-		return a.release(r)
+		a.release(r)
+		return
 	}
 	a.sess.Prof.RecordID(u.entityID, a.sess.vocab.evExecStop)
 	// Utilization counters are bumped before the unit can turn final, so
@@ -874,40 +863,40 @@ func (r *unitRun) executed(execErr error) *unitRun {
 
 	switch {
 	case execErr != nil:
-		return r.finish(UnitFailed, fmt.Errorf("unit %q exec: %w", u.Desc.Name, execErr))
+		r.finish(UnitFailed, fmt.Errorf("unit %q exec: %w", u.Desc.Name, execErr))
 	case u.Desc.FailOn != nil && u.Desc.FailOn(u.Desc.Attempt):
-		return r.finish(UnitFailed, fmt.Errorf("unit %q failed (injected, attempt %d)",
+		r.finish(UnitFailed, fmt.Errorf("unit %q failed (injected, attempt %d)",
 			u.Desc.Name, u.Desc.Attempt))
 	case a.isStopped():
-		return r.finish(UnitFailed, a.stopCause())
+		r.finish(UnitFailed, a.stopCause())
 	case u.Desc.Work != nil:
 		a.sess.V.Go(func() {
 			if err := u.Desc.Work(); err != nil {
-				r.finish(UnitFailed, fmt.Errorf("unit %q work: %w", u.Desc.Name, err)).resume()
+				r.finish(UnitFailed, fmt.Errorf("unit %q work: %w", u.Desc.Name, err))
 				return
 			}
-			r.stageOut().resume()
+			r.stageOut()
 		})
-		return nil
 	default:
-		return r.stageOut()
+		r.stageOut()
 	}
 }
 
 // stageOut runs output staging, if any, and finishes the unit DONE.
-func (r *unitRun) stageOut() *unitRun {
+func (r *unitRun) stageOut() {
 	if len(r.u.Desc.OutputStaging) == 0 {
-		return r.finish(UnitDone, nil)
+		r.finish(UnitDone, nil)
+		return
 	}
 	vocab := &r.a.sess.vocab
-	return r.stage(UnitStagingOutput, r.u.Desc.OutputStaging, vocab.evStageoutStart, vocab.evStageoutStop, "output",
-		func() *unitRun { return r.finish(UnitDone, nil) })
+	r.stage(UnitStagingOutput, r.u.Desc.OutputStaging, vocab.evStageoutStart, vocab.evStageoutStop, "output",
+		func() { r.finish(UnitDone, nil) })
 }
 
 // finish settles the unit (gated on gen) and releases the run.
-func (r *unitRun) finish(st UnitState, err error) *unitRun {
+func (r *unitRun) finish(st UnitState, err error) {
 	r.u.finishFrom(r.gen, st, err)
-	return r.a.release(r)
+	r.a.release(r)
 }
 
 func (a *agent) isStopped() bool {

@@ -1,6 +1,8 @@
 package pilot
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -26,21 +28,25 @@ import (
 // fewer brackets, fewer per-unit lock round trips, one scheduling-pass
 // request per pilot per wave.
 //
-// Coalescing is leaderless and opportunistic: the first submitter of a
-// round drains the queue (new arrivals during the drain join it), and
-// the engine cannot advance virtual time while the leader is runnable,
-// so a round never mixes instants.
+// A round closes at the end of its instant, not when its first member
+// arrives: the first wave to join arms a zero-delay clock timer, which
+// fires only once every process has blocked at that instant, so the
+// round holds every wave submitted then. The round is created in rank
+// order — the submitter's position, such as the pipeline's index in its
+// campaign — and waves of equal rank keep their arrival order. Which
+// process reached the batcher first therefore decides nothing: unit ids
+// and the umgr bracket are the same at any GOMAXPROCS.
 type WaveBatcher struct {
 	um *UnitManager
 
-	mu      sync.Mutex
-	queue   []*batchedWave
-	leading bool
+	mu    sync.Mutex
+	queue []*batchedWave
 }
 
 // batchedWave is one member wave of a round. Its descriptions are
 // validated before it joins the queue, so creation cannot fail.
 type batchedWave struct {
+	rank    int
 	descs   []UnitDescription
 	units   []*ComputeUnit
 	created *vclock.Event
@@ -54,15 +60,31 @@ func NewWaveBatcher(um *UnitManager) *WaveBatcher {
 // UnitManager returns the wrapped manager.
 func (b *WaveBatcher) UnitManager() *UnitManager { return b.um }
 
-// Submit submits one bulk wave through the shared batcher: validate,
-// create the wave's units (coalesced with every other wave of the same
-// round), pay this wave's own client-side submission cost, then
-// late-bind and dispatch. It must be called from a registered vclock
-// process and returns the units in description order.
+// Submit submits one bulk wave of rank 0: SubmitWave(0, descs, false).
 func (b *WaveBatcher) Submit(descs []UnitDescription) ([]*ComputeUnit, error) {
-	units, err := b.join(descs)
+	return b.SubmitWave(0, descs, false)
+}
+
+// SubmitWave submits one wave through the shared batcher: validate, then
+// create the wave's units — coalesced with every other wave of the same
+// instant, in rank order. A bulk wave then pays its own client-side
+// submission cost and is late-bound and dispatched as a whole. A
+// streamed wave instead dispatches each unit as its own client-side
+// cost elapses: unit i reaches its pilot at exactly the instant of an
+// unbatched streamed submission (arrival + (i+1) × UMSubmitPerUnit,
+// late-bound at that instant). Either way the coalescing changes only
+// the wall-clock shape — shared admission and creation, fewer umgr
+// brackets — as the timeline-neutrality tests gate. It must be called
+// from a registered vclock process and returns the units in description
+// order.
+func (b *WaveBatcher) SubmitWave(rank int, descs []UnitDescription, streamed bool) ([]*ComputeUnit, error) {
+	units, err := b.join(rank, descs)
 	if err != nil {
 		return nil, err
+	}
+	if streamed {
+		b.um.DispatchStreamed(units)
+		return units, nil
 	}
 	// Client-side creation/serialization cost for this wave — each
 	// member of a round pays its own, concurrently with the others.
@@ -71,66 +93,42 @@ func (b *WaveBatcher) Submit(descs []UnitDescription) ([]*ComputeUnit, error) {
 	return units, nil
 }
 
-// SubmitStreamed submits one streamed wave through the shared batcher:
-// the wave joins the same creation rounds as bulk waves — all
-// waves arriving at one virtual instant are created under one umgr
-// bracket — and then dispatches each unit individually as its own
-// client-side cost elapses. Every unit still reaches its pilot at
-// exactly the instant of an unbatched streamed submission (unit i at
-// arrival + (i+1) × UMSubmitPerUnit, late-bound at that instant), so
-// the coalescing changes only the wall-clock shape: shared admission
-// and creation, fewer umgr brackets. Gated by the streamed-leg
-// timeline-neutrality test.
-func (b *WaveBatcher) SubmitStreamed(descs []UnitDescription) ([]*ComputeUnit, error) {
-	units, err := b.join(descs)
-	if err != nil {
-		return nil, err
-	}
-	b.um.DispatchStreamed(units)
-	return units, nil
-}
-
-// join validates descs and runs the round machinery: the wave's units
-// are created together with every other wave enqueued at this instant,
-// under one umgr bracket per drain round. It returns the created units
-// in description order, with no virtual time elapsed.
-func (b *WaveBatcher) join(descs []UnitDescription) ([]*ComputeUnit, error) {
+// join validates descs, enqueues the wave in this instant's round and
+// parks until the round is created. It returns the created units in
+// description order, with no virtual time elapsed.
+func (b *WaveBatcher) join(rank int, descs []UnitDescription) ([]*ComputeUnit, error) {
 	// Validate before joining a round, so a malformed wave creates no
-	// units, brackets no wave, and poisons no round; the leader then
-	// creates units without a second validation pass.
+	// units, brackets no wave, and poisons no round.
 	if err := validate(descs); err != nil {
 		return nil, err
 	}
 	v := b.um.sess.V
-	w := &batchedWave{descs: descs, created: vclock.NewEvent(v, "batched wave created")}
+	w := &batchedWave{rank: rank, descs: descs, created: vclock.NewEvent(v, "batched wave created")}
 	b.mu.Lock()
 	b.queue = append(b.queue, w)
-	if b.leading {
-		// A leader is draining this instant's round: park until it has
-		// created this wave's units.
-		b.mu.Unlock()
-		w.created.Wait()
-	} else {
-		// Become the round leader: drain the queue until empty,
-		// creating every member's units under one umgr bracket per
-		// drain iteration. Creation takes no virtual time and the
-		// engine cannot advance the clock while this process is
-		// runnable, so the whole drain happens at one virtual instant.
-		b.leading = true
-		for len(b.queue) > 0 {
-			round := b.queue
-			b.queue = nil
-			b.mu.Unlock()
-			b.um.beginWave()
-			for _, m := range round {
-				m.units = b.um.createAll(m.descs)
-				m.created.Fire()
-			}
-			b.um.endWave()
-			b.mu.Lock()
-		}
-		b.leading = false
-		b.mu.Unlock()
+	if len(b.queue) == 1 {
+		v.After(0, b.create)
 	}
+	b.mu.Unlock()
+	w.created.Wait()
 	return w.units, nil
+}
+
+// create is the round's timer callback: it creates every queued wave's
+// units in rank order under one umgr bracket and releases the members.
+// A wave that joins meanwhile starts the next round.
+func (b *WaveBatcher) create() {
+	b.mu.Lock()
+	round := b.queue
+	b.queue = nil
+	b.mu.Unlock()
+	slices.SortStableFunc(round, func(x, y *batchedWave) int { return cmp.Compare(x.rank, y.rank) })
+	b.um.beginWave()
+	for _, m := range round {
+		m.units = b.um.createAll(m.descs)
+	}
+	b.um.endWave()
+	for _, m := range round {
+		m.created.Fire()
+	}
 }

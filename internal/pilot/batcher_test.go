@@ -36,7 +36,7 @@ func batcherStreamedWorkload(t *testing.T, batched bool) ([][][2]time.Duration, 
 				var units []*ComputeUnit
 				var err error
 				if batched {
-					units, err = b.SubmitStreamed(descs)
+					units, err = b.SubmitWave(w, descs, true)
 				} else {
 					units, err = um.SubmitStreamed(descs)
 				}
@@ -94,8 +94,8 @@ func TestBatcherStreamedTimelineNeutral(t *testing.T) {
 	if plainWaves != 3 {
 		t.Errorf("unbatched run recorded %d umgr waves, want 3", plainWaves)
 	}
-	if batchedWaves < 1 || batchedWaves > plainWaves {
-		t.Errorf("batched run recorded %d umgr waves, want 1..%d", batchedWaves, plainWaves)
+	if batchedWaves != 1 {
+		t.Errorf("batched run recorded %d umgr waves, want 1 (one round per instant)", batchedWaves)
 	}
 }
 
@@ -184,12 +184,63 @@ func TestBatcherTimelineNeutral(t *testing.T) {
 	if plainWaves != 3 {
 		t.Errorf("unbatched run recorded %d umgr waves, want 3", plainWaves)
 	}
-	// The batcher coalesces same-instant waves into drain rounds: at
-	// least the leader's round merges with whoever enqueued while it
-	// drained, so the count never exceeds the unbatched one. (The exact
-	// round count depends on wall-clock interleaving.)
-	if batchedWaves < 1 || batchedWaves > plainWaves {
-		t.Errorf("batched run recorded %d umgr waves, want 1..%d", batchedWaves, plainWaves)
+	// The three waves arrive at one instant, so they share one round.
+	if batchedWaves != 1 {
+		t.Errorf("batched run recorded %d umgr waves, want 1", batchedWaves)
+	}
+}
+
+// TestBatcherRoundCreatesInRankOrder pins the round's order: waves
+// submitted at one instant are created in rank order under one umgr
+// bracket, however their submitters were spawned or scheduled — so unit
+// ids do not depend on GOMAXPROCS (CI runs this at -cpu 1,2,4).
+func TestBatcherRoundCreatesInRankOrder(t *testing.T) {
+	v := vclock.NewVirtual()
+	s := testSession(t, v)
+	um := NewUnitManager(s)
+	b := NewWaveBatcher(um)
+	ranks := []int{2, 0, 3, 1}
+	waves := make([][]*ComputeUnit, len(ranks))
+	v.Run(func() {
+		_, p := startPilot(t, s, 32)
+		um.AddPilot(p)
+		wg := vclock.NewWaitGroup(v, "submitters")
+		for w, rank := range ranks {
+			w, rank := w, rank
+			wg.Add(1)
+			v.Go(func() {
+				defer wg.Done()
+				descs := []UnitDescription{sleepUnit("r"+pad2(rank, 0), 1), sleepUnit("r"+pad2(rank, 1), 1)}
+				units, err := b.SubmitWave(rank, descs, w%2 == 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				waves[w] = units
+				for _, u := range units {
+					u.WaitFinal()
+				}
+			})
+		}
+		wg.Wait()
+		p.Cancel()
+		p.WaitFinal()
+	})
+	byRank := make([][]*ComputeUnit, len(ranks))
+	for w, rank := range ranks {
+		byRank[rank] = waves[w]
+	}
+	last := -1
+	for rank, units := range byRank {
+		for _, u := range units {
+			if u.ID <= last {
+				t.Errorf("rank %d unit %s has id %d after id %d: round not created in rank order", rank, u.Desc.Name, u.ID, last)
+			}
+			last = u.ID
+		}
+	}
+	if got := um.Waves(); got != 1 {
+		t.Errorf("wave count = %d, want 1 (one round per instant)", got)
 	}
 }
 

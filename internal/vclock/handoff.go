@@ -221,6 +221,9 @@ func (e *handoffEngine) advance() {
 				panic(underflowPanic)
 			}
 		}
+		// Drop the fired nodes: an After node is its Timer, and its fn
+		// closure must not outlive the batch in fireBuf's backing array.
+		clear(batch)
 		e.fireBuf = batch[:0]
 	}
 	e.timerMu.Unlock()

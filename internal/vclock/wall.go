@@ -113,12 +113,6 @@ func (e *wallEngine) wake(w *waiter) {
 	w.ch <- struct{}{} // never blocks: cap 1, exactly one parker
 }
 
-// after starts a timer with nothing to wait for on a goroutine at once,
-// without a runtime timer.
 func (e *wallEngine) after(t *Timer, d time.Duration) {
-	if d <= 0 {
-		go t.fire()
-		return
-	}
 	t.wall = time.AfterFunc(d, t.fire)
 }
