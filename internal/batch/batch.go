@@ -73,9 +73,6 @@ func (s State) String() string {
 	}
 }
 
-// Final reports whether s is a terminal state.
-func (s State) Final() bool { return s == Completed || s == TimedOut || s == Cancelled }
-
 // Request describes a job submission.
 type Request struct {
 	// Name labels the job in diagnostics.
@@ -128,24 +125,6 @@ func (j *Job) WaitStart() { j.startEv.Wait() }
 func (j *Job) WaitEnd() State {
 	j.endEv.Wait()
 	return j.State()
-}
-
-// QueueWait returns how long the job waited in the queue; valid once
-// started.
-func (j *Job) QueueWait() time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.started - j.submitted
-}
-
-// Runtime returns how long the job ran; valid once final.
-func (j *Job) Runtime() time.Duration {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.started == 0 && j.state == Cancelled {
-		return 0
-	}
-	return j.ended - j.started
 }
 
 // Finish marks the payload complete, releasing the allocation. It is the
@@ -209,13 +188,6 @@ func NewSystem(v vclock.Clock, machine *cluster.Machine, policy Policy) (*System
 
 // Machine returns the machine this system schedules.
 func (s *System) Machine() *cluster.Machine { return s.machine }
-
-// FreeNodes returns the currently unallocated node count.
-func (s *System) FreeNodes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.freeNodes
-}
 
 // Submit enqueues a job request. The returned job is Pending; it becomes
 // Running once the queue-wait model admits it and nodes are free. Submit
@@ -479,18 +451,4 @@ func (s *System) expire(j *Job) {
 	default:
 		j.mu.Unlock()
 	}
-}
-
-// QueueLength returns the number of pending jobs.
-func (s *System) QueueLength() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
-}
-
-// RunningCount returns the number of running jobs.
-func (s *System) RunningCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.running)
 }

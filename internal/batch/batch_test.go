@@ -296,3 +296,45 @@ func TestPolicyString(t *testing.T) {
 		t.Error("Final() wrong")
 	}
 }
+
+// Final reports whether s is a terminal state.
+func (s State) Final() bool { return s == Completed || s == TimedOut || s == Cancelled }
+
+// QueueWait returns how long the job waited in the queue; valid once
+// started.
+func (j *Job) QueueWait() time.Duration {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.started - j.submitted
+}
+
+// Runtime returns how long the job ran; valid once final.
+func (j *Job) Runtime() time.Duration {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.started == 0 && j.state == Cancelled {
+		return 0
+	}
+	return j.ended - j.started
+}
+
+// FreeNodes returns the currently unallocated node count.
+func (s *System) FreeNodes() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.freeNodes
+}
+
+// QueueLength returns the number of pending jobs.
+func (s *System) QueueLength() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.queue)
+}
+
+// RunningCount returns the number of running jobs.
+func (s *System) RunningCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.running)
+}

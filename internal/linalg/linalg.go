@@ -1,7 +1,7 @@
-// Package linalg implements the dense linear algebra needed by the
-// analysis kernels (CoCo/PCA and LSDMap/diffusion maps): a dense matrix
-// type, a symmetric Jacobi eigensolver, and basic vector operations. It is
-// intentionally small and allocation-conscious rather than general.
+// Package linalg implements the dense linear algebra needed by the CoCo
+// analysis kernel (PCA): a dense matrix type, a symmetric Jacobi
+// eigensolver, and basic vector operations. It is intentionally small and
+// allocation-conscious rather than general.
 package linalg
 
 import (
@@ -40,34 +40,6 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
-// MulVec computes m * x.
-func (m *Matrix) MulVec(x []float64) ([]float64, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("linalg: MulVec dimension mismatch %d vs %d", len(x), m.Cols)
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
 // IsSymmetric reports whether m is square and symmetric within tol.
 func (m *Matrix) IsSymmetric(tol float64) bool {
 	if m.Rows != m.Cols {
@@ -92,41 +64,11 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 { return math.Sqrt(Dot(v, v)) }
-
-// Scale multiplies v by a in place.
-func Scale(v []float64, a float64) {
-	for i := range v {
-		v[i] *= a
-	}
-}
-
 // AXPY computes y += a*x in place.
 func AXPY(a float64, x, y []float64) {
 	for i := range x {
 		y[i] += a * x[i]
 	}
-}
-
-// Normalize scales v to unit norm in place and returns the original norm.
-// A zero vector is left unchanged.
-func Normalize(v []float64) float64 {
-	n := Norm2(v)
-	if n > 0 {
-		Scale(v, 1/n)
-	}
-	return n
-}
-
-// SqDist returns the squared Euclidean distance between a and b.
-func SqDist(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
 }
 
 // Covariance returns the d x d sample covariance matrix of the rows of x
@@ -273,45 +215,4 @@ func rotate(m, v *Matrix, p, q int, c, s float64) {
 		v.Set(i, p, c*vip-s*viq)
 		v.Set(i, q, s*vip+c*viq)
 	}
-}
-
-// PowerIteration returns the dominant eigenvalue/eigenvector of a square
-// matrix by power iteration with deflation-free restarts. It is used where
-// only the top of the spectrum matters and the matrix is not symmetric
-// (e.g. the row-normalised diffusion operator).
-func PowerIteration(a *Matrix, iters int, tol float64) (float64, []float64, error) {
-	if a.Rows != a.Cols {
-		return 0, nil, errors.New("linalg: PowerIteration requires a square matrix")
-	}
-	n := a.Rows
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1 / math.Sqrt(float64(n))
-	}
-	var lambda float64
-	for k := 0; k < iters; k++ {
-		w, err := a.MulVec(v)
-		if err != nil {
-			return 0, nil, err
-		}
-		nw := Normalize(w)
-		if nw == 0 {
-			return 0, nil, errors.New("linalg: power iteration collapsed to zero vector")
-		}
-		newLambda := Dot(w, mustMulVec(a, w)) / Dot(w, w)
-		if math.Abs(newLambda-lambda) < tol && k > 0 {
-			return newLambda, w, nil
-		}
-		lambda = newLambda
-		v = w
-	}
-	return lambda, v, nil
-}
-
-func mustMulVec(a *Matrix, x []float64) []float64 {
-	out, err := a.MulVec(x)
-	if err != nil {
-		panic(err)
-	}
-	return out
 }

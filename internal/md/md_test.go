@@ -238,72 +238,6 @@ func TestCoCoValidation(t *testing.T) {
 	}
 }
 
-func TestLSDMapSeparatesClusters(t *testing.T) {
-	// Two clusters, weakly connected through the kernel (so the spectrum
-	// is non-degenerate): the first diffusion coordinate must separate
-	// them by sign.
-	n := 20
-	pts := linalg.NewMatrix(2*n, 2)
-	for i := 0; i < n; i++ {
-		pts.Set(i, 0, -1.5+0.1*float64(i%5))
-		pts.Set(i, 1, 0.1*float64(i%3))
-		pts.Set(n+i, 0, 1.5+0.1*float64(i%5))
-		pts.Set(n+i, 1, 0.1*float64(i%3))
-	}
-	res, err := LSDMap(pts, 1.0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Eigenvalues[0]-1) > 1e-6 {
-		t.Errorf("top eigenvalue = %v, want 1", res.Eigenvalues[0])
-	}
-	// Check sign separation on coordinate 1.
-	signA := res.Coords.At(0, 0) > 0
-	for i := 1; i < n; i++ {
-		if (res.Coords.At(i, 0) > 0) != signA {
-			t.Fatal("cluster A not sign-consistent in psi1")
-		}
-	}
-	for i := n; i < 2*n; i++ {
-		if (res.Coords.At(i, 0) > 0) == signA {
-			t.Fatal("clusters A and B not separated by psi1")
-		}
-	}
-}
-
-func TestLSDMapValidation(t *testing.T) {
-	pts := linalg.NewMatrix(10, 2)
-	if _, err := LSDMap(pts, 0, 2); err == nil {
-		t.Error("zero bandwidth accepted")
-	}
-	if _, err := LSDMap(pts, 1, 0); err == nil {
-		t.Error("zero coords accepted")
-	}
-	if _, err := LSDMap(pts, 1, 10); err == nil {
-		t.Error("k >= n accepted")
-	}
-	if _, err := LSDMap(linalg.NewMatrix(2, 2), 1, 1); err == nil {
-		t.Error("two points accepted")
-	}
-}
-
-func TestSubsample(t *testing.T) {
-	m := linalg.NewMatrix(10, 2)
-	for i := 0; i < 10; i++ {
-		m.Set(i, 0, float64(i))
-	}
-	s, err := Subsample(m, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Rows != 4 || s.At(3, 0) != 9 {
-		t.Fatalf("subsample rows=%d last=%v", s.Rows, s.At(3, 0))
-	}
-	if _, err := Subsample(m, 0); err == nil {
-		t.Error("zero stride accepted")
-	}
-}
-
 // Property: Metropolis acceptance respects detailed-balance symmetry: a
 // swap that lowers "effective action" is always accepted, and acceptance
 // is monotone in the energy gap sign.

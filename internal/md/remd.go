@@ -1,8 +1,9 @@
 // Package md implements the molecular-science substrate behind the
 // paper's workloads: temperature replica exchange (the EE pattern's
 // exchange logic), a synthetic MD trajectory generator on a double-well
-// potential, and the two analysis algorithms of the SAL experiments —
-// CoCo (PCA-based collective coordinates) and LSDMap (diffusion maps).
+// potential, and the CoCo analysis of the SAL experiments (PCA-based
+// collective coordinates). The SAL experiments' LSDMap analysis is a cost
+// model only (internal/kernels).
 // The numerics are real; only the force-field evaluation is synthetic.
 package md
 

@@ -81,7 +81,7 @@ type agent struct {
 
 	// passCount/passScanned/passPlaced instrument the scheduling passes
 	// (under mu): passes run, units yielded by the queue, units placed.
-	// Together with the queue's own work counter they let the pass-cost
+	// Together with the queue's own passWork counter they let the pass-cost
 	// regression tests pin that per-placed-unit work is independent of
 	// backlog depth.
 	passCount   uint64
@@ -474,14 +474,6 @@ func (a *agent) load() int {
 // per the queue's watermarks. Caller holds mu.
 func (a *agent) fitPossible() bool {
 	return a.pend.minNeedAny() <= a.sched.maxNodeFree() || a.pend.minNeedMPI() <= a.sched.freeCores()
-}
-
-// passStats snapshots the pass-cost counters (tests): passes run, units
-// yielded, units placed, and the queue's cumulative internal work.
-func (a *agent) passStats() (passes, scanned, placed, queueWork uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.passCount, a.passScanned, a.passPlaced, a.pend.work()
 }
 
 // requestPass is the tail every intake shares: run a scheduling pass

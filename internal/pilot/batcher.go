@@ -57,9 +57,6 @@ func NewWaveBatcher(um *UnitManager) *WaveBatcher {
 	return &WaveBatcher{um: um}
 }
 
-// UnitManager returns the wrapped manager.
-func (b *WaveBatcher) UnitManager() *UnitManager { return b.um }
-
 // Submit submits one bulk wave of rank 0: SubmitWave(0, descs, false).
 func (b *WaveBatcher) Submit(descs []UnitDescription) ([]*ComputeUnit, error) {
 	return b.SubmitWave(0, descs, false)

@@ -62,13 +62,6 @@ func (um *UnitManager) SetPlacement(p PlacementPolicy) {
 	um.mu.Unlock()
 }
 
-// Placement returns the installed placement policy, nil for round-robin.
-func (um *UnitManager) Placement() PlacementPolicy {
-	um.mu.Lock()
-	defer um.mu.Unlock()
-	return um.place
-}
-
 // AddPilot makes a pilot available for unit scheduling.
 func (um *UnitManager) AddPilot(p *ComputePilot) {
 	um.mu.Lock()

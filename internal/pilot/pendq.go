@@ -63,11 +63,6 @@ type pendingQueue interface {
 	// drain removes and returns every queued unit in FIFO order (agent
 	// stop fails them in order; profiler event order must match the seed).
 	drain() []*ComputeUnit
-	// work is the cumulative internal pass cost in entry touches (moves,
-	// copies, dead-slot drops). The pass-cost regression tests pin that
-	// the segmented queue's work per placed unit is independent of
-	// backlog depth, while the FIFO reference's grows with it.
-	work() uint64
 
 	beginPass()
 	next() *ComputeUnit
@@ -134,8 +129,13 @@ type segPending struct {
 	nextSeq uint64
 	n       int
 
-	epoch    uint64
-	cur      *segBucket // bucket of the unit last yielded by next
+	epoch uint64
+	cur   *segBucket // bucket of the unit last yielded by next
+
+	// passWork is the cumulative internal pass cost in entry touches
+	// (moves, copies, dead-slot drops). The pass-cost regression tests
+	// pin that the segmented queue's work per placed unit is independent
+	// of backlog depth, while the FIFO reference's grows with it.
 	passWork uint64
 }
 
@@ -251,8 +251,6 @@ func (q *segPending) drain() []*ComputeUnit {
 	q.n = 0
 	return out
 }
-
-func (q *segPending) work() uint64 { return q.passWork }
 
 func (q *segPending) beginPass() {
 	q.epoch++

@@ -25,6 +25,19 @@ func queueImpl(ref bool) pendingQueue {
 	return newPendingQueue()
 }
 
+func (q *segPending) work() uint64 { return q.passWork }
+
+// pendWork is the queue's cumulative internal pass cost in entry touches.
+func pendWork(q pendingQueue) uint64 { return q.(interface{ work() uint64 }).work() }
+
+// passStats snapshots the agent's pass-cost counters: passes run, units
+// yielded, units placed, and the queue's cumulative internal work.
+func (a *agent) passStats() (passes, scanned, placed, queueWork uint64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.passCount, a.passScanned, a.passPlaced, pendWork(a.pend)
+}
+
 // eachQueue runs a subtest against both pending-queue implementations.
 func eachQueue(t *testing.T, fn func(t *testing.T, ref bool)) {
 	t.Helper()
@@ -389,7 +402,7 @@ func drainCost(ref bool, n int) float64 {
 		}
 		q.endPass()
 	}
-	return float64(q.work()) / float64(n)
+	return float64(pendWork(q)) / float64(n)
 }
 
 // TestPendingQueuePassCost is the pass-cost regression gate at the queue

@@ -261,13 +261,6 @@ func NewPilotManager(s *Session) *PilotManager {
 	return &PilotManager{sess: s}
 }
 
-// Pilots returns the submitted pilots in submission order.
-func (pm *PilotManager) Pilots() []*ComputePilot {
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	return append([]*ComputePilot(nil), pm.pilots...)
-}
-
 // Submit validates desc, submits the placeholder job through SAGA, and
 // arranges for the agent to boot when the allocation starts. It must be
 // called from a registered vclock process.

@@ -503,3 +503,10 @@ func TestStateStrings(t *testing.T) {
 		t.Error("empty policy strings")
 	}
 }
+
+// Pilots returns the submitted pilots in submission order.
+func (pm *PilotManager) Pilots() []*ComputePilot {
+	pm.mu.Lock()
+	defer pm.mu.Unlock()
+	return append([]*ComputePilot(nil), pm.pilots...)
+}

@@ -41,18 +41,6 @@ type allocation struct {
 	spill []nodeShare
 }
 
-// total returns the allocation's core count.
-func (a allocation) total() int {
-	n := a.cores
-	for _, s := range a.spill {
-		n += s.cores
-	}
-	return n
-}
-
-// spans reports whether the allocation crosses node boundaries.
-func (a allocation) spans() bool { return len(a.spill) > 0 }
-
 // forEach visits every (node, cores) share of the allocation.
 func (a allocation) forEach(fn func(node, cores int)) {
 	fn(a.node, a.cores)
@@ -75,8 +63,6 @@ type scheduler interface {
 	freeCores() int
 	// maxNodeFree reports the largest free-core count on any one node.
 	maxNodeFree() int
-	// capacity reports the total cores the scheduler manages.
-	capacity() int
 	// markDown removes node i from service — the fault-injection path
 	// for node loss: its free cores leave the pool and its capacity is
 	// forgotten, so no future placement lands there. Cores currently
@@ -201,14 +187,6 @@ func (s *rescanSched) maxNodeFree() int {
 	return max
 }
 
-func (s *rescanSched) capacity() int {
-	total := 0
-	for _, c := range s.caps {
-		total += c
-	}
-	return total
-}
-
 func (s *rescanSched) markDown(i int) int {
 	c := s.caps[i]
 	s.nodes[i] = 0
@@ -226,7 +204,6 @@ type indexedSched struct {
 	caps  []int
 	pack  Placement
 	total int
-	cap   int
 
 	// tree is a max segment tree over per-node free cores: tree[1] is the
 	// root, leaves start at leafBase. It answers maxNodeFree in O(1) and
@@ -258,7 +235,6 @@ func newIndexedSched(nodes []int, pack Placement) *indexedSched {
 	for i, f := range nodes {
 		s.tree[leafBase+i] = f
 		s.total += f
-		s.cap += f
 		if f > s.maxCap {
 			s.maxCap = f
 		}
@@ -401,12 +377,10 @@ func (s *indexedSched) release(alloc allocation) {
 
 func (s *indexedSched) freeCores() int   { return s.total }
 func (s *indexedSched) maxNodeFree() int { return s.tree[1] }
-func (s *indexedSched) capacity() int    { return s.cap }
 
 func (s *indexedSched) markDown(i int) int {
 	s.setFree(i, 0)
 	c := s.caps[i]
-	s.cap -= c
 	s.caps[i] = 0
 	return c
 }

@@ -64,6 +64,18 @@ func forceRescan() (restore func()) {
 	return func() { linearScanMaxNodes = prev }
 }
 
+// total returns the allocation's core count.
+func (a allocation) total() int {
+	n := a.cores
+	for _, s := range a.spill {
+		n += s.cores
+	}
+	return n
+}
+
+// spans reports whether the allocation crosses node boundaries.
+func (a allocation) spans() bool { return len(a.spill) > 0 }
+
 // TestSchedulerCrossover pins newScheduler's adaptive crossover: small
 // layouts take the linear scan, large layouts take the index, and
 // forceRescan always wins.
@@ -121,8 +133,8 @@ func TestSchedulerPlacementInvariants(t *testing.T) {
 	for _, tc := range schedMatrix() {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newSchedImpl(caps, tc.pack, tc.rescan)
-			if got := s.capacity(); got != 16 {
-				t.Fatalf("capacity = %d, want 16", got)
+			if got := s.freeCores(); got != 16 {
+				t.Fatalf("freeCores = %d, want 16", got)
 			}
 			checkSchedState(t, s, caps)
 

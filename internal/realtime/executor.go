@@ -369,18 +369,6 @@ func (x *Executor) Close() {
 	}
 }
 
-// RunningGroups snapshots the live process-group ids (tests: orphan
-// checks via kill(-pgid, 0)).
-func (x *Executor) RunningGroups() []int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	groups := make([]int, 0, len(x.procs))
-	for p := range x.procs {
-		groups = append(groups, p.pgid)
-	}
-	return groups
-}
-
 func (x *Executor) pilotFor(id, cores int) (*pilotState, error) {
 	if cores <= 0 {
 		return nil, fmt.Errorf("realtime: pilot %d has %d cores", id, cores)

@@ -265,3 +265,15 @@ func TestOutputCap(t *testing.T) {
 		}
 	}
 }
+
+// RunningGroups snapshots the live process-group ids (tests: orphan
+// checks via kill(-pgid, 0)).
+func (x *Executor) RunningGroups() []int {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	groups := make([]int, 0, len(x.procs))
+	for p := range x.procs {
+		groups = append(groups, p.pgid)
+	}
+	return groups
+}

@@ -82,13 +82,8 @@ func (s State) String() string {
 	}
 }
 
-// Final reports whether s is terminal.
-func (s State) Final() bool { return s == Done || s == Canceled || s == Failed }
-
 // Job is a submitted job, independent of backend.
 type Job interface {
-	// ID returns a backend-scoped identifier.
-	ID() string
 	// State returns the current state.
 	State() State
 	// WaitRunning blocks until the job leaves Pending (it may then be
@@ -103,15 +98,10 @@ type Job interface {
 	// unlike Cancel — no client network latency is charged, so the death
 	// lands at exactly the caller's instant. Fault injection uses it.
 	Kill()
-	// SignalDone marks the payload complete; the simulation stand-in for
-	// the job script exiting with status 0.
-	SignalDone()
 }
 
 // Service creates jobs on one backend, like saga.job.Service.
 type Service interface {
-	// URL identifies the service endpoint, e.g. "slurmsim://xsede.comet".
-	URL() string
 	// Submit validates jd and submits it.
 	Submit(jd JobDescription) (Job, error)
 }
@@ -131,9 +121,6 @@ type BatchService struct {
 func NewBatchService(v vclock.Clock, sys *batch.System) *BatchService {
 	return &BatchService{v: v, sys: sys}
 }
-
-// URL identifies the simulated endpoint.
-func (s *BatchService) URL() string { return "slurmsim://" + s.sys.Machine().Name }
 
 // Submit validates and submits the description to the batch system after a
 // network round trip.
@@ -160,8 +147,6 @@ type batchJob struct {
 	machine *cluster.Machine
 	job     *batch.Job
 }
-
-func (j *batchJob) ID() string { return fmt.Sprintf("[%s]-[%d]", j.machine.Name, j.job.ID) }
 
 func (j *batchJob) State() State {
 	switch j.job.State() {
@@ -193,5 +178,3 @@ func (j *batchJob) Cancel() {
 }
 
 func (j *batchJob) Kill() { j.job.Expire() }
-
-func (j *batchJob) SignalDone() { j.job.Finish() }

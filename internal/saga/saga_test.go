@@ -1,6 +1,7 @@
 package saga
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -70,12 +71,13 @@ func TestBatchServiceLifecycle(t *testing.T) {
 	}
 	v.Run(func() {
 		start := v.Now()
-		j, err := svc.Submit(JobDescription{
+		job, err := svc.Submit(JobDescription{
 			Executable: "pilot-agent", TotalCPUCount: 15, WallTimeLimit: time.Hour,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		j := job.(*batchJob)
 		// Submit pays one network round trip.
 		if got := v.Now() - start; got != 100*time.Millisecond {
 			t.Errorf("submit latency = %v, want 100ms", got)
@@ -134,3 +136,16 @@ func TestBatchServiceCancelAndWalltime(t *testing.T) {
 		}
 	})
 }
+
+// Final reports whether s is terminal.
+func (s State) Final() bool { return s == Done || s == Canceled || s == Failed }
+
+// URL identifies the simulated endpoint.
+func (s *BatchService) URL() string { return "slurmsim://" + s.sys.Machine().Name }
+
+// ID returns a backend-scoped identifier.
+func (j *batchJob) ID() string { return fmt.Sprintf("[%s]-[%d]", j.machine.Name, j.job.ID) }
+
+// SignalDone marks the payload complete; the simulation stand-in for the
+// job script exiting with status 0.
+func (j *batchJob) SignalDone() { j.job.Finish() }

@@ -138,3 +138,11 @@ func TestFairShareThreeTenants(t *testing.T) {
 		last[tn] = id
 	}
 }
+
+// CompletionOrder returns the ids of settled campaigns in the order
+// they completed — the fairness tests' interleaving evidence.
+func (o *Orchestrator) CompletionOrder() []string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return append([]string(nil), o.completions...)
+}

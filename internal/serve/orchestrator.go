@@ -303,14 +303,6 @@ func (o *Orchestrator) List() []Status {
 	return out
 }
 
-// CompletionOrder returns the ids of settled campaigns in the order
-// they completed — the fairness tests' interleaving evidence.
-func (o *Orchestrator) CompletionOrder() []string {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return append([]string(nil), o.completions...)
-}
-
 // Wait blocks until the campaign reaches a terminal state.
 func (o *Orchestrator) Wait(id string) error {
 	h, err := o.lookup(id)

@@ -172,11 +172,3 @@ func (p *pool) finish() {
 	}
 	p.mu.Unlock()
 }
-
-// set returns the allocated ResourceSet, nil before the first
-// Allocate settles (or forever on a broken pool).
-func (p *pool) set() *entk.ResourceSet {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.rs
-}

@@ -152,13 +152,6 @@ func (m *Mover) Run(dirs []Directive) (time.Duration, error) {
 	return total, nil
 }
 
-// Stats reports cumulative operations and megabytes moved.
-func (m *Mover) Stats() (ops int, transferredMB float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ops, m.transferred
-}
-
 // mbTime converts a size and bandwidth to a duration.
 func mbTime(sizeMB, mbps float64) time.Duration {
 	if sizeMB <= 0 || mbps <= 0 {

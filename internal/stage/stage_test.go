@@ -121,3 +121,10 @@ func TestRunStopsOnInvalidDirective(t *testing.T) {
 		t.Errorf("ops after failure = %d, want 1", ops)
 	}
 }
+
+// Stats reports cumulative operations and megabytes moved.
+func (m *Mover) Stats() (ops int, transferredMB float64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.ops, m.transferred
+}

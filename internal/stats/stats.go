@@ -1,12 +1,11 @@
 // Package stats provides the small set of descriptive statistics and
 // regression helpers used by the experiment harness to characterise
-// scaling behaviour (means, linear fits, speedup/efficiency).
+// scaling behaviour (means, spreads, linear and log-log fits).
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by functions that need at least one sample.
@@ -23,23 +22,6 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Variance returns the population variance of xs.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Min returns the smallest element of xs.
 func Min(xs []float64) (float64, error) {
@@ -67,20 +49,6 @@ func Max(xs []float64) (float64, error) {
 		}
 	}
 	return m, nil
-}
-
-// Median returns the median of xs without modifying it.
-func Median(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2], nil
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2, nil
 }
 
 // LinearFit fits y = slope*x + intercept by least squares and also returns
@@ -130,35 +98,6 @@ func LogLogSlope(x, y []float64) (float64, error) {
 	}
 	slope, _, _, err := LinearFit(lx, ly)
 	return slope, err
-}
-
-// Speedup returns baseline/t for each element of times; baseline is
-// typically the time at the smallest resource count.
-func Speedup(baseline float64, times []float64) []float64 {
-	out := make([]float64, len(times))
-	for i, t := range times {
-		if t > 0 {
-			out[i] = baseline / t
-		}
-	}
-	return out
-}
-
-// Efficiency returns speedup normalised by the resource ratio: eff[i] =
-// (baseline/t[i]) / (res[i]/res[0]). Perfect strong scaling gives 1.0
-// everywhere.
-func Efficiency(res, times []float64) ([]float64, error) {
-	if len(res) != len(times) || len(res) == 0 {
-		return nil, errors.New("stats: efficiency needs matching non-empty slices")
-	}
-	out := make([]float64, len(times))
-	for i := range times {
-		if times[i] <= 0 || res[i] <= 0 || res[0] <= 0 {
-			return nil, errors.New("stats: efficiency requires positive values")
-		}
-		out[i] = (times[0] / times[i]) / (res[i] / res[0])
-	}
-	return out, nil
 }
 
 // RelSpread returns (max-min)/mean, a scale-free measure of how "flat" a

@@ -3,6 +3,11 @@
 // the simulated testbed through the toolkit, and returning the rows the
 // figure plots. Check methods assert the qualitative shapes the paper
 // reports, so regressions in the scaling behaviour fail loudly.
+//
+// The stress, mixed, oversubscribed, multi-pilot and fault tiers are test
+// workloads: they live in this package's *_tier_test.go files, beside the
+// tests that run them and compare their simulated columns with
+// testdata/sim_columns.golden.json.
 package workload
 
 import (

@@ -420,42 +420,6 @@ func (r *Stress100kResult) Check() error {
 	return nil
 }
 
-// Stress1MSize is the 1M-task tier's ensemble width: a 10x step past
-// the 100k tier on the same sim.stress64k machine (16 full scheduling
-// waves) — bench/'s stress-1m workload.
-const Stress1MSize = 1 << 20
-
-// Stress1MProbe runs the 1M-task sweep point and applies looser golden
-// checks than the 100k tier: exact task and overhead accounting (these
-// never loosen), the unchanged queue-wait model, and the execution span
-// with per-wave launcher-stagger slack (the 100k tier's fixed 5s slack
-// is a single-digit-wave bound).
-func Stress1MProbe() (*Stress100kResult, error) {
-	res, err := Stress100k([]int{Stress1MSize})
-	if err != nil {
-		return nil, err
-	}
-	w := res.Rows[0]
-	if w.Tasks != Stress1MSize {
-		return nil, fmt.Errorf("stress 1m: ran %d tasks, want %d", w.Tasks, Stress1MSize)
-	}
-	perUnit := pilot.DefaultConfig().UMSubmitPerUnit.Seconds()
-	wantOvh := float64(w.Tasks) * perUnit
-	if math.Abs(w.PatternOvhSec-wantOvh) > 1e-6*wantOvh+1e-9 {
-		return nil, fmt.Errorf("stress 1m: pattern overhead %.3fs, want exactly %.3fs", w.PatternOvhSec, wantOvh)
-	}
-	waves := float64((Stress1MSize + Stress100kCores - 1) / Stress100kCores)
-	wantExec := waves * stress100kSeconds
-	if w.ExecSec < wantExec || w.ExecSec > wantExec+5*waves {
-		return nil, fmt.Errorf("stress 1m: exec %.1fs, want ~%.1fs (%v waves)", w.ExecSec, wantExec, waves)
-	}
-	if w.TTCSec < w.ExecSec+w.PatternOvhSec {
-		return nil, fmt.Errorf("stress 1m: TTC %.1fs < exec %.1fs + overhead %.1fs",
-			w.TTCSec, w.ExecSec, w.PatternOvhSec)
-	}
-	return res, nil
-}
-
 // Check asserts exact accounting at 10k scale: every task ran (no
 // retries, no losses), the pattern overhead is the client-side submission
 // cost of every unit, and each stage's span is the expected number of
