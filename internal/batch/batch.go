@@ -86,6 +86,13 @@ type Request struct {
 	Queue string
 	// Project is the allocation charged (informational).
 	Project string
+	// OnStart and OnEnd are the job's lifecycle callbacks, and Submit
+	// requires both. OnStart runs at the instant the job starts
+	// running; a job that ends while still queued never calls it.
+	// OnEnd runs at the instant the job reaches its final state. Both
+	// run inline in whatever moved the job (the queue-wait or walltime
+	// timer, Cancel, Expire), so they must not block on the clock.
+	OnStart, OnEnd func(*Job)
 }
 
 // Job is a submitted batch job.
@@ -103,10 +110,7 @@ type Job struct {
 	submitted  time.Duration
 	started    time.Duration
 	ended      time.Duration
-
-	startEv  *vclock.Event
-	endEv    *vclock.Event
-	walltime *vclock.Timer // the walltime kill while Running; stopped at job end
+	walltime   *vclock.Timer // the walltime kill while Running; stopped at job end
 }
 
 // State returns the job's current state.
@@ -115,22 +119,6 @@ func (j *Job) State() State {
 	defer j.mu.Unlock()
 	return j.state
 }
-
-// WaitStart blocks the calling process until the job leaves Pending. On
-// return the job is Running or already final (e.g. cancelled while queued).
-func (j *Job) WaitStart() { j.startEv.Wait() }
-
-// WaitEnd blocks the calling process until the job reaches a final state,
-// which it returns.
-func (j *Job) WaitEnd() State {
-	j.endEv.Wait()
-	return j.State()
-}
-
-// Finish marks the payload complete, releasing the allocation. It is the
-// simulation's stand-in for the job script exiting. Calling it when the
-// job is not running is a no-op.
-func (j *Job) Finish() { j.sys.endJob(j, Completed) }
 
 // Cancel removes the job from the queue or kills it if running.
 func (j *Job) Cancel() { j.sys.cancel(j) }
@@ -186,12 +174,10 @@ func NewSystem(v vclock.Clock, machine *cluster.Machine, policy Policy) (*System
 	}, nil
 }
 
-// Machine returns the machine this system schedules.
-func (s *System) Machine() *cluster.Machine { return s.machine }
-
 // Submit enqueues a job request. The returned job is Pending; it becomes
 // Running once the queue-wait model admits it and nodes are free. Submit
-// must be called from a registered vclock process.
+// must be called from a registered vclock process. The job may start,
+// and call req.OnStart, before Submit returns.
 func (s *System) Submit(req Request) (*Job, error) {
 	if req.Cores <= 0 {
 		return nil, fmt.Errorf("batch: job %q requests %d cores", req.Name, req.Cores)
@@ -214,8 +200,6 @@ func (s *System) Submit(req Request) (*Job, error) {
 		sys:       s,
 		state:     Pending,
 		submitted: s.v.Now(),
-		startEv:   vclock.NewEvent(s.v, fmt.Sprintf("batch job %d start", s.nextID)),
-		endEv:     vclock.NewEvent(s.v, fmt.Sprintf("batch job %d end", s.nextID)),
 	}
 	if s.prof != nil {
 		// Interned before the job is published: once it is in s.queue a
@@ -235,9 +219,8 @@ func (s *System) Submit(req Request) (*Job, error) {
 	// modelled delay, so even an empty machine imposes realistic waits.
 	// The job is eligible from the instant the delay has been charged —
 	// in simulation exactly the eligibleAt computed above; on the wall
-	// clock, where Charge does not sleep, now.
-	s.v.Go(func() {
-		s.v.Charge(delay)
+	// clock, where nothing is charged, now.
+	s.v.After(s.v.Charged(delay), func() {
 		s.mu.Lock()
 		j.eligibleAt = s.v.Now()
 		s.mu.Unlock()
@@ -282,7 +265,7 @@ func (s *System) schedule() {
 		if s.prof != nil {
 			s.prof.RecordID(j.entityID, s.evStart)
 		}
-		j.startEv.Fire()
+		j.Req.OnStart(j)
 		s.armWalltime(j)
 	}
 }
@@ -360,7 +343,7 @@ func (s *System) armWalltime(j *Job) {
 	}
 	j.mu.Unlock()
 	if !running {
-		t.Stop() // ended between its start event and here
+		t.Stop() // ended between its start and here
 	}
 }
 
@@ -388,7 +371,7 @@ func (s *System) endJob(j *Job, final State) {
 	if s.prof != nil {
 		s.prof.RecordID(j.entityID, s.evEnd)
 	}
-	j.endEv.Fire()
+	j.Req.OnEnd(j)
 	s.schedule()
 }
 
@@ -408,8 +391,7 @@ func (s *System) cancel(j *Job) {
 			}
 		}
 		s.mu.Unlock()
-		j.startEv.Fire() // release WaitStart callers
-		j.endEv.Fire()
+		j.Req.OnEnd(j)
 		return
 	case Running:
 		j.mu.Unlock()
@@ -422,7 +404,7 @@ func (s *System) cancel(j *Job) {
 
 // expire handles Job.Expire for both queued and running jobs: the
 // machine-side abnormal termination. It mirrors cancel's state walk but
-// lands on TimedOut, so the SAGA layer reports the death as Failed.
+// lands on TimedOut, so the pilot layer reports the death as Failed.
 func (s *System) expire(j *Job) {
 	j.mu.Lock()
 	switch j.state {
@@ -441,8 +423,7 @@ func (s *System) expire(j *Job) {
 		if s.prof != nil {
 			s.prof.RecordID(j.entityID, s.evEnd)
 		}
-		j.startEv.Fire() // release WaitStart callers
-		j.endEv.Fire()
+		j.Req.OnEnd(j)
 		return
 	case Running:
 		j.mu.Unlock()

@@ -32,17 +32,56 @@ func newSys(t *testing.T, v *vclock.Virtual, p Policy) *System {
 	return s
 }
 
+// watched is a submitted job plus the events its lifecycle callbacks
+// fire, so a test process can wait for its start and its end.
+type watched struct {
+	*Job
+	started, ended *vclock.Event
+}
+
+// submit submits req with callbacks that fire the returned job's events.
+// A job that ends while still queued fires both, so WaitStart never
+// blocks past the end.
+func submit(s *System, req Request) (*watched, error) {
+	w := &watched{
+		started: vclock.NewEvent(s.v, req.Name+" start"),
+		ended:   vclock.NewEvent(s.v, req.Name+" end"),
+	}
+	req.OnStart = func(*Job) { w.started.Fire() }
+	req.OnEnd = func(*Job) {
+		w.started.Fire()
+		w.ended.Fire()
+	}
+	j, err := s.Submit(req)
+	if err != nil {
+		return nil, err
+	}
+	w.Job = j
+	return w, nil
+}
+
+// WaitStart blocks the calling process until the job leaves Pending. On
+// return the job is Running or already final.
+func (w *watched) WaitStart() { w.started.Wait() }
+
+// WaitEnd blocks the calling process until the job is final and returns
+// that state.
+func (w *watched) WaitEnd() State {
+	w.ended.Wait()
+	return w.State()
+}
+
 func TestSubmitValidation(t *testing.T) {
 	v := vclock.NewVirtual()
 	s := newSys(t, v, FIFO)
 	v.Run(func() {
-		if _, err := s.Submit(Request{Name: "a", Cores: 0, Walltime: time.Hour}); err == nil {
+		if _, err := submit(s, Request{Name: "a", Cores: 0, Walltime: time.Hour}); err == nil {
 			t.Error("zero cores accepted")
 		}
-		if _, err := s.Submit(Request{Name: "b", Cores: 10, Walltime: 0}); err == nil {
+		if _, err := submit(s, Request{Name: "b", Cores: 10, Walltime: 0}); err == nil {
 			t.Error("zero walltime accepted")
 		}
-		if _, err := s.Submit(Request{Name: "c", Cores: 1000, Walltime: time.Hour}); err == nil {
+		if _, err := submit(s, Request{Name: "c", Cores: 1000, Walltime: time.Hour}); err == nil {
 			t.Error("oversized job accepted")
 		}
 	})
@@ -53,7 +92,7 @@ func TestJobLifecycleAndQueueWait(t *testing.T) {
 	s := newSys(t, v, FIFO)
 	v.Run(func() {
 		// 15 cores => 2 nodes => wait 10s + 2s = 12s.
-		j, err := s.Submit(Request{Name: "job", Cores: 15, Walltime: time.Hour})
+		j, err := submit(s, Request{Name: "job", Cores: 15, Walltime: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +127,7 @@ func TestWalltimeKill(t *testing.T) {
 	v := vclock.NewVirtual()
 	s := newSys(t, v, FIFO)
 	v.Run(func() {
-		j, _ := s.Submit(Request{Name: "long", Cores: 10, Walltime: time.Minute})
+		j, _ := submit(s, Request{Name: "long", Cores: 10, Walltime: time.Minute})
 		j.WaitStart()
 		if st := j.WaitEnd(); st != TimedOut {
 			t.Errorf("final state = %v, want TIMEOUT", st)
@@ -108,14 +147,14 @@ func TestCancelPendingAndRunning(t *testing.T) {
 	v := vclock.NewVirtual()
 	s := newSys(t, v, FIFO)
 	v.Run(func() {
-		p, _ := s.Submit(Request{Name: "pending", Cores: 10, Walltime: time.Hour})
+		p, _ := submit(s, Request{Name: "pending", Cores: 10, Walltime: time.Hour})
 		p.Cancel()
 		if st := p.WaitEnd(); st != Cancelled {
 			t.Errorf("pending cancel state = %v", st)
 		}
 		p.WaitStart() // must not block after cancel
 
-		r, _ := s.Submit(Request{Name: "running", Cores: 10, Walltime: time.Hour})
+		r, _ := submit(s, Request{Name: "running", Cores: 10, Walltime: time.Hour})
 		r.WaitStart()
 		r.Cancel()
 		if st := r.WaitEnd(); st != Cancelled {
@@ -134,16 +173,16 @@ func TestFIFOBlocksBehindBigJob(t *testing.T) {
 	var mu sync.Mutex
 	v.Run(func() {
 		// hog takes the whole machine for 100s.
-		hog, _ := s.Submit(Request{Name: "hog", Cores: 40, Walltime: 100 * time.Second})
+		hog, _ := submit(s, Request{Name: "hog", Cores: 40, Walltime: 100 * time.Second})
 		hog.WaitStart()
 		// big needs 3 nodes: cannot start until hog ends.
-		big, _ := s.Submit(Request{Name: "big", Cores: 30, Walltime: 10 * time.Second})
+		big, _ := submit(s, Request{Name: "big", Cores: 30, Walltime: 10 * time.Second})
 		// small fits in 0 free nodes? No: 1 node needed, 0 free. Queued
 		// behind big under FIFO even though it would fit sooner.
-		small, _ := s.Submit(Request{Name: "small", Cores: 5, Walltime: 5 * time.Second})
+		small, _ := submit(s, Request{Name: "small", Cores: 5, Walltime: 5 * time.Second})
 		wg := vclock.NewWaitGroup(v, "jobs")
 		for _, jn := range []struct {
-			j *Job
+			j *watched
 			n string
 		}{{big, "big"}, {small, "small"}} {
 			jn := jn
@@ -181,13 +220,13 @@ func TestEASYBackfillLetsSmallJobJump(t *testing.T) {
 	var smallStart, bigStart time.Duration
 	v.Run(func() {
 		// hog: 3 of 4 nodes for 1000s.
-		hog, _ := s.Submit(Request{Name: "hog", Cores: 30, Walltime: 1000 * time.Second})
+		hog, _ := submit(s, Request{Name: "hog", Cores: 30, Walltime: 1000 * time.Second})
 		hog.WaitStart()
 		// big: needs all 4 nodes; must wait for hog (shadow = hog end).
-		big, _ := s.Submit(Request{Name: "big", Cores: 40, Walltime: 10 * time.Second})
+		big, _ := submit(s, Request{Name: "big", Cores: 40, Walltime: 10 * time.Second})
 		// small: 1 node, 60s; fits now and ends well before the shadow
 		// time, so EASY lets it jump the queue.
-		small, _ := s.Submit(Request{Name: "small", Cores: 10, Walltime: 60 * time.Second})
+		small, _ := submit(s, Request{Name: "small", Cores: 10, Walltime: 60 * time.Second})
 		wg := vclock.NewWaitGroup(v, "jobs")
 		wg.Add(2)
 		v.Go(func() {
@@ -218,12 +257,12 @@ func TestBackfillNeverDelaysHead(t *testing.T) {
 	s := newSys(t, v, EASYBackfill)
 	var bigStart time.Duration
 	v.Run(func() {
-		hog, _ := s.Submit(Request{Name: "hog", Cores: 30, Walltime: 500 * time.Second})
+		hog, _ := submit(s, Request{Name: "hog", Cores: 30, Walltime: 500 * time.Second})
 		hog.WaitStart()
-		big, _ := s.Submit(Request{Name: "big", Cores: 40, Walltime: 10 * time.Second})
+		big, _ := submit(s, Request{Name: "big", Cores: 40, Walltime: 10 * time.Second})
 		// wide wants 1 node for 10000s: it fits now, but running it past
 		// the shadow time (hog end) would delay big. EASY must refuse.
-		wide, _ := s.Submit(Request{Name: "wide", Cores: 10, Walltime: 10000 * time.Second})
+		wide, _ := submit(s, Request{Name: "wide", Cores: 10, Walltime: 10000 * time.Second})
 		wg := vclock.NewWaitGroup(v, "jobs")
 		wg.Add(1)
 		v.Go(func() {
@@ -257,7 +296,7 @@ func TestNoOversubscriptionUnderChurn(t *testing.T) {
 				defer wg.Done()
 				cores := 5 + (i%4)*10 // 5..35 cores => 1..4 nodes
 				dur := time.Duration(1+i%7) * time.Second
-				j, err := s.Submit(Request{Name: "churn", Cores: cores, Walltime: time.Hour})
+				j, err := submit(s, Request{Name: "churn", Cores: cores, Walltime: time.Hour})
 				if err != nil {
 					t.Error(err)
 					return
@@ -296,6 +335,11 @@ func TestPolicyString(t *testing.T) {
 		t.Error("Final() wrong")
 	}
 }
+
+// Finish marks the payload complete, releasing the allocation: the
+// simulation's stand-in for the job script exiting. Calling it when the
+// job is not running is a no-op.
+func (j *Job) Finish() { j.sys.endJob(j, Completed) }
 
 // Final reports whether s is a terminal state.
 func (s State) Final() bool { return s == Completed || s == TimedOut || s == Cancelled }

@@ -216,7 +216,7 @@ func TestRealModeNoLeak(t *testing.T) {
 	settled := func(wantGoroutines int) (int, uint64) {
 		var n int
 		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-			if n = runtime.NumGoroutine(); n <= wantGoroutines || time.Now().After(deadline) {
+			if n = liveGoroutines(); n <= wantGoroutines || time.Now().After(deadline) {
 				break
 			}
 		}
@@ -227,7 +227,7 @@ func TestRealModeNoLeak(t *testing.T) {
 		return n, ms.HeapAlloc
 	}
 
-	g0 := runtime.NumGoroutine()
+	g0 := liveGoroutines()
 	run()
 	_, heap1 := settled(g0)
 	for i := 0; i < 5; i++ {
@@ -240,4 +240,27 @@ func TestRealModeNoLeak(t *testing.T) {
 	if grown := int64(heap6) - int64(heap1); grown > 64<<10 {
 		t.Errorf("live heap grew %d KB between the first and the sixth run, want at most 64 KB", grown>>10)
 	}
+}
+
+// liveGoroutines counts the goroutines that have not begun to exit. A
+// finished test's goroutine can still be on its way out (its top frame
+// runtime.goexit1) when the next test starts; it holds nothing, so a
+// count taken then must not include it.
+func liveGoroutines() int {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	live := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if lines := strings.SplitN(g, "\n", 3); len(lines) < 2 || !strings.HasPrefix(lines[1], "runtime.goexit1(") {
+			live++
+		}
+	}
+	return live
 }

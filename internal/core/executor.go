@@ -337,8 +337,6 @@ func (ex *executor) runTasks(specs []taskSpec, streamed bool) ([]*pilot.ComputeU
 			switch u.WaitFinal() {
 			case pilot.UnitDone:
 				result[idx] = u
-			case pilot.UnitCanceled:
-				failures = append(failures, fmt.Sprintf("%s: canceled", specs[idx].name))
 			default: // failed
 				budget := specs[idx].k.retries(ex.rs.cfg.MaxRetries)
 				if attempts[idx] < budget {

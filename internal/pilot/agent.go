@@ -447,21 +447,6 @@ func (a *agent) submitBatch(us []*ComputeUnit) {
 	a.requestPass() // unlocks
 }
 
-// cancelQueued removes a unit from the pending queue if still there —
-// an O(1) tombstone in its bucket, so cancelling under a deep backlog
-// never touches unrelated entries.
-func (a *agent) cancelQueued(u *ComputeUnit) {
-	a.mu.Lock()
-	ok := a.pend.cancel(u)
-	a.mu.Unlock()
-	if ok {
-		u.finish(UnitCanceled, nil)
-		return
-	}
-	// Not pending: either executing (runs to completion, finish() maps
-	// Done to Canceled via the unit's canceled flag) or already final.
-}
-
 // load is the agent's backlog, queued plus running units — the signal
 // PlaceLeastLoaded routes by.
 func (a *agent) load() int {

@@ -90,8 +90,8 @@ func (fp *FaultPlan) Validate(n int) error {
 // Arm schedules every fault of the plan on the virtual clock against
 // pilots (set order; Fault.Pilot indexes it). displaced receives the
 // units a node loss displaces — pilot deaths route through the agent's
-// installed recovery path instead, so Arm leaves them to the teardown
-// watcher. A nil displaced fails displaced units with the fault cause,
+// installed recovery path instead, so Arm leaves them to the pilot's
+// teardown. A nil displaced fails displaced units with the fault cause,
 // mirroring an agent without recovery. Must be called from a registered
 // vclock process before the fault instants pass. The returned timers,
 // one per fault, let the owner disarm what has not fired by teardown.

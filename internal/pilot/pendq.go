@@ -12,8 +12,7 @@ import "math"
 // placement class (exact core need × MPI flag), each bucket is a ring
 // whose head index is the saturated-pass cursor (placing the head is
 // head++, no memmove), and global FIFO order is preserved by a monotone
-// sequence number merged across bucket heads. Cancellation is an O(1)
-// tombstone instead of a linear splice.
+// sequence number merged across bucket heads.
 //
 // The seed FIFO survives as a test oracle behind the same pendingQueue
 // interface and the shared pass driver in agent.go (pendq_ref_test.go),
@@ -50,10 +49,8 @@ import "math"
 type pendingQueue interface {
 	// push appends a unit in FIFO order. Caller holds the agent's mu.
 	push(u *ComputeUnit)
-	// size is the number of queued (non-cancelled) units.
+	// size is the number of queued units.
 	size() int
-	// cancel removes u if still queued, reporting whether it did.
-	cancel(u *ComputeUnit) bool
 	// minNeedAny/minNeedMPI are the pending-need watermarks: never above
 	// the true minimum core need over queued units (math.MaxInt when
 	// empty). The FIFO reference keeps the seed's conservative scheme;
@@ -85,8 +82,8 @@ type pendClass struct {
 	mpi  bool
 }
 
-// segEntry is one queue slot. A nil unit is a dead slot (placed, or a
-// reclaimed tombstone), dropped lazily when a cursor walks over it.
+// segEntry is one queue slot. A nil unit is a dead slot (placed past
+// skipped entries), dropped lazily when a cursor walks over it.
 type segEntry struct {
 	seq uint64
 	u   *ComputeUnit
@@ -101,7 +98,7 @@ type segBucket struct {
 	entries []segEntry
 	head    int
 	live    int // live entries in entries[head:]
-	dead    int // dead entries in entries[head:] (tombstoned or nil)
+	dead    int // dead entries in entries[head:]
 
 	// Pass-local state, lazily reset when pass != the queue's epoch.
 	pass    uint64
@@ -109,17 +106,10 @@ type segBucket struct {
 	blocked bool
 }
 
-const (
-	// segCompactMin: a bucket compacts away its dead slots once at least
-	// this many have accumulated AND they are the majority of the
-	// not-yet-consumed range — O(1) amortized per cancellation, and a
-	// pass never walks a dead-dominated ring.
-	segCompactMin = 64
-	// segReclaimMin: the consumed prefix entries[:head] is slid off once
-	// it is at least this long and at least half the backing array, so
-	// the ring's memory tracks the live backlog.
-	segReclaimMin = 1024
-)
+// segReclaimMin: the consumed prefix entries[:head] is slid off once it
+// is at least this long and at least half the backing array, so the
+// ring's memory tracks the live backlog.
+const segReclaimMin = 1024
 
 // segPending is the segmented pending queue: per-class ring buckets,
 // global FIFO order by sequence-number merge across bucket cursors.
@@ -151,49 +141,9 @@ func (q *segPending) push(u *ComputeUnit) {
 	q.nextSeq++
 	b.live++
 	q.n++
-	u.pendIn = true
 }
 
 func (q *segPending) size() int { return q.n }
-
-func (q *segPending) cancel(u *ComputeUnit) bool {
-	if !u.pendIn {
-		return false
-	}
-	// O(1): flag the unit, adjust the bucket counters. The slot itself
-	// is reclaimed when a pass cursor next walks over it, or by the
-	// compaction below once dead slots dominate the bucket — no scan of
-	// unrelated entries either way.
-	u.pendIn = false
-	u.pendTomb = true
-	b := q.buckets[pendClass{need: u.Desc.Cores, mpi: u.Desc.MPI}]
-	b.live--
-	b.dead++
-	q.n--
-	if b.dead >= segCompactMin && b.dead*2 >= len(b.entries)-b.head {
-		q.compact(b)
-	}
-	return true
-}
-
-// compact rewrites a bucket keeping only live slots. Cancellation runs
-// under the agent's mu and passes hold that mu throughout, so no pass
-// cursor is live here and scan state needs no adjustment.
-func (q *segPending) compact(b *segBucket) {
-	kept := b.entries[:0]
-	for _, e := range b.entries[b.head:] {
-		q.passWork++
-		if e.u != nil && !e.u.pendTomb {
-			kept = append(kept, e)
-		}
-	}
-	for i := len(kept); i < len(b.entries); i++ {
-		b.entries[i] = segEntry{}
-	}
-	b.entries = kept
-	b.head = 0
-	b.dead = 0
-}
 
 func (q *segPending) minNeedAny() int {
 	min := math.MaxInt
@@ -220,12 +170,7 @@ func (q *segPending) drain() []*ComputeUnit {
 	for {
 		var best *segBucket
 		for _, b := range q.order {
-			for b.head < len(b.entries) {
-				e := &b.entries[b.head]
-				if e.u != nil && !e.u.pendTomb {
-					break
-				}
-				e.u = nil
+			for b.head < len(b.entries) && b.entries[b.head].u == nil {
 				b.head++
 				b.dead--
 			}
@@ -240,7 +185,6 @@ func (q *segPending) drain() []*ComputeUnit {
 			break
 		}
 		e := &best.entries[best.head]
-		e.u.pendIn = false
 		out = append(out, e.u)
 		e.u = nil
 		best.head++
@@ -272,12 +216,7 @@ func (q *segPending) next() *ComputeUnit {
 			continue
 		}
 		// Step the cursor over dead slots, dropping them from the head.
-		for b.scan < len(b.entries) {
-			e := &b.entries[b.scan]
-			if e.u != nil && !e.u.pendTomb {
-				break
-			}
-			e.u = nil // release a tombstoned unit's pointer
+		for b.scan < len(b.entries) && b.entries[b.scan].u == nil {
 			if b.scan == b.head {
 				b.head++
 				b.dead--
@@ -302,9 +241,7 @@ func (q *segPending) next() *ComputeUnit {
 
 func (q *segPending) placed() {
 	b := q.cur
-	e := &b.entries[b.scan]
-	e.u.pendIn = false
-	e.u = nil
+	b.entries[b.scan].u = nil
 	b.live--
 	q.n--
 	if b.scan == b.head {

@@ -33,18 +33,6 @@ func (q *fifoPending) push(u *ComputeUnit) {
 
 func (q *fifoPending) size() int { return len(q.units) }
 
-func (q *fifoPending) cancel(u *ComputeUnit) bool {
-	for i, x := range q.units {
-		if x == u {
-			q.units = append(q.units[:i], q.units[i+1:]...)
-			// Watermarks may now be lower than the true minimum; that is
-			// safe (at worst one extra pass recomputes them).
-			return true
-		}
-	}
-	return false
-}
-
 func (q *fifoPending) minNeedAny() int { return q.minAny }
 func (q *fifoPending) minNeedMPI() int { return q.minMPI }
 

@@ -214,46 +214,10 @@ func TestPendingQueueSkipKeepsUnit(t *testing.T) {
 	})
 }
 
-// TestPendingQueueCancel pins the cancellation contract shared by both
-// implementations: a queued unit cancels exactly once, disappears from
-// size, passes, and drain, and cancelling unknown or already-cancelled
-// units reports false.
-func TestPendingQueueCancel(t *testing.T) {
-	eachQueue(t, func(t *testing.T, ref bool) {
-		q := queueImpl(ref)
-		units := make([]*ComputeUnit, 6)
-		for i := range units {
-			units[i] = pendUnit(fmt.Sprintf("u%d", i), 1+i%2*3, i%2 == 1)
-			q.push(units[i])
-		}
-		if !q.cancel(units[2]) {
-			t.Fatal("cancel of queued unit reported false")
-		}
-		if q.cancel(units[2]) {
-			t.Error("second cancel reported true")
-		}
-		if q.cancel(pendUnit("stranger", 1, false)) {
-			t.Error("cancel of never-pushed unit reported true")
-		}
-		if q.size() != 5 {
-			t.Errorf("size = %d, want 5", q.size())
-		}
-		got := placeAll(q)
-		for _, u := range got {
-			if u == units[2] {
-				t.Error("cancelled unit yielded by a pass")
-			}
-		}
-		if len(got) != 5 {
-			t.Errorf("pass yielded %d units, want 5", len(got))
-		}
-	})
-}
-
-// TestPendingQueueDrainOrder pins drain(): after placements and a
-// cancellation, the remaining units come out in global FIFO order (agent
-// stop fails them in order, and profiler event order must match the
-// seed), with their pending marks cleared.
+// TestPendingQueueDrainOrder pins drain(): after placements, one of them
+// past skipped units (a dead slot mid-bucket), the remaining units come
+// out in global FIFO order (agent stop fails them in order, and profiler
+// event order must match the seed).
 func TestPendingQueueDrainOrder(t *testing.T) {
 	eachQueue(t, func(t *testing.T, ref bool) {
 		q := queueImpl(ref)
@@ -262,14 +226,22 @@ func TestPendingQueueDrainOrder(t *testing.T) {
 			units[i] = pendUnit(fmt.Sprintf("u%d", i), []int{1, 4, 2}[i%3], i%3 != 0)
 			q.push(units[i])
 		}
-		// Place the first two in FIFO order, cancel one mid-queue.
+		// Place the first two in FIFO order, then skip three and place
+		// the sixth past them.
 		q.beginPass()
 		q.next()
 		q.placed()
 		q.next()
 		q.placed()
+		for i := 0; i < 3; i++ {
+			q.next()
+			q.skip()
+		}
+		if q.next() != units[5] {
+			t.Fatal("sixth yield is not u5")
+		}
+		q.placed()
 		q.endPass()
-		q.cancel(units[5])
 		got := q.drain()
 		want := []*ComputeUnit{units[2], units[3], units[4], units[6], units[7], units[8]}
 		if len(got) != len(want) {
@@ -278,9 +250,6 @@ func TestPendingQueueDrainOrder(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Errorf("drain[%d] = %s, want %s", i, got[i].Desc.Name, want[i].Desc.Name)
-			}
-			if got[i].pendIn {
-				t.Errorf("drain[%d] still marked pending", i)
 			}
 		}
 		if q.size() != 0 {
@@ -292,8 +261,8 @@ func TestPendingQueueDrainOrder(t *testing.T) {
 // TestPendingQueueWatermarks pins the watermark contract: never above
 // the true minimum pending need, MaxInt when empty — and exact for the
 // segmented queue, whose minima move with bucket liveness (including
-// through cancellation, which the FIFO reference only repairs on its
-// next full pass).
+// through a placement past a skipped unit, which the FIFO reference only
+// repairs on its next full pass).
 func TestPendingQueueWatermarks(t *testing.T) {
 	eachQueue(t, func(t *testing.T, ref bool) {
 		q := queueImpl(ref)
@@ -311,50 +280,22 @@ func TestPendingQueueWatermarks(t *testing.T) {
 			t.Errorf("minNeedMPI = %d, want <= 4", q.minNeedMPI())
 		}
 		if !ref {
-			q.cancel(u2)
+			q.beginPass()
+			q.next()
+			q.skip()
+			if q.next() != u2 {
+				t.Fatal("second yield is not w2")
+			}
+			q.placed()
+			q.endPass()
 			if got := q.minNeedAny(); got != 4 {
-				t.Errorf("segmented minNeedAny after cancel = %d, want exact 4", got)
+				t.Errorf("segmented minNeedAny after placing w2 = %d, want exact 4", got)
 			}
 			if got := q.minNeedMPI(); got != 4 {
 				t.Errorf("segmented minNeedMPI = %d, want exact 4", got)
 			}
 		}
 	})
-}
-
-// TestSegPendingCompaction pins the tombstone lifecycle: mass
-// cancellation under a deep single-class backlog compacts the bucket
-// once dead slots dominate, so the ring's memory and the next pass's
-// work track the live backlog, not its history.
-func TestSegPendingCompaction(t *testing.T) {
-	q := newPendingQueue().(*segPending)
-	units := make([]*ComputeUnit, 512)
-	for i := range units {
-		units[i] = pendUnit(fmt.Sprintf("c%03d", i), 1, false)
-		q.push(units[i])
-	}
-	// Cancel everything but every 8th unit.
-	for i, u := range units {
-		if i%8 != 0 {
-			q.cancel(u)
-		}
-	}
-	if q.size() != 64 {
-		t.Fatalf("size = %d, want 64", q.size())
-	}
-	b := q.buckets[pendClass{need: 1, mpi: false}]
-	if remaining := len(b.entries) - b.head; remaining > 2*64+segCompactMin {
-		t.Errorf("bucket holds %d slots for 64 live units: compaction never ran", remaining)
-	}
-	got := placeAll(q)
-	if len(got) != 64 {
-		t.Fatalf("pass yielded %d units, want 64", len(got))
-	}
-	for i, u := range got {
-		if u != units[i*8] {
-			t.Errorf("yield %d = %s, want %s (FIFO among survivors)", i, u.Desc.Name, units[i*8].Desc.Name)
-		}
-	}
 }
 
 // TestSegPendingHeadReclaim pins the consumed-prefix reclaim: draining a
@@ -486,53 +427,4 @@ func TestAgentPassCostRegression(t *testing.T) {
 	if fifoRatio < 3 {
 		t.Errorf("reference agent work/unit grew only %.2fx over an 8x deeper backlog, want >= 3x", fifoRatio)
 	}
-}
-
-// TestCancelUnderDeepBacklog is the cancellation-under-load gate: with a
-// deep pending backlog behind a saturated pilot, cancelling most of the
-// queue must cost amortized O(1) per cancel (no per-cancel scan of
-// unrelated entries), the cancelled units must finish CANCELED, and the
-// survivors must run to completion untouched.
-func TestCancelUnderDeepBacklog(t *testing.T) {
-	v := vclock.NewVirtual()
-	s := testSession(t, v)
-	v.Run(func() {
-		_, p := startPilot(t, s, 32)
-		um := NewUnitManager(s)
-		um.AddPilot(p)
-		const n = 2048
-		descs := make([]UnitDescription, n)
-		for i := range descs {
-			descs[i] = sleepUnit(fmt.Sprintf("x%04d", i), 50)
-		}
-		units, err := um.Submit(descs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The first 32 are running; everything behind them is queued. No
-		// virtual time passes during the cancel loop, so no scheduling
-		// pass interleaves and the work delta below is cancellation cost
-		// alone (tombstones plus amortized compaction).
-		_, _, _, work0 := p.agent.passStats()
-		for _, u := range units[64:] {
-			u.Cancel()
-		}
-		_, _, _, work1 := p.agent.passStats()
-		cancelled := uint64(len(units[64:]))
-		if delta := work1 - work0; delta > 6*cancelled {
-			t.Errorf("cancelling %d queued units cost %d queue touches, want amortized O(1) (<= %d)",
-				cancelled, delta, 6*cancelled)
-		}
-		for i, u := range units {
-			st := u.WaitFinal()
-			switch {
-			case i < 64 && st != UnitDone:
-				t.Errorf("survivor %s final state %v, want DONE", u.Entity(), st)
-			case i >= 64 && st != UnitCanceled:
-				t.Errorf("cancelled %s final state %v, want CANCELED", u.Entity(), st)
-			}
-		}
-		p.Cancel()
-		p.WaitFinal()
-	})
 }

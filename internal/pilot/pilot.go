@@ -5,9 +5,9 @@ import (
 	"sync"
 	"time"
 
+	"entk/internal/batch"
 	"entk/internal/cluster"
 	"entk/internal/profile"
-	"entk/internal/saga"
 	"entk/internal/vclock"
 )
 
@@ -103,7 +103,7 @@ type ComputePilot struct {
 
 	sess     *Session
 	backend  *backend
-	job      saga.Job
+	job      *batch.Job
 	agent    *agent
 	entity   string           // cached profiler entity key
 	entityID profile.EntityID // interned once; lifecycle records by id
@@ -117,7 +117,7 @@ type ComputePilot struct {
 
 // Kill terminates the pilot abnormally at the current instant — the
 // fault-injection path. The placeholder job dies resource-side (no client
-// network latency, unlike Cancel), the teardown watcher maps the death to
+// network latency, unlike Cancel), the teardown maps the death to
 // FAILED, and with a recovery path installed the agent returns its
 // backlog for rebinding instead of failing it. cause is retained for
 // FaultCause.
@@ -127,7 +127,7 @@ func (p *ComputePilot) Kill(cause error) {
 		p.fault = cause
 	}
 	p.mu.Unlock()
-	p.job.Kill()
+	p.job.Expire()
 }
 
 // FaultCause returns the injected-fault cause recorded by Kill, nil for
@@ -219,10 +219,14 @@ func (p *ComputePilot) WaitFinal() PilotState {
 	return p.State()
 }
 
-// Cancel tears the pilot down: the placeholder job is cancelled and every
-// queued unit fails. This is how ResourceHandle.Deallocate releases
-// resources.
-func (p *ComputePilot) Cancel() { p.job.Cancel() }
+// Cancel tears the pilot down: after the cancel request's network round
+// trip the placeholder job is cancelled and every queued unit fails. This
+// is how ResourceHandle.Deallocate releases resources. It must be called
+// from a registered vclock process.
+func (p *ComputePilot) Cancel() {
+	p.sess.V.Charge(p.backend.machine.NetLatency)
+	p.job.Cancel()
+}
 
 // QueueWait reports the batch queue wait as seen through the profiler;
 // zero until the pilot activates. The query streams the pilot's own event
@@ -261,9 +265,13 @@ func NewPilotManager(s *Session) *PilotManager {
 	return &PilotManager{sess: s}
 }
 
-// Submit validates desc, submits the placeholder job through SAGA, and
-// arranges for the agent to boot when the allocation starts. It must be
-// called from a registered vclock process.
+// Submit validates desc, submits the placeholder job to the machine's
+// batch system after the request's network round trip, and returns the
+// pilot PENDING. It must be called from a registered vclock process.
+//
+// The rest of the pilot's life runs on the job's callbacks and holds no
+// process: the job's start arms the agent's boot, which activates the
+// pilot, and the job's end tears the pilot down.
 func (pm *PilotManager) Submit(desc PilotDescription) (*ComputePilot, error) {
 	if err := desc.Validate(); err != nil {
 		return nil, err
@@ -291,13 +299,15 @@ func (pm *PilotManager) Submit(desc PilotDescription) (*ComputePilot, error) {
 	p.agent = newAgent(p)
 
 	pm.sess.Prof.RecordID(p.entityID, pm.sess.vocab.evSubmit)
-	job, err := be.service.Submit(saga.JobDescription{
-		Executable:    "radical-pilot-agent",
-		Arguments:     []string{fmt.Sprintf("--pilot=%d", p.ID)},
-		TotalCPUCount: desc.Cores,
-		WallTimeLimit: desc.Walltime,
-		Queue:         desc.Queue,
-		Project:       desc.Project,
+	pm.sess.V.Charge(2 * be.machine.NetLatency) // request + ack
+	job, err := be.system.Submit(batch.Request{
+		Name:     "radical-pilot-agent",
+		Cores:    desc.Cores,
+		Walltime: desc.Walltime,
+		Queue:    desc.Queue,
+		Project:  desc.Project,
+		OnStart:  p.jobStarted,
+		OnEnd:    p.jobEnded,
 	})
 	if err != nil {
 		return nil, err
@@ -307,56 +317,53 @@ func (pm *PilotManager) Submit(desc PilotDescription) (*ComputePilot, error) {
 	pm.mu.Lock()
 	pm.pilots = append(pm.pilots, p)
 	pm.mu.Unlock()
+	return p, nil
+}
 
-	// Activation watcher: batch job starts -> agent bootstraps -> ACTIVE.
-	pm.sess.V.Go(func() {
-		job.WaitRunning()
-		if job.State() != saga.Running {
-			return // cancelled while queued; final watcher handles it
-		}
-		pm.sess.Prof.RecordID(p.entityID, pm.sess.vocab.evJobRunning)
-		pm.sess.V.Charge(be.machine.AgentBootTime)
-		if job.State() != saga.Running {
-			return
+// jobStarted is the placeholder job's OnStart: the allocation is granted
+// and the agent bootstraps inside it, activating the pilot once its boot
+// time has been charged.
+func (p *ComputePilot) jobStarted(job *batch.Job) {
+	v := p.sess.V
+	p.sess.Prof.RecordID(p.entityID, p.sess.vocab.evJobRunning)
+	v.After(v.Charged(p.backend.machine.AgentBootTime), func() {
+		if job.State() != batch.Running {
+			return // the job ended during the boot; jobEnded handles it
 		}
 		p.setState(PilotActive)
-		pm.sess.Prof.RecordID(p.entityID, pm.sess.vocab.evActive)
+		p.sess.Prof.RecordID(p.entityID, p.sess.vocab.evActive)
 		p.agent.start()
 		p.activeEv.Fire()
 	})
+}
 
-	// Teardown watcher: job reaches a final state -> agent stops, queued
-	// units fail, waiters release. An injected fault (Kill) forces FAILED
-	// whatever the job backend reported; with a recovery path installed
-	// the agent's backlog is returned for rebinding instead of failed.
-	pm.sess.V.Go(func() {
-		st := job.WaitFinal()
-		if p.FaultCause() != nil {
-			st = saga.Failed
+// jobEnded is the placeholder job's OnEnd: the agent stops, queued units
+// fail, waiters release. An injected fault (Kill) forces FAILED whatever
+// the batch system reported; with a recovery path installed the agent's
+// backlog is returned for rebinding instead of failed.
+func (p *ComputePilot) jobEnded(job *batch.Job) {
+	switch st := job.State(); {
+	case p.FaultCause() != nil:
+		p.setState(PilotFailed)
+	case st == batch.Completed:
+		p.setState(PilotDone)
+	case st == batch.Cancelled:
+		p.setState(PilotCanceled)
+	default:
+		p.setState(PilotFailed)
+	}
+	p.sess.Prof.RecordID(p.entityID, p.sess.vocab.evFinal)
+	cause := fmt.Errorf("pilot %d terminated (%v)", p.ID, p.State())
+	if fc := p.FaultCause(); fc != nil {
+		cause = fmt.Errorf("pilot %d terminated (%v): %w", p.ID, p.State(), fc)
+	}
+	if rec := p.agent.recovery(); rec != nil {
+		if returned := p.agent.stopWithReturn(cause); len(returned) > 0 {
+			rec(returned)
 		}
-		switch st {
-		case saga.Done:
-			p.setState(PilotDone)
-		case saga.Canceled:
-			p.setState(PilotCanceled)
-		default:
-			p.setState(PilotFailed)
-		}
-		pm.sess.Prof.RecordID(p.entityID, pm.sess.vocab.evFinal)
-		cause := fmt.Errorf("pilot %d terminated (%v)", p.ID, p.State())
-		if fc := p.FaultCause(); fc != nil {
-			cause = fmt.Errorf("pilot %d terminated (%v): %w", p.ID, p.State(), fc)
-		}
-		if rec := p.agent.recovery(); rec != nil {
-			if returned := p.agent.stopWithReturn(cause); len(returned) > 0 {
-				rec(returned)
-			}
-		} else {
-			p.agent.stop(cause)
-		}
-		p.activeEv.Fire() // release WaitActive callers on early death
-		p.finalEv.Fire()
-	})
-
-	return p, nil
+	} else {
+		p.agent.stop(cause)
+	}
+	p.activeEv.Fire() // release WaitActive callers on early death
+	p.finalEv.Fire()
 }

@@ -1,6 +1,8 @@
 package pilot
 
 import (
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -99,6 +101,68 @@ func TestPilotDescriptionValidate(t *testing.T) {
 	}
 }
 
+// TestPilotDescriptionValidateNamesField pins that a well-formed
+// description validates, with or without its optional queue and
+// project, and that a description missing one required field is
+// refused with an error naming that field.
+func TestPilotDescriptionValidateNamesField(t *testing.T) {
+	good := []PilotDescription{
+		{Resource: "r", Cores: 4, Walltime: time.Hour},
+		{Resource: "r", Cores: 4, Walltime: time.Hour, Queue: "debug", Project: "p"},
+	}
+	for i, d := range good {
+		if err := d.Validate(); err != nil {
+			t.Errorf("good case %d: %v", i, err)
+		}
+	}
+	bad := map[string]PilotDescription{
+		"resource": {Cores: 4, Walltime: time.Hour},
+		"cores":    {Resource: "r", Cores: -1, Walltime: time.Hour},
+		"walltime": {Resource: "r", Cores: 4, Walltime: -time.Second},
+	}
+	for field, d := range bad {
+		if err := d.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("missing %s: err = %v, want one naming %q", field, err, field)
+		}
+	}
+}
+
+// TestPilotSubmitRejectsInvalid pins where a submit that cannot succeed
+// stops: a malformed or oversized description is refused before the
+// request goes out, so the clock does not move, no pilot is listed and
+// no pilot id is used up.
+func TestPilotSubmitRejectsInvalid(t *testing.T) {
+	v := vclock.NewVirtual()
+	s := testSession(t, v)
+	v.Run(func() {
+		pm := NewPilotManager(s)
+		t0 := v.Now()
+		for name, d := range map[string]PilotDescription{
+			"empty":     {},
+			"oversized": {Resource: "test.pilot", Cores: 10000, Walltime: time.Hour},
+		} {
+			if _, err := pm.Submit(d); err == nil {
+				t.Errorf("%s description accepted", name)
+			}
+		}
+		if got := v.Now() - t0; got != 0 {
+			t.Errorf("rejected submits took %v, want 0", got)
+		}
+		if got := pm.Pilots(); len(got) != 0 {
+			t.Errorf("Pilots() = %v after rejected submits, want none", got)
+		}
+		p, err := pm.Submit(PilotDescription{Resource: "test.pilot", Cores: 4, Walltime: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.ID != 1 {
+			t.Errorf("first accepted pilot has ID %d, want 1", p.ID)
+		}
+		p.Cancel()
+		p.WaitFinal()
+	})
+}
+
 func TestUnitDescriptionValidate(t *testing.T) {
 	if err := (&UnitDescription{Kernel: "k", Cores: 4, MPI: true}).Validate(); err != nil {
 		t.Error(err)
@@ -130,8 +194,8 @@ func TestPilotLifecycle(t *testing.T) {
 			t.Errorf("state = %v, want PENDING", p.State())
 		}
 		p.WaitActive()
-		// Queue wait (2s plus the saga submit round trip) is visible
-		// through the profiler.
+		// Queue wait (2s plus the submit round trip) is visible through
+		// the profiler.
 		if qw := p.QueueWait(); qw < 2*time.Second || qw > 2*time.Second+100*time.Millisecond {
 			t.Errorf("queue wait = %v, want ~2s", qw)
 		}
@@ -157,6 +221,142 @@ func TestPilotSubmitErrors(t *testing.T) {
 			t.Error("oversized pilot accepted")
 		}
 	})
+}
+
+// TestPilotControlLatency pins what each control operation costs on the
+// clock: a submit pays its request and ack (2 × NetLatency), a cancel
+// one request (NetLatency), and a kill nothing, because the job dies on
+// the resource side. Teardown runs inline at the job's end, so the pilot
+// is final at the instant its job is.
+func TestPilotControlLatency(t *testing.T) {
+	v := vclock.NewVirtual()
+	s := testSession(t, v)
+	m, err := cluster.Lookup("test.pilot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.Run(func() {
+		pm := NewPilotManager(s)
+		desc := PilotDescription{Resource: "test.pilot", Cores: 4, Walltime: time.Hour}
+		t0 := v.Now()
+		p, err := pm.Submit(desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := v.Now() - t0; got != 2*m.NetLatency {
+			t.Errorf("submit took %v, want 2 × NetLatency = %v", got, 2*m.NetLatency)
+		}
+		p.WaitActive()
+		t0 = v.Now()
+		p.Cancel()
+		if got := v.Now() - t0; got != m.NetLatency {
+			t.Errorf("cancel took %v, want NetLatency = %v", got, m.NetLatency)
+		}
+		if st := p.State(); st != PilotCanceled {
+			t.Errorf("state after cancel = %v, want CANCELED", st)
+		}
+
+		q, err := pm.Submit(desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.WaitActive()
+		t0 = v.Now()
+		q.Kill(errors.New("injected"))
+		if got := v.Now() - t0; got != 0 {
+			t.Errorf("kill took %v, want 0", got)
+		}
+		if st := q.State(); st != PilotFailed {
+			t.Errorf("state after kill = %v, want FAILED", st)
+		}
+	})
+}
+
+// TestPilotWalltimeExpiryFails pins the natural end of an allocation:
+// the batch system kills the placeholder job at its walltime, and the
+// pilot ends FAILED at that instant.
+func TestPilotWalltimeExpiryFails(t *testing.T) {
+	v := vclock.NewVirtual()
+	s := testSession(t, v)
+	v.Run(func() {
+		pm := NewPilotManager(s)
+		t0 := v.Now()
+		p, err := pm.Submit(PilotDescription{Resource: "test.pilot", Cores: 4, Walltime: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.WaitActive()
+		if st := p.WaitFinal(); st != PilotFailed {
+			t.Errorf("final = %v, want FAILED", st)
+		}
+		// The job started once its queue wait was over, and ran out its
+		// walltime from there.
+		if got, want := v.Now()-t0, p.QueueWait()+time.Minute; got != want {
+			t.Errorf("pilot ended at %v, want queue wait + walltime = %v", got, want)
+		}
+	})
+}
+
+// TestPilotCancelWhileQueued pins a cancel that lands before the
+// allocation starts: the pilot ends CANCELED without ever running, and
+// WaitActive returns instead of blocking for good.
+func TestPilotCancelWhileQueued(t *testing.T) {
+	v := vclock.NewVirtual()
+	s := testSession(t, v)
+	v.Run(func() {
+		pm := NewPilotManager(s)
+		p, err := pm.Submit(PilotDescription{Resource: "test.pilot", Cores: 4, Walltime: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Cancel() // the 2 s queue wait is still ahead
+		p.WaitActive()
+		if st := p.State(); st != PilotCanceled {
+			t.Errorf("state = %v, want CANCELED", st)
+		}
+		if qw := p.QueueWait(); qw != 0 {
+			t.Errorf("queue wait = %v, want 0: the job never ran", qw)
+		}
+	})
+}
+
+// TestSessionLeavesNoProcess pins that a pilot's lifecycle holds no
+// process. The session returns from Run with one pilot active and never
+// cancelled and a second still queued behind it; a phantom process
+// (Attach with no matching exit) then holds the clock at that instant
+// for good, as an abandoned simulation would. Every step either pilot
+// still has ahead is a timer or a callback, so no goroutine outlives
+// the run.
+func TestSessionLeavesNoProcess(t *testing.T) {
+	before := runtime.NumGoroutine()
+	v := vclock.NewVirtual()
+	s := testSession(t, v)
+	v.Run(func() {
+		pm := NewPilotManager(s)
+		active, err := pm.Submit(PilotDescription{Resource: "test.pilot", Cores: 4, Walltime: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		active.WaitActive()
+		// The whole machine: queued until the active pilot's job ends.
+		queued, err := pm.Submit(PilotDescription{Resource: "test.pilot", Cores: 32, Walltime: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.Sleep(time.Minute)
+		if active.State() != PilotActive || queued.State() != PilotPending {
+			t.Fatalf("states %v/%v, want ACTIVE/PENDING", active.State(), queued.State())
+		}
+		v.Attach()
+	})
+	after := runtime.NumGoroutine()
+	for i := 0; i < 100 && after > before; i++ {
+		time.Sleep(time.Millisecond)
+		after = runtime.NumGoroutine()
+	}
+	if after > before {
+		t.Errorf("%d goroutines outlive the session (%d before, %d after)", after-before, before, after)
+	}
 }
 
 func TestUnitRunsToDone(t *testing.T) {
@@ -435,24 +635,6 @@ func TestPilotCancelFailsQueuedUnits(t *testing.T) {
 			t.Errorf("queued unit state = %v, want FAILED", st)
 		}
 		_ = blocker
-	})
-}
-
-func TestUnitCancelWhileQueued(t *testing.T) {
-	v := vclock.NewVirtual()
-	s := testSession(t, v)
-	v.Run(func() {
-		_, p := startPilot(t, s, 1)
-		um := NewUnitManager(s)
-		um.AddPilot(p)
-		um.SubmitOne(sleepUnit("blocker", 100))
-		victim, _ := um.SubmitOne(sleepUnit("victim", 1))
-		v.Sleep(500 * time.Millisecond)
-		victim.Cancel()
-		if st := victim.WaitFinal(); st != UnitCanceled {
-			t.Errorf("state = %v, want CANCELED", st)
-		}
-		p.Cancel()
 	})
 }
 

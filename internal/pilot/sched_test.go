@@ -351,7 +351,7 @@ func TestOversizedUnitFailsFastOnSaturatedPilot(t *testing.T) {
 				um := NewUnitManager(s)
 				um.AddPilot(p)
 				// Saturate all 8 cores.
-				hog, _ := um.SubmitOne(stressUnit("hog", 8, true, 50))
+				um.SubmitOne(stressUnit("hog", 8, true, 50))
 				v.Sleep(time.Second)
 				t0 := v.Now()
 				big, _ := um.SubmitOne(stressUnit("big", 9, true, 1))
@@ -377,7 +377,6 @@ func TestOversizedUnitFailsFastOnSaturatedPilot(t *testing.T) {
 				if err := u.Err(); err == nil || !strings.Contains(err.Error(), "node has") {
 					t.Errorf("err = %v, want per-node cause", u.Err())
 				}
-				hog.Cancel()
 				p.Cancel()
 			})
 		})

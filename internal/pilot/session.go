@@ -1,10 +1,10 @@
 // Package pilot implements the pilot-job runtime system the toolkit
 // delegates execution to, modelled on RADICAL-Pilot (Section III-C2). A
-// ComputePilot is a placeholder job submitted through the SAGA layer to a
-// machine's batch system; once its agent boots inside the allocation, any
-// number of ComputeUnits are scheduled onto the pilot's cores at the
-// application level — including multi-core (MPI) units — decoupling the
-// workload size from the instantaneous resource availability.
+// ComputePilot is a placeholder job submitted to a machine's batch system;
+// once its agent boots inside the allocation, any number of ComputeUnits
+// are scheduled onto the pilot's cores at the application level —
+// including multi-core (MPI) units — decoupling the workload size from
+// the instantaneous resource availability.
 package pilot
 
 import (
@@ -15,7 +15,6 @@ import (
 	"entk/internal/cluster"
 	"entk/internal/pad"
 	"entk/internal/profile"
-	"entk/internal/saga"
 	"entk/internal/stage"
 	"entk/internal/vclock"
 )
@@ -163,7 +162,6 @@ func (s *Session) pilotStateName(st PilotState) profile.NameID {
 type backend struct {
 	machine *cluster.Machine
 	system  *batch.System
-	service saga.Service
 	mover   *stage.Mover
 }
 
@@ -211,7 +209,6 @@ func (s *Session) backendFor(resource string) (*backend, error) {
 	b := &backend{
 		machine: m,
 		system:  sys,
-		service: saga.NewBatchService(s.V, sys),
 		mover:   mover,
 	}
 	s.backends[resource] = b

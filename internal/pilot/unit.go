@@ -43,7 +43,9 @@ const (
 	UnitDone
 	// UnitFailed: finished with an error.
 	UnitFailed
-	// UnitCanceled: cancelled before completion.
+	// UnitCanceled: cancelled before completion. No runtime path ends a
+	// unit here; the state stays because the profiler vocabulary interns
+	// every state's name, and dropping one would move trace bytes.
 	UnitCanceled
 )
 
@@ -162,14 +164,13 @@ type ComputeUnit struct {
 	entity   string           // cached profiler entity key
 	entityID profile.EntityID // interned once; state transitions record by id
 
-	mu       sync.Mutex
-	state    UnitState
-	err      error
-	pilot    *ComputePilot
-	started  time.Duration // exec start (virtual)
-	stopped  time.Duration // exec stop (virtual)
-	finalEv  vclock.Event  // embedded: one allocation per unit, not two
-	canceled bool          // cancellation requested
+	mu      sync.Mutex
+	state   UnitState
+	err     error
+	pilot   *ComputePilot
+	started time.Duration // exec start (virtual)
+	stopped time.Duration // exec stop (virtual)
+	finalEv vclock.Event  // embedded: one allocation per unit, not two
 	// gen is the rebind generation. When a pilot dies with a recovery
 	// path installed, its teardown steals the unit — bumping gen — and
 	// rebinding re-runs it elsewhere; the stale run still holds the
@@ -177,14 +178,6 @@ type ComputeUnit struct {
 	// window, finish) are discarded by the *From accessors below. Zero
 	// for the whole life of any unit that is never stolen.
 	gen int
-
-	// pendIn/pendTomb are the segmented pending queue's bookkeeping
-	// (pendq.go), guarded by the owning agent's mu — NOT by u.mu: pendIn
-	// marks the unit live in its agent's queue; pendTomb marks a
-	// cancelled entry whose queue slot is reclaimed lazily by the next
-	// pass cursor that walks over it.
-	pendIn   bool
-	pendTomb bool
 }
 
 func newUnit(s *Session, desc UnitDescription) *ComputeUnit {
@@ -279,22 +272,6 @@ func (u *ComputeUnit) WaitFinal() UnitState {
 	return u.State()
 }
 
-// Cancel requests cancellation. Queued units are cancelled immediately; a
-// unit already executing runs to completion but finishes CANCELED.
-func (u *ComputeUnit) Cancel() {
-	u.mu.Lock()
-	u.canceled = true
-	st := u.state
-	u.mu.Unlock()
-	if st == UnitNew || st == UnitScheduling || st == UnitQueued {
-		if p := u.Pilot(); p != nil {
-			p.agent.cancelQueued(u)
-			return
-		}
-		u.finish(UnitCanceled, nil)
-	}
-}
-
 // setState transitions the unit, recording the transition in the profiler.
 // Transitions out of a final state are ignored.
 func (u *ComputeUnit) setState(st UnitState) {
@@ -320,9 +297,6 @@ func (u *ComputeUnit) finishFrom(gen int, st UnitState, err error) {
 	if (gen >= 0 && gen != u.gen) || u.state.Final() {
 		u.mu.Unlock()
 		return
-	}
-	if u.canceled && st == UnitDone {
-		st = UnitCanceled
 	}
 	u.state = st
 	u.err = err

@@ -396,7 +396,7 @@ func (r *Stress100kResult) Check() error {
 		}
 		prevOvh = w.PatternOvhSec
 		// Queue wait: the model's full delay plus at most 1s of control
-		// latency (SAGA round trips), with the per-node component — the
+		// latency (pilot submit round trips), with the per-node component — the
 		// whole-machine backfill wait — dominating.
 		if w.QueueWaitSec < baseWait+perNodeWait || w.QueueWaitSec > baseWait+perNodeWait+1 {
 			return fmt.Errorf("stress 100k: queue wait %.1fs, want ~%.1fs (base %.0fs + %d nodes)",

@@ -50,6 +50,7 @@ var linkAllow = map[string]string{
 	"entk/internal/kernels.Spec.Executable":        apiAlias,
 	"entk/internal/pilot.ComputeUnit.Entity":       apiAlias,
 	"entk/internal/pilot.ComputeUnit.ExecDuration": apiAlias,
+	"entk/internal/pilot.ComputeUnit.Pilot":        apiAlias,
 
 	"entk/internal/pilot.ComputePilot.DrainPending": apiPilot,
 	"entk/internal/pilot.ComputePilot.Entity":       apiPilot,
@@ -65,7 +66,6 @@ var linkAllow = map[string]string{
 	"entk/internal/profile.Profiler.Record":     apiProfiler,
 	"entk/internal/profile.Profiler.Timeline":   apiProfiler,
 
-	"entk/internal/batch.Job.Finish":   "a test in another package needs it: internal/saga's TestBatchServiceLifecycle, through batchJob.SignalDone",
 	"entk/internal/vclock.Event.Fired": "a test in another package needs it: internal/pilot's TestAgentNeverOversubscribes and TestAgentSoakAllPolicies",
 }
 
