@@ -121,7 +121,7 @@ func (j *Job) State() State {
 }
 
 // Cancel removes the job from the queue or kills it if running.
-func (j *Job) Cancel() { j.sys.cancel(j) }
+func (j *Job) Cancel() { j.sys.stop(j, Cancelled) }
 
 // Expire kills the job as the machine would at walltime expiry: a
 // running job is ended TimedOut, a pending one is discarded as timed
@@ -129,7 +129,7 @@ func (j *Job) Cancel() { j.sys.cancel(j) }
 // resource side, so callers charge no client network latency. It is the
 // hook fault injection uses to expire an allocation at an exact virtual
 // instant.
-func (j *Job) Expire() { j.sys.expire(j) }
+func (j *Job) Expire() { j.sys.stop(j, TimedOut) }
 
 // System is one machine's batch system.
 type System struct {
@@ -375,41 +375,14 @@ func (s *System) endJob(j *Job, final State) {
 	s.schedule()
 }
 
-// cancel handles Job.Cancel for both queued and running jobs.
-func (s *System) cancel(j *Job) {
+// stop ends a queued or running job in state final: Cancelled for
+// Cancel, TimedOut for Expire. A queued job leaves the queue without
+// ever starting; either way job_end is recorded once and OnEnd runs.
+func (s *System) stop(j *Job, final State) {
 	j.mu.Lock()
 	switch j.state {
 	case Pending:
-		j.state = Cancelled
-		j.ended = s.v.Now()
-		j.mu.Unlock()
-		s.mu.Lock()
-		for i, q := range s.queue {
-			if q == j {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				break
-			}
-		}
-		s.mu.Unlock()
-		j.Req.OnEnd(j)
-		return
-	case Running:
-		j.mu.Unlock()
-		s.endJob(j, Cancelled)
-		return
-	default:
-		j.mu.Unlock()
-	}
-}
-
-// expire handles Job.Expire for both queued and running jobs: the
-// machine-side abnormal termination. It mirrors cancel's state walk but
-// lands on TimedOut, so the pilot layer reports the death as Failed.
-func (s *System) expire(j *Job) {
-	j.mu.Lock()
-	switch j.state {
-	case Pending:
-		j.state = TimedOut
+		j.state = final
 		j.ended = s.v.Now()
 		j.mu.Unlock()
 		s.mu.Lock()
@@ -424,11 +397,9 @@ func (s *System) expire(j *Job) {
 			s.prof.RecordID(j.entityID, s.evEnd)
 		}
 		j.Req.OnEnd(j)
-		return
 	case Running:
 		j.mu.Unlock()
-		s.endJob(j, TimedOut)
-		return
+		s.endJob(j, final)
 	default:
 		j.mu.Unlock()
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"entk/internal/cluster"
+	"entk/internal/profile"
 	"entk/internal/vclock"
 )
 
@@ -164,6 +165,47 @@ func TestCancelPendingAndRunning(t *testing.T) {
 			t.Errorf("free nodes after cancels = %d, want 4", got)
 		}
 	})
+}
+
+// TestQueuedJobEndRecordedOnce ends a still-queued job each way a job
+// can leave the queue without starting, and checks its trace: job_submit
+// and exactly one job_end, no job_start — also when the call repeats.
+func TestQueuedJobEndRecordedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		end   func(*Job)
+		final State
+	}{
+		{"cancel", (*Job).Cancel, Cancelled},
+		{"expire", (*Job).Expire, TimedOut},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := vclock.NewVirtual()
+			s := newSys(t, v, FIFO)
+			prof := profile.New(v)
+			s.SetProfiler(prof)
+			v.Run(func() {
+				j, _ := submit(s, Request{Name: "queued", Cores: 10, Walltime: time.Hour})
+				v.Sleep(time.Second) // still inside its 11 s queue wait
+				tc.end(j.Job)
+				tc.end(j.Job)
+				if st := j.WaitEnd(); st != tc.final {
+					t.Errorf("state = %v, want %v", st, tc.final)
+				}
+				if got := s.QueueLength(); got != 0 {
+					t.Errorf("queue length %d after the job left it", got)
+				}
+			})
+			for ev, want := range map[string]int{"job_submit": 1, "job_start": 0, "job_end": 1} {
+				if got := prof.Count("job.0001", ev); got != want {
+					t.Errorf("%s recorded %d times, want %d", ev, got, want)
+				}
+			}
+			if at, ok := prof.First("job.0001", "job_end"); !ok || at != time.Second {
+				t.Errorf("job_end at %v (%v), want 1s", at, ok)
+			}
+		})
+	}
 }
 
 func TestFIFOBlocksBehindBigJob(t *testing.T) {

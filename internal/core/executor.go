@@ -24,16 +24,16 @@ func (e *PatternError) Error() string {
 		e.Pattern, len(e.Failed), strings.Join(e.Failed, "; "))
 }
 
-// taskSpec pairs a task name with its kernel.
-type taskSpec struct {
-	name string
-	k    *Kernel
-}
-
 // eopTaskName formats "pipeNNNN.stageMM" (pad: task naming sits on the
 // per-unit hot path).
 func eopTaskName(pipe, stage int) string {
-	return "pipe" + pad.Int(pipe, 4) + ".stage" + pad.Int(stage, 2)
+	return string(appendEoPTaskName(nil, pipe, stage))
+}
+
+// appendEoPTaskName appends eopTaskName(pipe, stage) to dst.
+func appendEoPTaskName(dst []byte, pipe, stage int) []byte {
+	dst = pad.AppendInt(append(dst, "pipe"...), pipe, 4)
+	return pad.AppendInt(append(dst, ".stage"...), stage, 2)
 }
 
 // eeTaskName formats "cycleNNN.replicaNNNNN".
@@ -166,13 +166,14 @@ func (ex *executor) captureHookStage(seq int, units []*pilot.ComputeUnit) {
 			continue
 		}
 		start, stop, _ := u.ExecWindow()
+		d := u.Desc()
 		snaps = append(snaps, UnitSnapshot{
-			Name:   u.Desc.Name,
-			Kernel: u.Desc.Kernel,
-			Params: u.Desc.Params,
-			Cores:  u.Desc.Cores,
-			MPI:    u.Desc.MPI,
-			Tags:   u.Desc.Tags,
+			Name:   d.Name,
+			Kernel: d.Kernel,
+			Params: d.Params,
+			Cores:  d.Cores,
+			MPI:    d.MPI,
+			Tags:   d.Tags,
 			Start:  start,
 			Stop:   stop,
 		})
@@ -253,35 +254,51 @@ func (ex *executor) runGraph() error {
 // ---------------------------------------------------------------------------
 // Task execution with retry
 
-// submit validates kernels, binds them to unit descriptions, and
-// submits them under the submission lock, charging the elapsed time to
+// submit validates kernels, binds each distinct kernel to one unit
+// description that all its tasks in the wave share, and submits the
+// compact wave under the submission lock, charging the elapsed time to
 // the pattern overhead. Submission goes through the binding's shared
 // wave batcher, so waves from concurrent executors (one per campaign
 // pipeline) coalesce at the unit manager. A streamed wave dispatches its
 // units one by one as each one's client-side submission cost elapses,
 // instead of all at once after the whole batch's: the event timing of N
 // sequential single-unit submissions for one wave's bookkeeping.
-func (ex *executor) submit(specs []taskSpec, attempts []int, streamed bool) ([]*pilot.ComputeUnit, error) {
-	descs := make([]pilot.UnitDescription, len(specs))
+// attempts is nil on a first wave: every task's first attempt.
+func (ex *executor) submit(tasks []Task, attempts []int, streamed bool) ([]*pilot.ComputeUnit, error) {
+	wave := make([]pilot.WaveUnit, len(tasks))
 	// Homogeneous waves share one kernel instance (every stress tier and
-	// most lowered stages); validate each distinct kernel once. A nil
-	// kernel must never match the memo's zero value — Validate is what
-	// turns it into the "core: nil kernel" error instead of a panic in
-	// bind.
-	var lastOK *Kernel
-	for i, s := range specs {
-		if s.k == nil || s.k != lastOK {
-			if err := s.k.Validate(); err != nil {
-				return nil, err
+	// most lowered stages): the memo of the last kernel binds and
+	// validates it once, and the map catches kernels that alternate. A
+	// nil kernel must never match the memo's zero value — Validate is
+	// what turns it into the "core: nil kernel" error instead of a panic
+	// in bind.
+	var (
+		lastK *Kernel
+		lastD *pilot.UnitDescription
+		bound = map[*Kernel]*pilot.UnitDescription{}
+	)
+	for i := range tasks {
+		k := tasks[i].Kernel
+		if lastD == nil || k != lastK {
+			d := bound[k]
+			if d == nil {
+				if err := k.Validate(); err != nil {
+					return nil, err
+				}
+				d = k.bind()
+				bound[k] = d
 			}
-			lastOK = s.k
+			lastK, lastD = k, d
 		}
-		descs[i] = s.k.bind(s.name, attempts[i])
+		wave[i] = pilot.WaveUnit{Desc: lastD, Name: tasks[i].Name}
+		if attempts != nil {
+			wave[i].Attempt = attempts[i]
+		}
 	}
 	ex.subLock.Acquire(1)
 	ex.prof.RecordID(ex.patEnt, ex.evSubStart)
 	t0 := ex.v.Now()
-	units, err := ex.batch.SubmitWave(ex.rank, descs, streamed)
+	units, err := ex.batch.SubmitWave(ex.rank, wave, streamed)
 	dt := ex.v.Now() - t0
 	ex.prof.RecordID(ex.patEnt, ex.evSubStop)
 	ex.subLock.Release(1)
@@ -294,39 +311,45 @@ func (ex *executor) submit(specs []taskSpec, attempts []int, streamed bool) ([]*
 	return units, nil
 }
 
-// runTasks executes specs to completion with per-task retry, returning
-// the successful unit for each spec (in order). streamed selects the
-// streaming submission path for every wave, retries included.
-func (ex *executor) runTasks(specs []taskSpec, streamed bool) ([]*pilot.ComputeUnit, error) {
-	if len(specs) == 0 {
+// runTasks executes tasks to completion with per-task retry, returning
+// the successful unit for each task (in order). Every task must be
+// named. streamed selects the streaming submission path for every wave,
+// retries included.
+func (ex *executor) runTasks(tasks []Task, streamed bool) ([]*pilot.ComputeUnit, error) {
+	if len(tasks) == 0 {
 		return nil, nil
 	}
 	ex.mu.Lock()
-	ex.tasks += len(specs)
+	ex.tasks += len(tasks)
 	ex.mu.Unlock()
 
-	result := make([]*pilot.ComputeUnit, len(specs))
-	attempts := make([]int, len(specs))
-	var pending []int // indices into specs; unused on the first wave
+	// The first wave's unit slice becomes the result: a failed unit's
+	// slot is cleared, and a retry that succeeds fills it again.
+	var result []*pilot.ComputeUnit
+	var attempts []int // made by the first retry; nil means all first attempts
+	var pending []int  // indices into tasks; unused on the first wave
 	var failures []string
 	first := true
 	for first || len(pending) > 0 {
-		// The first wave is the whole spec set: submit it as built, no
+		// The first wave is the whole task set: submit it as built, no
 		// per-wave rematerialisation (the ~5-10% graph-path overhead on
 		// big streamed waves). Only retry waves — a handful of indices —
 		// gather into fresh slices.
-		batch, att := specs, attempts
+		batch, att := tasks, attempts
 		if !first {
-			batch = make([]taskSpec, len(pending))
+			batch = make([]Task, len(pending))
 			att = make([]int, len(pending))
 			for i, idx := range pending {
-				batch[i] = specs[idx]
+				batch[i] = tasks[idx]
 				att[i] = attempts[idx]
 			}
 		}
 		units, err := ex.submit(batch, att, streamed)
 		if err != nil {
 			return nil, err
+		}
+		if first {
+			result = units
 		}
 		var next []int
 		for i, u := range units {
@@ -338,15 +361,20 @@ func (ex *executor) runTasks(specs []taskSpec, streamed bool) ([]*pilot.ComputeU
 			case pilot.UnitDone:
 				result[idx] = u
 			default: // failed
-				budget := specs[idx].k.retries(ex.rs.cfg.MaxRetries)
-				if attempts[idx] < budget {
+				if first {
+					result[idx] = nil
+				}
+				if attempts == nil {
+					attempts = make([]int, len(tasks))
+				}
+				if attempts[idx] < tasks[idx].retries(ex.rs.cfg.MaxRetries) {
 					attempts[idx]++
 					ex.mu.Lock()
 					ex.retries++
 					ex.mu.Unlock()
 					next = append(next, idx)
 				} else {
-					failures = append(failures, fmt.Sprintf("%s: %v", specs[idx].name, u.Err()))
+					failures = append(failures, fmt.Sprintf("%s: %v", tasks[idx].Name, u.Err()))
 				}
 			}
 		}

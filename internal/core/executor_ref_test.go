@@ -56,7 +56,7 @@ func (ex *executor) runRef() error {
 
 // runPhase executes specs as one occurrence of the named phase and
 // records its stats.
-func (ex *executor) runPhase(name string, specs []taskSpec) ([]*pilot.ComputeUnit, error) {
+func (ex *executor) runPhase(name string, specs []Task) ([]*pilot.ComputeUnit, error) {
 	units, err := ex.runTasks(specs, false)
 	if err != nil {
 		return units, err
@@ -97,7 +97,7 @@ func (ex *executor) runEoP(p *EnsembleOfPipelines) error {
 					return
 				}
 				name := eopTaskName(pl, st)
-				units, err := ex.runTasks([]taskSpec{{name, k}}, false)
+				units, err := ex.runTasks([]Task{{Name: name, Kernel: k}}, false)
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -139,13 +139,13 @@ func (ex *executor) runEoP(p *EnsembleOfPipelines) error {
 // This is the hot path of the unit-throughput benchmark and the EoP
 // stress tier.
 func (ex *executor) runEoPSingleStage(p *EnsembleOfPipelines) error {
-	specs := make([]taskSpec, 0, p.Pipelines)
+	specs := make([]Task, 0, p.Pipelines)
 	for pl := 1; pl <= p.Pipelines; pl++ {
 		k := p.StageKernel(1, pl)
 		if k == nil {
 			continue // branching: this pipeline ends before stage 1
 		}
-		specs = append(specs, taskSpec{eopTaskName(pl, 1), k})
+		specs = append(specs, Task{Name: eopTaskName(pl, 1), Kernel: k})
 	}
 	if len(specs) == 0 {
 		return nil
@@ -170,7 +170,7 @@ func (ex *executor) runEoPBulk(p *EnsembleOfPipelines) error {
 		live[pl] = true
 	}
 	for st := 1; st <= p.Stages; st++ {
-		specs := make([]taskSpec, 0, p.Pipelines)
+		specs := make([]Task, 0, p.Pipelines)
 		for pl := 1; pl <= p.Pipelines; pl++ {
 			if !live[pl] {
 				continue
@@ -180,7 +180,7 @@ func (ex *executor) runEoPBulk(p *EnsembleOfPipelines) error {
 				live[pl] = false // branching: pipeline ends early
 				continue
 			}
-			specs = append(specs, taskSpec{eopTaskName(pl, st), k})
+			specs = append(specs, Task{Name: eopTaskName(pl, st), Kernel: k})
 		}
 		if len(specs) == 0 {
 			return nil
@@ -197,21 +197,21 @@ func (ex *executor) runEoPBulk(p *EnsembleOfPipelines) error {
 
 func (ex *executor) runEECollective(p *EnsembleExchange) error {
 	for cycle := 1; cycle <= p.Cycles; cycle++ {
-		specs := make([]taskSpec, p.Replicas)
+		specs := make([]Task, p.Replicas)
 		for r := 1; r <= p.Replicas; r++ {
-			specs[r-1] = taskSpec{
-				name: eeTaskName(cycle, r),
-				k:    p.SimulationKernel(cycle, r),
+			specs[r-1] = Task{
+				Name:   eeTaskName(cycle, r),
+				Kernel: p.SimulationKernel(cycle, r),
 			}
 		}
 		if _, err := ex.runPhase("simulation", specs); err != nil {
 			return err
 		}
-		exSpec := taskSpec{
-			name: fmt.Sprintf("cycle%03d.exchange", cycle),
-			k:    p.ExchangeKernel(cycle),
+		exSpec := Task{
+			Name:   fmt.Sprintf("cycle%03d.exchange", cycle),
+			Kernel: p.ExchangeKernel(cycle),
 		}
-		if _, err := ex.runPhase("exchange", []taskSpec{exSpec}); err != nil {
+		if _, err := ex.runPhase("exchange", []Task{exSpec}); err != nil {
 			return err
 		}
 		if p.ExchangeLogic != nil {
@@ -256,7 +256,7 @@ func (ex *executor) runEEPairwise(p *EnsembleExchange) error {
 			defer wg.Done()
 			for cycle := 1; cycle <= p.Cycles; cycle++ {
 				name := eeTaskName(cycle, r)
-				units, err := ex.runTasks([]taskSpec{{name, p.SimulationKernel(cycle, r)}}, false)
+				units, err := ex.runTasks([]Task{{Name: name, Kernel: p.SimulationKernel(cycle, r)}}, false)
 				if err != nil {
 					fail(err)
 					// Release current and future partners before the
@@ -281,7 +281,7 @@ func (ex *executor) runEEPairwise(p *EnsembleExchange) error {
 				}
 				// Second arriver executes the pairwise exchange task.
 				exName := fmt.Sprintf("cycle%03d.exchange.%05d-%05d", cycle, e.lo, e.hi)
-				exu, err := ex.runTasks([]taskSpec{{exName, p.ExchangeKernel(cycle)}}, false)
+				exu, err := ex.runTasks([]Task{{Name: exName, Kernel: p.ExchangeKernel(cycle)}}, false)
 				if err != nil {
 					fail(err)
 					e.ev.Fire()
@@ -317,7 +317,7 @@ func (ex *executor) runEEPairwise(p *EnsembleExchange) error {
 func (ex *executor) runSAL(p *SimulationAnalysisLoop) error {
 	if p.PreLoop != nil {
 		if k := p.PreLoop(); k != nil {
-			if _, err := ex.runPhase("pre_loop", []taskSpec{{"pre_loop", k}}); err != nil {
+			if _, err := ex.runPhase("pre_loop", []Task{{Name: "pre_loop", Kernel: k}}); err != nil {
 				return err
 			}
 		}
@@ -330,21 +330,21 @@ func (ex *executor) runSAL(p *SimulationAnalysisLoop) error {
 				return err
 			}
 		}
-		sims := make([]taskSpec, width)
+		sims := make([]Task, width)
 		for i := 1; i <= width; i++ {
-			sims[i-1] = taskSpec{
-				name: fmt.Sprintf("iter%03d.sim%05d", iter, i),
-				k:    p.SimulationKernel(iter, i),
+			sims[i-1] = Task{
+				Name:   fmt.Sprintf("iter%03d.sim%05d", iter, i),
+				Kernel: p.SimulationKernel(iter, i),
 			}
 		}
 		if _, err := ex.runPhase("simulation", sims); err != nil {
 			return err
 		}
-		anas := make([]taskSpec, p.Analyses)
+		anas := make([]Task, p.Analyses)
 		for i := 1; i <= p.Analyses; i++ {
-			anas[i-1] = taskSpec{
-				name: fmt.Sprintf("iter%03d.ana%05d", iter, i),
-				k:    p.AnalysisKernel(iter, i),
+			anas[i-1] = Task{
+				Name:   fmt.Sprintf("iter%03d.ana%05d", iter, i),
+				Kernel: p.AnalysisKernel(iter, i),
 			}
 		}
 		if _, err := ex.runPhase("analysis", anas); err != nil {
@@ -356,7 +356,7 @@ func (ex *executor) runSAL(p *SimulationAnalysisLoop) error {
 	}
 	if p.PostLoop != nil {
 		if k := p.PostLoop(); k != nil {
-			if _, err := ex.runPhase("post_loop", []taskSpec{{"post_loop", k}}); err != nil {
+			if _, err := ex.runPhase("post_loop", []Task{{Name: "post_loop", Kernel: k}}); err != nil {
 				return err
 			}
 		}

@@ -330,6 +330,34 @@ func (ex *executor) replayHook(st *Stage, ctl *StageCtl) error {
 	return st.PostStage(ctl)
 }
 
+// namedTasks returns tasks with every empty name defaulted to
+// "<stage>.taskNNNNN". The stage's own slice is returned when every task
+// is named (every lowered pattern's are), and never written.
+func namedTasks(tasks []Task, stage string) []Task {
+	for i := range tasks {
+		if tasks[i].Name != "" {
+			continue
+		}
+		named := slices.Clone(tasks)
+		for j := i; j < len(named); j++ {
+			if named[j].Name == "" {
+				named[j].Name = stage + ".task" + pad.Int(j+1, 5)
+			}
+		}
+		return named
+	}
+	return tasks
+}
+
+// retries resolves the task's retry budget: its own override, else its
+// kernel's, else the default.
+func (t *Task) retries(def int) int {
+	if t.Retries > 0 {
+		return t.Retries
+	}
+	return t.Kernel.retries(def)
+}
+
 // runStage submits a stage's tasks as one wave, waits out the barrier
 // (including retries), records its phase stats, and runs the PostStage
 // hook.
@@ -341,22 +369,7 @@ func (ex *executor) runStage(st *Stage, ctl *StageCtl) error {
 	var units []*pilot.ComputeUnit
 	var err error
 	if len(st.Tasks) > 0 {
-		specs := make([]taskSpec, len(st.Tasks))
-		for i := range st.Tasks {
-			t := &st.Tasks[i]
-			k := t.Kernel
-			if t.Retries > 0 && k != nil && k.Retries != t.Retries {
-				kk := *k
-				kk.Retries = t.Retries
-				k = &kk
-			}
-			tn := t.Name
-			if tn == "" {
-				tn = name + ".task" + pad.Int(i+1, 5)
-			}
-			specs[i] = taskSpec{tn, k}
-		}
-		units, err = ex.runTasks(specs, st.Streamed)
+		units, err = ex.runTasks(namedTasks(st.Tasks, name), st.Streamed)
 		if (err == nil || st.statsOnError) && len(units) > 0 {
 			if st.deferPhase {
 				ex.mu.Lock()

@@ -73,14 +73,15 @@ func (k *Kernel) Validate() error {
 }
 
 // bind translates the kernel into a pilot unit description — the job of
-// the execution plugin's static binding step.
-func (k *Kernel) bind(taskName string, attempt int) pilot.UnitDescription {
+// the execution plugin's static binding step. The description carries
+// no task name or attempt: every task a wave binds from this kernel
+// shares it, and each unit supplies its own.
+func (k *Kernel) bind() *pilot.UnitDescription {
 	cores := k.Cores
 	if cores == 0 {
 		cores = 1
 	}
-	return pilot.UnitDescription{
-		Name:          taskName,
+	return &pilot.UnitDescription{
 		Kernel:        k.Name,
 		Executable:    k.Executable,
 		Args:          k.Args,
@@ -91,7 +92,6 @@ func (k *Kernel) bind(taskName string, attempt int) pilot.UnitDescription {
 		InputStaging:  k.InputStaging,
 		OutputStaging: k.OutputStaging,
 		Work:          k.Work,
-		Attempt:       attempt,
 		FailOn:        k.FailOn,
 	}
 }

@@ -99,20 +99,37 @@ func eopStage(p *EnsembleOfPipelines, pl, st int) *Stage {
 // ordering, the whole ensemble is one streamed wave (see
 // runEoPSingleStage for the timing argument).
 func lowerEoPSingleStage(p *EnsembleOfPipelines) *Pipeline {
-	tasks := make([]Task, 0, p.Pipelines)
-	for pl := 1; pl <= p.Pipelines; pl++ {
-		k := p.StageKernel(1, pl)
-		if k == nil {
-			continue // branching: this pipeline ends before stage 1
-		}
-		tasks = append(tasks, Task{Name: eopTaskName(pl, 1), Kernel: k})
-	}
+	// A nil kernel is branching: that pipeline ends before stage 1.
+	tasks := eopWave(p.Pipelines, 1, func(pl int) *Kernel { return p.StageKernel(1, pl) })
 	return &Pipeline{Name: "eop", Stages: []*Stage{{
 		Name:         "stage.1",
 		Tasks:        tasks,
 		Streamed:     true,
 		statsOnError: true,
 	}}}
+}
+
+// eopWave builds stage st of every paper pipeline pl in 1..n that
+// kernel(pl) gives a kernel, named eopTaskName(pl, st), in pipeline
+// order. The names are cut from one string: a wave of a million tasks
+// allocates its names once, not a million times.
+func eopWave(n, st int, kernel func(pl int) *Kernel) []Task {
+	tasks := make([]Task, 0, n)
+	names := make([]byte, 0, n*len(eopTaskName(n, st))) // the longest name
+	ends := make([]int, 0, n)
+	for pl := 1; pl <= n; pl++ {
+		if k := kernel(pl); k != nil {
+			names = appendEoPTaskName(names, pl, st)
+			ends = append(ends, len(names))
+			tasks = append(tasks, Task{Kernel: k})
+		}
+	}
+	all, start := string(names), 0
+	for i, end := range ends {
+		tasks[i].Name = all[start:end]
+		start = end
+	}
+	return tasks
 }
 
 // lowerEoPBulk is the phase-batched mode: stage s of every live paper
@@ -126,18 +143,16 @@ func lowerEoPBulk(p *EnsembleOfPipelines) *Pipeline {
 	var mkStage func(st int) *Stage
 	mkStage = func(st int) *Stage {
 		s := &Stage{Name: "stage." + pad.Int(st, 1)}
-		s.Tasks = make([]Task, 0, p.Pipelines)
-		for pl := 1; pl <= p.Pipelines; pl++ {
+		s.Tasks = eopWave(p.Pipelines, st, func(pl int) *Kernel {
 			if !live[pl] {
-				continue
+				return nil
 			}
 			k := p.StageKernel(st, pl)
 			if k == nil {
 				live[pl] = false // branching: pipeline ends early
-				continue
 			}
-			s.Tasks = append(s.Tasks, Task{Name: eopTaskName(pl, st), Kernel: k})
-		}
+			return k
+		})
 		if len(s.Tasks) == 0 {
 			return nil // every pipeline branched out: pattern ends
 		}

@@ -27,6 +27,12 @@ type Line [LineSize]byte
 // digits (wider values keep all their digits; negatives render as 0).
 func Int(n, width int) string {
 	var buf [20]byte
+	return string(AppendInt(buf[:0], n, width))
+}
+
+// AppendInt appends Int(n, width) to dst.
+func AppendInt(dst []byte, n, width int) []byte {
+	var buf [20]byte
 	i := len(buf)
 	if n < 0 {
 		n = 0
@@ -40,5 +46,5 @@ func Int(n, width int) string {
 		i--
 		buf[i] = '0'
 	}
-	return string(buf[i:])
+	return append(dst, buf[i:]...)
 }

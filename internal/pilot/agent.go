@@ -400,17 +400,17 @@ func (a *agent) admit(u *ComputeUnit) bool {
 	// wedge the FIFO (and the watermark would rightly never trigger a
 	// pass for them). The capacity is the live one: a pilot shrunk by
 	// node loss no longer admits units only its lost nodes could hold.
-	need := u.Desc.Cores
+	need := u.desc.Cores
 	if cap := a.capacityCores(); need > cap {
 		u.finish(UnitFailed, fmt.Errorf(
 			"pilot: unit %q needs %d cores, pilot %d holds %d",
-			u.Desc.Name, need, a.pilot.ID, cap))
+			u.name, need, a.pilot.ID, cap))
 		return false
 	}
-	if m := a.pilot.backend.machine; !u.Desc.MPI && need > m.CoresPerNode {
+	if m := a.pilot.backend.machine; !u.desc.MPI && need > m.CoresPerNode {
 		u.finish(UnitFailed, fmt.Errorf(
 			"pilot: non-MPI unit %q needs %d cores, node has %d",
-			u.Desc.Name, need, m.CoresPerNode))
+			u.name, need, m.CoresPerNode))
 		return false
 	}
 	return true
@@ -565,10 +565,10 @@ func (a *agent) passLocked() {
 			break
 		}
 		a.passScanned++
-		need := u.Desc.Cores
+		need := u.desc.Cores
 		// O(1) feasibility precheck against the index, then the EASY
 		// reservation, then the actual placement.
-		fits := need <= a.sched.maxNodeFree() || (u.Desc.MPI && need <= a.sched.freeCores())
+		fits := need <= a.sched.maxNodeFree() || (u.desc.MPI && need <= a.sched.freeCores())
 		if !fits {
 			// The precheck depends only on the unit's placement class
 			// (need × MPI) and on free capacity, which never grows within
@@ -605,7 +605,7 @@ func (a *agent) passLocked() {
 				continue
 			}
 		}
-		alloc, ok := a.sched.tryPlace(need, u.Desc.MPI)
+		alloc, ok := a.sched.tryPlace(need, u.desc.MPI)
 		if !ok {
 			// Defensive (the precheck implies placement succeeds): keep
 			// just this unit, claiming no class-wide knowledge.
@@ -656,7 +656,7 @@ func (a *agent) launchLocked(latency time.Duration) time.Duration {
 // scheduling heuristic, exactly as walltime-based EASY backfill is at the
 // batch layer.
 func (a *agent) predictLocked(u *ComputeUnit) (time.Duration, error) {
-	return a.sess.Cost.Duration(u.Desc.Kernel, u.Desc.Params, u.Desc.Cores, a.pilot.backend.machine)
+	return a.sess.Cost.Duration(u.desc.Kernel, u.desc.Params, u.desc.Cores, a.pilot.backend.machine)
 }
 
 // reservationLocked computes the blocked head's EASY reservation from the
@@ -744,12 +744,12 @@ func (r *unitRun) launched() {
 		r.finish(UnitFailed, a.stopCause())
 		return
 	}
-	if len(u.Desc.InputStaging) == 0 {
+	if len(u.desc.InputStaging) == 0 {
 		r.execute()
 		return
 	}
 	vocab := &a.sess.vocab
-	r.stage(UnitStagingInput, u.Desc.InputStaging, vocab.evStageinStart, vocab.evStageinStop, "input", r.execute)
+	r.stage(UnitStagingInput, u.desc.InputStaging, vocab.evStageinStart, vocab.evStageinStop, "input", r.execute)
 }
 
 // stage runs one staging step: the state transition and start record
@@ -782,7 +782,7 @@ func (r *unitRun) stage(st UnitState, dirs []Directive, evStart, evStop profile.
 func (r *unitRun) execute() {
 	a, u := r.a, r.u
 	v := a.sess.V
-	dur, err := a.sess.Cost.Duration(u.Desc.Kernel, u.Desc.Params, u.Desc.Cores, a.pilot.backend.machine)
+	dur, err := a.sess.Cost.Duration(u.desc.Kernel, u.desc.Params, u.desc.Cores, a.pilot.backend.machine)
 	if err != nil {
 		r.finish(UnitFailed, err)
 		return
@@ -808,13 +808,13 @@ func (r *unitRun) execute() {
 	r.executed(runner.RunUnit(ExecRequest{
 		PilotID:    a.pilot.ID,
 		PilotCores: a.pilot.Desc.Cores,
-		Unit:       u.Desc.Name,
+		Unit:       u.name,
 		UnitID:     u.ID,
-		Attempt:    u.Desc.Attempt,
-		Kernel:     u.Desc.Kernel,
-		Executable: u.Desc.Executable,
-		Args:       u.Desc.Args,
-		Cores:      u.Desc.Cores,
+		Attempt:    int(u.attempt),
+		Kernel:     u.desc.Kernel,
+		Executable: u.desc.Executable,
+		Args:       u.desc.Args,
+		Cores:      u.desc.Cores,
 		Model:      dur,
 	}))
 }
@@ -835,21 +835,21 @@ func (r *unitRun) executed(execErr error) {
 	// its execution.
 	a.mu.Lock()
 	a.utilUnits++
-	a.utilBusy += (stop - r.start) * time.Duration(u.Desc.Cores)
+	a.utilBusy += (stop - r.start) * time.Duration(u.desc.Cores)
 	a.mu.Unlock()
 
 	switch {
 	case execErr != nil:
-		r.finish(UnitFailed, fmt.Errorf("unit %q exec: %w", u.Desc.Name, execErr))
-	case u.Desc.FailOn != nil && u.Desc.FailOn(u.Desc.Attempt):
+		r.finish(UnitFailed, fmt.Errorf("unit %q exec: %w", u.name, execErr))
+	case u.desc.FailOn != nil && u.desc.FailOn(int(u.attempt)):
 		r.finish(UnitFailed, fmt.Errorf("unit %q failed (injected, attempt %d)",
-			u.Desc.Name, u.Desc.Attempt))
+			u.name, int(u.attempt)))
 	case a.isStopped():
 		r.finish(UnitFailed, a.stopCause())
-	case u.Desc.Work != nil:
+	case u.desc.Work != nil:
 		a.sess.V.Go(func() {
-			if err := u.Desc.Work(); err != nil {
-				r.finish(UnitFailed, fmt.Errorf("unit %q work: %w", u.Desc.Name, err))
+			if err := u.desc.Work(); err != nil {
+				r.finish(UnitFailed, fmt.Errorf("unit %q work: %w", u.name, err))
 				return
 			}
 			r.stageOut()
@@ -861,12 +861,12 @@ func (r *unitRun) executed(execErr error) {
 
 // stageOut runs output staging, if any, and finishes the unit DONE.
 func (r *unitRun) stageOut() {
-	if len(r.u.Desc.OutputStaging) == 0 {
+	if len(r.u.desc.OutputStaging) == 0 {
 		r.finish(UnitDone, nil)
 		return
 	}
 	vocab := &r.a.sess.vocab
-	r.stage(UnitStagingOutput, r.u.Desc.OutputStaging, vocab.evStageoutStart, vocab.evStageoutStop, "output",
+	r.stage(UnitStagingOutput, r.u.desc.OutputStaging, vocab.evStageoutStart, vocab.evStageoutStop, "output",
 		func() { r.finish(UnitDone, nil) })
 }
 

@@ -53,7 +53,7 @@ func TestLauncherWidthSerializesLaunches(t *testing.T) {
 				for _, u := range units {
 					start, stop, ok := u.ExecWindow()
 					if !ok || stop-start != time.Second {
-						t.Fatalf("unit %s window [%v, %v] ok=%v, want 1s executed", u.Desc.Name, start, stop, ok)
+						t.Fatalf("unit %s window [%v, %v] ok=%v, want 1s executed", u.Name(), start, stop, ok)
 					}
 					starts = append(starts, start-t0)
 				}
@@ -252,7 +252,7 @@ func TestWorkMayBlockOnTheClock(t *testing.T) {
 		}
 		for i, st := range um.WaitAll(units) {
 			if st != UnitDone {
-				t.Errorf("unit %s final state %v, want DONE", units[i].Desc.Name, st)
+				t.Errorf("unit %s final state %v, want DONE", units[i].Name(), st)
 			}
 		}
 		aStart, aStop, _ := units[0].ExecWindow()

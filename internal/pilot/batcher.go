@@ -21,7 +21,7 @@ import (
 // every executor route through it unconditionally (the single-pilot
 // parity suites gate this): unit creation takes zero virtual time, and
 // each member wave still pays its own client-side submission cost
-// (len(descs) × UMSubmitPerUnit) from the instant it arrived before its
+// (len(wave) × UMSubmitPerUnit) from the instant it arrived before its
 // units dispatch — exactly the cost and the dispatch instant of an
 // unbatched submission (the reference intake the batcher tests keep in
 // manager_ref_test.go). Only the wall-clock shape changes:
@@ -36,6 +36,14 @@ import (
 // campaign — and waves of equal rank keep their arrival order. Which
 // process reached the batcher first therefore decides nothing: unit ids
 // and the umgr bracket are the same at any GOMAXPROCS.
+//
+// A wave travels in compact form, as []WaveUnit: each entry points at a
+// description and carries its unit's own name and attempt. The core
+// binds one description per distinct kernel of a wave, so a homogeneous
+// wave of a million units shares one description, and each created
+// unit keeps that pointer — the description is read-only from
+// submission on. Submit takes the long form, one description per unit,
+// and its units point into the caller's slice.
 type WaveBatcher struct {
 	um *UnitManager
 
@@ -47,7 +55,7 @@ type WaveBatcher struct {
 // validated before it joins the queue, so creation cannot fail.
 type batchedWave struct {
 	rank    int
-	descs   []UnitDescription
+	wave    []WaveUnit
 	units   []*ComputeUnit
 	created *vclock.Event
 }
@@ -57,9 +65,11 @@ func NewWaveBatcher(um *UnitManager) *WaveBatcher {
 	return &WaveBatcher{um: um}
 }
 
-// Submit submits one bulk wave of rank 0: SubmitWave(0, descs, false).
+// Submit submits one bulk wave of rank 0, one description per unit:
+// SubmitWave(0, wave, false) over descs. The units point into descs,
+// which the caller must not modify afterwards.
 func (b *WaveBatcher) Submit(descs []UnitDescription) ([]*ComputeUnit, error) {
-	return b.SubmitWave(0, descs, false)
+	return b.SubmitWave(0, waveOf(descs), false)
 }
 
 // SubmitWave submits one wave through the shared batcher: validate, then
@@ -72,10 +82,10 @@ func (b *WaveBatcher) Submit(descs []UnitDescription) ([]*ComputeUnit, error) {
 // late-bound at that instant). Either way the coalescing changes only
 // the wall-clock shape — shared admission and creation, fewer umgr
 // brackets — as the timeline-neutrality tests gate. It must be called
-// from a registered vclock process and returns the units in description
-// order.
-func (b *WaveBatcher) SubmitWave(rank int, descs []UnitDescription, streamed bool) ([]*ComputeUnit, error) {
-	units, err := b.join(rank, descs)
+// from a registered vclock process and returns the units in wave order.
+// The wave slice itself is not retained.
+func (b *WaveBatcher) SubmitWave(rank int, wave []WaveUnit, streamed bool) ([]*ComputeUnit, error) {
+	units, err := b.join(rank, wave)
 	if err != nil {
 		return nil, err
 	}
@@ -90,17 +100,17 @@ func (b *WaveBatcher) SubmitWave(rank int, descs []UnitDescription, streamed boo
 	return units, nil
 }
 
-// join validates descs, enqueues the wave in this instant's round and
+// join validates the wave, enqueues it in this instant's round and
 // parks until the round is created. It returns the created units in
-// description order, with no virtual time elapsed.
-func (b *WaveBatcher) join(rank int, descs []UnitDescription) ([]*ComputeUnit, error) {
+// wave order, with no virtual time elapsed.
+func (b *WaveBatcher) join(rank int, wave []WaveUnit) ([]*ComputeUnit, error) {
 	// Validate before joining a round, so a malformed wave creates no
 	// units, brackets no wave, and poisons no round.
-	if err := validate(descs); err != nil {
+	if err := validate(wave); err != nil {
 		return nil, err
 	}
 	v := b.um.sess.V
-	w := &batchedWave{rank: rank, descs: descs, created: vclock.NewEvent(v, "batched wave created")}
+	w := &batchedWave{rank: rank, wave: wave, created: vclock.NewEvent(v, "batched wave created")}
 	b.mu.Lock()
 	b.queue = append(b.queue, w)
 	if len(b.queue) == 1 {
@@ -122,7 +132,8 @@ func (b *WaveBatcher) create() {
 	slices.SortStableFunc(round, func(x, y *batchedWave) int { return cmp.Compare(x.rank, y.rank) })
 	b.um.beginWave()
 	for _, m := range round {
-		m.units = b.um.createAll(m.descs)
+		m.units = b.um.createAll(m.wave)
+		m.wave = nil
 	}
 	b.um.endWave()
 	for _, m := range round {

@@ -36,7 +36,7 @@ func batcherStreamedWorkload(t *testing.T, batched bool) ([][][2]time.Duration, 
 				var units []*ComputeUnit
 				var err error
 				if batched {
-					units, err = b.SubmitWave(w, descs, true)
+					units, err = b.SubmitWave(w, waveOf(descs), true)
 				} else {
 					units, err = um.SubmitStreamed(descs)
 				}
@@ -211,7 +211,7 @@ func TestBatcherRoundCreatesInRankOrder(t *testing.T) {
 			v.Go(func() {
 				defer wg.Done()
 				descs := []UnitDescription{sleepUnit("r"+pad2(rank, 0), 1), sleepUnit("r"+pad2(rank, 1), 1)}
-				units, err := b.SubmitWave(rank, descs, w%2 == 1)
+				units, err := b.SubmitWave(rank, waveOf(descs), w%2 == 1)
 				if err != nil {
 					t.Error(err)
 					return
@@ -234,7 +234,7 @@ func TestBatcherRoundCreatesInRankOrder(t *testing.T) {
 	for rank, units := range byRank {
 		for _, u := range units {
 			if u.ID <= last {
-				t.Errorf("rank %d unit %s has id %d after id %d: round not created in rank order", rank, u.Desc.Name, u.ID, last)
+				t.Errorf("rank %d unit %s has id %d after id %d: round not created in rank order", rank, u.Name(), u.ID, last)
 			}
 			last = u.ID
 		}
@@ -267,11 +267,11 @@ func TestBatcherSingleWaveMatchesSubmit(t *testing.T) {
 			t.Errorf("wave dispatched after %v, want %v", dispatched, want)
 		}
 		for i, u := range units {
-			if u.Desc.Name != descs[i].Name {
-				t.Errorf("unit %d = %q, want %q (description order)", i, u.Desc.Name, descs[i].Name)
+			if u.Name() != descs[i].Name {
+				t.Errorf("unit %d = %q, want %q (description order)", i, u.Name(), descs[i].Name)
 			}
 			if st := u.WaitFinal(); st != UnitDone {
-				t.Errorf("unit %s final state %v", u.Desc.Name, st)
+				t.Errorf("unit %s final state %v", u.Name(), st)
 			}
 		}
 		p.Cancel()

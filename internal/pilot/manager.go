@@ -82,19 +82,20 @@ func (um *UnitManager) RemovePilot(p *ComputePilot) {
 	um.mu.Unlock()
 }
 
-// pick selects a pilot for the next unit: the placement policy when one
-// is installed (late binding over a multi-pilot set), else round-robin.
-func (um *UnitManager) pick(d *UnitDescription) (*ComputePilot, error) {
+// pick selects a pilot for unit u: the placement policy when one is
+// installed (late binding over a multi-pilot set), else round-robin.
+func (um *UnitManager) pick(u *ComputeUnit) (*ComputePilot, error) {
 	um.mu.Lock()
 	defer um.mu.Unlock()
 	if len(um.pilots) == 0 {
 		return nil, fmt.Errorf("pilot: unit manager has no pilots")
 	}
 	if um.place != nil {
+		d := u.desc
 		p := um.place.Place(d, um.pilots)
 		if p == nil {
 			return nil, fmt.Errorf("pilot: no pilot in the set can run unit %q (%d cores, mpi=%v, tags=%v)",
-				d.Name, d.Cores, d.MPI, d.Tags)
+				u.name, d.Cores, d.MPI, d.Tags)
 		}
 		return p, nil
 	}
@@ -104,31 +105,35 @@ func (um *UnitManager) pick(d *UnitDescription) (*ComputePilot, error) {
 }
 
 // validate checks a whole wave before any of it is created, so a
-// malformed wave creates no units and brackets no wave.
-func validate(descs []UnitDescription) error {
-	for i := range descs {
-		if err := descs[i].Validate(); err != nil {
+// malformed wave creates no units and brackets no wave. A description
+// shared by consecutive units is checked once.
+func validate(wave []WaveUnit) error {
+	for i := range wave {
+		if i > 0 && wave[i].Desc == wave[i-1].Desc {
+			continue
+		}
+		if err := wave[i].Desc.validate(wave[i].Name); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// create constructs the unit for an already-validated description and
+// create constructs the unit for an already-validated wave entry and
 // records its NEW event, charging no virtual time. It is the one place
 // units come from: the wave batcher creates each round's waves up
 // front, before any of their client-side cost elapses.
-func (um *UnitManager) create(d UnitDescription) *ComputeUnit {
-	u := newUnit(um.sess, d)
+func (um *UnitManager) create(w WaveUnit) *ComputeUnit {
+	u := newUnit(um.sess, w)
 	um.sess.Prof.RecordID(u.entityID, um.sess.vocab.evNew)
 	return u
 }
 
-// createAll is create over a wave, in description order.
-func (um *UnitManager) createAll(descs []UnitDescription) []*ComputeUnit {
-	units := make([]*ComputeUnit, len(descs))
-	for i := range descs {
-		units[i] = um.create(descs[i])
+// createAll is create over a wave, in wave order.
+func (um *UnitManager) createAll(wave []WaveUnit) []*ComputeUnit {
+	units := make([]*ComputeUnit, len(wave))
+	for i := range wave {
+		units[i] = um.create(wave[i])
 	}
 	return units
 }
@@ -138,7 +143,7 @@ func (um *UnitManager) createAll(descs []UnitDescription) []*ComputeUnit {
 // take is failed here and nil returned.
 func (um *UnitManager) bind(u *ComputeUnit) *ComputePilot {
 	u.setState(UnitScheduling)
-	p, err := um.pick(&u.Desc)
+	p, err := um.pick(u)
 	if err != nil {
 		u.finish(UnitFailed, err)
 		return nil

@@ -17,12 +17,13 @@ import "time"
 // descriptions and calling submit_units once. It must be called from a
 // registered vclock process.
 func (um *UnitManager) Submit(descs []UnitDescription) ([]*ComputeUnit, error) {
-	if err := validate(descs); err != nil {
+	wave := waveOf(descs)
+	if err := validate(wave); err != nil {
 		return nil, err
 	}
 	um.beginWave()
 	defer um.endWave()
-	units := um.createAll(descs)
+	units := um.createAll(wave)
 	// Client-side creation/serialization cost for the whole batch.
 	um.sess.V.Charge(time.Duration(len(descs)) * um.sess.Cfg.UMSubmitPerUnit)
 	for _, u := range units {
@@ -40,15 +41,16 @@ func (um *UnitManager) Submit(descs []UnitDescription) ([]*ComputeUnit, error) {
 // per pipeline — without the N goroutines. It must be called from a
 // registered vclock process.
 func (um *UnitManager) SubmitStreamed(descs []UnitDescription) ([]*ComputeUnit, error) {
-	if err := validate(descs); err != nil {
+	wave := waveOf(descs)
+	if err := validate(wave); err != nil {
 		return nil, err
 	}
 	um.beginWave()
 	defer um.endWave()
 	perUnit := um.sess.Cfg.UMSubmitPerUnit
-	units := make([]*ComputeUnit, len(descs))
-	for i := range descs {
-		units[i] = um.create(descs[i])
+	units := make([]*ComputeUnit, len(wave))
+	for i := range wave {
+		units[i] = um.create(wave[i])
 		// Client-side creation/serialization cost for this one unit.
 		um.sess.V.Charge(perUnit)
 		um.dispatchOne(units[i])

@@ -107,8 +107,10 @@ type segBucket struct {
 }
 
 // segReclaimMin: the consumed prefix entries[:head] is slid off once it
-// is at least this long and at least half the backing array, so the
-// ring's memory tracks the live backlog.
+// is at least this long and at least half the slots in use. The slide
+// moves into a smaller array when the rest fills a quarter of the
+// backing array or less, so the ring's memory tracks the live backlog
+// and a drained bucket holds none.
 const segReclaimMin = 1024
 
 // segPending is the segmented pending queue: per-class ring buckets,
@@ -130,7 +132,7 @@ type segPending struct {
 }
 
 func (q *segPending) push(u *ComputeUnit) {
-	c := pendClass{need: u.Desc.Cores, mpi: u.Desc.MPI}
+	c := pendClass{need: u.desc.Cores, mpi: u.desc.MPI}
 	b := q.buckets[c]
 	if b == nil {
 		b = &segBucket{class: c}
@@ -264,12 +266,16 @@ func (q *segPending) reclaim(b *segBucket) {
 	if b.head < segReclaimMin || b.head*2 < len(b.entries) {
 		return
 	}
-	n := copy(b.entries, b.entries[b.head:])
+	rest := b.entries[b.head:]
+	n := len(rest)
 	q.passWork += uint64(n)
-	for i := n; i < len(b.entries); i++ {
-		b.entries[i] = segEntry{}
+	if n <= cap(b.entries)/4 {
+		b.entries = append(make([]segEntry, 0, 2*n), rest...)
+	} else {
+		copy(b.entries, rest)
+		clear(b.entries[n:])
+		b.entries = b.entries[:n]
 	}
-	b.entries = b.entries[:n]
 	b.scan -= b.head
 	b.head = 0
 }

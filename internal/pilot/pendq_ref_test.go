@@ -22,11 +22,11 @@ type fifoPending struct {
 
 func (q *fifoPending) push(u *ComputeUnit) {
 	q.units = append(q.units, u)
-	need := u.Desc.Cores
+	need := u.desc.Cores
 	if need < q.minAny {
 		q.minAny = need
 	}
-	if u.Desc.MPI && need < q.minMPI {
+	if u.desc.MPI && need < q.minMPI {
 		q.minMPI = need
 	}
 }
@@ -64,11 +64,11 @@ func (q *fifoPending) skip() {
 	q.keep++
 	q.scan++
 	q.passWork++
-	need := u.Desc.Cores
+	need := u.desc.Cores
 	if need < q.curAny {
 		q.curAny = need
 	}
-	if u.Desc.MPI && need < q.curMPI {
+	if u.desc.MPI && need < q.curMPI {
 		q.curMPI = need
 	}
 }

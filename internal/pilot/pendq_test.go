@@ -10,10 +10,10 @@ import (
 )
 
 // pendUnit builds a bare unit for direct queue tests: push/cancel/drain
-// and the pass protocol touch only Desc and the pend flags, so no
+// and the pass protocol touch only the description and the name, so no
 // session is needed.
 func pendUnit(name string, cores int, mpi bool) *ComputeUnit {
-	return &ComputeUnit{Desc: UnitDescription{Name: name, Kernel: "misc.sleep", Cores: cores, MPI: mpi}}
+	return &ComputeUnit{desc: &UnitDescription{Kernel: "misc.sleep", Cores: cores, MPI: mpi}, name: name}
 }
 
 // queueImpl builds the seed FIFO reference (ref) or the product's
@@ -93,7 +93,7 @@ func TestPendingQueueFIFOAcrossClasses(t *testing.T) {
 		}
 		for i := range pushed {
 			if got[i] != pushed[i] {
-				t.Errorf("yield %d = %s, want %s (FIFO order)", i, got[i].Desc.Name, pushed[i].Desc.Name)
+				t.Errorf("yield %d = %s, want %s (FIFO order)", i, got[i].Name(), pushed[i].Name())
 			}
 		}
 		if q.size() != 0 {
@@ -130,7 +130,7 @@ func TestPendingQueueBlockSemantics(t *testing.T) {
 			if u == nil {
 				break
 			}
-			names = append(names, u.Desc.Name)
+			names = append(names, u.Name())
 			act(u)
 		}
 		q.endPass()
@@ -148,7 +148,7 @@ func TestPendingQueueBlockSemantics(t *testing.T) {
 		// Place the 1-core class, block the 4-core MPI class at b1: b2
 		// must not be consulted this pass.
 		got := yieldNames(q, func(u *ComputeUnit) {
-			if u.Desc.MPI {
+			if u.desc.MPI {
 				q.block()
 			} else {
 				q.placed()
@@ -166,7 +166,7 @@ func TestPendingQueueBlockSemantics(t *testing.T) {
 		// The reference re-prechecks every unit of a blocked class, like
 		// the seed scan: b2 is still yielded.
 		got := yieldNames(q, func(u *ComputeUnit) {
-			if u.Desc.MPI {
+			if u.desc.MPI {
 				q.block()
 			} else {
 				q.placed()
@@ -249,7 +249,7 @@ func TestPendingQueueDrainOrder(t *testing.T) {
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Errorf("drain[%d] = %s, want %s", i, got[i].Desc.Name, want[i].Desc.Name)
+				t.Errorf("drain[%d] = %s, want %s", i, got[i].Name(), want[i].Name())
 			}
 		}
 		if q.size() != 0 {

@@ -164,17 +164,18 @@ func TestPilotSubmitRejectsInvalid(t *testing.T) {
 }
 
 func TestUnitDescriptionValidate(t *testing.T) {
-	if err := (&UnitDescription{Kernel: "k", Cores: 4, MPI: true}).Validate(); err != nil {
+	if err := (&UnitDescription{Kernel: "k", Cores: 4, MPI: true}).validate("u"); err != nil {
 		t.Error(err)
 	}
-	bad := []UnitDescription{
+	bad := []*UnitDescription{
+		nil,                                 // no description
 		{Cores: 1},                          // no kernel
 		{Kernel: "k", Cores: 0},             // no cores
 		{Kernel: "k", Cores: 2, MPI: false}, // multicore without MPI
 	}
 	for i, d := range bad {
-		if err := d.Validate(); err == nil {
-			t.Errorf("case %d accepted", i)
+		if err := d.validate("u"); err == nil || !strings.Contains(err.Error(), `unit "u"`) {
+			t.Errorf("case %d: err = %v, want a rejection naming the unit", i, err)
 		}
 	}
 }
@@ -504,8 +505,7 @@ func TestNonMPIMulticoreConfinedToNode(t *testing.T) {
 		um := NewUnitManager(s)
 		um.AddPilot(p)
 		// 6 > 4 cores/node and not MPI: must fail, not wedge.
-		u := newUnit(s, UnitDescription{Name: "toowide", Kernel: "misc.sleep", Cores: 6, MPI: true})
-		u.Desc.MPI = false
+		u := newUnit(s, WaveUnit{Desc: &UnitDescription{Kernel: "misc.sleep", Cores: 6}, Name: "toowide"})
 		u.mu.Lock()
 		u.pilot = p
 		u.mu.Unlock()

@@ -231,8 +231,6 @@ func (s *Session) unitID() int {
 	return s.nextUID
 }
 
-// entity name helpers keep profiler keys consistent across layers. They
-// are on the per-unit hot path (every profiler record carries an entity
-// key), so they format without fmt.
+// pilotEntity is a pilot's profiler key. A unit's key, "unit." and its
+// six-digit id, is the profiler's own (Profiler.InternUnit).
 func pilotEntity(id int) string { return "pilot." + pad.Int(id, 4) }
-func unitEntity(id int) string  { return "unit." + pad.Int(id, 6) }

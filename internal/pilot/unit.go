@@ -23,8 +23,9 @@ const (
 )
 
 // UnitState is a compute unit's lifecycle state, a condensed version of
-// RADICAL-Pilot's state model.
-type UnitState int
+// RADICAL-Pilot's state model. It is 32 bits wide so that a unit packs
+// its state and its rebind generation into one word.
+type UnitState int32
 
 const (
 	// UnitNew: described, not yet accepted by a unit manager.
@@ -142,57 +143,80 @@ type UnitDescription struct {
 	FailOn func(attempt int) bool
 }
 
-// Validate rejects malformed descriptions.
-func (d *UnitDescription) Validate() error {
+// validate rejects a malformed description, naming the unit it was
+// given for.
+func (d *UnitDescription) validate(name string) error {
 	switch {
+	case d == nil:
+		return fmt.Errorf("pilot: unit %q has no description", name)
 	case d.Kernel == "":
-		return fmt.Errorf("pilot: unit %q has no kernel", d.Name)
+		return fmt.Errorf("pilot: unit %q has no kernel", name)
 	case d.Cores <= 0:
-		return fmt.Errorf("pilot: unit %q requests %d cores", d.Name, d.Cores)
+		return fmt.Errorf("pilot: unit %q requests %d cores", name, d.Cores)
 	case d.Cores > 1 && !d.MPI:
-		return fmt.Errorf("pilot: unit %q wants %d cores but is not MPI", d.Name, d.Cores)
+		return fmt.Errorf("pilot: unit %q wants %d cores but is not MPI", name, d.Cores)
 	}
 	return nil
 }
 
-// ComputeUnit is a scheduled task instance.
+// WaveUnit is one unit of a compact wave: a description shared with
+// every other unit of the wave bound from the same kernel, and the
+// unit's own name and attempt, which override the description's.
+type WaveUnit struct {
+	Desc    *UnitDescription
+	Name    string
+	Attempt int
+}
+
+// waveOf views descs as a compact wave whose units point into descs.
+func waveOf(descs []UnitDescription) []WaveUnit {
+	wave := make([]WaveUnit, len(descs))
+	for i := range descs {
+		wave[i] = WaveUnit{Desc: &descs[i], Name: descs[i].Name, Attempt: descs[i].Attempt}
+	}
+	return wave
+}
+
+// ComputeUnit is a scheduled task instance. Its description is shared
+// with the other units of its wave bound from the same kernel, and is
+// never written after submission; the unit keeps its own name and
+// attempt.
 type ComputeUnit struct {
-	ID   int
-	Desc UnitDescription
+	ID int
 
+	desc     *UnitDescription
+	name     string
 	sess     *Session
-	entity   string           // cached profiler entity key
 	entityID profile.EntityID // interned once; state transitions record by id
+	attempt  int32
 
-	mu      sync.Mutex
-	state   UnitState
-	err     error
-	pilot   *ComputePilot
-	started time.Duration // exec start (virtual)
-	stopped time.Duration // exec stop (virtual)
-	finalEv vclock.Event  // embedded: one allocation per unit, not two
+	mu    sync.Mutex
+	state UnitState
 	// gen is the rebind generation. When a pilot dies with a recovery
 	// path installed, its teardown steals the unit — bumping gen — and
 	// rebinding re-runs it elsewhere; the stale run still holds the
 	// old generation, so its remaining effects (state transitions, exec
 	// window, finish) are discarded by the *From accessors below. Zero
 	// for the whole life of any unit that is never stolen.
-	gen int
+	gen     int32
+	err     error
+	pilot   *ComputePilot
+	started time.Duration // exec start (virtual)
+	stopped time.Duration // exec stop (virtual)
+	finalEv vclock.Latch  // named by String in deadlock dumps
 }
 
-func newUnit(s *Session, desc UnitDescription) *ComputeUnit {
+func newUnit(s *Session, w WaveUnit) *ComputeUnit {
 	id := s.unitID()
-	entity := unitEntity(id)
-	u := &ComputeUnit{
+	return &ComputeUnit{
 		ID:       id,
-		Desc:     desc,
+		desc:     w.Desc,
+		name:     w.Name,
+		attempt:  int32(w.Attempt),
 		sess:     s,
-		entity:   entity,
-		entityID: s.Prof.Intern(entity),
+		entityID: s.Prof.InternUnit(id),
 		state:    UnitNew,
 	}
-	u.finalEv.Init(s.V, entity) // reads "event unit.NNNNNN" in deadlock dumps
-	return u
 }
 
 // NewReplayUnit reconstructs a settled compute unit from checkpointed
@@ -209,19 +233,39 @@ func NewReplayUnit(v vclock.Clock, desc UnitDescription, st UnitState, start, st
 	}
 	u := &ComputeUnit{
 		ID:      -1,
-		Desc:    desc,
-		entity:  "replay." + desc.Name,
+		desc:    &desc,
+		name:    desc.Name,
+		attempt: int32(desc.Attempt),
 		state:   st,
 		started: start,
 		stopped: stop,
 	}
-	u.finalEv.Init(v, u.entity)
-	u.finalEv.Fire()
+	u.finalEv.Fire(v)
 	return u
 }
 
-// Entity returns the unit's profiler entity key.
-func (u *ComputeUnit) Entity() string { return u.entity }
+// Entity returns the unit's profiler entity key: "unit." and its
+// six-digit id, or "replay." and its name for a replay unit.
+func (u *ComputeUnit) Entity() string {
+	if u.sess == nil {
+		return "replay." + u.name
+	}
+	return u.sess.Prof.EntityName(u.entityID)
+}
+
+// String returns the unit's entity key.
+func (u *ComputeUnit) String() string { return u.Entity() }
+
+// Name returns the unit's task name, e.g. "sim.0007".
+func (u *ComputeUnit) Name() string { return u.name }
+
+// Desc returns a copy of the unit's description carrying the unit's
+// own name and attempt.
+func (u *ComputeUnit) Desc() UnitDescription {
+	d := *u.desc
+	d.Name, d.Attempt = u.name, int(u.attempt)
+	return d
+}
 
 // State returns the current state.
 func (u *ComputeUnit) State() UnitState {
@@ -268,7 +312,9 @@ func (u *ComputeUnit) ExecDuration() time.Duration {
 // WaitFinal blocks the calling process until the unit is terminal and
 // returns the final state.
 func (u *ComputeUnit) WaitFinal() UnitState {
-	u.finalEv.Wait()
+	if !u.finalEv.Fired() { // a replay unit, born final, has no session
+		u.finalEv.Wait(u.sess.V, u)
+	}
 	return u.State()
 }
 
@@ -294,7 +340,7 @@ func (u *ComputeUnit) finish(st UnitState, err error) { u.finishFrom(-1, st, err
 // agents that do not track in-flight work).
 func (u *ComputeUnit) finishFrom(gen int, st UnitState, err error) {
 	u.mu.Lock()
-	if (gen >= 0 && gen != u.gen) || u.state.Final() {
+	if (gen >= 0 && gen != int(u.gen)) || u.state.Final() {
 		u.mu.Unlock()
 		return
 	}
@@ -302,14 +348,14 @@ func (u *ComputeUnit) finishFrom(gen int, st UnitState, err error) {
 	u.err = err
 	u.mu.Unlock()
 	u.sess.Prof.RecordID(u.entityID, u.sess.unitStateName(st))
-	u.finalEv.Fire()
+	u.finalEv.Fire(u.sess.V)
 }
 
 // setStateFrom is setState gated on the rebind generation, reporting
 // whether the transition (and its profiler record) happened.
 func (u *ComputeUnit) setStateFrom(gen int, st UnitState) bool {
 	u.mu.Lock()
-	if (gen >= 0 && gen != u.gen) || u.state.Final() {
+	if (gen >= 0 && gen != int(u.gen)) || u.state.Final() {
 		u.mu.Unlock()
 		return false
 	}
@@ -326,7 +372,7 @@ func (u *ComputeUnit) setStateFrom(gen int, st UnitState) bool {
 func (u *ComputeUnit) markExecFrom(gen int, start, stop time.Duration) bool {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if gen >= 0 && gen != u.gen {
+	if gen >= 0 && gen != int(u.gen) {
 		return false
 	}
 	u.started, u.stopped = start, stop
@@ -340,7 +386,7 @@ func (u *ComputeUnit) staleGen(gen int) bool {
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return gen != u.gen
+	return gen != int(u.gen)
 }
 
 // generation snapshots the current rebind generation; the agent captures
@@ -349,7 +395,7 @@ func (u *ComputeUnit) staleGen(gen int) bool {
 func (u *ComputeUnit) generation() int {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	return u.gen
+	return int(u.gen)
 }
 
 // steal reclaims a non-final unit from a dead (or shrinking) pilot for

@@ -65,7 +65,17 @@ func (p *Profiler) WriteTo(w io.Writer) (int64, error) {
 	write := func(v any) error {
 		return binary.Write(bw, binary.LittleEndian, v)
 	}
-	writeString := func(s string) error {
+	var key []byte
+	writeKey := func(t *interner, id uint32) error {
+		s, n, unit := t.slot(id)
+		if unit {
+			key = appendUnitKey(key[:0], n)
+			if err := write(uint32(len(key))); err != nil {
+				return err
+			}
+			_, err := bw.Write(key)
+			return err
+		}
 		if err := write(uint32(len(s))); err != nil {
 			return err
 		}
@@ -85,7 +95,7 @@ func (p *Profiler) WriteTo(w io.Writer) (int64, error) {
 			return cw.n, err
 		}
 		for id := 0; id < count; id++ {
-			if err := writeString(table.resolve(uint32(id))); err != nil {
+			if err := writeKey(table, uint32(id)); err != nil {
 				return cw.n, err
 			}
 		}

@@ -44,14 +44,52 @@ type Event struct {
 // Intern table
 
 // The intern table is striped by string hash so concurrent first-time
-// interns (one per created unit) do not serialize, and id→string
-// resolution is lock-free: ids are allocated from one dense space and the
-// strings live in append-only blocks published through atomic pointers.
+// interns do not serialize, and id→string resolution is lock-free: ids
+// are allocated from one dense space and each block's slots are
+// published through atomic pointers.
+//
+// Unit entities are the exception to string storage. A key of the form
+// "unit." + pad.Int(n, 6) — the pilot layer's unit keys — is kept as the
+// number n: the slot stores n, a reverse index maps n back to the id,
+// and the key is rendered only when it is resolved (EntityName, Events,
+// the dump, prefix queries). A unit therefore costs its id slot and its
+// index entry, not a string and a map entry. Every path that interns or
+// looks up a key applies the same rule, so InternUnit(42) and
+// Intern("unit.000042") always name one id.
 const (
 	internStripes   = 16   // power of two
-	internBlockSize = 4096 // strings per block
-	internMaxBlocks = 4096 // supports 16M interned strings
+	internBlockSize = 4096 // slots per block
+	internMaxBlocks = 4096 // supports 16M interned keys
 )
+
+// Unit keys: unitPrefix followed by at least unitWidth digits, with no
+// zero padding beyond unitWidth, for n below maxUnit. A unit number the
+// table could never hold as well as its other keys is kept as a string.
+const (
+	unitPrefix = "unit."
+	unitWidth  = 6
+	maxUnit    = internMaxBlocks * internBlockSize
+)
+
+// unitNumber reports whether s is the canonical key of unit n.
+func unitNumber(s string) (int, bool) {
+	digits, ok := strings.CutPrefix(s, unitPrefix)
+	// maxUnit has 8 digits: a longer key is no unit, and parsing it
+	// could overflow.
+	if !ok || len(digits) < unitWidth || len(digits) > 8 ||
+		(len(digits) > unitWidth && digits[0] == '0') {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(digits); i++ {
+		c := digits[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, n < maxUnit
+}
 
 // internStripe holds one shard of the string→id map. Cache-line padded:
 // unit creation interns from many goroutines at once.
@@ -61,20 +99,31 @@ type internStripe struct {
 	_   pad.Line
 }
 
-type internBlock [internBlockSize]string
+// internBlock holds internBlockSize consecutive ids. Each slot is a
+// string or a unit number (plus one, so zero means "a string slot");
+// either array is allocated by the block's first slot of its kind, so a
+// block of units holds no string headers and a block of strings no
+// numbers.
+type internBlock struct {
+	strs  atomic.Pointer[[internBlockSize]string]
+	units atomic.Pointer[[internBlockSize]uint32]
+}
 
-// interner maps strings to dense uint32 ids and back. intern and lookup
-// take a stripe read-lock (alloc-free on the hit path); resolve is
-// lock-free.
+// interner maps keys to dense uint32 ids and back. intern and lookup of
+// a string take a stripe read-lock (alloc-free on the hit path); unit
+// keys take allocMu; resolve is lock-free.
 type interner struct {
 	stripes [internStripes]internStripe
 
-	// allocMu serializes id allocation across stripes; n publishes the
-	// count of assigned ids (resolve and the query layer size their
-	// scratch off it).
+	// allocMu serializes id allocation across stripes and guards
+	// unitIDs; n publishes the count of assigned ids (resolve and the
+	// query layer size their scratch off it).
 	allocMu sync.Mutex
 	n       atomic.Uint32
 	blocks  [internMaxBlocks]atomic.Pointer[internBlock]
+	// unitIDs maps unit number n to its id plus one, in blocks of
+	// internBlockSize numbers, grown as numbers arrive.
+	unitIDs []*[internBlockSize]uint32
 }
 
 // strHash is FNV-1a, the same hash the seed store striped entities by.
@@ -89,6 +138,14 @@ func strHash(s string) uint32 {
 
 // intern returns the id for s, assigning one on first sight.
 func (t *interner) intern(s string) uint32 {
+	if n, ok := unitNumber(s); ok {
+		return t.internUnit(n)
+	}
+	return t.internString(s)
+}
+
+// internString is intern for a key that is not a unit key.
+func (t *interner) internString(s string) uint32 {
 	st := &t.stripes[strHash(s)&(internStripes-1)]
 	st.mu.RLock()
 	id, ok := st.ids[s]
@@ -102,17 +159,13 @@ func (t *interner) intern(s string) uint32 {
 		return id
 	}
 	t.allocMu.Lock()
-	id = t.n.Load()
-	if id/internBlockSize >= internMaxBlocks {
-		t.allocMu.Unlock()
-		panic("profile: intern table full")
+	id, b := t.nextLocked()
+	strs := b.strs.Load()
+	if strs == nil {
+		strs = new([internBlockSize]string)
+		b.strs.Store(strs)
 	}
-	b := t.blocks[id/internBlockSize].Load()
-	if b == nil {
-		b = new(internBlock)
-		t.blocks[id/internBlockSize].Store(b)
-	}
-	b[id%internBlockSize] = s
+	strs[id%internBlockSize] = s
 	t.n.Store(id + 1)
 	t.allocMu.Unlock()
 	if st.ids == nil {
@@ -122,8 +175,71 @@ func (t *interner) intern(s string) uint32 {
 	return id
 }
 
+// internUnit returns the id for unit n's key, assigning one on first
+// sight. The caller guarantees 0 <= n < maxUnit.
+func (t *interner) internUnit(n int) uint32 {
+	t.allocMu.Lock()
+	defer t.allocMu.Unlock()
+	if id, ok := t.unitLocked(n); ok {
+		return id
+	}
+	id, b := t.nextLocked()
+	units := b.units.Load()
+	if units == nil {
+		units = new([internBlockSize]uint32)
+		b.units.Store(units)
+	}
+	units[id%internBlockSize] = uint32(n) + 1
+	for len(t.unitIDs) <= n/internBlockSize {
+		t.unitIDs = append(t.unitIDs, nil)
+	}
+	idx := t.unitIDs[n/internBlockSize]
+	if idx == nil {
+		idx = new([internBlockSize]uint32)
+		t.unitIDs[n/internBlockSize] = idx
+	}
+	idx[n%internBlockSize] = id + 1
+	t.n.Store(id + 1)
+	return id
+}
+
+// nextLocked returns the next free id and its block, allocating the
+// block on first use. It does not publish the id: the caller fills the
+// slot, then stores n. Caller holds allocMu.
+func (t *interner) nextLocked() (uint32, *internBlock) {
+	id := t.n.Load()
+	if id/internBlockSize >= internMaxBlocks {
+		t.allocMu.Unlock()
+		panic("profile: intern table full")
+	}
+	b := t.blocks[id/internBlockSize].Load()
+	if b == nil {
+		b = new(internBlock)
+		t.blocks[id/internBlockSize].Store(b)
+	}
+	return id, b
+}
+
+// unitLocked returns the id of unit n, if it has one. Caller holds
+// allocMu.
+func (t *interner) unitLocked(n int) (uint32, bool) {
+	if n/internBlockSize >= len(t.unitIDs) {
+		return 0, false
+	}
+	idx := t.unitIDs[n/internBlockSize]
+	if idx == nil || idx[n%internBlockSize] == 0 {
+		return 0, false
+	}
+	return idx[n%internBlockSize] - 1, true
+}
+
 // lookup returns the id for s without assigning one.
 func (t *interner) lookup(s string) (uint32, bool) {
+	if n, ok := unitNumber(s); ok {
+		t.allocMu.Lock()
+		defer t.allocMu.Unlock()
+		return t.unitLocked(n)
+	}
 	st := &t.stripes[strHash(s)&(internStripes-1)]
 	st.mu.RLock()
 	id, ok := st.ids[s]
@@ -131,11 +247,60 @@ func (t *interner) lookup(s string) (uint32, bool) {
 	return id, ok
 }
 
-// resolve returns the string for an assigned id. Lock-free: the id was
-// obtained through a synchronized path (intern or an event record), which
-// happens-after the slot write.
+// slot returns what an assigned id holds: its string, or the unit
+// number n of a unit slot. Lock-free: the id was obtained through a
+// synchronized path (intern or an event record), which happens-after
+// the slot write.
+func (t *interner) slot(id uint32) (s string, n int, unit bool) {
+	b := t.blocks[id/internBlockSize].Load()
+	if units := b.units.Load(); units != nil && units[id%internBlockSize] != 0 {
+		return "", int(units[id%internBlockSize] - 1), true
+	}
+	return b.strs.Load()[id%internBlockSize], 0, false
+}
+
+// resolve returns the key for an assigned id, rendering a unit key.
 func (t *interner) resolve(id uint32) string {
-	return t.blocks[id/internBlockSize].Load()[id%internBlockSize]
+	s, n, unit := t.slot(id)
+	if unit {
+		return unitPrefix + pad.Int(n, unitWidth)
+	}
+	return s
+}
+
+// appendUnitKey appends unit n's key to dst.
+func appendUnitKey(dst []byte, n int) []byte {
+	return pad.AppendInt(append(dst, unitPrefix...), n, unitWidth)
+}
+
+// hasPrefix reports whether the key for an assigned id starts with
+// prefix. A unit key is rendered, into scratch, only when prefix
+// reaches past unitPrefix.
+func (t *interner) hasPrefix(id uint32, prefix string, scratch *[]byte) bool {
+	s, n, unit := t.slot(id)
+	switch {
+	case !unit:
+		return strings.HasPrefix(s, prefix)
+	case len(prefix) <= len(unitPrefix):
+		return strings.HasPrefix(unitPrefix, prefix)
+	case !strings.HasPrefix(prefix, unitPrefix):
+		return false
+	}
+	key := appendUnitKey((*scratch)[:0], n)
+	*scratch = key
+	return len(key) >= len(prefix) && string(key[:len(prefix)]) == prefix
+}
+
+// copyFrom interns src's first n ids into the empty t, slot for slot,
+// so t assigns the same ids to the same keys.
+func (t *interner) copyFrom(src *interner, n uint32) {
+	for id := uint32(0); id < n; id++ {
+		if s, u, unit := src.slot(id); unit {
+			t.internUnit(u)
+		} else {
+			t.internString(s)
+		}
+	}
 }
 
 // count returns the number of assigned ids.
@@ -331,6 +496,18 @@ func (p *Profiler) Intern(entity string) EntityID {
 	return EntityID(p.ents.intern(entity))
 }
 
+// InternUnit is Intern("unit." + pad.Int(n, 6)) without the string: the
+// same id, assigned in the same first-intern order, but the profiler
+// keeps only the number and renders the key when it is resolved. A
+// negative n, or one too large for the table, falls back to Intern of
+// the rendered key.
+func (p *Profiler) InternUnit(n int) EntityID {
+	if n < 0 || n >= maxUnit {
+		return p.Intern(unitPrefix + pad.Int(n, unitWidth))
+	}
+	return EntityID(p.ents.internUnit(n))
+}
+
 // InternName returns the id for an event name, assigning one on first
 // sight. The runtime's fixed event vocabulary is interned once per session.
 func (p *Profiler) InternName(name string) NameID {
@@ -389,25 +566,34 @@ func (p *Profiler) Count(entityPrefix, name string) int {
 }
 
 // Events returns a copy of all events, resolved to strings, in per-entity
-// insertion order.
+// insertion order. Each entity key is resolved once, so a unit's events
+// share one rendered key.
 func (p *Profiler) Events() []Event {
 	out := make([]Event, 0, p.store.count())
+	var keys []string
 	p.store.forEach(func(eid, nid uint32, t time.Duration) {
-		out = append(out, Event{Entity: p.ents.resolve(eid), Name: p.names.resolve(nid), T: t})
+		if int(eid) >= len(keys) {
+			keys = append(keys, make([]string, int(eid)+1-len(keys))...)
+		}
+		if keys[eid] == "" {
+			keys[eid] = p.ents.resolve(eid)
+		}
+		out = append(out, Event{Entity: keys[eid], Name: p.names.resolve(nid), T: t})
 	})
 	return out
 }
 
 // matchPrefix builds the entity-id membership set for a prefix: one pass
-// over the (small, deduplicated) intern table instead of a string-prefix
-// test per event. The returned slice is indexed by entity id; entities
+// over the deduplicated intern table instead of a string-prefix test per
+// event. The returned slice is indexed by entity id; entities
 // interned after the snapshot (concurrent recorders) fall outside it and
 // must be treated as non-matching by callers (see matches).
 func (p *Profiler) matchPrefix(prefix string) []bool {
 	n := p.ents.count()
 	match := make([]bool, n)
+	var scratch []byte
 	for id := 0; id < n; id++ {
-		match[id] = strings.HasPrefix(p.ents.resolve(uint32(id)), prefix)
+		match[id] = p.ents.hasPrefix(uint32(id), prefix, &scratch)
 	}
 	return match
 }

@@ -96,11 +96,7 @@ func (p *Profiler) Snapshot() *Profiler {
 	// reassigns the dense ids 0..n-1 exactly as the source allocated
 	// them, so dumps and queries agree with the live profiler.
 	s := &Profiler{clock: p.clock, store: frozen}
-	for id, n := uint32(0), uint32(p.ents.count()); id < n; id++ {
-		s.ents.intern(p.ents.resolve(id))
-	}
-	for id, n := uint32(0), uint32(p.names.count()); id < n; id++ {
-		s.names.intern(p.names.resolve(id))
-	}
+	s.ents.copyFrom(&p.ents, uint32(p.ents.count()))
+	s.names.copyFrom(&p.names, uint32(p.names.count()))
 	return s
 }

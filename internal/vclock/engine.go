@@ -44,9 +44,10 @@ type engine interface {
 // advances time to the earliest pending timer and wakes its sleepers. If no
 // timer is pending and blocked waiters remain, the simulation is deadlocked
 // and the engine panics with a dump of what everyone is waiting on. The
-// panic is raised on whichever goroutine blocked last: recoverable when
-// that is the Run caller, fatal (by design — it is a programming-error
-// diagnostic) when it is a spawned process.
+// panic is raised on the process whose block left nothing runnable — the
+// one that blocked last: recoverable when that is the Run caller, fatal
+// (by design — it is a programming-error diagnostic) when it is a
+// spawned process.
 //
 // The zero value is not usable; construct with NewVirtual.
 type Virtual struct {
@@ -143,19 +144,21 @@ type descSource interface {
 // exactly one waker. The channel is a reusable capacity-1 signal; the
 // state word implements the handoff engine's wake-before-park fast path
 // (the test-only reference engine parks and wakes through the channel
-// only). n and
-// aux are scratch owned by the semaphore that published the waiter.
+// only). who is scratch owned by the latch that published the waiter.
+// Every Timer embeds a waiter, so a field added here is paid by every
+// After.
 type waiter struct {
 	ch    chan struct{}
 	state atomic.Int32
-	sid   uint32 // pool-assigned id selecting a blocked-table stripe
-	n     int    // semaphore: permits requested
-	aux   int    // semaphore: availability snapshot for the report
+	sid   uint32       // pool-assigned id selecting a blocked-table stripe
+	who   fmt.Stringer // latch: the host named in the deadlock report
 
 	// Timer-wheel fields (handoff engine only): the waiter doubles as
 	// the intrusive wheel node, so the sleep path allocates nothing. A
 	// node with timer set is an After callback (the Timer embeds it)
-	// rather than a sleeping process.
+	// rather than a sleeping process. tnext also links a waiter parked
+	// on a latch into the latch's stack: a parked waiter sleeps in no
+	// wheel.
 	deadline int64
 	tseq     int64
 	tnext    *waiter
@@ -187,8 +190,7 @@ var waiterPool = sync.Pool{
 func getWaiter() *waiter { return waiterPool.Get().(*waiter) }
 
 func putWaiter(w *waiter) {
-	w.n = 0
-	w.aux = 0
+	w.who = nil
 	w.tnext = nil
 	waiterPool.Put(w)
 }

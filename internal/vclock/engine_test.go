@@ -161,9 +161,12 @@ func TestEngineDeadlockParity(t *testing.T) {
 					v.Go(func() {
 						NewEvent(v, "never-fired").Wait()
 					})
-					// Sleep so the event waiter parks first: the deadlock
-					// panic is raised on whichever process blocks last —
-					// here the Run caller, where it is recoverable.
+					// The event waiter parks at t=0 (the clock cannot
+					// pass a runnable process), so the Run caller blocks
+					// last, at 1s. The deadlock panic is raised on the
+					// process that blocked last — here the Run caller,
+					// where it is recoverable — even when the waiter is
+					// still in its advance loop when the caller blocks.
 					v.Sleep(time.Second)
 					sem.Acquire(5)
 				})

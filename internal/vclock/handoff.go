@@ -146,6 +146,13 @@ func (e *handoffEngine) file(w *waiter, d time.Duration) {
 // its batch, batch by batch, while no process is runnable. It runs on
 // whichever process took the runnable count to zero; timerMu serialises
 // competing advancers, each of which re-checks the count under the lock.
+// Each zero belongs to the process whose decrement produced it: that
+// process advances, so the loop goes on only while the zero is its own —
+// after a batch of callbacks, when dropping their token empties the
+// count. Once a batch has released sleepers, the last of them to block
+// advances next, even if it blocks while this loop still holds timerMu.
+// A deadlock is therefore reported by the process that blocked last,
+// never by an earlier advancer that happened to still be in the loop.
 //
 // The count can only be zero when every registered process has fully
 // parked (a process is counted until its own blockOne, and every wake
@@ -217,14 +224,19 @@ func (e *handoffEngine) advance() {
 			}
 			e.timerMu.Lock()
 			e.firing = false
-			if e.runnable.Add(-1) < 0 {
-				panic(underflowPanic)
-			}
 		}
 		// Drop the fired nodes: an After node is its Timer, and its fn
 		// closure must not outlive the batch in fireBuf's backing array.
 		clear(batch)
 		e.fireBuf = batch[:0]
+		if callbacks == 0 {
+			break // the released sleepers own the next zero
+		}
+		if n := e.runnable.Add(-1); n < 0 {
+			panic(underflowPanic)
+		} else if n > 0 {
+			break // a process runs; the one that blocks last advances
+		}
 	}
 	e.timerMu.Unlock()
 }

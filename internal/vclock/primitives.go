@@ -21,71 +21,95 @@ import (
 // Event is a one-shot broadcast flag on a virtual clock, analogous to
 // closing a channel. Wait blocks the calling process until Fire is called;
 // once fired, Wait returns immediately forever after — a lockless atomic
-// check. Hosts may also embed an Event value and Init it in place.
+// check.
 type Event struct {
-	v       Clock
-	name    string
-	fired   atomic.Bool
-	mu      sync.Mutex
-	waiters []*waiter
+	v     Clock
+	name  string
+	latch Latch
 }
 
 // NewEvent returns an unfired Event. The name appears in deadlock reports.
 func NewEvent(v Clock, name string) *Event {
-	e := &Event{}
-	e.Init(v, name)
-	return e
-}
-
-// Init prepares a zero Event in place (for hosts embedding the value).
-// It must be called before any other method, and only once.
-func (e *Event) Init(v Clock, name string) {
-	e.v = v
-	e.name = name
+	return &Event{v: v, name: name}
 }
 
 // Fired reports whether the event has been fired. Settled state is read
 // with a single atomic load: no lock.
-func (e *Event) Fired() bool {
-	return e.fired.Load()
-}
+func (e *Event) Fired() bool { return e.latch.Fired() }
 
 // Fire marks the event fired and wakes all waiters. Firing twice is a
 // harmless no-op.
-func (e *Event) Fire() {
-	e.mu.Lock()
-	if e.fired.Load() {
-		e.mu.Unlock()
+func (e *Event) Fire() { e.latch.Fire(e.v) }
+
+// Wait blocks the calling process until the event fires.
+func (e *Event) Wait() { e.latch.wait(e.v, e, nil) }
+
+// blockDesc implements descSource for the deadlock report.
+func (e *Event) blockDesc(*waiter) string { return "event " + e.name }
+
+// Latch is an Event without a clock or a name of its own, for hosts that
+// embed one per object by the million: the host passes its clock to Fire
+// and Wait, and Wait names the host for the deadlock report, which reads
+// "event " + who.String(). A latch is one word, a lock-free stack of its
+// parked waiters (newest first, linked through waiter.tnext) that Fire
+// swaps for latchFired. The zero value is an unfired latch.
+type Latch struct {
+	top atomic.Pointer[waiter]
+}
+
+// latchFired is the stack top of every fired latch.
+var latchFired = new(waiter)
+
+// Fired reports whether the latch has been fired: one atomic load.
+func (l *Latch) Fired() bool { return l.top.Load() == latchFired }
+
+// Fire marks the latch fired and wakes all waiters, through v. Firing
+// twice is a harmless no-op.
+func (l *Latch) Fire(v Clock) {
+	w := l.top.Swap(latchFired)
+	if w == latchFired {
 		return
 	}
-	e.fired.Store(true)
-	ws := e.waiters
-	e.waiters = nil
-	e.mu.Unlock()
-	for _, w := range ws {
-		e.v.core().wake(w)
+	// Reverse the stack, so the waiters wake in arrival order.
+	var fifo *waiter
+	for w != nil {
+		w.tnext, fifo, w = fifo, w, w.tnext
+	}
+	for w := fifo; w != nil; {
+		next := w.tnext // a woken waiter may be recycled at once
+		v.core().wake(w)
+		w = next
 	}
 }
 
-// Wait blocks the calling process until the event fires.
-func (e *Event) Wait() {
-	if e.fired.Load() {
-		return // settled: no lock
-	}
-	e.mu.Lock()
-	if e.fired.Load() {
-		e.mu.Unlock()
-		return
+// Wait blocks the calling process on v until the latch fires. who is
+// rendered only if the wait shows up in a deadlock report.
+func (l *Latch) Wait(v Clock, who fmt.Stringer) { l.wait(v, l, who) }
+
+// wait parks on the latch, described to the deadlock report by src.
+func (l *Latch) wait(v Clock, src descSource, who fmt.Stringer) {
+	top := l.top.Load()
+	if top == latchFired {
+		return // settled: one load
 	}
 	w := getWaiter()
-	e.waiters = append(e.waiters, w)
-	e.mu.Unlock()
-	e.v.core().park(w, e)
+	w.who = who
+	for {
+		w.tnext = top
+		if l.top.CompareAndSwap(top, w) {
+			break
+		}
+		if top = l.top.Load(); top == latchFired {
+			putWaiter(w)
+			return
+		}
+	}
+	v.core().park(w, src)
 	putWaiter(w)
 }
 
 // blockDesc implements descSource for the deadlock report.
-func (e *Event) blockDesc(*waiter) string { return "event " + e.name }
+func (l *Latch) blockDesc(w *waiter) string { return "event " + w.who.String() }
 
 // WaitGroup is the virtual-time analogue of sync.WaitGroup. A Wait on a
 // zero counter is a lockless atomic check.
@@ -147,7 +171,14 @@ type Semaphore struct {
 	name    string
 	mu      sync.Mutex
 	avail   int
-	waiters []*waiter // FIFO; each waiter's n is its permit request
+	waiters []semWaiter // FIFO
+}
+
+// semWaiter is a parked Acquire: its permit request, and the permits
+// available when it blocked, for the deadlock report.
+type semWaiter struct {
+	w        *waiter
+	n, avail int
 }
 
 // NewSemaphore returns a semaphore with n initially available permits.
@@ -171,9 +202,7 @@ func (s *Semaphore) Acquire(n int) {
 		return
 	}
 	w := getWaiter()
-	w.n = n
-	w.aux = s.avail // availability snapshot for the deadlock report
-	s.waiters = append(s.waiters, w)
+	s.waiters = append(s.waiters, semWaiter{w: w, n: n, avail: s.avail})
 	s.mu.Unlock()
 	s.v.core().park(w, s)
 	putWaiter(w)
@@ -181,7 +210,14 @@ func (s *Semaphore) Acquire(n int) {
 
 // blockDesc implements descSource for the deadlock report.
 func (s *Semaphore) blockDesc(w *waiter) string {
-	return fmt.Sprintf("semaphore %s (acquire %d, avail %d)", s.name, w.n, w.aux)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, sw := range s.waiters {
+		if sw.w == w {
+			return fmt.Sprintf("semaphore %s (acquire %d, avail %d)", s.name, sw.n, sw.avail)
+		}
+	}
+	return "semaphore " + s.name
 }
 
 // Release returns n permits and serves FIFO waiters whose requests now fit.
@@ -193,10 +229,10 @@ func (s *Semaphore) Release(n int) {
 	s.avail += n
 	var served []*waiter
 	for len(s.waiters) > 0 && s.waiters[0].n <= s.avail {
-		w := s.waiters[0]
+		sw := s.waiters[0]
 		s.waiters = s.waiters[1:]
-		s.avail -= w.n
-		served = append(served, w)
+		s.avail -= sw.n
+		served = append(served, sw.w)
 	}
 	s.mu.Unlock()
 	for _, w := range served {

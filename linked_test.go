@@ -48,7 +48,6 @@ var linkAllow = map[string]string{
 
 	"entk/internal/kernels.Registry.Names":         apiAlias,
 	"entk/internal/kernels.Spec.Executable":        apiAlias,
-	"entk/internal/pilot.ComputeUnit.Entity":       apiAlias,
 	"entk/internal/pilot.ComputeUnit.ExecDuration": apiAlias,
 	"entk/internal/pilot.ComputeUnit.Pilot":        apiAlias,
 
@@ -59,12 +58,11 @@ var linkAllow = map[string]string{
 	"entk/internal/pilot.agent.drainPending":        "called by ComputePilot.DrainPending",
 	"entk/internal/pilot.agent.quiesce":             "called by ComputePilot.Quiesced",
 
-	"entk/internal/profile.Profiler.Entities":   apiProfiler,
-	"entk/internal/profile.Profiler.EntityName": apiProfiler,
-	"entk/internal/profile.Profiler.LastID":     apiProfiler,
-	"entk/internal/profile.Profiler.Name":       apiProfiler,
-	"entk/internal/profile.Profiler.Record":     apiProfiler,
-	"entk/internal/profile.Profiler.Timeline":   apiProfiler,
+	"entk/internal/profile.Profiler.Entities": apiProfiler,
+	"entk/internal/profile.Profiler.LastID":   apiProfiler,
+	"entk/internal/profile.Profiler.Name":     apiProfiler,
+	"entk/internal/profile.Profiler.Record":   apiProfiler,
+	"entk/internal/profile.Profiler.Timeline": apiProfiler,
 
 	"entk/internal/vclock.Event.Fired": "a test in another package needs it: internal/pilot's TestAgentNeverOversubscribes and TestAgentSoakAllPolicies",
 }
