@@ -8,7 +8,8 @@
 // PostStage hook that may grow or prune the graph at runtime — the
 // adaptivity the paper plans in Section V), a Pipeline is an ordered
 // sequence of stages, and an AppManager executes any number of
-// heterogeneous pipelines concurrently on one resource handle:
+// heterogeneous pipelines concurrently on one resource handle (a
+// one-pilot ResourceSet):
 //
 //	v := entk.NewClock()
 //	h, err := entk.NewResourceHandle("xsede.comet", 48, time.Hour, entk.Config{Clock: v})
@@ -29,8 +30,8 @@
 //
 // Resource binding is decoupled from the workload description — the
 // paper's core claim. A campaign written once against the graph API
-// runs unchanged on a single pilot (ResourceHandle, as above) or on an
-// entk.ResourceSet spanning several machines, with every task
+// runs unchanged on a single pilot (ResourceHandle, as above) or on a
+// ResourceSet spanning several machines, with every task
 // late-bound to whichever pilot the placement policy selects at
 // dispatch time (round-robin, least-loaded-by-free-cores, or tag
 // affinity routing e.g. MPI-wide tasks to the wide-node machine):
@@ -50,7 +51,7 @@
 // SimulationAnalysisLoop, and the higher-order Composite) remain the
 // concise front door for the classic scenarios; they are now thin
 // constructors that *lower* onto the graph model and run through the
-// same executor (ResourceHandle.Execute / Run).
+// same executor (ResourceSet.Execute / Run).
 //
 // Execution happens on a simulated HPC testbed (batch queues, pilot
 // agents, data staging) driven by a virtual clock, so thousand-core
@@ -89,8 +90,8 @@ type (
 	// Config carries toolkit configuration.
 	Config = core.Config
 	// ResourceHandle allocates resources and runs patterns — the classic
-	// single-pilot binding, now a compatibility shim over a one-spec
-	// ResourceSet.
+	// single-pilot binding. It is a ResourceSet of one spec, so it has
+	// every ResourceSet method.
 	ResourceHandle = core.ResourceHandle
 	// ResourceSet acquires an ordered set of pilots on (possibly
 	// different) machines behind one session; campaigns late-bind each
@@ -98,9 +99,6 @@ type (
 	ResourceSet = core.ResourceSet
 	// PilotSpec requests one pilot of a resource set.
 	PilotSpec = core.PilotSpec
-	// Binding is what AppManager acquires resources through: a
-	// *ResourceHandle or a *ResourceSet.
-	Binding = core.Binding
 	// PlacementPolicy late-binds each unit to a pilot of a set.
 	PlacementPolicy = pilot.PlacementPolicy
 	// PilotUtilization is one pilot's share of a campaign
@@ -220,16 +218,16 @@ func NewClock() Clock { return vclock.NewVirtual() }
 // processes; see internal/realtime.
 func NewWallClock() Clock { return vclock.NewWall() }
 
-// NewResourceHandle validates the resource request and prepares a handle.
+// NewResourceHandle validates the resource request and prepares a
+// one-pilot ResourceSet.
 func NewResourceHandle(resource string, cores int, walltime time.Duration, cfg Config) (*ResourceHandle, error) {
 	return core.NewResourceHandle(resource, cores, walltime, cfg)
 }
 
 // NewAppManager returns an application manager that executes pipelines
-// concurrently on the binding's allocation — a *ResourceHandle (the
-// classic single-pilot form) or a *ResourceSet spanning several
-// machines.
-func NewAppManager(b Binding) *AppManager { return core.NewAppManager(b) }
+// concurrently on the set's allocation — one pilot (a ResourceHandle)
+// or several machines.
+func NewAppManager(rs *ResourceSet) *AppManager { return core.NewAppManager(rs) }
 
 // NewResourceSet validates the pilot specs and prepares a multi-pilot
 // resource set; assign Placement on the returned set before Allocate to
@@ -278,13 +276,13 @@ func LoadCheckpoint(r io.Reader, prof *profile.Profiler) (*CampaignCheckpoint, e
 	return core.LoadCheckpoint(r, prof)
 }
 
-// Resume restarts a campaign from a checkpoint on a fresh binding:
+// Resume restarts a campaign from a checkpoint on a fresh set:
 // pipelines are matched to the checkpoint's snapshots by name, each
 // matched pipeline skips its settled stage prefix, and the resumed
 // report agrees with an uninterrupted run on every reorder-invariant
-// column. Equivalent to NewAppManager(b).Resume(cp, pls...).
-func Resume(b Binding, cp *CampaignCheckpoint, pls ...*Pipeline) (*CampaignReport, error) {
-	return core.NewAppManager(b).Resume(cp, pls...)
+// column. Equivalent to NewAppManager(rs).Resume(cp, pls...).
+func Resume(rs *ResourceSet, cp *CampaignCheckpoint, pls ...*Pipeline) (*CampaignReport, error) {
+	return core.NewAppManager(rs).Resume(cp, pls...)
 }
 
 // Resources lists the registered machine labels.

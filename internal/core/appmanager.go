@@ -11,18 +11,16 @@ import (
 )
 
 // AppManager executes application-built pipelines — many, heterogeneous,
-// concurrent — on one resource binding (the session-level application
-// manager the paper's fixed patterns hide). The binding is either a
-// classic single-pilot ResourceHandle or a multi-pilot ResourceSet:
-// campaigns are written once against the graph API and late-bind to
-// whichever pilot of the set has capacity at dispatch time. Each
-// pipeline submits its bulk waves independently; the binding's shared
-// wave batcher coalesces waves from the live pipelines at the unit
-// manager, and per-pipeline accounting stays separate while the
-// campaign report aggregates it — including per-pilot utilization
+// concurrent — on one ResourceSet (the session-level application
+// manager the paper's fixed patterns hide). The set holds one pilot (a
+// ResourceHandle) or several: campaigns are written once against the
+// graph API and late-bind to whichever pilot of the set has capacity at
+// dispatch time. Each pipeline submits its bulk waves independently;
+// the set's shared wave batcher coalesces waves from the live pipelines
+// at the unit manager, and per-pipeline accounting stays separate while
+// the campaign report aggregates it — including per-pilot utilization
 // columns for the campaign window.
 type AppManager struct {
-	b  Binding
 	rs *ResourceSet
 
 	// Campaign tracker: every pipeline's latest stage-barrier snapshot,
@@ -34,12 +32,11 @@ type AppManager struct {
 	byName map[string]PipelineCheckpoint
 }
 
-// NewAppManager returns an application manager bound to the binding —
-// a *ResourceHandle (the classic single-pilot form) or a *ResourceSet.
-// The binding must be allocated before Run (Allocate, or via
-// Execute-style sequencing by the caller).
-func NewAppManager(b Binding) *AppManager {
-	return &AppManager{b: b, rs: b.bind(), byName: make(map[string]PipelineCheckpoint)}
+// NewAppManager returns an application manager bound to the set. The
+// set must be allocated before Run (Allocate, or via Execute-style
+// sequencing by the caller).
+func NewAppManager(rs *ResourceSet) *AppManager {
+	return &AppManager{rs: rs, byName: make(map[string]PipelineCheckpoint)}
 }
 
 // noteSettled is the campaign tracker's sink: executors push a
@@ -68,9 +65,6 @@ func (am *AppManager) Checkpoint() *CampaignCheckpoint {
 	return cp
 }
 
-// Binding returns the resource binding the manager runs on.
-func (am *AppManager) Binding() Binding { return am.b }
-
 // CampaignReport is the outcome of one AppManager.Run: the aggregate
 // campaign view plus one report per pipeline and one utilization row
 // per pilot.
@@ -79,14 +73,14 @@ type CampaignReport struct {
 	// submission to last completion), task/retry/overhead counters are
 	// sums over pipelines, and each pipeline's phases appear prefixed
 	// with "<pipeline>.". CoreOverhead, QueueWait, and AgentStartup are
-	// binding-level quantities and appear here, not per pipeline.
+	// set-level quantities and appear here, not per pipeline.
 	Campaign *Report
 	// Pipelines holds per-pipeline reports in submission order. Each
 	// TTC spans that pipeline's own first-submission-to-completion
 	// window; pipelines run concurrently, so these overlap and their
 	// sum exceeds the campaign TTC.
 	Pipelines []*Report
-	// Pilots holds one utilization row per pilot of the binding, in set
+	// Pilots holds one utilization row per pilot of the set, in set
 	// order — how the late-bound campaign actually spread over the
 	// machines.
 	Pilots []PilotUtilization
@@ -95,9 +89,9 @@ type CampaignReport struct {
 // Run executes the pipelines concurrently on the allocated resources
 // and blocks until every pipeline settles. A failing pipeline never
 // cancels its siblings; the returned error joins every pipeline
-// failure. Like ResourceHandle.Run it must be called from a registered
+// failure. Like ResourceSet.Run it must be called from a registered
 // clock process, and multiple campaigns (or campaigns and patterns)
-// may run sequentially on one binding.
+// may run sequentially on one set.
 func (am *AppManager) Run(pls ...*Pipeline) (*CampaignReport, error) {
 	return am.run(nil, pls)
 }
@@ -130,11 +124,8 @@ func (am *AppManager) run(cp *CampaignCheckpoint, pls []*Pipeline) (*CampaignRep
 			names[i] = "p" + pad.Int(i+1, 1)
 		}
 	}
-	rs.mu.Lock()
-	ok := rs.allocated
-	rs.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("core: campaign Run before Allocate")
+	if err := rs.needAllocated("campaign Run"); err != nil {
+		return nil, err
 	}
 	if err := rs.waitActive(); err != nil {
 		return nil, err

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
+	"entk/internal/kernels"
 	"entk/internal/pilot"
 	"entk/internal/profile"
 	"entk/internal/vclock"
@@ -14,16 +16,51 @@ import (
 // This file is the resource-binding layer: the paper's core claim is
 // that decoupling workload description from resource acquisition lets
 // one ensemble application run unchanged across heterogeneous HPC
-// resources (Section III-B3), and the Binding abstraction is where that
-// decoupling lives. A ResourceSet holds an ordered set of pilots — on
-// one machine or several — behind one session, one unit manager, and
-// one shared submission batcher; every executor (pattern runs and
+// resources (Section III-B3), and the ResourceSet is where that
+// decoupling lives. A set holds an ordered set of pilots — on one
+// machine or several — behind one session, one unit manager, and one
+// shared submission batcher; every executor (pattern runs and
 // AppManager campaigns alike) runs against a set, and a classic
-// ResourceHandle is now a compatibility shim over a single-pilot set
-// (handle.go). Placement of each unit onto a pilot is late-bound at
-// dispatch time through a pluggable pilot.PlacementPolicy, so a
-// campaign's tasks drain to whichever machine has capacity — or, with
-// tag affinity, to the machine provisioned for them.
+// ResourceHandle is a set of one spec (handle.go). Placement of each
+// unit onto a pilot is late-bound at dispatch time through a pluggable
+// pilot.PlacementPolicy, so a campaign's tasks drain to whichever
+// machine has capacity — or, with tag affinity, to the machine
+// provisioned for them.
+
+// Config carries the toolkit's runtime knobs. None of them selects an
+// implementation: patterns always run on the graph executor.
+type Config struct {
+	// Clock is the virtual clock driving the simulation. Required.
+	Clock vclock.Clock
+	// Cost predicts kernel runtimes; nil installs the builtin kernel
+	// registry.
+	Cost pilot.CostModel
+	// Runtime tunes the pilot layer; zero value takes pilot defaults.
+	Runtime pilot.Config
+	// MaxRetries is the default per-task retry budget (0 = no retries).
+	MaxRetries int
+}
+
+// defaultCost lazily builds the shared builtin kernel registry used by
+// every set that does not bring its own cost model. The registry is
+// concurrency-safe and sets only read from it, so sharing one instance
+// avoids rebuilding the builtin table per set.
+var defaultCost = sync.OnceValue(func() pilot.CostModel { return kernels.NewRegistry() })
+
+// withDefaults fills unset fields.
+func (c Config) withDefaults() (Config, error) {
+	if c.Clock == nil {
+		return c, fmt.Errorf("core: config needs a clock")
+	}
+	if c.Cost == nil {
+		c.Cost = defaultCost()
+	}
+	zero := pilot.Config{}
+	if c.Runtime == zero {
+		c.Runtime = pilot.DefaultConfig()
+	}
+	return c, nil
+}
 
 // PilotSpec requests one pilot of a resource set.
 type PilotSpec struct {
@@ -49,7 +86,7 @@ type PilotSpec struct {
 	ActivationDeadline time.Duration
 }
 
-// validate rejects malformed specs with the handle's error vocabulary.
+// validate rejects malformed specs.
 func (s *PilotSpec) validate() error {
 	switch {
 	case s.Resource == "":
@@ -62,26 +99,11 @@ func (s *PilotSpec) validate() error {
 	return nil
 }
 
-// Binding is what executors acquire resources through: either a classic
-// single-pilot ResourceHandle (the compatibility shim) or a multi-pilot
-// ResourceSet. AppManager accepts any Binding; the interface is sealed
-// to the core implementations, which share one runtime underneath.
-type Binding interface {
-	// BindingLabel names the binding in reports: the machine label for
-	// a single-pilot binding, the joined labels for a set.
-	BindingLabel() string
-	// TotalCores is the summed pilot size of the binding.
-	TotalCores() int
-	// bind exposes the shared runtime (seals the interface).
-	bind() *ResourceSet
-}
-
 // ResourceSet acquires an ordered set of pilots — possibly on different
 // machines — and runs patterns and campaigns on them: Allocate submits
 // every pilot, Run/AppManager execute work with units late-bound to
-// pilots per the Placement policy, Deallocate releases everything. A
-// single-spec set behaves bit-identically to a ResourceHandle (the
-// handle is implemented on top of it).
+// pilots per the Placement policy, Deallocate releases everything.
+// Execute chains Allocate, Run and Deallocate into the full TTC report.
 type ResourceSet struct {
 	// Specs are the requested pilots, in set order.
 	Specs []PilotSpec
@@ -96,11 +118,12 @@ type ResourceSet struct {
 	// immediately, while units bound to still-queued pilots wait in
 	// those pilots' agents and start on activation — so a
 	// slow-activating machine no longer delays work routed to a fast
-	// one. The reported QueueWait is then the earliest pilot's (the
-	// bound actual work start is measured against); per-pilot waits
-	// appear on the campaign utilization rows. Off by default: the run
-	// start gates on the slowest pilot, the seed semantics the recorded
-	// multi-pilot tiers pin. Set it before Run.
+	// one. The reported QueueWait is then that of the active pilot with
+	// the smallest queue wait, ties going to set order (the bound actual
+	// work start is measured against); per-pilot waits appear on the
+	// campaign utilization rows. Off by default: the run start gates on
+	// the slowest pilot, the seed semantics the recorded multi-pilot
+	// tiers pin. Set it before Run.
 	EagerSubmit bool
 	// Faults, if non-nil, schedules deterministic resource failures —
 	// pilot deaths, walltime expiries, node losses — at exact virtual
@@ -141,6 +164,9 @@ type ResourceSet struct {
 	queueWait    time.Duration
 	agentStartup time.Duration
 	guards       []*vclock.Timer // activation deadlines and fault arms; stopped at Deallocate
+	// settleEv releases an EagerSubmit waitActive; armed by the waiter,
+	// fired through pilotSettled.
+	settleEv *vclock.Event
 }
 
 // NewResourceSet validates the specs and prepares a set. Placement may
@@ -164,8 +190,8 @@ func NewResourceSet(specs []PilotSpec, cfg Config) (*ResourceSet, error) {
 	}, nil
 }
 
-// BindingLabel implements Binding: the single machine label, or the
-// spec labels joined with "+" in set order.
+// BindingLabel names the set in reports: the single machine label, or
+// the spec labels joined with "+" in set order.
 func (rs *ResourceSet) BindingLabel() string {
 	if len(rs.Specs) == 1 {
 		return rs.Specs[0].Resource
@@ -177,7 +203,7 @@ func (rs *ResourceSet) BindingLabel() string {
 	return strings.Join(names, "+")
 }
 
-// TotalCores implements Binding: the summed pilot size.
+// TotalCores is the summed pilot size.
 func (rs *ResourceSet) TotalCores() int {
 	total := 0
 	for _, s := range rs.Specs {
@@ -185,8 +211,6 @@ func (rs *ResourceSet) TotalCores() int {
 	}
 	return total
 }
-
-func (rs *ResourceSet) bind() *ResourceSet { return rs }
 
 // Session exposes the underlying runtime session (profiling, tests).
 func (rs *ResourceSet) Session() *pilot.Session { return rs.sess }
@@ -258,15 +282,7 @@ func (rs *ResourceSet) Allocate() error {
 	}
 	rs.batch = pilot.NewWaveBatcher(rs.um)
 	for _, spec := range rs.Specs {
-		p, err := rs.pm.Submit(pilot.PilotDescription{
-			Resource: spec.Resource,
-			Cores:    spec.Cores,
-			Walltime: spec.Walltime,
-			Queue:    spec.Queue,
-			Project:  spec.Project,
-			Tags:     spec.Tags,
-		})
-		if err != nil {
+		if _, err := rs.submitPilot(spec); err != nil {
 			// Unwind: cancel and await the pilots already submitted,
 			// then drop the half-built runtime so a corrected retry
 			// starts from a clean session.
@@ -284,10 +300,6 @@ func (rs *ResourceSet) Allocate() error {
 			rs.mu.Unlock()
 			return err
 		}
-		rs.pilots = append(rs.pilots, p)
-		rs.um.AddPilot(p)
-		prof.RecordID(rs.coreEnt, rs.evPilotSubmit)
-		rs.armPilot(p, spec)
 	}
 	if rs.Faults != nil {
 		var displaced func([]*pilot.ComputeUnit)
@@ -327,171 +339,11 @@ func (rs *ResourceSet) stopGuards() {
 	}
 }
 
-// armPilot attaches the fault-tolerance machinery of one freshly
-// submitted pilot: the rebind recovery path, the scheduling withdrawal
-// on death, and the activation deadline. Shared by Allocate and the
-// mid-campaign AddPilot.
-func (rs *ResourceSet) armPilot(p *pilot.ComputePilot, spec PilotSpec) {
-	v := rs.cfg.Clock
-	if rs.Rebind {
-		// Installed before the pilot can activate (agent boot is still
-		// ahead), so every placement is tracked and teardown returns the
-		// backlog instead of failing it.
-		p.SetRecovery(rs.redispatch)
-		// Withdraw a dead pilot from scheduling so late-binding picks
-		// stop seeing it (placement would skip it anyway; this keeps the
-		// set's "no pilots" accounting honest when every pilot dies).
-		p := p
-		v.Go(func() {
-			p.WaitFinal()
-			rs.um.RemovePilot(p)
-		})
-	}
-	if spec.ActivationDeadline > 0 {
-		p := p
-		deadline := spec.ActivationDeadline
-		t := v.After(deadline, func() {
-			if p.State() == pilot.PilotPending {
-				p.Kill(fmt.Errorf("core: pilot %d missed activation deadline %v", p.ID, deadline))
-			}
-		})
-		rs.addGuards(t)
-	}
-}
-
-// redispatch is the recovery callback rebinding displaced units: they
-// re-enter late binding over the surviving pilots at the current instant
-// (re-dispatch charges no client-side submission cost — the units were
-// already created and paid it). Units no survivor can hold fail
-// placement and settle through the executor's retry budget.
-func (rs *ResourceSet) redispatch(units []*pilot.ComputeUnit) {
-	rs.um.Dispatch(units)
-}
-
-// waitActive blocks until the set can accept units, recording the
-// queue wait (which is resource wait, not toolkit overhead). By
-// default it waits for every pilot and reports the slowest one's wait
-// — work cannot start on the full set before then, and that is the
-// bound the campaign TTC is measured against. With EagerSubmit it
-// waits only for the first activation (see waitFirstActive).
-func (rs *ResourceSet) waitActive() error {
-	if len(rs.pilots) == 0 {
-		return fmt.Errorf("core: resource set not allocated")
-	}
-	if rs.EagerSubmit {
-		return rs.waitFirstActive()
-	}
-	v := rs.cfg.Clock
-	t0 := v.Now()
-	var queueWait time.Duration
-	active := 0
-	for _, p := range rs.pilots {
-		p.WaitActive()
-		if p.State() != pilot.PilotActive {
-			// An injected fault — a planned kill, or a missed activation
-			// deadline — degrades the set to the survivors instead of
-			// failing the run; natural deaths keep the seed's hard error.
-			if p.FaultCause() != nil {
-				continue
-			}
-			return fmt.Errorf("core: pilot failed before activation (%v)", p.State())
-		}
-		active++
-		if qw := p.QueueWait(); qw > queueWait {
-			queueWait = qw
-		}
-	}
-	if active == 0 {
-		return fmt.Errorf("core: every pilot failed before activation")
-	}
-	rs.mu.Lock()
-	rs.queueWait = queueWait
-	rs.agentStartup = v.Now() - t0 - queueWait
-	if rs.agentStartup < 0 {
-		rs.agentStartup = 0
-	}
-	rs.mu.Unlock()
-	return nil
-}
-
-// waitFirstActive blocks until at least one pilot of the set accepts
-// units, failing only when every pilot died before activation. The
-// recorded queue wait is the first-activated pilot's: submission
-// begins against it immediately, and units bound to the still-queued
-// pilots wait inside those pilots' agents — their machines' queue
-// waits then show up in the campaign timeline (and on the per-pilot
-// utilization rows), not as a gate before it.
-func (rs *ResourceSet) waitFirstActive() error {
-	v := rs.cfg.Clock
-	t0 := v.Now()
-	first := vclock.NewEvent(v, "resource set first activation")
-	var mu sync.Mutex
-	var winner *pilot.ComputePilot
-	dead := 0
-	for _, p := range rs.pilots {
-		// Already active (a second Run, or a zero-wait machine): no
-		// watcher processes needed. Prefer the earliest-activated pilot
-		// so repeated Runs report a stable queue wait.
-		if p.State() == pilot.PilotActive &&
-			(winner == nil || p.QueueWait() < winner.QueueWait()) {
-			winner = p
-		}
-	}
-	if winner == nil {
-		for _, p := range rs.pilots {
-			p := p
-			v.Go(func() {
-				p.WaitActive()
-				mu.Lock()
-				defer mu.Unlock()
-				if p.State() == pilot.PilotActive {
-					if winner == nil {
-						winner = p
-					}
-				} else if dead++; dead == len(rs.pilots) {
-					winner = nil // all failed: release the waiter empty-handed
-				} else {
-					return
-				}
-				first.Fire() // idempotent
-			})
-		}
-		first.Wait()
-		mu.Lock()
-		defer mu.Unlock()
-	}
-	if winner == nil {
-		return fmt.Errorf("core: every pilot failed before activation")
-	}
-	queueWait := winner.QueueWait()
-	rs.mu.Lock()
-	rs.queueWait = queueWait
-	rs.agentStartup = v.Now() - t0 - queueWait
-	if rs.agentStartup < 0 {
-		rs.agentStartup = 0
-	}
-	rs.mu.Unlock()
-	return nil
-}
-
-// AddPilot grows an allocated set mid-campaign: the spec is validated
-// and submitted like an Allocate-time pilot (batch queue, agent boot,
-// recovery and deadline arming included), joins late binding
-// immediately — units bound to it before activation wait in its agent —
-// and appears on campaign utilization rows with a zero baseline, so its
-// row covers only the work it actually absorbed. Must be called from a
-// registered clock process; the submission's control time is charged to
-// the caller, not the core overhead.
-func (rs *ResourceSet) AddPilot(spec PilotSpec) (*pilot.ComputePilot, error) {
-	rs.mu.Lock()
-	ok := rs.allocated
-	rs.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("core: AddPilot before Allocate")
-	}
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
+// submitPilot submits one spec's pilot and joins it to the set: late
+// binding, the pilot_submitted record, the Rebind recovery path, the
+// settle callback and the activation deadline. Allocate and AddPilot
+// share it.
+func (rs *ResourceSet) submitPilot(spec PilotSpec) (*pilot.ComputePilot, error) {
 	p, err := rs.pm.Submit(pilot.PilotDescription{
 		Resource: spec.Resource,
 		Cores:    spec.Cores,
@@ -508,8 +360,154 @@ func (rs *ResourceSet) AddPilot(spec PilotSpec) (*pilot.ComputePilot, error) {
 	rs.mu.Unlock()
 	rs.um.AddPilot(p)
 	rs.sess.Prof.RecordID(rs.coreEnt, rs.evPilotSubmit)
-	rs.armPilot(p, spec)
+	if rs.Rebind {
+		// Installed before the pilot can activate (agent boot is still
+		// ahead), so every placement is tracked and teardown returns the
+		// backlog instead of failing it.
+		p.SetRecovery(rs.redispatch)
+	}
+	p.SetSettle(rs.pilotSettled)
+	if spec.ActivationDeadline > 0 {
+		deadline := spec.ActivationDeadline
+		t := rs.cfg.Clock.After(deadline, func() {
+			if p.State() == pilot.PilotPending {
+				p.Kill(fmt.Errorf("core: pilot %d missed activation deadline %v", p.ID, deadline))
+			}
+		})
+		rs.addGuards(t)
+	}
 	return p, nil
+}
+
+// pilotSettled is every pilot's settle callback, run inline on the
+// clock at the pilot's activation and at its final transition. A dead
+// pilot of a Rebind set leaves late binding, so the set's "no pilots"
+// accounting stays honest when every pilot dies (placement would skip
+// it anyway). A waiting EagerSubmit waitActive is released once a pilot
+// is active or none is still pending, through an After(0): it wakes
+// after the instant's timer batch, with every pilot activating at this
+// instant already active.
+func (rs *ResourceSet) pilotSettled(p *pilot.ComputePilot) {
+	if rs.Rebind && p.State().Final() {
+		rs.um.RemovePilot(p)
+	}
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if ev := rs.settleEv; ev != nil {
+		if _, ok := rs.firstActiveLocked(); ok {
+			rs.settleEv = nil
+			rs.cfg.Clock.After(0, ev.Fire)
+		}
+	}
+}
+
+// firstActiveLocked returns the active pilot with the smallest queue
+// wait, ties going to set order, and whether an EagerSubmit wait is
+// over: some pilot is active, or none is still pending. rs.mu is held.
+func (rs *ResourceSet) firstActiveLocked() (*pilot.ComputePilot, bool) {
+	var winner *pilot.ComputePilot
+	pending := false
+	for _, p := range rs.pilots {
+		switch p.State() {
+		case pilot.PilotActive:
+			if winner == nil || p.QueueWait() < winner.QueueWait() {
+				winner = p
+			}
+		case pilot.PilotPending:
+			pending = true
+		}
+	}
+	return winner, winner != nil || !pending
+}
+
+// redispatch is the recovery callback rebinding displaced units: they
+// re-enter late binding over the surviving pilots at the current instant
+// (re-dispatch charges no client-side submission cost — the units were
+// already created and paid it). Units no survivor can hold fail
+// placement and settle through the executor's retry budget.
+func (rs *ResourceSet) redispatch(units []*pilot.ComputeUnit) {
+	rs.um.Dispatch(units)
+}
+
+// waitActive blocks until the set can accept units, recording the
+// queue wait (which is resource wait, not toolkit overhead). By
+// default it waits for every pilot and reports the slowest one's wait
+// — work cannot start on the full set before then, and that is the
+// bound the campaign TTC is measured against. With EagerSubmit it
+// waits only for the first activation and reports the wait of the
+// active pilot firstActiveLocked picks: submission begins against it
+// immediately, and units bound to still-queued pilots wait inside those
+// pilots' agents — their machines' queue waits then show up in the
+// campaign timeline (and on the per-pilot utilization rows), not as a
+// gate before it.
+func (rs *ResourceSet) waitActive() error {
+	if len(rs.pilots) == 0 {
+		return fmt.Errorf("core: resource set not allocated")
+	}
+	v := rs.cfg.Clock
+	t0 := v.Now()
+	var queueWait time.Duration
+	if rs.EagerSubmit {
+		rs.mu.Lock()
+		winner, ok := rs.firstActiveLocked()
+		for ; !ok; winner, ok = rs.firstActiveLocked() {
+			if rs.settleEv == nil {
+				rs.settleEv = vclock.NewEvent(v, "resource set first activation")
+			}
+			ev := rs.settleEv
+			rs.mu.Unlock()
+			ev.Wait()
+			rs.mu.Lock()
+		}
+		rs.mu.Unlock()
+		if winner == nil {
+			return fmt.Errorf("core: every pilot failed before activation")
+		}
+		queueWait = winner.QueueWait()
+	} else {
+		active := 0
+		for _, p := range rs.pilots {
+			p.WaitActive()
+			if p.State() != pilot.PilotActive {
+				// An injected fault — a planned kill, or a missed
+				// activation deadline — degrades the set to the survivors
+				// instead of failing the run; natural deaths keep the
+				// seed's hard error.
+				if p.FaultCause() != nil {
+					continue
+				}
+				return fmt.Errorf("core: pilot failed before activation (%v)", p.State())
+			}
+			active++
+			queueWait = max(queueWait, p.QueueWait())
+		}
+		if active == 0 {
+			return fmt.Errorf("core: every pilot failed before activation")
+		}
+	}
+	rs.mu.Lock()
+	rs.queueWait = queueWait
+	rs.agentStartup = max(v.Now()-t0-queueWait, 0)
+	rs.mu.Unlock()
+	return nil
+}
+
+// AddPilot grows an allocated set mid-campaign: the spec is validated
+// and submitted like an Allocate-time pilot (batch queue, agent boot,
+// recovery and deadline arming included), joins late binding
+// immediately — units bound to it before activation wait in its agent —
+// and appears on campaign utilization rows with a zero baseline, so its
+// row covers only the work it actually absorbed. Must be called from a
+// registered clock process; the submission's control time is charged to
+// the caller, not the core overhead.
+func (rs *ResourceSet) AddPilot(spec PilotSpec) (*pilot.ComputePilot, error) {
+	if err := rs.needAllocated("AddPilot"); err != nil {
+		return nil, err
+	}
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	return rs.submitPilot(spec)
 }
 
 // DrainPilot shrinks an allocated set mid-campaign: the pilot is
@@ -523,13 +521,7 @@ func (rs *ResourceSet) AddPilot(spec PilotSpec) (*pilot.ComputePilot, error) {
 // registered clock process; blocks until the pilot is released.
 func (rs *ResourceSet) DrainPilot(p *pilot.ComputePilot) error {
 	rs.mu.Lock()
-	member := false
-	for _, q := range rs.pilots {
-		if q == p {
-			member = true
-			break
-		}
-	}
+	member := slices.Contains(rs.pilots, p)
 	rs.mu.Unlock()
 	if !member {
 		return fmt.Errorf("core: DrainPilot of a pilot not in the set")
@@ -553,11 +545,8 @@ func (rs *ResourceSet) Run(p Pattern) (*Report, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
-	rs.mu.Lock()
-	ok := rs.allocated
-	rs.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("core: Run before Allocate")
+	if err := rs.needAllocated("Run"); err != nil {
+		return nil, err
 	}
 	if err := rs.waitActive(); err != nil {
 		return nil, err
@@ -578,21 +567,25 @@ func (rs *ResourceSet) Run(p Pattern) (*Report, error) {
 	rep.QueueWait = rs.queueWait
 	rep.AgentStartup = rs.agentStartup
 	rs.mu.Unlock()
-	if err != nil {
-		return rep, err
+	return rep, err
+}
+
+// needAllocated fails what (an operation's name) on an unallocated set.
+func (rs *ResourceSet) needAllocated(what string) error {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if !rs.allocated {
+		return fmt.Errorf("core: %s before Allocate", what)
 	}
-	return rep, nil
+	return nil
 }
 
 // Deallocate cancels every pilot and releases the session. Its control
 // time joins the core overhead of subsequently produced reports.
 func (rs *ResourceSet) Deallocate() error {
-	rs.mu.Lock()
-	if !rs.allocated {
-		rs.mu.Unlock()
-		return fmt.Errorf("core: Deallocate before Allocate")
+	if err := rs.needAllocated("Deallocate"); err != nil {
+		return err
 	}
-	rs.mu.Unlock()
 	v := rs.cfg.Clock
 	rs.sess.Prof.RecordID(rs.coreEnt, rs.evDeallocStart)
 	t0 := v.Now()
@@ -621,9 +614,7 @@ func (rs *ResourceSet) Execute(p Pattern) (*Report, error) {
 		runErr = err
 	}
 	if rep != nil {
-		rs.mu.Lock()
-		rep.CoreOverhead = rs.allocCtl + rs.deallocCtl
-		rs.mu.Unlock()
+		rep.CoreOverhead = rs.ControlOverhead()
 	}
 	return rep, runErr
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -292,4 +293,65 @@ func TestResourceSetLifecycleErrors(t *testing.T) {
 			t.Error(err)
 		}
 	})
+}
+
+// TestResourceSetLeavesNoProcess pins that no pilot of a set parks a
+// process. Each session runs one campaign on a two-pilot set and then
+// ends with both pilots alive and never released: a phantom process
+// (Attach with no matching exit) holds the clock at that instant for
+// good, as an abandoned simulation would. A Rebind set's withdrawal of
+// a dead pilot and an EagerSubmit set's wait for the first activation
+// both run on the pilots' settle callbacks, so no goroutine outlives
+// the sessions — not even for the eager set's slow pilot, still queued
+// when the session ends.
+func TestResourceSetLeavesNoProcess(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(t *testing.T, v *vclock.Virtual) (*ResourceSet, []*Pipeline)
+	}{
+		{"rebind", func(t *testing.T, v *vclock.Virtual) (*ResourceSet, []*Pipeline) {
+			rs := newTestSet(t, v)
+			rs.Placement = pilot.PlaceTagAffinity(nil)
+			rs.Rebind = true
+			return rs, bindingPipelines()
+		}},
+		{"eager", func(t *testing.T, v *vclock.Virtual) (*ResourceSet, []*Pipeline) {
+			registerEagerMachines(t)
+			rs, err := NewResourceSet([]PilotSpec{
+				{Resource: "test.eager.fast", Cores: 16, Walltime: 100 * time.Hour, Tags: []string{"fast"}},
+				{Resource: "test.eager.slow", Cores: 16, Walltime: 100 * time.Hour, Tags: []string{"slow"}},
+			}, Config{Clock: v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs.Placement = pilot.PlaceTagAffinity(nil)
+			rs.EagerSubmit = true
+			return rs, []*Pipeline{eagerCampaign()}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			for range 5 {
+				v := vclock.NewVirtual()
+				rs, pls := tc.setup(t, v)
+				v.Run(func() {
+					if err := rs.Allocate(); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := NewAppManager(rs).Run(pls...); err != nil {
+						t.Fatal(err)
+					}
+					v.Attach()
+				})
+			}
+			after := runtime.NumGoroutine()
+			for i := 0; i < 100 && after > before; i++ {
+				time.Sleep(time.Millisecond)
+				after = runtime.NumGoroutine()
+			}
+			if after > before {
+				t.Errorf("%d goroutines outlive 5 sessions (%d before, %d after)", after-before, before, after)
+			}
+		})
+	}
 }

@@ -19,7 +19,8 @@ const (
 	PilotPending PilotState = iota
 	// PilotActive: allocation granted, agent booted, accepting units.
 	PilotActive
-	// PilotDone: completed (deallocated by the application).
+	// PilotDone: completed. No lifecycle here ends DONE (a released
+	// pilot ends CANCELED); the state stays in the event vocabulary.
 	PilotDone
 	// PilotCanceled: cancelled by the application.
 	PilotCanceled
@@ -110,7 +111,8 @@ type ComputePilot struct {
 
 	mu       sync.Mutex
 	state    PilotState
-	fault    error // injected-fault cause; nil for natural lifecycles
+	fault    error               // injected-fault cause; nil for natural lifecycles
+	settle   func(*ComputePilot) // SetSettle's callback
 	activeEv *vclock.Event
 	finalEv  *vclock.Event
 }
@@ -150,6 +152,27 @@ func (p *ComputePilot) CapacityCores() int { return p.agent.capacityCores() }
 // in-flight tracking, so running units can be stolen at teardown. Install
 // before the pilot activates, or placements made earlier escape tracking.
 func (p *ComputePilot) SetRecovery(fn func([]*ComputeUnit)) { p.agent.setRecovery(fn) }
+
+// SetSettle installs fn to run at the pilot's activation and again at
+// its final transition (a pilot that dies before activating runs it
+// once), each time before the transition's waiters are released. fn
+// runs inline on the clock, like an After callback, so it must not
+// block on the clock.
+func (p *ComputePilot) SetSettle(fn func(*ComputePilot)) {
+	p.mu.Lock()
+	p.settle = fn
+	p.mu.Unlock()
+}
+
+// settled runs the settle callback, if one is installed.
+func (p *ComputePilot) settled() {
+	p.mu.Lock()
+	fn := p.settle
+	p.mu.Unlock()
+	if fn != nil {
+		fn(p)
+	}
+}
 
 // DrainPending withdraws and returns the pilot's live pending backlog
 // without stopping it — the ResourceSet.DrainPilot path. Withdraw the
@@ -221,7 +244,7 @@ func (p *ComputePilot) WaitFinal() PilotState {
 
 // Cancel tears the pilot down: after the cancel request's network round
 // trip the placeholder job is cancelled and every queued unit fails. This
-// is how ResourceHandle.Deallocate releases resources. It must be called
+// is how ResourceSet.Deallocate releases resources. It must be called
 // from a registered vclock process.
 func (p *ComputePilot) Cancel() {
 	p.sess.V.Charge(p.backend.machine.NetLatency)
@@ -333,20 +356,20 @@ func (p *ComputePilot) jobStarted(job *batch.Job) {
 		p.setState(PilotActive)
 		p.sess.Prof.RecordID(p.entityID, p.sess.vocab.evActive)
 		p.agent.start()
+		p.settled()
 		p.activeEv.Fire()
 	})
 }
 
 // jobEnded is the placeholder job's OnEnd: the agent stops, queued units
-// fail, waiters release. An injected fault (Kill) forces FAILED whatever
-// the batch system reported; with a recovery path installed the agent's
-// backlog is returned for rebinding instead of failed.
+// fail, the settle callback runs, waiters release. An injected fault
+// (Kill) forces FAILED whatever the batch system reported; with a
+// recovery path installed the agent's backlog is returned for rebinding
+// instead of failed.
 func (p *ComputePilot) jobEnded(job *batch.Job) {
 	switch st := job.State(); {
 	case p.FaultCause() != nil:
 		p.setState(PilotFailed)
-	case st == batch.Completed:
-		p.setState(PilotDone)
 	case st == batch.Cancelled:
 		p.setState(PilotCanceled)
 	default:
@@ -364,6 +387,7 @@ func (p *ComputePilot) jobEnded(job *batch.Job) {
 	} else {
 		p.agent.stop(cause)
 	}
+	p.settled()
 	p.activeEv.Fire() // release WaitActive callers on early death
 	p.finalEv.Fire()
 }

@@ -32,19 +32,15 @@ var linkAllow = map[string]string{
 	"entk/internal/cluster.Names":    "called by entk.Resources",
 	"entk/internal/cluster.Register": "called by entk.RegisterResource",
 
-	"entk/internal/core.AppManager.Binding":          apiAlias,
-	"entk/internal/core.Composite.PatternName":       apiAlias,
-	"entk/internal/core.Composite.TaskCount":         apiAlias,
-	"entk/internal/core.Composite.validate":          apiAlias + "; Execute validates every Pattern",
-	"entk/internal/core.ResourceHandle.BindingLabel": apiAlias,
-	"entk/internal/core.ResourceHandle.Pilot":        apiAlias,
-	"entk/internal/core.ResourceHandle.TotalCores":   apiAlias,
-	"entk/internal/core.ResourceSet.AddPilot":        apiAlias,
-	"entk/internal/core.ResourceSet.DrainPilot":      apiAlias,
-	"entk/internal/core.StageCtl.AppendStages":       apiAlias,
-	"entk/internal/core.StageCtl.PipelineName":       apiAlias,
-	"entk/internal/core.StageCtl.StageIndex":         apiAlias,
-	"entk/internal/core.StageCtl.Units":              apiAlias,
+	"entk/internal/core.Composite.PatternName":  apiAlias,
+	"entk/internal/core.Composite.TaskCount":    apiAlias,
+	"entk/internal/core.Composite.validate":     apiAlias + "; Execute validates every Pattern",
+	"entk/internal/core.ResourceSet.AddPilot":   apiAlias,
+	"entk/internal/core.ResourceSet.DrainPilot": apiAlias,
+	"entk/internal/core.StageCtl.AppendStages":  apiAlias,
+	"entk/internal/core.StageCtl.PipelineName":  apiAlias,
+	"entk/internal/core.StageCtl.StageIndex":    apiAlias,
+	"entk/internal/core.StageCtl.Units":         apiAlias,
 
 	"entk/internal/kernels.Registry.Names":         apiAlias,
 	"entk/internal/kernels.Spec.Executable":        apiAlias,
@@ -70,7 +66,7 @@ var linkAllow = map[string]string{
 const (
 	apiFunc     = "public API: exported by package entk"
 	apiAlias    = "public API: a method of a type that package entk aliases"
-	apiPilot    = "public API: ResourceHandle.Pilot and ResourceSet.Pilots return a *ComputePilot"
+	apiPilot    = "public API: ResourceSet.Pilots returns a *ComputePilot"
 	apiProfiler = "public API: entk.SaveCheckpoint and LoadCheckpoint take a *profile.Profiler"
 )
 

@@ -130,7 +130,7 @@ func testSetCampaignParity(t *testing.T) {
 		var camp *entk.CampaignReport
 		var err error
 		v.Run(func() {
-			var b entk.Binding
+			var b *entk.ResourceSet
 			if asSet {
 				var rs *entk.ResourceSet
 				rs, err = entk.NewResourceSet([]entk.PilotSpec{
@@ -148,15 +148,11 @@ func testSetCampaignParity(t *testing.T) {
 				}
 				b = h
 			}
-			rs := b.(interface {
-				Allocate() error
-				Deallocate() error
-			})
-			if err = rs.Allocate(); err != nil {
+			if err = b.Allocate(); err != nil {
 				return
 			}
 			camp, err = entk.NewAppManager(b).Run(setParityPipelines()...)
-			if derr := rs.Deallocate(); err == nil {
+			if derr := b.Deallocate(); err == nil {
 				err = derr
 			}
 		})
