@@ -227,7 +227,16 @@ func TestRealModeNoLeak(t *testing.T) {
 		return n, ms.HeapAlloc
 	}
 
+	// The previous test's goroutine can still be on its way out when this
+	// test starts: take the starting count once it has held still.
 	g0 := liveGoroutines()
+	for deadline, still := time.Now().Add(2*time.Second), 0; still < 10 && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if n := liveGoroutines(); n != g0 {
+			g0, still = n, 0
+		} else {
+			still++
+		}
+	}
 	run()
 	_, heap1 := settled(g0)
 	for i := 0; i < 5; i++ {

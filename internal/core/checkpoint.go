@@ -26,15 +26,15 @@ package core
 // round-trips through either profiler storage layout.
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"entk/internal/profile"
+	"entk/internal/wire"
 )
 
 // PipelineCheckpoint is one pipeline's state at its last settled stage
@@ -146,111 +146,51 @@ func SaveCheckpoint(w io.Writer, cp *CampaignCheckpoint, prof *profile.Profiler)
 	if cp == nil {
 		return fmt.Errorf("core: nil checkpoint")
 	}
-	bw := bufio.NewWriter(w)
-	write := func(v any) error { return binary.Write(bw, binary.LittleEndian, v) }
-	writeString := func(s string) error {
-		if err := write(uint32(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-	if _, err := bw.WriteString(ckptMagic); err != nil {
-		return err
-	}
-	if err := write(uint32(ckptVersion)); err != nil {
-		return err
-	}
-	if err := write(uint32(len(cp.Pipelines))); err != nil {
-		return err
-	}
+	out := wire.NewWriter(w)
+	out.Bytes([]byte(ckptMagic))
+	out.U32(ckptVersion)
+	out.U32(uint32(len(cp.Pipelines)))
 	for _, pc := range cp.Pipelines {
-		if err := writeString(pc.Name); err != nil {
-			return err
-		}
-		for _, v := range []any{
-			uint32(pc.SettledStages), uint64(pc.Tasks), uint64(pc.Retries),
-			int64(pc.PatternOverhead), uint32(len(pc.Phases)),
-		} {
-			if err := write(v); err != nil {
-				return err
-			}
-		}
+		out.String(pc.Name)
+		out.U32(uint32(pc.SettledStages))
+		out.U64(uint64(pc.Tasks))
+		out.U64(uint64(pc.Retries))
+		out.U64(uint64(pc.PatternOverhead))
+		out.U32(uint32(len(pc.Phases)))
 		for _, ph := range pc.Phases {
-			if err := writeString(ph.Name); err != nil {
-				return err
-			}
-			for _, v := range []any{
-				int64(ph.Span), int64(ph.Busy), uint64(ph.Tasks), uint64(ph.Occurrences),
-			} {
-				if err := write(v); err != nil {
-					return err
-				}
-			}
+			out.String(ph.Name)
+			out.U64(uint64(ph.Span))
+			out.U64(uint64(ph.Busy))
+			out.U64(uint64(ph.Tasks))
+			out.U64(uint64(ph.Occurrences))
 		}
-		if err := write(uint32(len(pc.HookStages))); err != nil {
-			return err
-		}
+		out.U32(uint32(len(pc.HookStages)))
 		for _, hs := range pc.HookStages {
-			if err := write(uint32(hs.Seq)); err != nil {
-				return err
-			}
-			if err := write(uint32(len(hs.Units))); err != nil {
-				return err
-			}
+			out.U32(uint32(hs.Seq))
+			out.U32(uint32(len(hs.Units)))
 			for _, us := range hs.Units {
-				if err := writeString(us.Name); err != nil {
-					return err
-				}
-				if err := writeString(us.Kernel); err != nil {
-					return err
-				}
-				mpi := uint8(0)
-				if us.MPI {
-					mpi = 1
-				}
-				for _, v := range []any{
-					uint32(us.Cores), mpi, int64(us.Start), int64(us.Stop),
-					uint32(len(us.Params)),
-				} {
-					if err := write(v); err != nil {
-						return err
-					}
-				}
+				out.String(us.Name)
+				out.String(us.Kernel)
+				out.U32(uint32(us.Cores))
+				out.U8(boolByte(us.MPI))
+				out.U64(uint64(us.Start))
+				out.U64(uint64(us.Stop))
+				out.U32(uint32(len(us.Params)))
 				// Key order keeps the serialisation deterministic (maps
 				// iterate randomly).
-				keys := make([]string, 0, len(us.Params))
-				for k := range us.Params {
-					keys = append(keys, k)
+				for _, k := range slices.Sorted(maps.Keys(us.Params)) {
+					out.String(k)
+					out.U64(math.Float64bits(us.Params[k]))
 				}
-				sort.Strings(keys)
-				for _, k := range keys {
-					if err := writeString(k); err != nil {
-						return err
-					}
-					if err := write(math.Float64bits(us.Params[k])); err != nil {
-						return err
-					}
-				}
-				if err := write(uint32(len(us.Tags))); err != nil {
-					return err
-				}
+				out.U32(uint32(len(us.Tags)))
 				for _, tag := range us.Tags {
-					if err := writeString(tag); err != nil {
-						return err
-					}
+					out.String(tag)
 				}
 			}
 		}
 	}
-	flag := uint8(0)
-	if prof != nil {
-		flag = 1
-	}
-	if err := write(flag); err != nil {
-		return err
-	}
-	if err := bw.Flush(); err != nil {
+	out.U8(boolByte(prof != nil))
+	if _, err := out.Flush(); err != nil {
 		return err
 	}
 	if prof != nil {
@@ -261,176 +201,85 @@ func SaveCheckpoint(w io.Writer, cp *CampaignCheckpoint, prof *profile.Profiler)
 	return nil
 }
 
+func boolByte(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // LoadCheckpoint reads a checkpoint written by SaveCheckpoint. When the
 // stream carries a trace section, it is loaded into prof (which must be
 // empty, either storage layout); a nil prof skips the trace. The
 // trace-flag byte is consumed either way, so the checkpoint section
 // alone round-trips regardless of what follows.
 func LoadCheckpoint(r io.Reader, prof *profile.Profiler) (*CampaignCheckpoint, error) {
-	br := bufio.NewReader(r)
-	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
-	readString := func() (string, error) {
-		var length uint32
-		if err := read(&length); err != nil {
-			return "", err
-		}
-		if length > ckptMaxString {
-			return "", fmt.Errorf("core: checkpoint string length %d exceeds cap (corrupt?)", length)
-		}
-		buf := make([]byte, length)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return "", err
-		}
-		return string(buf), nil
-	}
-	magic := make([]byte, len(ckptMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, err
-	}
-	if string(magic) != ckptMagic {
+	in := wire.NewReader(r, "core: checkpoint", ckptMaxString)
+	var magic [len(ckptMagic)]byte
+	if in.Bytes(magic[:]); in.Err() == nil && string(magic[:]) != ckptMagic {
 		return nil, fmt.Errorf("core: bad checkpoint magic %q", magic)
 	}
-	var version uint32
-	if err := read(&version); err != nil {
-		return nil, err
-	}
-	if version < 1 || version > ckptVersion {
+	version := in.U32()
+	if in.Err() == nil && (version < 1 || version > ckptVersion) {
 		return nil, fmt.Errorf("core: checkpoint version %d, want 1-%d", version, ckptVersion)
 	}
-	var nPipes uint32
-	if err := read(&nPipes); err != nil {
-		return nil, err
-	}
-	if nPipes > ckptMaxCount {
-		return nil, fmt.Errorf("core: checkpoint pipeline count %d exceeds cap (corrupt?)", nPipes)
-	}
 	cp := &CampaignCheckpoint{}
-	for i := uint32(0); i < nPipes; i++ {
-		var pc PipelineCheckpoint
-		var err error
-		if pc.Name, err = readString(); err != nil {
-			return nil, err
+	for i, n := 0, in.Count(ckptMaxCount, "pipeline"); i < n && in.Err() == nil; i++ {
+		pc := PipelineCheckpoint{
+			Name:            in.String(),
+			SettledStages:   int(in.U32()),
+			Tasks:           int(in.U64()),
+			Retries:         int(in.U64()),
+			PatternOverhead: time.Duration(in.U64()),
 		}
-		var settled, nPhases uint32
-		var tasks, retries uint64
-		var overhead int64
-		for _, v := range []any{&settled, &tasks, &retries, &overhead, &nPhases} {
-			if err := read(v); err != nil {
-				return nil, err
-			}
+		for j, n := 0, in.Count(ckptMaxCount, "phase"); j < n && in.Err() == nil; j++ {
+			pc.Phases = append(pc.Phases, PhaseStat{
+				Name:        in.String(),
+				Span:        time.Duration(in.U64()),
+				Busy:        time.Duration(in.U64()),
+				Tasks:       int(in.U64()),
+				Occurrences: int(in.U64()),
+			})
 		}
-		if nPhases > ckptMaxCount {
-			return nil, fmt.Errorf("core: checkpoint phase count %d exceeds cap (corrupt?)", nPhases)
-		}
-		pc.SettledStages = int(settled)
-		pc.Tasks = int(tasks)
-		pc.Retries = int(retries)
-		pc.PatternOverhead = time.Duration(overhead)
-		for j := uint32(0); j < nPhases; j++ {
-			var ph PhaseStat
-			if ph.Name, err = readString(); err != nil {
-				return nil, err
-			}
-			var span, busy int64
-			var tasks, occ uint64
-			for _, v := range []any{&span, &busy, &tasks, &occ} {
-				if err := read(v); err != nil {
-					return nil, err
-				}
-			}
-			ph.Span = time.Duration(span)
-			ph.Busy = time.Duration(busy)
-			ph.Tasks = int(tasks)
-			ph.Occurrences = int(occ)
-			pc.Phases = append(pc.Phases, ph)
-		}
+		nHooks := 0
 		if version >= 2 {
-			var nHooks uint32
-			if err := read(&nHooks); err != nil {
-				return nil, err
+			nHooks = in.Count(ckptMaxCount, "hook-stage")
+		}
+		for h := 0; h < nHooks && in.Err() == nil; h++ {
+			hs := StageSnapshot{Seq: int(in.U32())}
+			for u, n := 0, in.Count(ckptMaxCount, "unit"); u < n && in.Err() == nil; u++ {
+				us := UnitSnapshot{
+					Name:   in.String(),
+					Kernel: in.String(),
+					Cores:  int(in.U32()),
+					MPI:    in.U8() != 0,
+					Start:  time.Duration(in.U64()),
+					Stop:   time.Duration(in.U64()),
+				}
+				for k, n := 0, in.Count(ckptMaxCount, "param"); k < n && in.Err() == nil; k++ {
+					key, bits := in.String(), in.U64()
+					if us.Params == nil {
+						us.Params = map[string]float64{}
+					}
+					us.Params[key] = math.Float64frombits(bits)
+				}
+				for k, n := 0, in.Count(ckptMaxCount, "tag"); k < n && in.Err() == nil; k++ {
+					us.Tags = append(us.Tags, in.String())
+				}
+				hs.Units = append(hs.Units, us)
 			}
-			if nHooks > ckptMaxCount {
-				return nil, fmt.Errorf("core: checkpoint hook-stage count %d exceeds cap (corrupt?)", nHooks)
-			}
-			for h := uint32(0); h < nHooks; h++ {
-				var hs StageSnapshot
-				var seq, nUnits uint32
-				if err := read(&seq); err != nil {
-					return nil, err
-				}
-				if err := read(&nUnits); err != nil {
-					return nil, err
-				}
-				if nUnits > ckptMaxCount {
-					return nil, fmt.Errorf("core: checkpoint unit count %d exceeds cap (corrupt?)", nUnits)
-				}
-				hs.Seq = int(seq)
-				for u := uint32(0); u < nUnits; u++ {
-					var us UnitSnapshot
-					if us.Name, err = readString(); err != nil {
-						return nil, err
-					}
-					if us.Kernel, err = readString(); err != nil {
-						return nil, err
-					}
-					var cores, nParams uint32
-					var mpi uint8
-					var start, stop int64
-					for _, v := range []any{&cores, &mpi, &start, &stop, &nParams} {
-						if err := read(v); err != nil {
-							return nil, err
-						}
-					}
-					if nParams > ckptMaxCount {
-						return nil, fmt.Errorf("core: checkpoint param count %d exceeds cap (corrupt?)", nParams)
-					}
-					us.Cores = int(cores)
-					us.MPI = mpi != 0
-					us.Start = time.Duration(start)
-					us.Stop = time.Duration(stop)
-					for pi := uint32(0); pi < nParams; pi++ {
-						key, err := readString()
-						if err != nil {
-							return nil, err
-						}
-						var bits uint64
-						if err := read(&bits); err != nil {
-							return nil, err
-						}
-						if us.Params == nil {
-							us.Params = make(map[string]float64, nParams)
-						}
-						us.Params[key] = math.Float64frombits(bits)
-					}
-					var nTags uint32
-					if err := read(&nTags); err != nil {
-						return nil, err
-					}
-					if nTags > ckptMaxCount {
-						return nil, fmt.Errorf("core: checkpoint tag count %d exceeds cap (corrupt?)", nTags)
-					}
-					for ti := uint32(0); ti < nTags; ti++ {
-						tag, err := readString()
-						if err != nil {
-							return nil, err
-						}
-						us.Tags = append(us.Tags, tag)
-					}
-					hs.Units = append(hs.Units, us)
-				}
-				pc.HookStages = append(pc.HookStages, hs)
-			}
+			pc.HookStages = append(pc.HookStages, hs)
 		}
 		cp.Pipelines = append(cp.Pipelines, pc)
 	}
-	var flag uint8
-	if err := read(&flag); err != nil {
+	traced := in.U8() == 1
+	if err := in.Err(); err != nil {
 		return nil, err
 	}
-	if flag == 1 && prof != nil {
+	if traced && prof != nil {
 		// The trace section starts wherever the buffered reader stands;
 		// hand the profiler the same reader so no bytes are lost.
-		if _, err := prof.ReadFrom(br); err != nil {
+		if _, err := prof.ReadFrom(in); err != nil {
 			return cp, fmt.Errorf("core: checkpoint trace section: %w", err)
 		}
 	}

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -125,6 +128,96 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	})
 }
 
+// TestCheckpointFixtureBytes pins both on-disk versions. The committed
+// files were written by the codec before it moved onto internal/wire:
+// SaveCheckpoint must still produce the v2 file byte for byte, and a v1
+// stream (no hook-stage section) must still load, as the same state
+// without its hook stages.
+func TestCheckpointFixtureBytes(t *testing.T) {
+	v2, err := os.ReadFile("testdata/checkpoint-v2.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveCheckpoint(&buf, ckptFixture(), ckptProfFixture()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), v2) {
+		t.Errorf("SaveCheckpoint wrote %d bytes that differ from the committed %d-byte v2 file", buf.Len(), len(v2))
+	}
+
+	v1, err := os.ReadFile("testdata/checkpoint-v1.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ckptFixture()
+	for i := range want.Pipelines {
+		want.Pipelines[i].HookStages = nil
+	}
+	prof := profile.New(vclock.NewVirtual())
+	got, err := LoadCheckpoint(bytes.NewReader(v1), prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("v1 file loads as\n%+v\nwant\n%+v", got, want)
+	}
+	if n, m := prof.EventCount(), ckptProfFixture().EventCount(); n != m {
+		t.Errorf("v1 file's trace has %d events, want %d", n, m)
+	}
+}
+
+// declaredCountStream is a 113-byte checkpoint that declares 2^24 params
+// (within the cap) for its one unit, carries one, and ends.
+func declaredCountStream() []byte {
+	var b []byte
+	u32 := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
+	u64 := func(v uint64) { b = binary.LittleEndian.AppendUint64(b, v) }
+	str := func(s string) { u32(uint32(len(s))); b = append(b, s...) }
+	b = append(b, ckptMagic...)
+	u32(ckptVersion)
+	u32(1) // pipelines
+	str("p")
+	u32(1)           // settled stages
+	u64(1)           // tasks
+	u64(0)           // retries
+	u64(0)           // overhead
+	u32(0)           // phases
+	u32(1)           // hook stages
+	u32(1)           // seq
+	u32(1)           // units
+	str("u")         // name
+	str("k")         // kernel
+	u32(1)           // cores
+	b = append(b, 0) // mpi
+	u64(0)           // start
+	u64(1)           // stop
+	u32(1 << 24)     // params
+	str("a")
+	u64(0)
+	return b
+}
+
+// TestCheckpointDeclaredCountAllocatesNothing: a count the stream
+// declares sizes nothing. The stream ends after the first of 2^24
+// params; the load must fail having allocated well under a megabyte.
+func TestCheckpointDeclaredCountAllocatesNothing(t *testing.T) {
+	data := declaredCountStream()
+	if len(data) != 113 {
+		t.Fatalf("stream is %d bytes, want 113", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadCheckpoint(bytes.NewReader(data), nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("truncated stream accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("loading a %d-byte stream allocated %d bytes, want under 1 MB", len(data), got)
+	}
+}
+
 // FuzzCheckpoint feeds arbitrary bytes to LoadCheckpoint: it must never
 // panic or over-allocate, and whatever it does accept must re-serialise
 // canonically (save → load is the identity on accepted states).
@@ -137,6 +230,7 @@ func FuzzCheckpoint(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Add([]byte("ENTKCKPT"))
+	f.Add(declaredCountStream())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp, err := LoadCheckpoint(bytes.NewReader(data), nil)
 		if err != nil {

@@ -7,12 +7,12 @@
 package profile
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"time"
+
+	"entk/internal/wire"
 )
 
 // ErrNotEmpty is wrapped by ReadFrom when the destination profiler has
@@ -42,85 +42,35 @@ const (
 	dumpMaxString = 1 << 20
 )
 
-// countingWriter counts the bytes that actually reach the wrapped
-// writer, so WriteTo can honour the io.WriterTo contract (n = bytes
-// written to w) across a buffering layer even on partial failure.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	m, err := c.w.Write(p)
-	c.n += int64(m)
-	return m, err
-}
-
 // WriteTo serialises the profiler's intern tables and full event log.
 // It implements io.WriterTo. The profiler must be quiescent: recorders
 // racing the dump may be partially included.
 func (p *Profiler) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	write := func(v any) error {
-		return binary.Write(bw, binary.LittleEndian, v)
-	}
+	out := wire.NewWriter(w)
+	out.Bytes([]byte(dumpMagic))
+	out.U32(dumpVersion)
 	var key []byte
-	writeKey := func(t *interner, id uint32) error {
-		s, n, unit := t.slot(id)
-		if unit {
-			key = appendUnitKey(key[:0], n)
-			if err := write(uint32(len(key))); err != nil {
-				return err
-			}
-			_, err := bw.Write(key)
-			return err
-		}
-		if err := write(uint32(len(s))); err != nil {
-			return err
-		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-
-	if _, err := bw.WriteString(dumpMagic); err != nil {
-		return cw.n, err
-	}
-	if err := write(uint32(dumpVersion)); err != nil {
-		return cw.n, err
-	}
 	for _, table := range []*interner{&p.ents, &p.names} {
 		count := table.count()
-		if err := write(uint32(count)); err != nil {
-			return cw.n, err
-		}
+		out.U32(uint32(count))
 		for id := 0; id < count; id++ {
-			if err := writeKey(table, uint32(id)); err != nil {
-				return cw.n, err
+			s, n, unit := table.slot(uint32(id))
+			if unit {
+				key = appendUnitKey(key[:0], n)
+				out.U32(uint32(len(key)))
+				out.Bytes(key)
+			} else {
+				out.String(s)
 			}
 		}
 	}
-	if err := write(uint64(p.store.count())); err != nil {
-		return cw.n, err
-	}
-	var werr error
+	out.U64(uint64(p.store.count()))
 	p.store.forEach(func(eid, nid uint32, t time.Duration) {
-		if werr != nil {
-			return
-		}
-		var rec [16]byte
-		binary.LittleEndian.PutUint32(rec[0:], eid)
-		binary.LittleEndian.PutUint32(rec[4:], nid)
-		binary.LittleEndian.PutUint64(rec[8:], uint64(t))
-		if _, err := bw.Write(rec[:]); err != nil {
-			werr = err
-		}
+		out.U32(eid)
+		out.U32(nid)
+		out.U64(uint64(t))
 	})
-	if werr != nil {
-		return cw.n, werr
-	}
-	err := bw.Flush()
-	return cw.n, err
+	return out.Flush()
 }
 
 // ReadFrom loads a dump produced by WriteTo into an empty profiler
@@ -132,79 +82,40 @@ func (p *Profiler) ReadFrom(r io.Reader) (int64, error) {
 		return 0, fmt.Errorf("%w (%d entities, %d names, %d events already present)",
 			ErrNotEmpty, p.ents.count(), p.names.count(), p.store.count())
 	}
-	br := bufio.NewReader(r)
-	var n int64
-	read := func(v any) error {
-		if err := binary.Read(br, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
+	in := wire.NewReader(r, "profile: dump", dumpMaxString)
+	var magic [len(dumpMagic)]byte
+	if in.Bytes(magic[:]); in.Err() == nil && string(magic[:]) != dumpMagic {
+		return in.N(), fmt.Errorf("profile: bad dump magic %q", magic)
 	}
-
-	magic := make([]byte, len(dumpMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return n, err
-	}
-	n += int64(len(magic))
-	if string(magic) != dumpMagic {
-		return n, fmt.Errorf("profile: bad dump magic %q", magic)
-	}
-	var version uint32
-	if err := read(&version); err != nil {
-		return n, err
-	}
-	if version != dumpVersion {
-		return n, fmt.Errorf("profile: dump version %d, want %d", version, dumpVersion)
+	if version := in.U32(); in.Err() == nil && version != dumpVersion {
+		return in.N(), fmt.Errorf("profile: dump version %d, want %d", version, dumpVersion)
 	}
 	for _, table := range []*interner{&p.ents, &p.names} {
-		var count uint32
-		if err := read(&count); err != nil {
-			return n, err
-		}
-		buf := make([]byte, 0, 64)
-		for id := uint32(0); id < count; id++ {
-			var length uint32
-			if err := read(&length); err != nil {
-				return n, err
+		count := in.U32()
+		for id := uint32(0); id < count && in.Err() == nil; id++ {
+			s := in.String()
+			if in.Err() != nil {
+				break
 			}
-			if length > dumpMaxString {
-				return n, fmt.Errorf("profile: dump string length %d exceeds cap %d (corrupt dump?)", length, dumpMaxString)
-			}
-			if cap(buf) < int(length) {
-				buf = make([]byte, length)
-			}
-			buf = buf[:length]
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return n, err
-			}
-			n += int64(length)
 			// Interning in table order reassigns the dense ids 0..count-1
 			// exactly as the original profiler allocated them.
-			if got := table.intern(string(buf)); got != id {
-				return n, fmt.Errorf("profile: dump id %d resolved to %d (duplicate table entry?)", id, got)
+			if got := table.intern(s); got != id {
+				return in.N(), fmt.Errorf("profile: dump id %d resolved to %d (duplicate table entry?)", id, got)
 			}
 		}
 	}
-	var events uint64
-	if err := read(&events); err != nil {
-		return n, err
-	}
+	events := in.U64()
 	ents := uint32(p.ents.count())
 	names := uint32(p.names.count())
-	var rec [16]byte
-	for i := uint64(0); i < events; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return n, err
+	for i := uint64(0); i < events && in.Err() == nil; i++ {
+		eid, nid, t := in.U32(), in.U32(), time.Duration(in.U64())
+		if in.Err() != nil {
+			break
 		}
-		n += 16
-		eid := binary.LittleEndian.Uint32(rec[0:])
-		nid := binary.LittleEndian.Uint32(rec[4:])
-		t := time.Duration(binary.LittleEndian.Uint64(rec[8:]))
 		if eid >= ents || nid >= names {
-			return n, fmt.Errorf("profile: event %d references id outside tables (%d/%d)", i, eid, nid)
+			return in.N(), fmt.Errorf("profile: event %d references id outside tables (%d/%d)", i, eid, nid)
 		}
 		p.store.record(eid, nid, t)
 	}
-	return n, nil
+	return in.N(), in.Err()
 }

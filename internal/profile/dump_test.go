@@ -3,7 +3,10 @@ package profile
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -164,4 +167,95 @@ func TestDumpRejectsGarbage(t *testing.T) {
 	if !fresh().Empty() {
 		t.Error("Empty() false on a fresh profiler")
 	}
+}
+
+// TestWriteToAllocs: writing a dump allocates per dump, not per event.
+// 40,000 unit entities with 4 events each; the codec's record buffer
+// used to escape once per event (200,015 allocations here).
+func TestWriteToAllocs(t *testing.T) {
+	v := vclock.NewVirtual()
+	p := New(v)
+	names := []NameID{p.InternName("a"), p.InternName("b"), p.InternName("c"), p.InternName("d")}
+	for n := 0; n < 40000; n++ {
+		e := p.InternUnit(n)
+		for _, name := range names {
+			p.RecordID(e, name)
+		}
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := p.WriteTo(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 16 {
+		t.Errorf("WriteTo of %d events made %.0f allocations, want at most 16", p.EventCount(), allocs)
+	}
+}
+
+// goldenDumps returns the committed campaign traces (ENTKPROF dumps
+// written by entk-run -record) by file name, in name order.
+func goldenDumps(tb testing.TB) (names []string, dumps [][]byte) {
+	paths, err := filepath.Glob("../campaign/testdata/*.trace")
+	if err != nil || len(paths) == 0 {
+		tb.Fatalf("no golden traces found (%v)", err)
+	}
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		names = append(names, filepath.Base(path))
+		dumps = append(dumps, b)
+	}
+	return names, dumps
+}
+
+// rewrite reads a dump into a fresh profiler and writes it back out.
+func rewrite(data []byte) ([]byte, error) {
+	p := New(vclock.NewVirtual())
+	if _, err := p.ReadFrom(bytes.NewReader(data)); err != nil {
+		return nil, err
+	}
+	var out bytes.Buffer
+	_, err := p.WriteTo(&out)
+	return out.Bytes(), err
+}
+
+// TestDumpGoldensRewrite: WriteTo(ReadFrom(f)) is f, byte for byte, for
+// both committed campaign goldens.
+func TestDumpGoldensRewrite(t *testing.T) {
+	names, dumps := goldenDumps(t)
+	for i, data := range dumps {
+		got, err := rewrite(data)
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Errorf("%s: %d bytes written back differ from the %d read", names[i], len(got), len(data))
+		}
+	}
+}
+
+// FuzzProfileDump feeds arbitrary bytes to ReadFrom: it must never panic
+// or over-allocate, and a dump it accepts, once written back out, must
+// read and re-write to the same bytes.
+func FuzzProfileDump(f *testing.F) {
+	_, dumps := goldenDumps(f)
+	for _, data := range dumps {
+		f.Add(data)
+	}
+	f.Add([]byte(dumpMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		once, err := rewrite(data)
+		if err != nil {
+			return
+		}
+		twice, err := rewrite(once)
+		if err != nil {
+			t.Fatalf("an accepted dump, written back, fails to read: %v", err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("rewrite is not stable: %d bytes, then %d", len(once), len(twice))
+		}
+	})
 }

@@ -49,9 +49,6 @@ type Config struct {
 	// Dir receives per-unit capture files (<unit>.a<attempt>.out/.err).
 	// Empty means a fresh temporary directory.
 	Dir string
-	// Env is appended to the inherited environment of every process,
-	// ahead of the unit's own ENTK_* variables.
-	Env []string
 }
 
 // OutputCap is how much of each of a unit's output streams is kept: the
@@ -71,7 +68,7 @@ const trimEvery = 100 * time.Millisecond
 // executor typically serves every pilot of a session.
 type Executor struct {
 	dir string
-	env []string // inherited environment + Config.Env, built once
+	env []string // inherited environment, built once
 
 	// life is read-held from a window's closed check until its process
 	// is in procs, and write-held by Close: forks of different units run
@@ -116,7 +113,7 @@ func New(cfg Config) (*Executor, error) {
 	}
 	return &Executor{
 		dir:    dir,
-		env:    append(os.Environ(), cfg.Env...),
+		env:    os.Environ(),
 		pilots: make(map[int]*pilotState),
 		procs:  make(map[*proc]struct{}),
 	}, nil

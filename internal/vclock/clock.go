@@ -84,9 +84,9 @@ var _ Clock = (*Wall)(nil)
 //
 // On a virtual clock a stopped timer stays filed in the timer wheel and
 // fires at its instant as a no-op, so stopping never moves a simulated
-// timeline — not even where the clock ends up once the run drains. On
-// the wall clock Stop releases the runtime timer at once, which is what
-// lets a guard armed for an hour not outlive the thing it guards.
+// timeline — not even where the clock ends up once the run drains. Go may
+// keep a stopped wall timer in an idle P's heap until that P schedules,
+// so Stop also drops fn: an hour-long guard does not pin what it guards.
 type Timer struct {
 	// node is the timer's wheel entry on a virtual clock: embedding it
 	// keeps After at one allocation.
@@ -114,6 +114,7 @@ func (t *Timer) Stop() bool {
 	if !t.state.CompareAndSwap(timerArmed, timerStopped) {
 		return false
 	}
+	t.fn = nil // fire reads fn only after winning the CAS above
 	if t.wall != nil {
 		t.wall.Stop()
 	}

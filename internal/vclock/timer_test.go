@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 )
 
 // TestTimerContract holds After's timer to one contract on every clock:
@@ -57,6 +58,37 @@ func TestTimerContract(t *testing.T) {
 			if fired.Load() != 1 || zero.Load() != 1 {
 				t.Errorf("fired %d, zero-duration fired %d, want 1 and 1", fired.Load(), zero.Load())
 			}
+		})
+	}
+}
+
+// TestStoppedTimerReleasesCallback: a stopped timer no longer holds what
+// its callback captured. Something may keep the Timer itself for its
+// whole duration: the Go runtime drops a stopped time.Timer from an idle
+// P's heap only when that P next schedules, and the virtual wheel keeps a
+// stopped node until its instant. An hour-long walltime guard must not
+// pin its session's pilot and profiler all that time.
+func TestStoppedTimerReleasesCallback(t *testing.T) {
+	arm := func(v Clock) (*Timer, weak.Pointer[[1 << 10]byte]) {
+		state := new([1 << 10]byte)
+		return v.After(time.Hour, func() { state[0]++ }), weak.Make(state)
+	}
+	for _, c := range []struct {
+		name string
+		v    Clock
+	}{{"handoff", NewVirtual()}, {"ref", newRefVirtual()}, {"wall", NewWall()}} {
+		t.Run(c.name, func(t *testing.T) {
+			var tm *Timer
+			var held weak.Pointer[[1 << 10]byte]
+			c.v.Run(func() {
+				tm, held = arm(c.v)
+				tm.Stop()
+			})
+			runtime.GC()
+			if held.Value() != nil {
+				t.Error("a stopped timer still holds its callback's captures")
+			}
+			runtime.KeepAlive(tm)
 		})
 	}
 }
