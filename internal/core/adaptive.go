@@ -7,19 +7,9 @@ import "fmt"
 // ensemble when a condition is met (the basis of kill-replace style
 // control), and composing unit patterns into higher-order patterns.
 
-// AdaptiveSimulations, when set on a SimulationAnalysisLoop, overrides
-// the Simulations width per iteration: it receives the 1-based iteration
-// and returns the number of simulation tasks for it. Applications close
-// over their analysis state to let results steer the next iteration's
-// width ("vary the number of tasks between stages"). Returning a value
-// < 1 is an error.
-//
-// AdaptiveStop, when set, is consulted after each iteration's analysis;
-// returning true ends the loop early ("adaptive execution"), running the
-// PostLoop kernel next.
-//
-// Both hooks live on the pattern structs so the zero values keep the
-// paper's static semantics.
+// The adaptive hooks (SimulationAnalysisLoop.AdaptiveSimulations and
+// AdaptiveStop, EnsembleExchange.StopWhen) live on the pattern structs,
+// so the zero values keep the paper's static semantics.
 
 // validateAdaptive is called from the executor when hooks are present.
 func validateAdaptiveWidth(n, iter int) error {
@@ -81,9 +71,9 @@ func (c *Composite) validate() error {
 func (ex *executor) runComposite(c *Composite) error {
 	for i, m := range c.Members {
 		sub := newExecutor(ex.rs, m)
-		// Share the submission lock so pattern overhead accounting stays
-		// serialized across members.
-		sub.subLock = ex.subLock
+		// Share the submission cursor so pattern overhead accounting
+		// stays serialized across members.
+		sub.cur = ex.cur
 		err := sub.run()
 
 		// Merge the member's accounting into the parent under a prefix.

@@ -7,7 +7,6 @@ import (
 
 	"entk/internal/pad"
 	"entk/internal/pilot"
-	"entk/internal/vclock"
 )
 
 // AppManager executes application-built pipelines — many, heterogeneous,
@@ -23,31 +22,20 @@ import (
 type AppManager struct {
 	rs *ResourceSet
 
-	// Campaign tracker: every pipeline's latest stage-barrier snapshot,
-	// keyed by name and kept in campaign submission order. Always on —
-	// the per-barrier cost is one counter snapshot — so Checkpoint can
-	// be called at any time, including after a fault-aborted Run.
-	mu     sync.Mutex
-	order  []string
-	byName map[string]PipelineCheckpoint
+	// Campaign tracker: the executors of the latest Run or Resume, in
+	// campaign submission order. Each marks its last settled stage
+	// barrier — a handful of counters, no copies — and Checkpoint builds
+	// the snapshots from the marks. Always on, so Checkpoint can be
+	// called at any time, including after a fault-aborted Run.
+	mu    sync.Mutex
+	track []*executor
 }
 
 // NewAppManager returns an application manager bound to the set. The
 // set must be allocated before Run (Allocate, or via Execute-style
 // sequencing by the caller).
 func NewAppManager(rs *ResourceSet) *AppManager {
-	return &AppManager{rs: rs, byName: make(map[string]PipelineCheckpoint)}
-}
-
-// noteSettled is the campaign tracker's sink: executors push a
-// cumulative snapshot at every settled stage barrier.
-func (am *AppManager) noteSettled(pc PipelineCheckpoint) {
-	am.mu.Lock()
-	if _, ok := am.byName[pc.Name]; !ok {
-		am.order = append(am.order, pc.Name)
-	}
-	am.byName[pc.Name] = pc
-	am.mu.Unlock()
+	return &AppManager{rs: rs}
 }
 
 // Checkpoint returns the campaign state at the last settled stage
@@ -59,8 +47,8 @@ func (am *AppManager) Checkpoint() *CampaignCheckpoint {
 	am.mu.Lock()
 	defer am.mu.Unlock()
 	cp := &CampaignCheckpoint{}
-	for _, name := range am.order {
-		cp.Pipelines = append(cp.Pipelines, am.byName[name])
+	for _, ex := range am.track {
+		cp.Pipelines = append(cp.Pipelines, ex.checkpoint())
 	}
 	return cp
 }
@@ -131,22 +119,25 @@ func (am *AppManager) run(cp *CampaignCheckpoint, pls []*Pipeline) (*CampaignRep
 		return nil, err
 	}
 
-	// Reset the campaign tracker and pre-register every pipeline in
-	// submission order, so Checkpoint() ordering is deterministic no
-	// matter which pipeline settles a barrier first. On resume the
-	// registrations start from the checkpoint's snapshots — a pipeline
-	// that settles nothing further re-checkpoints unchanged.
-	am.mu.Lock()
-	am.order = am.order[:0]
-	clear(am.byName)
-	for i := range pls {
-		reg := PipelineCheckpoint{Name: names[i]}
+	// Reset the campaign tracker to this run's executors, in submission
+	// order, so Checkpoint() ordering is deterministic no matter which
+	// pipeline settles a barrier first. On resume each starts from its
+	// checkpoint snapshot — a pipeline that settles nothing further
+	// re-checkpoints unchanged.
+	exs := make([]*executor, len(pls))
+	for i, pl := range pls {
+		ex := newNamedExecutor(rs, names[i])
+		ex.rank = i
+		ex.planned = pl.TaskCount()
+		ex.tracked = true
+		ex.phases.log = make([]PhaseStat, 0, len(pl.Stages))
 		if pc := cp.Pipeline(names[i]); pc != nil {
-			reg = *pc
+			ex.seedFrom(pc)
 		}
-		am.order = append(am.order, names[i])
-		am.byName[names[i]] = reg
+		exs[i] = ex
 	}
+	am.mu.Lock()
+	am.track = exs
 	am.mu.Unlock()
 
 	// Per-pilot utilization snapshots bracketing the campaign window,
@@ -164,29 +155,14 @@ func (am *AppManager) run(cp *CampaignCheckpoint, pls []*Pipeline) (*CampaignRep
 	t0 := v.Now()
 	reports := make([]*Report, len(pls))
 	errs := make([]error, len(pls))
-	wg := vclock.NewWaitGroup(v, "campaign pipelines")
-	for i := range pls {
-		i := i
-		pl := pls[i]
-		wg.Add(1)
-		v.Go(func() {
-			defer wg.Done()
-			ex := newNamedExecutor(rs, names[i])
-			ex.rank = i
-			ex.planned = pl.TaskCount()
-			if pc := cp.Pipeline(names[i]); pc != nil {
-				ex.seedFrom(pc)
-			}
-			ex.onSettled = am.noteSettled
-			pt0 := v.Now()
-			err := ex.runPipelineSet([]*Pipeline{pl})
-			rep := ex.report()
-			rep.TTC = v.Now() - pt0
-			reports[i] = rep
-			errs[i] = err
+	runSet(v, len(pls), func(i int, end func()) {
+		exs[i].startPipeline(pls[i], 0, func(r *pipeRun) {
+			reports[i] = exs[i].report()
+			reports[i].TTC = v.Now() - t0
+			errs[i] = r.err
+			end()
 		})
-	}
-	wg.Wait()
+	})
 	ttc := v.Now() - t0
 	rs.sess.Prof.RecordID(rs.coreEnt, rs.evRunStop)
 
@@ -196,19 +172,26 @@ func (am *AppManager) run(cp *CampaignCheckpoint, pls []*Pipeline) (*CampaignRep
 		Cores:    rs.TotalCores(),
 		TTC:      ttc,
 	}
-	phases := newPhaseAccumulator()
+	n := 0
+	for _, rep := range reports {
+		n += len(rep.Phases)
+	}
+	phases := make([]PhaseStat, 0, n)
 	var joined []error
 	for i, rep := range reports {
 		agg.PlannedTasks += rep.PlannedTasks
 		agg.Tasks += rep.Tasks
 		agg.Retries += rep.Retries
 		agg.PatternOverhead += rep.PatternOverhead
-		phases.merge(names[i]+".", rep.Phases)
+		for _, ph := range rep.Phases {
+			ph.Name = names[i] + "." + ph.Name
+			phases = append(phases, ph)
+		}
 		if errs[i] != nil {
 			joined = append(joined, fmt.Errorf("core: campaign pipeline %s: %w", names[i], errs[i]))
 		}
 	}
-	agg.Phases = phases.stats()
+	agg.Phases = foldPhases(phases)
 	rs.mu.Lock()
 	agg.CoreOverhead = rs.allocCtl + rs.deallocCtl
 	agg.QueueWait = rs.queueWait

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -42,11 +44,12 @@ func eeTaskName(cycle, replica int) string {
 }
 
 // executor is the execution engine's per-run state: it binds kernels
-// into pilot units, submits them (serialized, like the real toolkit's
-// client process), enforces synchronisation, retries failures, and
-// accumulates the report. Patterns are lowered to Pipelines (lower.go)
-// and run on the graph executor (graph.go); the seed pattern executor
-// the graph-parity tests compare against lives in executor_ref_test.go.
+// into pilot units, submits them through its submission cursor (the
+// real toolkit's single client process), enforces synchronisation,
+// retries failures, and accumulates the report. Patterns are lowered to
+// Pipelines (lower.go) and run on the graph executor (graph.go); the
+// seed pattern executor the graph-parity tests compare against lives
+// in executor_ref_test.go.
 type executor struct {
 	rs    *ResourceSet
 	pat   Pattern // nil for AppManager pipeline runs
@@ -54,13 +57,10 @@ type executor struct {
 	v     vclock.Clock
 	batch *pilot.WaveBatcher
 
-	// subLock serializes task submission; the time spent holding it is
-	// the pattern overhead.
-	subLock *vclock.Semaphore
-	// rank orders this executor's waves within a same-instant batcher
+	// cur serialises task submission (composite members share their
+	// parent's); rank orders this executor's waves within a batcher
 	// round: a campaign pipeline's executor takes the pipeline's index.
-	// One executor's own waves never share a round, since each holds
-	// subLock until its round is created.
+	cur  *submitCursor
 	rank int
 
 	// Pattern-overhead profiler ids, interned once per executor: every
@@ -76,27 +76,25 @@ type executor struct {
 	patternOverhead time.Duration
 	tasks           int
 	retries         int
-	phases          *phaseAccumulator
+	phases          phaseAccumulator
 
-	// Deferred phase buckets (graph executor only): units accumulated
-	// under a phase name and folded into the stats once the pipeline set
-	// completes. See registerDeferredPhase in graph.go.
+	// Deferred phase buckets (graph executor only), in flush order. See
+	// registerDeferredPhase in graph.go.
 	deferOrder []string
-	deferUnits map[string][]*pilot.ComputeUnit
-	deferForce map[string]bool
+	deferred   map[string]*deferBucket
 
-	// Checkpoint hooks (campaign pipeline runs): skipStages makes
-	// runPipeline treat the first n stages as already settled (the
-	// resumed prefix), and onSettled — when set — receives a cumulative
-	// snapshot after every settled stage barrier. Both are configured
-	// before run() starts; onSettled is called outside ex.mu.
-	// hookSnaps accumulates the settled-unit snapshots of hook-carrying
-	// stages (seeded from the checkpoint on resume, grown at each new
-	// hook barrier) — runPipeline replays skipped hooks from it, and
-	// noteSettled carries it into every later checkpoint.
+	// Checkpoint state (campaign pipeline runs): the first skipStages
+	// stages are the resumed prefix; tracked marks each settled barrier
+	// for the campaign tracker; hookSnaps holds the settled units of
+	// hook stages, which resume replays. mark is the last barrier's
+	// counters, its Phases and HookStages kept as lengths of the
+	// append-only phase log and hookSnaps (markN); before the first
+	// barrier it is the resume snapshot, or the name, whole (markN[0]<0).
 	skipStages int
-	onSettled  func(PipelineCheckpoint)
+	tracked    bool
 	hookSnaps  []StageSnapshot
+	mark       PipelineCheckpoint
+	markN      [2]int
 }
 
 func newExecutor(rs *ResourceSet, p Pattern) *executor {
@@ -110,14 +108,13 @@ func newExecutor(rs *ResourceSet, p Pattern) *executor {
 // uses it to run application-built pipelines directly.
 func newNamedExecutor(rs *ResourceSet, name string) *executor {
 	ex := &executor{
-		rs:         rs,
-		name:       name,
-		v:          rs.cfg.Clock,
-		batch:      rs.batch,
-		subLock:    vclock.NewSemaphore(rs.cfg.Clock, "core submit", 1),
-		phases:     newPhaseAccumulator(),
-		deferUnits: make(map[string][]*pilot.ComputeUnit),
-		deferForce: make(map[string]bool),
+		rs:    rs,
+		name:  name,
+		v:     rs.cfg.Clock,
+		batch: rs.batch,
+		cur:   &submitCursor{v: rs.cfg.Clock, perUnit: rs.cfg.Clock.Charged(rs.sess.Cfg.UMSubmitPerUnit)},
+		mark:  PipelineCheckpoint{Name: name},
+		markN: [2]int{-1},
 	}
 	ex.prof = rs.sess.Prof
 	ex.patEnt = ex.prof.Intern("pattern")
@@ -131,6 +128,7 @@ func newNamedExecutor(rs *ResourceSet, name string) *executor {
 // interrupted run stopped, so the resumed report agrees with an
 // uninterrupted one on every reorder-invariant column.
 func (ex *executor) seedFrom(pc *PipelineCheckpoint) {
+	ex.mark = *pc
 	ex.skipStages = pc.SettledStages
 	ex.tasks = pc.Tasks
 	ex.retries = pc.Retries
@@ -139,25 +137,19 @@ func (ex *executor) seedFrom(pc *PipelineCheckpoint) {
 	ex.hookSnaps = append([]StageSnapshot(nil), pc.HookStages...)
 }
 
-// hookSnapshot returns the checkpointed unit snapshot for the hook
-// stage at execution index seq, nil if the checkpoint never recorded
-// one (a stage without a hook, or a pre-v2 checkpoint).
-func (ex *executor) hookSnapshot(seq int) *StageSnapshot {
-	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	for i := range ex.hookSnaps {
-		if ex.hookSnaps[i].Seq == seq {
-			return &ex.hookSnaps[i]
-		}
-	}
-	return nil
-}
-
 // captureHookStage snapshots a just-settled hook stage's units for
 // checkpointing, so a later Resume can replay the PostStage hook.
-// Only campaign runs (onSettled set) pay for this; lowered pattern
-// runs are never resumed and skip it.
+// Only tracked campaign runs pay for this; lowered pattern runs are
+// never resumed and skip it.
 func (ex *executor) captureHookStage(seq int, units []*pilot.ComputeUnit) {
+	snap := hookStageSnapshot(seq, units)
+	ex.mu.Lock()
+	ex.hookSnaps = append(ex.hookSnaps, snap)
+	ex.mu.Unlock()
+}
+
+// hookStageSnapshot is the checkpoint's record of a settled hook stage.
+func hookStageSnapshot(seq int, units []*pilot.ComputeUnit) StageSnapshot {
 	// nil (not empty) when the stage had no units, so an in-memory
 	// checkpoint stays DeepEqual to its serialised round trip.
 	var snaps []UnitSnapshot
@@ -178,32 +170,34 @@ func (ex *executor) captureHookStage(seq int, units []*pilot.ComputeUnit) {
 			Stop:   stop,
 		})
 	}
-	ex.mu.Lock()
-	ex.hookSnaps = append(ex.hookSnaps, StageSnapshot{Seq: seq, Units: snaps})
-	ex.mu.Unlock()
+	return StageSnapshot{Seq: seq, Units: snaps}
 }
 
-// noteSettled snapshots the executor at a settled stage barrier for the
-// campaign tracker; seq is the stage's execution index from the
-// pipeline's start (including any resumed prefix).
+// noteSettled marks a settled stage barrier for the campaign tracker;
+// seq is the stage's execution index from the pipeline's start
+// (including any resumed prefix). It copies nothing.
 func (ex *executor) noteSettled(seq int) {
-	if ex.onSettled == nil {
+	if !ex.tracked {
 		return
 	}
 	ex.mu.Lock()
-	snap := PipelineCheckpoint{
-		Name:            ex.name,
-		SettledStages:   seq,
-		Tasks:           ex.tasks,
-		Retries:         ex.retries,
-		PatternOverhead: ex.patternOverhead,
-		Phases:          ex.phases.stats(),
-	}
-	if len(ex.hookSnaps) > 0 {
-		snap.HookStages = append([]StageSnapshot(nil), ex.hookSnaps...)
-	}
+	ex.mark = PipelineCheckpoint{Name: ex.name, SettledStages: seq, Tasks: ex.tasks, Retries: ex.retries, PatternOverhead: ex.patternOverhead}
+	ex.markN = [2]int{len(ex.phases.log), len(ex.hookSnaps)}
 	ex.mu.Unlock()
-	ex.onSettled(snap)
+}
+
+// checkpoint builds the pipeline's snapshot at its last mark.
+func (ex *executor) checkpoint() PipelineCheckpoint {
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	pc := ex.mark
+	if ex.markN[0] >= 0 {
+		pc.Phases = foldPhases(ex.phases.log[:ex.markN[0]])
+		if n := ex.markN[1]; n > 0 {
+			pc.HookStages = append([]StageSnapshot(nil), ex.hookSnaps[:n]...)
+		}
+	}
+	return pc
 }
 
 // report assembles the final Report.
@@ -236,10 +230,13 @@ func (ex *executor) run() error {
 	return ex.runGraph()
 }
 
-// runGraph lowers the pattern to pipelines and runs them on the graph
-// executor. Composite recurses through runComposite, whose member
-// sub-executors go through run again, so composite members lower
-// individually (and follow execHook when it is set).
+// runGraph lowers the pattern to pipelines and runs them to completion,
+// each a record on the clock's callbacks, then flushes deferred phase
+// buckets. It returns the first pipeline error; the others still run to
+// completion (a failing pipeline never cancels its siblings, matching
+// the reference executor). Composite recurses through runComposite,
+// whose member sub-executors go through run again, so composite members
+// lower individually (and follow execHook when it is set).
 func (ex *executor) runGraph() error {
 	if c, ok := ex.pat.(*Composite); ok {
 		return ex.runComposite(c)
@@ -248,143 +245,79 @@ func (ex *executor) runGraph() error {
 	if err != nil {
 		return err
 	}
-	return ex.runPipelineSet(pls)
+	ex.cur.shared = len(pls) > 1
+	var mu sync.Mutex
+	runSet(ex.v, len(pls), func(i int, end func()) {
+		ex.startPipeline(pls[i], i, func(r *pipeRun) {
+			mu.Lock()
+			err = cmp.Or(err, r.err)
+			mu.Unlock()
+			end()
+		})
+	})
+	ex.flushDeferredPhases()
+	return err
 }
 
 // ---------------------------------------------------------------------------
-// Task execution with retry
+// Submission cursor
 
-// submit validates kernels, binds each distinct kernel to one unit
-// description that all its tasks in the wave share, and submits the
-// compact wave under the submission lock, charging the elapsed time to
-// the pattern overhead. Submission goes through the binding's shared
-// wave batcher, so waves from concurrent executors (one per campaign
-// pipeline) coalesce at the unit manager. A streamed wave dispatches its
-// units one by one as each one's client-side submission cost elapses,
-// instead of all at once after the whole batch's: the event timing of N
-// sequential single-unit submissions for one wave's bookkeeping.
-// attempts is nil on a first wave: every task's first attempt.
-func (ex *executor) submit(tasks []Task, attempts []int, streamed bool) ([]*pilot.ComputeUnit, error) {
-	wave := make([]pilot.WaveUnit, len(tasks))
-	// Homogeneous waves share one kernel instance (every stress tier and
-	// most lowered stages): the memo of the last kernel binds and
-	// validates it once, and the map catches kernels that alternate. A
-	// nil kernel must never match the memo's zero value — Validate is
-	// what turns it into the "core: nil kernel" error instead of a panic
-	// in bind.
-	var (
-		lastK *Kernel
-		lastD *pilot.UnitDescription
-		bound = map[*Kernel]*pilot.UnitDescription{}
-	)
-	for i := range tasks {
-		k := tasks[i].Kernel
-		if lastD == nil || k != lastK {
-			d := bound[k]
-			if d == nil {
-				if err := k.Validate(); err != nil {
-					return nil, err
-				}
-				d = k.bind()
-				bound[k] = d
-			}
-			lastK, lastD = k, d
-		}
-		wave[i] = pilot.WaveUnit{Desc: lastD, Name: tasks[i].Name}
-		if attempts != nil {
-			wave[i].Attempt = attempts[i]
-		}
-	}
-	ex.subLock.Acquire(1)
-	ex.prof.RecordID(ex.patEnt, ex.evSubStart)
-	t0 := ex.v.Now()
-	units, err := ex.batch.SubmitWave(ex.rank, wave, streamed)
-	dt := ex.v.Now() - t0
-	ex.prof.RecordID(ex.patEnt, ex.evSubStop)
-	ex.subLock.Release(1)
-	if err != nil {
-		return nil, err
-	}
-	ex.mu.Lock()
-	ex.patternOverhead += dt
-	ex.mu.Unlock()
-	return units, nil
+// submitCursor serialises an executor's wave submissions, the single
+// submitting client the toolkit models: a wave's window is
+// [max(now, free), + len(wave) × UMSubmitPerUnit], opened by
+// submit_start and closed by its dispatch (submit_stop), and the
+// pattern overhead is the windows' sum. A cursor shared by several
+// pipelines grants one instant's requests in (pipeline index, stage
+// seq, wave seq) order, from a zero-delay grant round.
+type submitCursor struct {
+	v       vclock.Clock
+	perUnit time.Duration // the modelled per-unit submission cost
+	mu      sync.Mutex
+	shared  bool          // several pipelines submit through the cursor
+	free    time.Duration // where the last granted window ends
+	round   []*pipeRun    // this instant's requests, until the grant round
 }
 
-// runTasks executes tasks to completion with per-task retry, returning
-// the successful unit for each task (in order). Every task must be
-// named. streamed selects the streaming submission path for every wave,
-// retries included.
-func (ex *executor) runTasks(tasks []Task, streamed bool) ([]*pilot.ComputeUnit, error) {
-	if len(tasks) == 0 {
-		return nil, nil
+// request grants r's wave a window, or queues it for this instant's
+// grant round.
+func (c *submitCursor) request(r *pipeRun) {
+	if !c.shared {
+		c.grant(r)
+		return
 	}
-	ex.mu.Lock()
-	ex.tasks += len(tasks)
-	ex.mu.Unlock()
+	c.mu.Lock()
+	if c.round = append(c.round, r); len(c.round) == 1 {
+		c.v.After(0, c.grantRound)
+	}
+	c.mu.Unlock()
+}
 
-	// The first wave's unit slice becomes the result: a failed unit's
-	// slot is cleared, and a retry that succeeds fills it again.
-	var result []*pilot.ComputeUnit
-	var attempts []int // made by the first retry; nil means all first attempts
-	var pending []int  // indices into tasks; unused on the first wave
-	var failures []string
-	first := true
-	for first || len(pending) > 0 {
-		// The first wave is the whole task set: submit it as built, no
-		// per-wave rematerialisation (the ~5-10% graph-path overhead on
-		// big streamed waves). Only retry waves — a handful of indices —
-		// gather into fresh slices.
-		batch, att := tasks, attempts
-		if !first {
-			batch = make([]Task, len(pending))
-			att = make([]int, len(pending))
-			for i, idx := range pending {
-				batch[i] = tasks[idx]
-				att[i] = attempts[idx]
-			}
-		}
-		units, err := ex.submit(batch, att, streamed)
-		if err != nil {
-			return nil, err
-		}
-		if first {
-			result = units
-		}
-		var next []int
-		for i, u := range units {
-			idx := i
-			if !first {
-				idx = pending[i]
-			}
-			switch u.WaitFinal() {
-			case pilot.UnitDone:
-				result[idx] = u
-			default: // failed
-				if first {
-					result[idx] = nil
-				}
-				if attempts == nil {
-					attempts = make([]int, len(tasks))
-				}
-				if attempts[idx] < tasks[idx].retries(ex.rs.cfg.MaxRetries) {
-					attempts[idx]++
-					ex.mu.Lock()
-					ex.retries++
-					ex.mu.Unlock()
-					next = append(next, idx)
-				} else {
-					failures = append(failures, fmt.Sprintf("%s: %v", tasks[idx].Name, u.Err()))
-				}
-			}
-		}
-		pending = next
-		first = false
+// grantRound grants the instant's requests in key order.
+func (c *submitCursor) grantRound() {
+	c.mu.Lock()
+	round := c.round
+	c.round = nil
+	c.mu.Unlock()
+	slices.SortStableFunc(round, func(a, b *pipeRun) int {
+		return cmp.Or(cmp.Compare(a.idx, b.idx), cmp.Compare(a.seq, b.seq), cmp.Compare(a.waveSeq, b.waveSeq))
+	})
+	for _, r := range round {
+		c.grant(r)
 	}
-	if len(failures) > 0 {
-		return result, &PatternError{Pattern: ex.name, Failed: failures}
+}
+
+// grant computes r's window and submits the wave at its start.
+func (c *submitCursor) grant(r *pipeRun) {
+	now := c.v.Now()
+	c.mu.Lock()
+	start := max(now, c.free)
+	c.free = start + time.Duration(len(r.wave))*c.perUnit
+	c.mu.Unlock()
+	if start == now {
+		r.submit()
+	} else {
+		c.v.After(start-now, r.submit)
 	}
-	return result, nil
 }
 
 // unitStats computes the wall span and cumulative busy time of a set of

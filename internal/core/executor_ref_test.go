@@ -25,6 +25,7 @@ func withRefExecutor(t testing.TB, fn func()) {
 	ran := false
 	execHook = func(ex *executor) error {
 		ran = true
+		ex.cur.shared = true // seed pipelines are processes sharing the cursor
 		return ex.runRef()
 	}
 	defer func() { execHook = nil }()
@@ -52,6 +53,33 @@ func (ex *executor) runRef() error {
 	default:
 		return fmt.Errorf("core: no execution plugin for pattern %T", ex.pat)
 	}
+}
+
+// runTasks executes tasks to completion with per-task retry, as one
+// stage of a pipeline record on a scratch executor that shares ex's
+// submission cursor and rank, and returns the successful unit for each
+// task (in order; a task that failed for good leaves a nil slot). It
+// parks the calling process until the stage settles: the blocking call
+// the seed executor is written against. The stage's counters are
+// folded into ex; its phase stats are dropped, as the seed executor
+// records its own.
+func (ex *executor) runTasks(tasks []Task, streamed bool) ([]*pilot.ComputeUnit, error) {
+	sub := newNamedExecutor(ex.rs, ex.name)
+	sub.cur, sub.rank = ex.cur, ex.rank
+	done := vclock.NewEvent(ex.v, "seed stage")
+	var units []*pilot.ComputeUnit
+	var err error
+	sub.startPipeline(&Pipeline{Stages: []*Stage{{Name: "seed", Tasks: tasks, Streamed: streamed}}}, 0, func(r *pipeRun) {
+		units, err = r.ctl.units, r.err
+		done.Fire()
+	})
+	done.Wait()
+	ex.mu.Lock()
+	ex.tasks += sub.tasks
+	ex.retries += sub.retries
+	ex.patternOverhead += sub.patternOverhead
+	ex.mu.Unlock()
+	return units, err
 }
 
 // runPhase executes specs as one occurrence of the named phase and
@@ -273,18 +301,22 @@ func (ex *executor) runEEPairwise(p *EnsembleExchange) error {
 				switch role {
 				case pairUnpaired:
 					continue // unpaired this cycle (or partner failed)
-				case pairFirst:
-					// First arriver waits for its partner to run the
+				case pairLo:
+					// The lower replica waits for its partner to run the
 					// exchange — no other replicas are involved.
-					e.ev.Wait()
+					e.done.Wait()
 					continue
 				}
-				// Second arriver executes the pairwise exchange task.
+				// The higher replica waits for its partner, then
+				// executes the pairwise exchange task.
+				if !rv.meet(e) {
+					continue // the partner failed before arriving
+				}
 				exName := fmt.Sprintf("cycle%03d.exchange.%05d-%05d", cycle, e.lo, e.hi)
 				exu, err := ex.runTasks([]Task{{Name: exName, Kernel: p.ExchangeKernel(cycle)}}, false)
 				if err != nil {
 					fail(err)
-					e.ev.Fire()
+					e.done.Fire()
 					rv.abandon(r, cycle+1)
 					return
 				}
@@ -294,7 +326,7 @@ func (ex *executor) runEEPairwise(p *EnsembleExchange) error {
 				if p.PairLogic != nil {
 					p.PairLogic(cycle, e.lo, e.hi)
 				}
-				e.ev.Fire()
+				e.done.Fire()
 			}
 		})
 	}

@@ -3,7 +3,8 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync"
+	"sync/atomic"
+	"time"
 
 	"entk/internal/pad"
 	"entk/internal/pilot"
@@ -68,6 +69,11 @@ type Stage struct {
 	// single-stage behaviour).
 	deferPhase   bool
 	statsOnError bool
+	// inlineHook marks a lowered pattern's PostStage hook, which never
+	// blocks on the clock: it runs inline on the callback that settled
+	// the stage instead of on a process of its own, and so do the
+	// pattern callbacks it calls (StageKernel, ExchangeLogic, ...).
+	inlineHook bool
 }
 
 // Pipeline is an ordered sequence of stages. Pipelines never
@@ -167,20 +173,33 @@ func (c *StageCtl) Terminate() { c.terminated = true }
 // ---------------------------------------------------------------------------
 // Graph execution engine
 
-// registerDeferredPhase pre-registers a deferred phase bucket so the
-// flush order is fixed by the lowering, not by which pipeline finishes
-// a stage first. force makes the flush emit the phase even with no
-// units (the reference pairwise-EE accounting).
-func (ex *executor) registerDeferredPhase(name string, force bool) {
+// deferBucket is a deferred phase: units accumulated under a phase
+// name, folded into the stats once the pipeline set completes; force
+// emits the phase even with no units (the reference pairwise-EE
+// accounting).
+type deferBucket struct {
+	units []*pilot.ComputeUnit
+	force bool
+}
+
+// registerDeferredPhase returns the named bucket, registering it on
+// first use: the lowering pre-registers its phases so the flush order
+// is fixed by the lowering, not by which pipeline finishes a stage
+// first.
+func (ex *executor) registerDeferredPhase(name string, force bool) *deferBucket {
 	ex.mu.Lock()
-	if _, ok := ex.deferUnits[name]; !ok {
-		ex.deferUnits[name] = nil
+	defer ex.mu.Unlock()
+	b := ex.deferred[name]
+	if b == nil {
+		if ex.deferred == nil {
+			ex.deferred = make(map[string]*deferBucket)
+		}
+		b = &deferBucket{}
+		ex.deferred[name] = b
 		ex.deferOrder = append(ex.deferOrder, name)
 	}
-	if force {
-		ex.deferForce[name] = true
-	}
-	ex.mu.Unlock()
+	b.force = b.force || force
+	return b
 }
 
 // flushDeferredPhases folds the deferred buckets into the phase stats in
@@ -188,117 +207,323 @@ func (ex *executor) registerDeferredPhase(name string, force bool) {
 // EoP default skips stages no pipeline reached).
 func (ex *executor) flushDeferredPhases() {
 	ex.mu.Lock()
-	order := ex.deferOrder
-	ex.deferOrder = nil
-	ex.mu.Unlock()
-	for _, name := range order {
-		ex.mu.Lock()
-		units := ex.deferUnits[name]
-		force := ex.deferForce[name]
-		delete(ex.deferUnits, name)
-		delete(ex.deferForce, name)
-		ex.mu.Unlock()
-		if len(units) == 0 && !force {
+	defer ex.mu.Unlock()
+	for _, name := range ex.deferOrder {
+		b := ex.deferred[name]
+		if len(b.units) == 0 && !b.force {
 			continue
 		}
-		span, busy, n := unitStats(units)
-		ex.mu.Lock()
+		span, busy, n := unitStats(b.units)
 		ex.phases.add(name, span, busy, n)
-		ex.mu.Unlock()
 	}
+	ex.deferOrder, ex.deferred = nil, nil
 }
 
-// runPipelineSet executes pipelines to completion — concurrently when
-// there are several, inline when there is one — then flushes deferred
-// phase buckets. It returns the first pipeline error; other pipelines
-// still run to completion (a failing pipeline never cancels its
-// siblings, matching the reference executor).
-func (ex *executor) runPipelineSet(pls []*Pipeline) error {
-	var err error
-	if len(pls) == 1 {
-		err = ex.runPipeline(pls[0])
-	} else {
-		var mu sync.Mutex
-		var firstErr error
-		wg := vclock.NewWaitGroup(ex.v, "graph pipelines")
-		for _, pl := range pls {
-			pl := pl
-			wg.Add(1)
-			ex.v.Go(func() {
-				defer wg.Done()
-				if perr := ex.runPipeline(pl); perr != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = perr
-					}
-					mu.Unlock()
-				}
-			})
-		}
-		wg.Wait()
-		err = firstErr
+// runSet starts n ≥ 1 pipelines and parks the calling process, once,
+// until each has called its end: the run's pipelines are a counter, not
+// processes.
+func runSet(v vclock.Clock, n int, start func(i int, end func())) {
+	var live atomic.Int32
+	live.Store(int32(n))
+	done := vclock.NewEvent(v, "pipelines")
+	for i := range n {
+		start(i, func() {
+			if live.Add(-1) == 0 {
+				done.Fire()
+			}
+		})
 	}
-	ex.flushDeferredPhases()
-	return err
+	done.Wait()
 }
 
-// runPipeline executes one pipeline's stages in order, applying
-// PostStage graph edits as it goes. The pipeline value itself is not
-// mutated; execution works on a private copy of the stage list.
-func (ex *executor) runPipeline(pl *Pipeline) error {
-	queue := slices.Clone(pl.Stages)
-	seq := 0
-	for i := 0; i < len(queue); i++ {
-		st := queue[i]
+// pipeRun is one pipeline's execution record, advanced by clock
+// callbacks rather than a parked process: stage submit (a window on the
+// executor's cursor, then the batcher), unit-final notifications
+// counting down, the barrier (phase stats, retry wave), the next stage.
+// A PostStage hook is user code and may block — the pairwise rendezvous
+// does — so it runs on a process, which then continues the chain;
+// lowered pattern hooks never block and run inline. A pipeline without
+// hooks never leaves the wheel. The stage list is copied, not mutated.
+type pipeRun struct {
+	ex     *executor
+	pl     *Pipeline
+	idx    int            // position in its set: the cursor's first key
+	end    func(*pipeRun) // called once, when the pipeline ends with err
+	onUnit func(*pilot.ComputeUnit)
+	queue  []*Stage
+	i, seq int
+	err    error
+
+	// The stage in flight. result holds the first wave's units, a failed
+	// slot refilled by a successful retry; retry holds a retry wave's
+	// task indices (nil on the first), attempts is made by the first
+	// retry.
+	st       *Stage
+	name     string
+	ctl      StageCtl
+	result   []*pilot.ComputeUnit
+	attempts []int
+	retry    []int
+	failures []string
+	waveSeq  int
+	scratch  []byte
+
+	// The wave in flight, built in the last wave's buffer (the batcher
+	// lets go of it once the round created the units), then its units;
+	// left counts those not yet final, plus one until dispatched.
+	wave  []pilot.WaveUnit
+	units []*pilot.ComputeUnit
+	t0    time.Duration
+	left  atomic.Int32
+}
+
+// startPipeline starts pl as the idx-th pipeline of its set.
+func (ex *executor) startPipeline(pl *Pipeline, idx int, end func(*pipeRun)) {
+	r := &pipeRun{ex: ex, pl: pl, idx: idx, end: end, queue: slices.Clone(pl.Stages)}
+	r.onUnit = r.unitFinal
+	r.next()
+}
+
+// next runs the pipeline from its queue position until it waits — on a
+// wave, on a hook process — or ends.
+func (r *pipeRun) next() {
+	for ; r.i < len(r.queue); r.i++ {
+		st := r.queue[r.i]
 		if st == nil {
 			continue
 		}
-		seq++
-		if seq <= ex.skipStages {
-			// Resumed prefix: the checkpointed run settled this stage and
-			// its counters are already seeded, so its tasks are not
-			// re-executed — but a PostStage hook IS replayed, against
-			// units rebuilt from the checkpoint snapshot, so the graph
-			// growth the original hook produced (InsertStages /
-			// AppendStages / Terminate) is reconstructed before the live
-			// suffix runs (see checkpoint.go).
-			if st.PostStage != nil {
-				ctl := &StageCtl{pipeline: pl, seq: seq}
-				if err := ex.replayHook(st, ctl); err != nil {
-					return err
-				}
-				if ctl.terminated {
-					return nil
-				}
-				if len(ctl.insert) > 0 {
-					queue = slices.Insert(queue, i+1, ctl.insert...)
-				}
-				if len(ctl.appended) > 0 {
-					queue = append(queue, ctl.appended...)
-				}
-			}
-			continue
+		r.seq++
+		r.st, r.ctl, r.name = st, StageCtl{pipeline: r.pl, seq: r.seq}, st.Name
+		if r.seq > r.ex.skipStages {
+			r.begin()
+			return
 		}
-		ctl := &StageCtl{pipeline: pl, seq: seq}
-		err := ex.runStage(st, ctl)
-		if err != nil {
-			return err
-		}
-		if st.PostStage != nil && ex.onSettled != nil {
-			ex.captureHookStage(seq, ctl.units)
-		}
-		ex.noteSettled(seq)
-		if ctl.terminated {
-			return nil
-		}
-		if len(ctl.insert) > 0 {
-			queue = slices.Insert(queue, i+1, ctl.insert...)
-		}
-		if len(ctl.appended) > 0 {
-			queue = append(queue, ctl.appended...)
+		// Resumed prefix: the checkpointed run settled this stage and
+		// its counters are already seeded, so its tasks are not
+		// re-executed — but a PostStage hook IS replayed, against units
+		// rebuilt from the checkpoint snapshot, so the graph growth the
+		// original hook produced (InsertStages / AppendStages /
+		// Terminate) is reconstructed before the live suffix runs (see
+		// checkpoint.go).
+		if st.PostStage != nil {
+			r.hook(func() error { return r.ex.replayHook(st, &r.ctl) }, r.afterHook)
+			return
 		}
 	}
-	return nil
+	r.end(r)
+}
+
+// hook runs a PostStage hook and hands its error to then: inline for a
+// lowered hook, on a new process for a user's, which may block.
+func (r *pipeRun) hook(fn func() error, then func(error)) {
+	if r.st.inlineHook {
+		then(fn())
+	} else {
+		r.ex.v.Go(func() { then(fn()) })
+	}
+}
+
+// begin starts the stage at the queue position.
+func (r *pipeRun) begin() {
+	if r.name == "" {
+		r.name = "stage." + pad.Int(r.seq, 1)
+	}
+	r.result, r.attempts, r.retry, r.failures, r.waveSeq = nil, nil, nil, nil, 0
+	if len(r.st.Tasks) == 0 {
+		r.settled(nil, nil)
+		return
+	}
+	r.ex.mu.Lock()
+	r.ex.tasks += len(r.st.Tasks)
+	r.ex.mu.Unlock()
+	r.request()
+}
+
+// taskName is task i's name, defaulted to "<stage>.taskNNNNN".
+func (r *pipeRun) taskName(i int) string {
+	if n := r.st.Tasks[i].Name; n != "" {
+		return n
+	}
+	r.scratch = pad.AppendInt(append(append(r.scratch[:0], r.name...), ".task"...), i+1, 5)
+	return string(r.scratch)
+}
+
+// request builds the next wave — the stage, or its retry indices — and
+// queues it on the cursor. Each distinct kernel of the wave is
+// validated and bound to one unit description that all its tasks
+// share: the memo of the last kernel serves homogeneous waves, the map
+// kernels that alternate. A nil kernel must never match the memo's zero
+// value — Validate turns it into the "core: nil kernel" error.
+func (r *pipeRun) request() {
+	n := len(r.st.Tasks)
+	if r.retry != nil {
+		n = len(r.retry)
+	}
+	if cap(r.wave) < n {
+		r.wave = make([]pilot.WaveUnit, n)
+	}
+	r.wave = r.wave[:n]
+	var lastK *Kernel
+	var lastD *pilot.UnitDescription
+	bound := map[*Kernel]*pilot.UnitDescription{}
+	for i := range r.wave {
+		idx := i
+		if r.retry != nil {
+			idx = r.retry[i]
+		}
+		if k := r.st.Tasks[idx].Kernel; lastD == nil || k != lastK {
+			if bound[k] == nil {
+				if err := k.Validate(); err != nil {
+					r.settled(nil, err)
+					return
+				}
+				bound[k] = k.bind()
+			}
+			lastK, lastD = k, bound[k]
+		}
+		r.wave[i] = pilot.WaveUnit{Desc: lastD, Name: r.taskName(idx)}
+		if r.attempts != nil {
+			r.wave[i].Attempt = r.attempts[idx]
+		}
+	}
+	r.ex.cur.request(r)
+}
+
+// submit opens the wave's window, granted by the cursor: the wave joins
+// this instant's batcher round. The kernels were validated at request,
+// which covers every check the batcher makes.
+func (r *pipeRun) submit() {
+	ex := r.ex
+	ex.prof.RecordID(ex.patEnt, ex.evSubStart)
+	r.t0 = ex.v.Now()
+	r.left.Store(int32(len(r.wave)) + 1)
+	if err := ex.batch.Enqueue(ex.rank, r.wave, r.st.Streamed, r.onUnit, r.dispatched); err != nil {
+		r.settled(nil, err)
+	}
+}
+
+// dispatched closes the wave's window, charging it to the pattern
+// overhead, and drops the dispatch's hold on the countdown.
+func (r *pipeRun) dispatched(units []*pilot.ComputeUnit) {
+	ex := r.ex
+	dt := ex.v.Now() - r.t0
+	ex.prof.RecordID(ex.patEnt, ex.evSubStop)
+	ex.mu.Lock()
+	ex.patternOverhead += dt
+	ex.mu.Unlock()
+	r.units = units
+	if r.retry == nil {
+		r.result = units
+	}
+	r.unitFinal(nil)
+}
+
+// unitFinal counts a unit of the wave down; the last one settles the
+// wave inline, in whatever settled the unit. The barrier's only way
+// back into the runtime is the batcher's queue — the next wave is
+// created and dispatched from the batcher's own timers — so it never
+// re-enters an agent or a bind.
+func (r *pipeRun) unitFinal(*pilot.ComputeUnit) {
+	if r.left.Add(-1) == 0 {
+		r.settleWave()
+	}
+}
+
+// settleWave is the wave's barrier: successes fill the result, failures
+// with budget left form the retry wave, and the rest fail the stage.
+func (r *pipeRun) settleWave() {
+	var next []int
+	for i, u := range r.units {
+		idx := i
+		if r.retry != nil {
+			idx = r.retry[i]
+		}
+		if u.State() == pilot.UnitDone {
+			r.result[idx] = u
+			continue
+		}
+		r.result[idx] = nil
+		if r.attempts == nil {
+			r.attempts = make([]int, len(r.st.Tasks))
+		}
+		if r.attempts[idx] < r.st.Tasks[idx].retries(r.ex.rs.cfg.MaxRetries) {
+			r.attempts[idx]++
+			r.ex.mu.Lock()
+			r.ex.retries++
+			r.ex.mu.Unlock()
+			next = append(next, idx)
+		} else {
+			r.failures = append(r.failures, fmt.Sprintf("%s: %v", r.taskName(idx), u.Err()))
+		}
+	}
+	if r.units = nil; len(next) > 0 {
+		r.retry = next
+		r.waveSeq++
+		r.request()
+		return
+	}
+	var err error
+	if len(r.failures) > 0 {
+		err = &PatternError{Pattern: r.ex.name, Failed: r.failures}
+	}
+	r.settled(r.result, err)
+}
+
+// settled is the stage barrier: it records the stage's phase stats and
+// runs its PostStage hook.
+func (r *pipeRun) settled(units []*pilot.ComputeUnit, err error) {
+	ex, st := r.ex, r.st
+	if (err == nil || st.statsOnError) && len(units) > 0 {
+		var b *deferBucket
+		if st.deferPhase {
+			b = ex.registerDeferredPhase(r.name, false)
+		}
+		ex.mu.Lock()
+		if b != nil {
+			b.units = append(b.units, units...)
+		} else {
+			span, busy, n := unitStats(units)
+			ex.phases.add(r.name, span, busy, n)
+		}
+		ex.mu.Unlock()
+	}
+	r.ctl.units, r.ctl.err = units, err
+	if st.PostStage == nil {
+		r.afterHook(nil)
+	} else {
+		r.hook(func() error { return st.PostStage(&r.ctl) }, r.afterHook)
+	}
+}
+
+// afterHook continues past a stage's barrier and hook, or past a
+// resumed stage's hook replay: an error ends the pipeline; otherwise a
+// live stage is marked for the campaign tracker, and the stage's graph
+// edits are applied.
+func (r *pipeRun) afterHook(herr error) {
+	c := &r.ctl
+	if r.err = c.err; r.err == nil {
+		r.err = herr
+	}
+	if r.err != nil {
+		r.end(r)
+		return
+	}
+	if r.seq > r.ex.skipStages {
+		if r.st.PostStage != nil && r.ex.tracked {
+			r.ex.captureHookStage(r.seq, c.units)
+		}
+		r.ex.noteSettled(r.seq)
+	}
+	if c.terminated {
+		r.end(r)
+		return
+	}
+	if len(c.insert) > 0 {
+		r.queue = slices.Insert(r.queue, r.i+1, c.insert...)
+	}
+	r.queue = append(r.queue, c.appended...)
+	r.i++
+	r.next()
 }
 
 // replayHook re-runs a settled stage's PostStage hook during resume.
@@ -308,12 +533,14 @@ func (ex *executor) runPipeline(pl *Pipeline) error {
 // edits it made on the interrupted run. Phase stats and counters are
 // untouched: the checkpoint already accounts for the settled prefix.
 func (ex *executor) replayHook(st *Stage, ctl *StageCtl) error {
-	snap := ex.hookSnapshot(ctl.seq)
-	if snap == nil {
+	ex.mu.Lock()
+	i := slices.IndexFunc(ex.hookSnaps, func(s StageSnapshot) bool { return s.Seq == ctl.seq })
+	ex.mu.Unlock()
+	if i < 0 {
 		return fmt.Errorf("core: resume: stage %d of pipeline %q carries a PostStage hook but the checkpoint has no replay snapshot for it (checkpoint from a pre-replay version?)", ctl.seq, ctl.pipeline.Name)
 	}
 	var units []*pilot.ComputeUnit
-	if len(snap.Units) > 0 {
+	if snap := ex.hookSnaps[i]; len(snap.Units) > 0 {
 		units = make([]*pilot.ComputeUnit, len(snap.Units))
 		for i, us := range snap.Units {
 			units[i] = pilot.NewReplayUnit(ex.v, pilot.UnitDescription{
@@ -330,25 +557,6 @@ func (ex *executor) replayHook(st *Stage, ctl *StageCtl) error {
 	return st.PostStage(ctl)
 }
 
-// namedTasks returns tasks with every empty name defaulted to
-// "<stage>.taskNNNNN". The stage's own slice is returned when every task
-// is named (every lowered pattern's are), and never written.
-func namedTasks(tasks []Task, stage string) []Task {
-	for i := range tasks {
-		if tasks[i].Name != "" {
-			continue
-		}
-		named := slices.Clone(tasks)
-		for j := i; j < len(named); j++ {
-			if named[j].Name == "" {
-				named[j].Name = stage + ".task" + pad.Int(j+1, 5)
-			}
-		}
-		return named
-	}
-	return tasks
-}
-
 // retries resolves the task's retry budget: its own override, else its
 // kernel's, else the default.
 func (t *Task) retries(def int) int {
@@ -356,45 +564,4 @@ func (t *Task) retries(def int) int {
 		return t.Retries
 	}
 	return t.Kernel.retries(def)
-}
-
-// runStage submits a stage's tasks as one wave, waits out the barrier
-// (including retries), records its phase stats, and runs the PostStage
-// hook.
-func (ex *executor) runStage(st *Stage, ctl *StageCtl) error {
-	name := st.Name
-	if name == "" {
-		name = "stage." + pad.Int(ctl.seq, 1)
-	}
-	var units []*pilot.ComputeUnit
-	var err error
-	if len(st.Tasks) > 0 {
-		units, err = ex.runTasks(namedTasks(st.Tasks, name), st.Streamed)
-		if (err == nil || st.statsOnError) && len(units) > 0 {
-			if st.deferPhase {
-				ex.mu.Lock()
-				// Self-register names the lowering did not pre-register
-				// (pre-registration only fixes the flush order), so no
-				// bucket is ever silently dropped at flush.
-				if _, ok := ex.deferUnits[name]; !ok {
-					ex.deferOrder = append(ex.deferOrder, name)
-				}
-				ex.deferUnits[name] = append(ex.deferUnits[name], units...)
-				ex.mu.Unlock()
-			} else {
-				span, busy, n := unitStats(units)
-				ex.mu.Lock()
-				ex.phases.add(name, span, busy, n)
-				ex.mu.Unlock()
-			}
-		}
-	}
-	ctl.units = units
-	ctl.err = err
-	if st.PostStage != nil {
-		if herr := st.PostStage(ctl); herr != nil && err == nil {
-			err = herr
-		}
-	}
-	return err
 }

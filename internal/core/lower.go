@@ -80,6 +80,7 @@ func eopStage(p *EnsembleOfPipelines, pl, st int) *Stage {
 		Name:       "stage." + pad.Int(st, 1),
 		Tasks:      []Task{{Name: eopTaskName(pl, st), Kernel: k}},
 		deferPhase: true,
+		inlineHook: true,
 	}
 	if st < p.Stages {
 		s.PostStage = func(ctl *StageCtl) error {
@@ -142,7 +143,7 @@ func lowerEoPBulk(p *EnsembleOfPipelines) *Pipeline {
 	}
 	var mkStage func(st int) *Stage
 	mkStage = func(st int) *Stage {
-		s := &Stage{Name: "stage." + pad.Int(st, 1)}
+		s := &Stage{Name: "stage." + pad.Int(st, 1), inlineHook: true}
 		s.Tasks = eopWave(p.Pipelines, st, func(pl int) *Kernel {
 			if !live[pl] {
 				return nil
@@ -191,14 +192,15 @@ func lowerEECollective(p *EnsembleExchange) *Pipeline {
 		for r := 1; r <= p.Replicas; r++ {
 			tasks[r-1] = Task{Name: eeTaskName(cycle, r), Kernel: p.SimulationKernel(cycle, r)}
 		}
-		sim := &Stage{Name: "simulation", Tasks: tasks}
+		sim := &Stage{Name: "simulation", Tasks: tasks, inlineHook: true}
 		sim.PostStage = func(ctl *StageCtl) error {
 			if ctl.Err() != nil {
 				return nil
 			}
 			exch := &Stage{
-				Name:  "exchange",
-				Tasks: []Task{{Name: fmt.Sprintf("cycle%03d.exchange", cycle), Kernel: p.ExchangeKernel(cycle)}},
+				Name:       "exchange",
+				Tasks:      []Task{{Name: fmt.Sprintf("cycle%03d.exchange", cycle), Kernel: p.ExchangeKernel(cycle)}},
+				inlineHook: true,
 			}
 			exch.PostStage = func(ctl2 *StageCtl) error {
 				if ctl2.Err() != nil {
@@ -229,12 +231,14 @@ func lowerEECollective(p *EnsembleExchange) *Pipeline {
 
 // lowerEEPairwise gives each replica its own pipeline; partner pairs
 // rendezvous through PostStage hooks on a shared pairRendezvous table
-// (the same type the reference executor uses), and the second arriver
-// inserts the exchange task into its own pipeline — no global barrier
-// anywhere, matching the reference executor's "no obligatory global
-// synchronisation" semantics. A replica whose simulation dies abandons
-// its current and future pairings from the failure hook, so partners
-// skip the exchange instead of deadlocking.
+// (the same type the reference executor uses), and the pair's higher
+// replica inserts the exchange task into its own pipeline — no global
+// barrier anywhere, matching the reference executor's "no obligatory
+// global synchronisation" semantics. The simulation hook blocks at the
+// rendezvous, so it runs on a process; the exchange hook does not. A
+// replica whose simulation dies abandons its current and future
+// pairings from the failure hook, so partners skip the exchange instead
+// of deadlocking.
 func (ex *executor) lowerEEPairwise(p *EnsembleExchange) []*Pipeline {
 	partner := p.Partner
 	if partner == nil {
@@ -271,14 +275,19 @@ func (ex *executor) lowerEEPairwise(p *EnsembleExchange) []*Pipeline {
 			case pairUnpaired:
 				advance(ctl) // unpaired this cycle (or partner died)
 				return nil
-			case pairFirst:
-				// First arriver waits for its partner to run the
+			case pairLo:
+				// The lower replica waits for its partner to run the
 				// exchange — no other replicas are involved.
-				e.ev.Wait()
+				e.done.Wait()
 				advance(ctl)
 				return nil
 			}
-			// Second arriver executes the pairwise exchange task.
+			// The higher replica waits for its partner's arrival, then
+			// executes the pairwise exchange task.
+			if !rv.meet(e) {
+				advance(ctl) // the partner died before arriving
+				return nil
+			}
 			exch := &Stage{
 				Name: "exchange",
 				Tasks: []Task{{
@@ -286,19 +295,20 @@ func (ex *executor) lowerEEPairwise(p *EnsembleExchange) []*Pipeline {
 					Kernel: p.ExchangeKernel(cycle),
 				}},
 				deferPhase: true,
+				inlineHook: true,
 			}
 			exch.PostStage = func(ctl2 *StageCtl) error {
 				if ctl2.Err() != nil {
 					// Release the waiting partner and abandon this
 					// replica's future pairings even on failure.
-					e.ev.Fire()
+					e.done.Fire()
 					rv.abandon(r, cycle+1)
 					return nil
 				}
 				if p.PairLogic != nil {
 					p.PairLogic(cycle, e.lo, e.hi)
 				}
-				e.ev.Fire()
+				e.done.Fire()
 				advance(ctl2)
 				return nil
 			}
@@ -361,7 +371,7 @@ func lowerSAL(p *SimulationAnalysisLoop) ([]*Pipeline, error) {
 		for i := 1; i <= p.Analyses; i++ {
 			anas[i-1] = Task{Name: salAnaName(iter, i), Kernel: p.AnalysisKernel(iter, i)}
 		}
-		ana := &Stage{Name: "analysis", Tasks: anas}
+		ana := &Stage{Name: "analysis", Tasks: anas, inlineHook: true}
 		ana.PostStage = func(ctl *StageCtl) error {
 			if ctl.Err() != nil {
 				return nil
@@ -390,7 +400,7 @@ func lowerSAL(p *SimulationAnalysisLoop) ([]*Pipeline, error) {
 		// barrier, so a first-iteration adaptive-width error surfaces
 		// after pre_loop ran, as on the reference path. A nil PreLoop
 		// kernel leaves the stage empty (it still chains iteration 1).
-		pre := &Stage{Name: "pre_loop"}
+		pre := &Stage{Name: "pre_loop", inlineHook: true}
 		if k := p.PreLoop(); k != nil {
 			pre.Tasks = []Task{{Name: "pre_loop", Kernel: k}}
 		}

@@ -11,7 +11,10 @@ import (
 // coordination and synchronisation of an ensemble (Section III-B1). The
 // three unit patterns below cover the application scenarios the paper
 // identifies; higher-order patterns compose them by running several
-// patterns in sequence against one resource handle.
+// patterns in sequence against one resource handle. A pattern's
+// callbacks (kernel constructors, exchange logic, stop and adaptivity
+// predicates) run at stage barriers on the clock's callback path, so
+// they must not block on the clock.
 type Pattern interface {
 	// PatternName identifies the pattern in reports.
 	PatternName() string
@@ -159,10 +162,15 @@ func (p *EnsembleExchange) validate() error {
 
 // pairRendezvous coordinates pairwise-EE partners, shared by the
 // reference executor and the graph lowering so both paths fail the same
-// way. Each (cycle, pair) shares one entry holding the rendezvous
-// event; a replica that dies (retries exhausted) abandons its current
-// and future pairings so partners proceed without an exchange instead
-// of deadlocking at a rendezvous nobody will ever complete.
+// way. Roles follow the replica index, not arrival order: the pair's
+// lower replica fires its entry's "arrived" event and waits on "done";
+// the higher replica waits for "arrived", then runs the exchange task
+// and fires "done". Which replica owns the exchange is therefore fixed
+// by the pairing, never by which simulation's barrier a process reached
+// first at a shared instant. A replica that dies (retries exhausted)
+// abandons its current and future pairings, firing both events, so
+// partners proceed without an exchange instead of deadlocking at a
+// rendezvous nobody will ever complete.
 type pairRendezvous struct {
 	v       vclock.Clock
 	p       *EnsembleExchange
@@ -175,9 +183,9 @@ type pairRendezvous struct {
 type pairKey struct{ cycle, lo int }
 
 type pairEntry struct {
-	ev     *vclock.Event
-	lo, hi int
-	dead   bool // a member died before the rendezvous: no exchange
+	arrived, done *vclock.Event // nil on an entry born dead
+	lo, hi        int
+	dead          bool // a member died before the rendezvous: no exchange
 }
 
 // pairRole is a replica's role at one cycle's rendezvous.
@@ -186,10 +194,10 @@ type pairRole int
 const (
 	// pairUnpaired: sit this cycle out (no partner, or partner died).
 	pairUnpaired pairRole = iota
-	// pairFirst: wait on the entry's event for the partner's exchange.
-	pairFirst
-	// pairSecond: run the exchange task, then fire the event.
-	pairSecond
+	// pairLo: fire "arrived", then wait on "done" for the exchange.
+	pairLo
+	// pairHi: wait on "arrived", run the exchange task, fire "done".
+	pairHi
 )
 
 func newPairRendezvous(v vclock.Clock, p *EnsembleExchange, partner func(cycle, replica int) int) *pairRendezvous {
@@ -209,32 +217,39 @@ func (rv *pairRendezvous) pairFor(r, cycle int) (lo, hi int, ok bool) {
 }
 
 // arrive registers replica r at its cycle rendezvous and returns its
-// entry and role.
+// entry and role. The lower replica's arrival fires "arrived".
 func (rv *pairRendezvous) arrive(r, cycle int) (*pairEntry, pairRole) {
 	lo, hi, ok := rv.pairFor(r, cycle)
 	if !ok {
 		return nil, pairUnpaired
 	}
-	key := pairKey{cycle, lo}
 	rv.mu.Lock()
-	e, exists := rv.entries[key]
-	if !exists {
-		e = &pairEntry{
-			ev: vclock.NewEvent(rv.v, fmt.Sprintf("ee pair c%d (%d,%d)", cycle, lo, hi)),
-			lo: lo, hi: hi,
-		}
-		rv.entries[key] = e
+	e := rv.entries[pairKey{cycle, lo}]
+	if e == nil {
+		name := fmt.Sprintf("ee pair c%d (%d,%d)", cycle, lo, hi)
+		e = &pairEntry{arrived: vclock.NewEvent(rv.v, name+" arrived"), done: vclock.NewEvent(rv.v, name+" done"), lo: lo, hi: hi}
+		rv.entries[pairKey{cycle, lo}] = e
 	}
 	dead := e.dead
 	rv.mu.Unlock()
 	switch {
 	case dead:
 		return e, pairUnpaired
-	case !exists:
-		return e, pairFirst
+	case r == lo:
+		e.arrived.Fire()
+		return e, pairLo
 	default:
-		return e, pairSecond
+		return e, pairHi
 	}
+}
+
+// meet parks the higher replica until its partner arrived, and reports
+// whether the exchange runs: false when the partner died instead.
+func (rv *pairRendezvous) meet(e *pairEntry) bool {
+	e.arrived.Wait()
+	rv.mu.Lock()
+	defer rv.mu.Unlock()
+	return !e.dead
 }
 
 // abandon poisons replica r's pairings from cycle `from` onward: a
@@ -256,10 +271,11 @@ func (rv *pairRendezvous) abandon(r, from int) {
 			continue
 		}
 		e.dead = true
-		ev := e.ev
 		rv.mu.Unlock()
-		if ev != nil {
-			ev.Fire() // harmless no-op if the exchange already fired it
+		if e.arrived != nil {
+			// Harmless no-ops where the rendezvous already fired them.
+			e.arrived.Fire()
+			e.done.Fire()
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 )
@@ -134,54 +135,60 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// phaseAccumulator collects phase occurrences during execution.
+// phaseAccumulator collects phase occurrences during execution as an
+// append-only log, so that a prefix of it is the stats as they stood at
+// an earlier barrier: the campaign tracker keeps only a length per
+// barrier and folds it when a checkpoint is asked for. Caller
+// synchronises.
 type phaseAccumulator struct {
-	order []string
-	byKey map[string]*PhaseStat
-}
-
-func newPhaseAccumulator() *phaseAccumulator {
-	return &phaseAccumulator{byKey: make(map[string]*PhaseStat)}
+	log []PhaseStat
 }
 
 // add records one occurrence of a phase.
 func (a *phaseAccumulator) add(name string, span, busy time.Duration, tasks int) {
-	st, ok := a.byKey[name]
-	if !ok {
-		st = &PhaseStat{Name: name}
-		a.byKey[name] = st
-		a.order = append(a.order, name)
-	}
-	st.Span += span
-	st.Busy += busy
-	st.Tasks += tasks
-	st.Occurrences++
+	a.log = append(a.log, PhaseStat{Name: name, Span: span, Busy: busy, Tasks: tasks, Occurrences: 1})
 }
 
 // merge folds already-aggregated phase stats into the accumulator under
 // a prefix — how composite members and campaign pipelines appear in a
-// parent report. Caller synchronises.
+// parent report.
 func (a *phaseAccumulator) merge(prefix string, phases []PhaseStat) {
 	for _, ph := range phases {
-		name := prefix + ph.Name
-		st, ok := a.byKey[name]
-		if !ok {
-			st = &PhaseStat{Name: name}
-			a.byKey[name] = st
-			a.order = append(a.order, name)
-		}
-		st.Span += ph.Span
-		st.Busy += ph.Busy
-		st.Tasks += ph.Tasks
-		st.Occurrences += ph.Occurrences
+		ph.Name = prefix + ph.Name
+		a.log = append(a.log, ph)
 	}
 }
 
 // stats returns the aggregates in first-occurrence order.
-func (a *phaseAccumulator) stats() []PhaseStat {
-	out := make([]PhaseStat, 0, len(a.order))
-	for _, name := range a.order {
-		out = append(out, *a.byKey[name])
+func (a *phaseAccumulator) stats() []PhaseStat { return foldPhases(a.log) }
+
+// foldPhases aggregates phase occurrences by name, in first-occurrence
+// order. Up to 32 names are found by a scan; a longer fold indexes them.
+func foldPhases(log []PhaseStat) []PhaseStat {
+	out := make([]PhaseStat, 0, len(log))
+	var at map[string]int
+	for _, ph := range log {
+		i, ok := at[ph.Name]
+		if at == nil {
+			i = slices.IndexFunc(out, func(s PhaseStat) bool { return s.Name == ph.Name })
+			ok = i >= 0
+		}
+		if !ok {
+			i = len(out)
+			out = append(out, PhaseStat{Name: ph.Name})
+			if at != nil {
+				at[ph.Name] = i
+			} else if len(out) > 32 {
+				at = make(map[string]int, cap(out))
+				for j := range out {
+					at[out[j].Name] = j
+				}
+			}
+		}
+		out[i].Span += ph.Span
+		out[i].Busy += ph.Busy
+		out[i].Tasks += ph.Tasks
+		out[i].Occurrences += ph.Occurrences
 	}
 	return out
 }

@@ -424,13 +424,20 @@ func (a *agent) admit(u *ComputeUnit) bool {
 // identical to per-unit submission (passes are FIFO over pending), so
 // this is purely a client-side cost reduction.
 func (a *agent) submitBatch(us []*ComputeUnit) {
-	queued := us[:0:0]
-	for _, u := range us {
+	// The admitted units are us itself until a unit is rejected; only
+	// then are they copied out.
+	queued, all := us, true
+	for i, u := range us {
 		if !a.admit(u) {
+			if all {
+				queued, all = append(us[:0:0], us[:i]...), false
+			}
 			continue
 		}
 		u.setState(UnitQueued)
-		queued = append(queued, u)
+		if !all {
+			queued = append(queued, u)
+		}
 	}
 	if len(queued) == 0 {
 		return

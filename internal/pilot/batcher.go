@@ -9,13 +9,13 @@ import (
 	"entk/internal/vclock"
 )
 
-// WaveBatcher coalesces bulk submission waves from many concurrent
-// submitters — the AppManager runs one submitting process per live
-// pipeline — into shared unit-manager rounds: all waves enqueued at one
-// virtual instant are created together under a single umgr wave
-// bracket, and each wave's units reach its pilot as one bulk agent
-// submission. A campaign of a thousand tiny pipelines therefore costs a
-// handful of umgr waves per scheduling round instead of a thousand.
+// WaveBatcher coalesces bulk submission waves from many submitters —
+// every live pipeline of a campaign, each advanced by clock callbacks —
+// into shared unit-manager rounds: all waves enqueued at one virtual
+// instant are created together under a single umgr wave bracket, and
+// each wave's units reach its pilot as one bulk agent submission. A
+// campaign of a thousand tiny pipelines therefore costs a handful of
+// umgr waves per scheduling round instead of a thousand.
 //
 // The batching is timeline-neutral by construction, which is what lets
 // every executor route through it unconditionally (the single-pilot
@@ -34,8 +34,17 @@ import (
 // round holds every wave submitted then. The round is created in rank
 // order — the submitter's position, such as the pipeline's index in its
 // campaign — and waves of equal rank keep their arrival order. Which
-// process reached the batcher first therefore decides nothing: unit ids
-// and the umgr bracket are the same at any GOMAXPROCS.
+// submitter reached the batcher first therefore decides nothing: unit
+// ids and the umgr bracket are the same at any GOMAXPROCS.
+//
+// Nothing parks in the batcher. A submitter hands Enqueue two
+// callbacks: dispatched, called once the wave's units are with their
+// pilots, and onFinal, called as each unit turns final. The round's
+// creation arms the dispatches as clock timers — a bulk wave at
+// arrival + len(wave) × UMSubmitPerUnit, the waves due at one instant
+// in creation order (earlier rounds first, rank order within one); a
+// streamed wave one unit at a time — so the dispatch order at an
+// instant is computed, not left to goroutine wake order.
 //
 // A wave travels in compact form, as []WaveUnit: each entry points at a
 // description and carries its unit's own name and attempt. The core
@@ -45,98 +54,226 @@ import (
 // submission on. Submit takes the long form, one description per unit,
 // and its units point into the caller's slice.
 type WaveBatcher struct {
-	um *UnitManager
+	um                 *UnitManager
+	fireRound, fireDue func() // b.round and b.dispatchDue, bound once
 
 	mu    sync.Mutex
-	queue []*batchedWave
+	queue []batchedWave // this instant's round
+	// due holds the created bulk waves waiting for their dispatch
+	// instant: a min-heap by (at, seq), seq counting creations.
+	due []dueWave
+	seq uint64
 }
 
 // batchedWave is one member wave of a round. Its descriptions are
 // validated before it joins the queue, so creation cannot fail.
 type batchedWave struct {
-	rank    int
-	wave    []WaveUnit
-	units   []*ComputeUnit
-	created *vclock.Event
+	rank       int
+	streamed   bool
+	wave       []WaveUnit
+	units      []*ComputeUnit
+	onFinal    func(*ComputeUnit)
+	dispatched func([]*ComputeUnit)
 }
 
 // NewWaveBatcher returns a batcher over the unit manager.
 func NewWaveBatcher(um *UnitManager) *WaveBatcher {
-	return &WaveBatcher{um: um}
+	b := &WaveBatcher{um: um}
+	b.fireRound, b.fireDue = b.round, b.dispatchDue
+	return b
 }
 
-// Submit submits one bulk wave of rank 0, one description per unit:
-// SubmitWave(0, wave, false) over descs. The units point into descs,
-// which the caller must not modify afterwards.
+// Submit submits one bulk wave of rank 0, one description per unit, and
+// parks the calling process until the wave is dispatched. The units
+// point into descs, which the caller must not modify afterwards. It
+// must be called from a registered vclock process.
 func (b *WaveBatcher) Submit(descs []UnitDescription) ([]*ComputeUnit, error) {
-	return b.SubmitWave(0, waveOf(descs), false)
-}
-
-// SubmitWave submits one wave through the shared batcher: validate, then
-// create the wave's units — coalesced with every other wave of the same
-// instant, in rank order. A bulk wave then pays its own client-side
-// submission cost and is late-bound and dispatched as a whole. A
-// streamed wave instead dispatches each unit as its own client-side
-// cost elapses: unit i reaches its pilot at exactly the instant of an
-// unbatched streamed submission (arrival + (i+1) × UMSubmitPerUnit,
-// late-bound at that instant). Either way the coalescing changes only
-// the wall-clock shape — shared admission and creation, fewer umgr
-// brackets — as the timeline-neutrality tests gate. It must be called
-// from a registered vclock process and returns the units in wave order.
-// The wave slice itself is not retained.
-func (b *WaveBatcher) SubmitWave(rank int, wave []WaveUnit, streamed bool) ([]*ComputeUnit, error) {
-	units, err := b.join(rank, wave)
+	ev := vclock.NewEvent(b.um.sess.V, "wave dispatched")
+	var units []*ComputeUnit
+	err := b.Enqueue(0, waveOf(descs), false, nil, func(us []*ComputeUnit) {
+		units = us
+		ev.Fire()
+	})
 	if err != nil {
 		return nil, err
 	}
-	if streamed {
-		b.um.DispatchStreamed(units)
-		return units, nil
-	}
-	// Client-side creation/serialization cost for this wave — each
-	// member of a round pays its own, concurrently with the others.
-	b.um.sess.V.Charge(time.Duration(len(units)) * b.um.sess.Cfg.UMSubmitPerUnit)
-	b.um.Dispatch(units)
+	ev.Wait()
 	return units, nil
 }
 
-// join validates the wave, enqueues it in this instant's round and
-// parks until the round is created. It returns the created units in
-// wave order, with no virtual time elapsed.
-func (b *WaveBatcher) join(rank int, wave []WaveUnit) ([]*ComputeUnit, error) {
+// Enqueue validates one wave and queues it in this instant's round,
+// without blocking. Once the round is created, a bulk wave pays its
+// own client-side submission cost and is late-bound and dispatched as a
+// whole; a streamed wave instead dispatches each unit as its own
+// client-side cost elapses: unit i reaches its pilot at exactly the
+// instant of an unbatched streamed submission (arrival + (i+1) ×
+// UMSubmitPerUnit, late-bound at that instant). dispatched then gets
+// the units in wave order. onFinal, if non-nil, is called once per unit
+// as it turns final, possibly before dispatched (a unit no pilot can
+// take fails at its bind). Both callbacks run on the clock's callback
+// path, so they must not block on the clock. The wave slice itself is
+// not retained past the round's creation.
+func (b *WaveBatcher) Enqueue(rank int, wave []WaveUnit, streamed bool, onFinal func(*ComputeUnit), dispatched func([]*ComputeUnit)) error {
 	// Validate before joining a round, so a malformed wave creates no
 	// units, brackets no wave, and poisons no round.
 	if err := validate(wave); err != nil {
-		return nil, err
+		return err
 	}
-	v := b.um.sess.V
-	w := &batchedWave{rank: rank, wave: wave, created: vclock.NewEvent(v, "batched wave created")}
 	b.mu.Lock()
-	b.queue = append(b.queue, w)
+	b.queue = append(b.queue, batchedWave{rank: rank, streamed: streamed, wave: wave, onFinal: onFinal, dispatched: dispatched})
 	if len(b.queue) == 1 {
-		v.After(0, b.create)
+		b.um.sess.V.After(0, b.fireRound)
 	}
 	b.mu.Unlock()
-	w.created.Wait()
-	return w.units, nil
+	return nil
 }
 
-// create is the round's timer callback: it creates every queued wave's
-// units in rank order under one umgr bracket and releases the members.
-// A wave that joins meanwhile starts the next round.
-func (b *WaveBatcher) create() {
+// round is the round's timer callback: it creates every queued wave's
+// units in rank order under one umgr bracket, then arms their
+// dispatches. A wave that joins meanwhile starts the next round.
+func (b *WaveBatcher) round() {
 	b.mu.Lock()
 	round := b.queue
 	b.queue = nil
 	b.mu.Unlock()
-	slices.SortStableFunc(round, func(x, y *batchedWave) int { return cmp.Compare(x.rank, y.rank) })
+	slices.SortStableFunc(round, func(x, y batchedWave) int { return cmp.Compare(x.rank, y.rank) })
 	b.um.beginWave()
-	for _, m := range round {
-		m.units = b.um.createAll(m.wave)
+	for i := range round {
+		m := &round[i]
+		m.units = b.um.createAll(m.wave, m.onFinal)
 		m.wave = nil
 	}
 	b.um.endWave()
-	for _, m := range round {
-		m.created.Fire()
+
+	v := b.um.sess.V
+	perUnit := v.Charged(b.um.sess.Cfg.UMSubmitPerUnit)
+	if perUnit <= 0 {
+		// No modelled cost (the wall clock): every member dispatches now.
+		for i := range round {
+			b.dispatchNow(&round[i])
+		}
+	} else {
+		// A bulk member waits in the due heap for arrival + its cost, and
+		// arms a timer for that instant; the first timer to fire there
+		// dispatches every wave then due, in creation order. A streamed
+		// member arms its first unit's timer.
+		now := v.Now()
+		b.mu.Lock()
+		for _, m := range round {
+			if m.streamed && len(m.units) > 0 {
+				s := &streamDispatch{b: b, m: m, perUnit: perUnit}
+				v.After(perUnit, s.step)
+				continue
+			}
+			cost := time.Duration(len(m.units)) * perUnit
+			b.seq++
+			b.pushDue(dueWave{at: now + cost, seq: b.seq, m: m})
+			v.After(cost, b.fireDue)
+		}
+		b.mu.Unlock()
 	}
+	// The round's slice is spent: the next round reuses it.
+	clear(round)
+	b.mu.Lock()
+	if b.queue == nil {
+		b.queue = round[:0]
+	}
+	b.mu.Unlock()
+}
+
+// dueWave is a created bulk wave waiting for its dispatch instant.
+type dueWave struct {
+	at  time.Duration
+	seq uint64
+	m   batchedWave
+}
+
+func (w *dueWave) before(o *dueWave) bool {
+	return w.at < o.at || (w.at == o.at && w.seq < o.seq)
+}
+
+// pushDue adds w to the due heap. Caller holds mu.
+func (b *WaveBatcher) pushDue(w dueWave) {
+	h := append(b.due, w)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	b.due = h
+}
+
+// popDue removes and returns the due heap's head. Caller holds mu.
+func (b *WaveBatcher) popDue() dueWave {
+	h := b.due
+	top, n := h[0], len(h)-1
+	h[0], h[n] = h[n], dueWave{}
+	h = h[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h[r].before(&h[m]) {
+			m = r
+		}
+		if !h[m].before(&h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	b.due = h
+	return top
+}
+
+// dispatchDue is a bulk dispatch timer's callback: it dispatches every
+// wave whose instant has come.
+func (b *WaveBatcher) dispatchDue() {
+	now := b.um.sess.V.Now()
+	for {
+		b.mu.Lock()
+		if len(b.due) == 0 || b.due[0].at > now {
+			b.mu.Unlock()
+			return
+		}
+		w := b.popDue()
+		b.mu.Unlock()
+		b.dispatchNow(&w.m)
+	}
+}
+
+// dispatchNow late-binds and dispatches a created member at once and
+// reports it dispatched.
+func (b *WaveBatcher) dispatchNow(m *batchedWave) {
+	if m.streamed {
+		for _, u := range m.units {
+			b.um.dispatchOne(u)
+		}
+	} else {
+		b.um.Dispatch(m.units)
+	}
+	m.dispatched(m.units)
+}
+
+// streamDispatch dispatches a streamed member's units one per
+// client-side cost: each step dispatches the next unit and arms the
+// one after it.
+type streamDispatch struct {
+	b       *WaveBatcher
+	m       batchedWave
+	next    int
+	perUnit time.Duration
+}
+
+func (s *streamDispatch) step() {
+	s.b.um.dispatchOne(s.m.units[s.next])
+	if s.next++; s.next < len(s.m.units) {
+		s.b.um.sess.V.After(s.perUnit, s.step)
+		return
+	}
+	s.m.dispatched(s.m.units)
 }

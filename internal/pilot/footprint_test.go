@@ -15,18 +15,19 @@ import (
 // any machine: the size of a unit, and the heap a unit allocates over
 // its life.
 const (
-	// maxUnitSize bounds unsafe.Sizeof(ComputeUnit{}), 112 B at this
+	// maxUnitSize bounds unsafe.Sizeof(ComputeUnit{}), 120 B at this
 	// writing (368 B with the description held by value). The
 	// description is shared through a pointer, the profiler entity is an
-	// id, and the final event is a vclock.Latch without a clock or name
-	// of its own.
+	// id, the final event is a vclock.Latch without a clock or name of
+	// its own, and the final-state callback is one func word.
 	maxUnitSize = 160
 	// maxUnitBytes bounds the bytes allocated per unit by a 4,096-unit
 	// homogeneous wave, from submission through the batcher to DONE:
 	// the unit itself, its profiler events, its run's timers and the
-	// wave's bookkeeping. Measured at 826-828 B and 5.05 allocations per
-	// unit (go1.24, linux/amd64; 1,216 B with the description held by
-	// value in a 368 B unit and a string entity key). Holding one
+	// wave's bookkeeping. Measured at 783 B and 5.05 allocations per
+	// unit with 12-byte events (826-828 B with 16-byte ones; go1.24,
+	// linux/amd64; 1,216 B with the description held by value in a
+	// 368 B unit and a string entity key). Holding one
 	// UnitDescription per unit again would cross the bound.
 	maxUnitBytes = 950
 )

@@ -11,13 +11,13 @@ import (
 // installed placement policy, else round-robin — and forwards it to that
 // pilot's agent (mirroring rp.UnitManager). It has one intake: the
 // WaveBatcher (batcher.go) creates the units of every wave arriving at
-// one instant together, then hands each wave back to Dispatch or
-// DispatchStreamed. Waves from any number of concurrent callers (the
-// AppManager runs one submitting process per live pipeline) interleave
-// safely: per-wave state is call-local, the pilot table and round-robin
-// cursor are locked, and the agents accept units from many submitters
-// at once. Each creation round brackets itself on the "umgr" entity so
-// interleaving is visible in the trace.
+// one instant together, then dispatches each wave from a clock timer,
+// through Dispatch or, a unit at a time, dispatchOne. Waves from any
+// number of submitters interleave safely: per-wave state is call-local,
+// the pilot table and round-robin cursor are locked, and the agents
+// accept units from many submitters at once. Each creation round
+// brackets itself on the "umgr" entity so interleaving is visible in
+// the trace.
 type UnitManager struct {
 	sess *Session
 	ent  profile.EntityID // "umgr": wave brackets record here
@@ -123,17 +123,17 @@ func validate(wave []WaveUnit) error {
 // records its NEW event, charging no virtual time. It is the one place
 // units come from: the wave batcher creates each round's waves up
 // front, before any of their client-side cost elapses.
-func (um *UnitManager) create(w WaveUnit) *ComputeUnit {
-	u := newUnit(um.sess, w)
+func (um *UnitManager) create(w WaveUnit, onFinal func(*ComputeUnit)) *ComputeUnit {
+	u := newUnit(um.sess, w, onFinal)
 	um.sess.Prof.RecordID(u.entityID, um.sess.vocab.evNew)
 	return u
 }
 
 // createAll is create over a wave, in wave order.
-func (um *UnitManager) createAll(wave []WaveUnit) []*ComputeUnit {
+func (um *UnitManager) createAll(wave []WaveUnit, onFinal func(*ComputeUnit)) []*ComputeUnit {
 	units := make([]*ComputeUnit, len(wave))
 	for i := range wave {
-		units[i] = um.create(wave[i])
+		units[i] = um.create(wave[i], onFinal)
 	}
 	return units
 }
@@ -156,24 +156,10 @@ func (um *UnitManager) bind(u *ComputeUnit) *ComputePilot {
 }
 
 // dispatchOne binds one unit and hands it to its pilot's agent — the
-// per-unit dispatch step of DispatchStreamed.
+// per-unit dispatch step of a streamed wave.
 func (um *UnitManager) dispatchOne(u *ComputeUnit) {
 	if p := um.bind(u); p != nil {
 		p.agent.submit(u)
-	}
-}
-
-// DispatchStreamed late-binds already-created units one at a time, each
-// after its own client-side cost has elapsed: the wave batcher's
-// streamed dispatch, once the wave's units were created in a shared
-// round. Unit i is picked and submitted at arrival + (i+1) ×
-// UMSubmitPerUnit, the instant of the i-th of N serialized single-unit
-// submissions. Must be called from a registered vclock process.
-func (um *UnitManager) DispatchStreamed(units []*ComputeUnit) {
-	perUnit := um.sess.Cfg.UMSubmitPerUnit
-	for _, u := range units {
-		um.sess.V.Charge(perUnit)
-		um.dispatchOne(u)
 	}
 }
 
@@ -194,17 +180,17 @@ const dispatchChunkMin = 64
 // fits) before the next pick, so free-core- and load-based policies
 // observe state that includes the units already dispatched — without
 // the cap, a policy like PlaceLeastLoaded would see frozen counters,
-// never switch pilots, and pour an entire wave onto one machine. Must
-// be called from a registered vclock process.
+// never switch pilots, and pour an entire wave onto one machine. It
+// never blocks on the clock, so it runs in timer callbacks.
 func (um *UnitManager) Dispatch(units []*ComputeUnit) {
+	// A run is units[start:end] of one pilot, handed over in place.
 	var runPilot *ComputePilot
-	var run []*ComputeUnit
-	runCap := 0
-	flush := func() {
-		if runPilot != nil && len(run) > 0 {
-			runPilot.agent.submitBatch(run)
-			run = run[:0]
+	start, runCap := 0, 0
+	flush := func(end int) {
+		if runPilot != nil && end > start {
+			runPilot.agent.submitBatch(units[start:end])
 		}
+		start = end
 	}
 	// A run is capped at the pilot's current free cores; on a saturated
 	// pilot (nothing placeable, runs only grow backlog) the fixed chunk
@@ -215,23 +201,24 @@ func (um *UnitManager) Dispatch(units []*ComputeUnit) {
 		}
 		return dispatchChunkMin
 	}
-	for _, u := range units {
+	for i, u := range units {
 		p := um.bind(u)
 		if p == nil {
+			flush(i)
+			start = i + 1
 			continue
 		}
 		if p != runPilot {
-			flush()
+			flush(i)
 			runPilot = p
 			runCap = sampleCap()
 		}
-		run = append(run, u)
-		if len(run) >= runCap {
-			flush()
+		if i+1-start >= runCap {
+			flush(i + 1)
 			runCap = sampleCap()
 		}
 	}
-	flush()
+	flush(len(units))
 }
 
 // WaitAll blocks until every unit is terminal and returns their final

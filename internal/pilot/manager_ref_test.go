@@ -23,7 +23,7 @@ func (um *UnitManager) Submit(descs []UnitDescription) ([]*ComputeUnit, error) {
 	}
 	um.beginWave()
 	defer um.endWave()
-	units := um.createAll(wave)
+	units := um.createAll(wave, nil)
 	// Client-side creation/serialization cost for the whole batch.
 	um.sess.V.Charge(time.Duration(len(descs)) * um.sess.Cfg.UMSubmitPerUnit)
 	for _, u := range units {
@@ -50,7 +50,7 @@ func (um *UnitManager) SubmitStreamed(descs []UnitDescription) ([]*ComputeUnit, 
 	perUnit := um.sess.Cfg.UMSubmitPerUnit
 	units := make([]*ComputeUnit, len(wave))
 	for i := range wave {
-		units[i] = um.create(wave[i])
+		units[i] = um.create(wave[i], nil)
 		// Client-side creation/serialization cost for this one unit.
 		um.sess.V.Charge(perUnit)
 		um.dispatchOne(units[i])

@@ -505,7 +505,7 @@ func TestNonMPIMulticoreConfinedToNode(t *testing.T) {
 		um := NewUnitManager(s)
 		um.AddPilot(p)
 		// 6 > 4 cores/node and not MPI: must fail, not wedge.
-		u := newUnit(s, WaveUnit{Desc: &UnitDescription{Kernel: "misc.sleep", Cores: 6}, Name: "toowide"})
+		u := newUnit(s, WaveUnit{Desc: &UnitDescription{Kernel: "misc.sleep", Cores: 6}, Name: "toowide"}, nil)
 		u.mu.Lock()
 		u.pilot = p
 		u.mu.Unlock()

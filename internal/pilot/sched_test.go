@@ -366,7 +366,7 @@ func TestOversizedUnitFailsFastOnSaturatedPilot(t *testing.T) {
 				}
 				wide := stressUnit("toowide", 5, true, 1)
 				wide.MPI = false
-				u := newUnit(s, WaveUnit{Desc: &wide, Name: wide.Name})
+				u := newUnit(s, WaveUnit{Desc: &wide, Name: wide.Name}, nil)
 				u.mu.Lock()
 				u.pilot = p
 				u.mu.Unlock()

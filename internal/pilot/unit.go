@@ -204,9 +204,13 @@ type ComputeUnit struct {
 	started time.Duration // exec start (virtual)
 	stopped time.Duration // exec stop (virtual)
 	finalEv vclock.Latch  // named by String in deadlock dumps
+	// onFinal, when set, is told once that the unit turned final, in
+	// place of a process parked in WaitFinal. It runs in whatever
+	// context settled the unit, so it must not block on the clock.
+	onFinal func(*ComputeUnit)
 }
 
-func newUnit(s *Session, w WaveUnit) *ComputeUnit {
+func newUnit(s *Session, w WaveUnit, onFinal func(*ComputeUnit)) *ComputeUnit {
 	id := s.unitID()
 	return &ComputeUnit{
 		ID:       id,
@@ -216,6 +220,7 @@ func newUnit(s *Session, w WaveUnit) *ComputeUnit {
 		sess:     s,
 		entityID: s.Prof.InternUnit(id),
 		state:    UnitNew,
+		onFinal:  onFinal,
 	}
 }
 
@@ -349,6 +354,9 @@ func (u *ComputeUnit) finishFrom(gen int, st UnitState, err error) {
 	u.mu.Unlock()
 	u.sess.Prof.RecordID(u.entityID, u.sess.unitStateName(st))
 	u.finalEv.Fire(u.sess.V)
+	if u.onFinal != nil {
+		u.onFinal(u)
+	}
 }
 
 // setStateFrom is setState gated on the rebind generation, reporting

@@ -1,9 +1,10 @@
 // Persistent binary traces: the intern table makes a compact dump format
 // natural — the string tables are written once, and every event travels
-// as the same 16-byte {entityID, nameID, t} record the columnar store
-// keeps in memory. A 100k-task run (a few million events) serialises in
-// tens of MB and round-trips losslessly, so traces can be archived and
-// analysed offline (entk-run -record writes one).
+// as a 16-byte {entityID, nameID, t} record, the columnar store's
+// 12-byte record with its time resolved against its chunk's base. A
+// 100k-task run (a few million events) serialises in tens of MB and
+// round-trips losslessly, so traces can be archived and analysed
+// offline (entk-run -record writes one).
 package profile
 
 import (
@@ -92,6 +93,9 @@ func (p *Profiler) ReadFrom(r io.Reader) (int64, error) {
 	}
 	for _, table := range []*interner{&p.ents, &p.names} {
 		count := in.U32()
+		if table == &p.names && in.Err() == nil && count > maxNames {
+			return in.N(), fmt.Errorf("profile: dump declares %d event names, the table holds %d", count, maxNames)
+		}
 		for id := uint32(0); id < count && in.Err() == nil; id++ {
 			s := in.String()
 			if in.Err() != nil {

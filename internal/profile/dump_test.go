@@ -245,6 +245,7 @@ func FuzzProfileDump(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(dumpMagic))
+	f.Add(manyNamesDump(maxNames + 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		once, err := rewrite(data)
 		if err != nil {

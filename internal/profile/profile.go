@@ -5,9 +5,9 @@
 // Profiler, which is what makes the stacked-bar figures reconstructible.
 //
 // Storage is columnar and interned: entities and event names are mapped to
-// dense uint32 ids by a striped intern table, and each event is a
-// pointer-free {entityID, nameID, t} record, so at 100k-task scale the GC
-// scans nothing per event (the seed layout's two string headers cost
+// dense ids by a striped intern table, and each event is a pointer-free
+// 12-byte {entityID, nameID, time offset} record, so at 100k-task scale
+// the GC scans nothing per event (the seed layout's two string headers cost
 // ~40 B/event of scanned memory — the largest allocation source in the
 // tree before this layout). The seed string-backed store survives as a
 // test oracle behind the same store interface (ref_store_test.go), so
@@ -60,6 +60,9 @@ const (
 	internStripes   = 16   // power of two
 	internBlockSize = 4096 // slots per block
 	internMaxBlocks = 4096 // supports 16M interned keys
+	// maxNames caps the event-name table: an event stores its name id
+	// in 16 bits. The runtime's vocabulary is a few dozen names.
+	maxNames = 1 << 16
 )
 
 // Unit keys: unitPrefix followed by at least unitWidth digits, with no
@@ -114,6 +117,10 @@ type internBlock struct {
 // keys take allocMu; resolve is lock-free.
 type interner struct {
 	stripes [internStripes]internStripe
+
+	// limit caps the ids this table assigns; zero means the full
+	// block space. The name table is capped at maxNames.
+	limit uint32
 
 	// allocMu serializes id allocation across stripes and guards
 	// unitIDs; n publishes the count of assigned ids (resolve and the
@@ -208,7 +215,7 @@ func (t *interner) internUnit(n int) uint32 {
 // slot, then stores n. Caller holds allocMu.
 func (t *interner) nextLocked() (uint32, *internBlock) {
 	id := t.n.Load()
-	if id/internBlockSize >= internMaxBlocks {
+	if id/internBlockSize >= internMaxBlocks || (t.limit > 0 && id >= t.limit) {
 		t.allocMu.Unlock()
 		panic("profile: intern table full")
 	}
@@ -312,57 +319,102 @@ func (t *interner) count() int { return int(t.n.Load()) }
 // Chunk sizing: events are stored in chunks so that recording never
 // re-copies the whole history (large runs record millions of events).
 // Chunks start small — a stripe that only ever sees a few events costs
-// little — and double up to profChunkMax.
+// little — and double up to profChunkMax. A full chunk is 24 KB, so a
+// stripe's partly filled tail and the spare waiting to replace it stay
+// under 0.4 B per event across the stripes at a million events.
 const (
 	profChunkMin = 256
-	profChunkMax = 8192
+	profChunkMax = 2048
 )
 
 // profStripes shards the event log so concurrent recorders (one per
 // executing unit) do not serialize on one mutex. Power of two.
 const profStripes = 16
 
-// stripeLog is one shard of an event log: a mutex, its chunked records,
-// and a spare chunk so rotation inside the critical section never
-// allocates. The stripes are cache-line padded: recorders hammer adjacent
-// stripes from many goroutines, and false sharing between their mutexes
-// costs more than the append they guard. Allocating under mu was worse
-// still — a GC assist triggered by the chunk allocation while the lock was
+// colEvent is the columnar record: the entity id, the name id, and the
+// event's time as a signed 48-bit offset from its chunk's base, split
+// over offLo and offHi. 12 bytes, no pointers — the GC never scans the
+// event log. A name id fits 16 bits because the name table holds at
+// most maxNames names.
+type colEvent struct {
+	eid   uint32
+	offLo uint32
+	nid   uint16
+	offHi uint16
+}
+
+// maxOffset bounds a 48-bit offset: ±2^47 ns, about ±39 h.
+const maxOffset = 1<<47 - 1
+
+// at returns the event's time in a chunk based at base.
+func (e colEvent) at(base int64) time.Duration {
+	off := int64(uint64(e.offHi)<<32|uint64(e.offLo)) << 16 >> 16
+	return time.Duration(base + off)
+}
+
+// eventChunk is a run of events sharing a time base: its first event's
+// time.
+type eventChunk struct {
+	base int64
+	ev   []colEvent
+}
+
+// stripeLog is one shard of the event log: a mutex, its chunks, and a
+// spare chunk so rotation inside the critical section never allocates.
+// The stripes are cache-line padded: recorders hammer adjacent stripes
+// from many goroutines, and false sharing between their mutexes costs
+// more than the append they guard. Allocating under mu was worse still
+// — a GC assist triggered by the chunk allocation while the lock was
 // held convoyed every concurrent recorder onto the stripe mutex.
-type stripeLog[E any] struct {
+type stripeLog struct {
 	mu     sync.Mutex
-	chunks [][]E
-	spare  []E
+	chunks []eventChunk
+	spare  []colEvent
 	n      int
 	_      pad.Line
 }
 
 // append adds one record. The critical section is append-only: when a
 // chunk fills, the pre-allocated spare is swapped in and its replacement
-// is built after unlock.
-func (s *stripeLog[E]) append(e E) {
+// is built after unlock. An event whose offset from the tail chunk's
+// base does not fit 48 bits (a jump of ±39 h, or a wall-clock stamp far
+// out of order) seals the chunk early and starts the next one.
+func (s *stripeLog) append(eid, nid uint32, t int64) {
 	s.mu.Lock()
 	last := len(s.chunks) - 1
-	if last < 0 || len(s.chunks[last]) == cap(s.chunks[last]) {
+	var off int64
+	if last >= 0 {
+		off = t - s.chunks[last].base
+	}
+	fits := last >= 0 && off >= -maxOffset-1 && off <= maxOffset && (t >= s.chunks[last].base) == (off >= 0)
+	if !fits || len(s.chunks[last].ev) == cap(s.chunks[last].ev) {
+		if last >= 0 {
+			// Sealed: a chunk never grows again, and len == cap says so
+			// to freeze.
+			c := &s.chunks[last]
+			c.ev = c.ev[:len(c.ev):len(c.ev)]
+		}
 		if s.spare == nil {
 			// First record on this stripe (or the spare was consumed and
 			// lost a race to replacement): allocate under mu, once.
-			s.spare = make([]E, 0, s.nextChunkSize(last))
+			s.spare = make([]colEvent, 0, s.nextChunkSize())
 		}
-		s.chunks = append(s.chunks, s.spare)
+		s.chunks = append(s.chunks, eventChunk{base: t, ev: s.spare})
 		s.spare = nil
 		last++
+		off = 0
 	}
-	s.chunks[last] = append(s.chunks[last], e)
+	c := &s.chunks[last]
+	c.ev = append(c.ev, colEvent{eid: eid, offLo: uint32(off), nid: uint16(nid), offHi: uint16(uint64(off) >> 32)})
 	s.n++
-	needSpare := s.spare == nil && len(s.chunks[last]) == cap(s.chunks[last])
+	needSpare := s.spare == nil && len(c.ev) == cap(c.ev)
 	var size int
 	if needSpare {
-		size = s.nextChunkSize(last)
+		size = s.nextChunkSize()
 	}
 	s.mu.Unlock()
 	if needSpare {
-		next := make([]E, 0, size)
+		next := make([]colEvent, 0, size)
 		s.mu.Lock()
 		if s.spare == nil {
 			s.spare = next
@@ -371,31 +423,34 @@ func (s *stripeLog[E]) append(e E) {
 	}
 }
 
-// nextChunkSize doubles the chunk size up to the cap. Caller holds mu.
-func (s *stripeLog[E]) nextChunkSize(last int) int {
-	size := profChunkMin
-	if last >= 0 {
-		if size = 2 * cap(s.chunks[last]); size > profChunkMax {
-			size = profChunkMax
-		}
+// nextChunkSize doubles the tail chunk's size up to the cap. Caller
+// holds mu.
+func (s *stripeLog) nextChunkSize() int {
+	if last := len(s.chunks) - 1; last >= 0 {
+		return min(max(2*cap(s.chunks[last].ev), profChunkMin), profChunkMax)
 	}
-	return size
+	return profChunkMin
 }
 
 // visit calls fn for every record in insertion order. Caller must not
 // record into this stripe from fn (the stripe is locked while visited).
-func (s *stripeLog[E]) visit(fn func(E)) {
+func (s *stripeLog) visit(fn func(eid, nid uint32, t time.Duration)) {
 	s.mu.Lock()
-	for _, c := range s.chunks {
-		for j := range c {
-			fn(c[j])
-		}
-	}
+	visitChunks(s.chunks, fn)
 	s.mu.Unlock()
 }
 
+// visitChunks calls fn for every record of chunks, in order.
+func visitChunks(chunks []eventChunk, fn func(eid, nid uint32, t time.Duration)) {
+	for _, c := range chunks {
+		for _, e := range c.ev {
+			fn(e.eid, uint32(e.nid), e.at(c.base))
+		}
+	}
+}
+
 // count returns the records stored.
-func (s *stripeLog[E]) count() int {
+func (s *stripeLog) count() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.n
@@ -422,34 +477,27 @@ type store interface {
 	snapshot() *snapshotStore
 }
 
-// colEvent is the columnar record: two interned ids and the timestamp.
-// 16 bytes, no pointers — the GC never scans the event log.
-type colEvent struct {
-	eid, nid uint32
-	t        int64
-}
-
 // columnarStore stripes colEvents by entity id. An entity always maps to
 // the same stripe, so per-entity insertion order is preserved.
 type columnarStore struct {
-	stripes [profStripes]stripeLog[colEvent]
+	stripes [profStripes]stripeLog
 }
 
 func (c *columnarStore) record(eid, nid uint32, t time.Duration) {
-	c.stripes[eid&(profStripes-1)].append(colEvent{eid: eid, nid: nid, t: int64(t)})
+	c.stripes[eid&(profStripes-1)].append(eid, nid, int64(t))
 }
 
 func (c *columnarStore) forEach(fn func(eid, nid uint32, t time.Duration)) {
 	for i := range c.stripes {
-		c.stripes[i].visit(func(e colEvent) { fn(e.eid, e.nid, time.Duration(e.t)) })
+		c.stripes[i].visit(fn)
 	}
 }
 
 func (c *columnarStore) forEachEntity(eid uint32, fn func(nid uint32, t time.Duration)) {
 	// Only the entity's own stripe can hold its events.
-	c.stripes[eid&(profStripes-1)].visit(func(e colEvent) {
-		if e.eid == eid {
-			fn(e.nid, time.Duration(e.t))
+	c.stripes[eid&(profStripes-1)].visit(func(e, nid uint32, t time.Duration) {
+		if e == eid {
+			fn(nid, t)
 		}
 	})
 }
@@ -486,7 +534,9 @@ type Profiler struct {
 
 // New returns an empty profiler reading timestamps from clock.
 func New(clock Clock) *Profiler {
-	return &Profiler{clock: clock, store: &columnarStore{}}
+	p := &Profiler{clock: clock, store: &columnarStore{}}
+	p.names.limit = maxNames
+	return p
 }
 
 // Intern returns the id for an entity key, assigning one on first sight.
@@ -509,7 +559,9 @@ func (p *Profiler) InternUnit(n int) EntityID {
 }
 
 // InternName returns the id for an event name, assigning one on first
-// sight. The runtime's fixed event vocabulary is interned once per session.
+// sight. The runtime's fixed event vocabulary is interned once per
+// session. The table holds at most 65,536 names: interning one more
+// panics.
 func (p *Profiler) InternName(name string) NameID {
 	return NameID(p.names.intern(name))
 }
@@ -531,7 +583,7 @@ func (p *Profiler) Record(entity, name string) {
 
 // RecordID appends an event for a pre-interned entity and name at the
 // current time. On the columnar layout the steady state is alloc-free and
-// stores 16 pointer-free bytes.
+// stores 12 pointer-free bytes.
 func (p *Profiler) RecordID(e EntityID, n NameID) {
 	p.store.record(uint32(e), uint32(n), p.clock.Now())
 }

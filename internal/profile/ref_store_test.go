@@ -1,6 +1,9 @@
 package profile
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // refStore is the seed layout: string-keyed Event records, striped by
 // entity hash. Each record carries two string headers (~32 B of GC-scanned
@@ -9,40 +12,57 @@ import "time"
 // parity tests; no product option selects it.
 type refStore struct {
 	p       *Profiler
-	stripes [profStripes]stripeLog[Event]
+	stripes [profStripes]refStripe
+}
+
+// refStripe is one shard of the seed log: its records under a mutex.
+type refStripe struct {
+	mu  sync.Mutex
+	evs []Event
+}
+
+// events returns the stripe's records as they stand; appends never
+// write the returned prefix.
+func (s *refStripe) events() []Event {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.evs[:len(s.evs):len(s.evs)]
 }
 
 func (r *refStore) record(eid, nid uint32, t time.Duration) {
 	entity := r.p.ents.resolve(eid)
 	name := r.p.names.resolve(nid)
-	r.stripes[strHash(entity)&(profStripes-1)].append(Event{Entity: entity, Name: name, T: t})
+	s := &r.stripes[strHash(entity)&(profStripes-1)]
+	s.mu.Lock()
+	s.evs = append(s.evs, Event{Entity: entity, Name: name, T: t})
+	s.mu.Unlock()
 }
 
 func (r *refStore) forEach(fn func(eid, nid uint32, t time.Duration)) {
 	for i := range r.stripes {
-		r.stripes[i].visit(func(e Event) {
+		for _, e := range r.stripes[i].events() {
 			// Both strings were interned at record time; lookups hit.
 			eid, _ := r.p.ents.lookup(e.Entity)
 			nid, _ := r.p.names.lookup(e.Name)
 			fn(eid, nid, e.T)
-		})
+		}
 	}
 }
 
 func (r *refStore) forEachEntity(eid uint32, fn func(nid uint32, t time.Duration)) {
 	entity := r.p.ents.resolve(eid)
-	r.stripes[strHash(entity)&(profStripes-1)].visit(func(e Event) {
+	for _, e := range r.stripes[strHash(entity)&(profStripes-1)].events() {
 		if e.Entity == entity {
 			nid, _ := r.p.names.lookup(e.Name)
 			fn(nid, e.T)
 		}
-	})
+	}
 }
 
 func (r *refStore) count() int {
 	n := 0
 	for i := range r.stripes {
-		n += r.stripes[i].count()
+		n += len(r.stripes[i].events())
 	}
 	return n
 }
@@ -54,17 +74,15 @@ func (r *refStore) count() int {
 func (r *refStore) snapshot() *snapshotStore {
 	frozen := &snapshotStore{}
 	for i := range r.stripes {
-		chunks, n := r.stripes[i].freeze()
-		col := make([]colEvent, 0, n)
-		for _, c := range chunks {
-			for _, e := range c {
-				eid, _ := r.p.ents.lookup(e.Entity)
-				nid, _ := r.p.names.lookup(e.Name)
-				col = append(col, colEvent{eid: eid, nid: nid, t: int64(e.T)})
-			}
+		var log stripeLog
+		evs := r.stripes[i].events()
+		for _, e := range evs {
+			eid, _ := r.p.ents.lookup(e.Entity)
+			nid, _ := r.p.names.lookup(e.Name)
+			log.append(eid, nid, int64(e.T))
 		}
-		frozen.stripes[i] = [][]colEvent{col}
-		frozen.n += n
+		frozen.stripes[i] = log.chunks
+		frozen.n += len(evs)
 	}
 	return frozen
 }
@@ -72,6 +90,7 @@ func (r *refStore) snapshot() *snapshotStore {
 // newRefProfiler returns an empty profiler on the reference store.
 func newRefProfiler(clock Clock) *Profiler {
 	p := &Profiler{clock: clock}
+	p.names.limit = maxNames
 	p.store = &refStore{p: p}
 	return p
 }

@@ -10,13 +10,16 @@
 // captured AFTER the store, so every id in the frozen log resolves.
 package profile
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // snapshotStore is the frozen event log behind a Snapshot: per-stripe
 // chunk lists of columnar records, immutable after construction. It
 // refuses Record — a snapshot is a read view, not a fork.
 type snapshotStore struct {
-	stripes [profStripes][][]colEvent
+	stripes [profStripes][]eventChunk
 	n       int
 }
 
@@ -26,11 +29,7 @@ func (s *snapshotStore) record(eid, nid uint32, t time.Duration) {
 
 func (s *snapshotStore) forEach(fn func(eid, nid uint32, t time.Duration)) {
 	for i := range s.stripes {
-		for _, c := range s.stripes[i] {
-			for j := range c {
-				fn(c[j].eid, c[j].nid, time.Duration(c[j].t))
-			}
-		}
+		visitChunks(s.stripes[i], fn)
 	}
 }
 
@@ -65,14 +64,12 @@ func (c *columnarStore) snapshot() *snapshotStore {
 // and the unsealed tail is copied. The work under the stripe lock is
 // O(tail), bounded by one chunk, so recorders stall for microseconds,
 // not for the length of the history.
-func (s *stripeLog[E]) freeze() (chunks [][]E, n int) {
+func (s *stripeLog) freeze() (chunks []eventChunk, n int) {
 	s.mu.Lock()
-	chunks = make([][]E, len(s.chunks))
+	chunks = make([]eventChunk, len(s.chunks))
 	copy(chunks, s.chunks)
-	if last := len(chunks) - 1; last >= 0 && len(chunks[last]) < cap(chunks[last]) {
-		tail := make([]E, len(chunks[last]))
-		copy(tail, chunks[last])
-		chunks[last] = tail
+	if last := len(chunks) - 1; last >= 0 && len(chunks[last].ev) < cap(chunks[last].ev) {
+		chunks[last].ev = slices.Clone(chunks[last].ev)
 	}
 	n = s.n
 	s.mu.Unlock()
@@ -96,6 +93,7 @@ func (p *Profiler) Snapshot() *Profiler {
 	// reassigns the dense ids 0..n-1 exactly as the source allocated
 	// them, so dumps and queries agree with the live profiler.
 	s := &Profiler{clock: p.clock, store: frozen}
+	s.names.limit = maxNames
 	s.ents.copyFrom(&p.ents, uint32(p.ents.count()))
 	s.names.copyFrom(&p.names, uint32(p.names.count()))
 	return s

@@ -16,25 +16,27 @@ import (
 	"entk/internal/vclock"
 )
 
-// liveCampaign is deliberately huge (18k tasks): its simulation takes
+// liveCampaign is deliberately huge (36k tasks): its simulation takes
 // long enough in wall-clock terms that HTTP requests fired right after
-// submission reliably land mid-run.
+// submission reliably land mid-run, at one CPU too, where the running
+// simulation yields the processor to the HTTP goroutines only when it
+// is preempted.
 const liveCampaign = `{
   "name": "live-probe",
   "resource": "xsede.comet", "cores": 64, "walltime_min": 6000,
   "pipelines": [{"name": "live", "stages": [
-    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 12}}}]},
-    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 11}}}]},
-    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 10}}}]},
-    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 9}}}]},
-    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 8}}}]},
-    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 7}}}]},
-    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 6}}}]},
-    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 5}}}]},
-    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 4}}}]},
-    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 3}}}]},
-    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 2}}}]},
-    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 1}}}]}
+    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 12}}}]},
+    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 11}}}]},
+    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 10}}}]},
+    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 9}}}]},
+    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 8}}}]},
+    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 7}}}]},
+    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 6}}}]},
+    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 5}}}]},
+    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 4}}}]},
+    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 3}}}]},
+    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 2}}}]},
+    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 1}}}]}
   ]}]
 }`
 
@@ -66,7 +68,7 @@ func TestLiveEndpoints(t *testing.T) {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
 
-	// /report immediately after submit: the 18k-task campaign cannot
+	// /report immediately after submit: the 36k-task campaign cannot
 	// have settled yet, so the endpoint must answer 202 with the live
 	// status rather than blocking until completion.
 	resp, err = client.Get(ts.URL + "/v1/campaigns/" + st.ID + "/report")
