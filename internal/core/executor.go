@@ -88,8 +88,8 @@ type executor struct {
 	// for the campaign tracker; hookSnaps holds the settled units of
 	// hook stages, which resume replays. mark is the last barrier's
 	// counters, its Phases and HookStages kept as lengths of the
-	// append-only phase log and hookSnaps (markN); before the first
-	// barrier it is the resume snapshot, or the name, whole (markN[0]<0).
+	// append-only phase log and hookSnaps (markN); until a live barrier
+	// settles it is the resume snapshot, or the name, whole.
 	skipStages int
 	tracked    bool
 	hookSnaps  []StageSnapshot
@@ -114,7 +114,6 @@ func newNamedExecutor(rs *ResourceSet, name string) *executor {
 		batch: rs.batch,
 		cur:   &submitCursor{v: rs.cfg.Clock, perUnit: rs.cfg.Clock.Charged(rs.sess.Cfg.UMSubmitPerUnit)},
 		mark:  PipelineCheckpoint{Name: name},
-		markN: [2]int{-1},
 	}
 	ex.prof = rs.sess.Prof
 	ex.patEnt = ex.prof.Intern("pattern")
@@ -191,7 +190,7 @@ func (ex *executor) checkpoint() PipelineCheckpoint {
 	ex.mu.Lock()
 	defer ex.mu.Unlock()
 	pc := ex.mark
-	if ex.markN[0] >= 0 {
+	if pc.SettledStages > ex.skipStages {
 		pc.Phases = foldPhases(ex.phases.log[:ex.markN[0]])
 		if n := ex.markN[1]; n > 0 {
 			pc.HookStages = append([]StageSnapshot(nil), ex.hookSnaps[:n]...)
@@ -245,7 +244,6 @@ func (ex *executor) runGraph() error {
 	if err != nil {
 		return err
 	}
-	ex.cur.shared = len(pls) > 1
 	var mu sync.Mutex
 	runSet(ex.v, len(pls), func(i int, end func()) {
 		ex.startPipeline(pls[i], i, func(r *pipeRun) {
@@ -266,25 +264,19 @@ func (ex *executor) runGraph() error {
 // submitting client the toolkit models: a wave's window is
 // [max(now, free), + len(wave) × UMSubmitPerUnit], opened by
 // submit_start and closed by its dispatch (submit_stop), and the
-// pattern overhead is the windows' sum. A cursor shared by several
-// pipelines grants one instant's requests in (pipeline index, stage
-// seq, wave seq) order, from a zero-delay grant round.
+// pattern overhead is the windows' sum. The cursor grants one
+// instant's requests from a zero-delay grant round, in (pipeline index,
+// stage seq, wave seq) order.
 type submitCursor struct {
 	v       vclock.Clock
 	perUnit time.Duration // the modelled per-unit submission cost
 	mu      sync.Mutex
-	shared  bool          // several pipelines submit through the cursor
 	free    time.Duration // where the last granted window ends
 	round   []*pipeRun    // this instant's requests, until the grant round
 }
 
-// request grants r's wave a window, or queues it for this instant's
-// grant round.
+// request queues r's wave for this instant's grant round.
 func (c *submitCursor) request(r *pipeRun) {
-	if !c.shared {
-		c.grant(r)
-		return
-	}
 	c.mu.Lock()
 	if c.round = append(c.round, r); len(c.round) == 1 {
 		c.v.After(0, c.grantRound)
@@ -292,7 +284,8 @@ func (c *submitCursor) request(r *pipeRun) {
 	c.mu.Unlock()
 }
 
-// grantRound grants the instant's requests in key order.
+// grantRound grants the instant's requests in key order: each wave's
+// window opens at max(now, free), and the wave submits at its start.
 func (c *submitCursor) grantRound() {
 	c.mu.Lock()
 	round := c.round
@@ -301,22 +294,17 @@ func (c *submitCursor) grantRound() {
 	slices.SortStableFunc(round, func(a, b *pipeRun) int {
 		return cmp.Or(cmp.Compare(a.idx, b.idx), cmp.Compare(a.seq, b.seq), cmp.Compare(a.waveSeq, b.waveSeq))
 	})
-	for _, r := range round {
-		c.grant(r)
-	}
-}
-
-// grant computes r's window and submits the wave at its start.
-func (c *submitCursor) grant(r *pipeRun) {
 	now := c.v.Now()
-	c.mu.Lock()
-	start := max(now, c.free)
-	c.free = start + time.Duration(len(r.wave))*c.perUnit
-	c.mu.Unlock()
-	if start == now {
-		r.submit()
-	} else {
-		c.v.After(start-now, r.submit)
+	for _, r := range round {
+		c.mu.Lock()
+		start := max(now, c.free)
+		c.free = start + time.Duration(len(r.wave))*c.perUnit
+		c.mu.Unlock()
+		if start == now {
+			r.submit()
+		} else {
+			c.v.After(start-now, r.submit)
+		}
 	}
 }
 

@@ -25,7 +25,6 @@ func withRefExecutor(t testing.TB, fn func()) {
 	ran := false
 	execHook = func(ex *executor) error {
 		ran = true
-		ex.cur.shared = true // seed pipelines are processes sharing the cursor
 		return ex.runRef()
 	}
 	defer func() { execHook = nil }()

@@ -306,20 +306,20 @@ func (r *pipeRun) next() {
 		// Terminate) is reconstructed before the live suffix runs (see
 		// checkpoint.go).
 		if st.PostStage != nil {
-			r.hook(func() error { return r.ex.replayHook(st, &r.ctl) }, r.afterHook)
+			r.hook(func() error { return r.ex.replayHook(st, &r.ctl) })
 			return
 		}
 	}
 	r.end(r)
 }
 
-// hook runs a PostStage hook and hands its error to then: inline for a
+// hook runs a PostStage hook, then continues past it: inline for a
 // lowered hook, on a new process for a user's, which may block.
-func (r *pipeRun) hook(fn func() error, then func(error)) {
+func (r *pipeRun) hook(fn func() error) {
 	if r.st.inlineHook {
-		then(fn())
+		r.afterHook(fn())
 	} else {
-		r.ex.v.Go(func() { then(fn()) })
+		r.ex.v.Go(func() { r.afterHook(fn()) })
 	}
 }
 
@@ -491,7 +491,7 @@ func (r *pipeRun) settled(units []*pilot.ComputeUnit, err error) {
 	if st.PostStage == nil {
 		r.afterHook(nil)
 	} else {
-		r.hook(func() error { return st.PostStage(&r.ctl) }, r.afterHook)
+		r.hook(func() error { return st.PostStage(&r.ctl) })
 	}
 }
 

@@ -183,7 +183,7 @@ type pairRendezvous struct {
 type pairKey struct{ cycle, lo int }
 
 type pairEntry struct {
-	arrived, done *vclock.Event // nil on an entry born dead
+	arrived, done *vclock.Event
 	lo, hi        int
 	dead          bool // a member died before the rendezvous: no exchange
 }
@@ -216,6 +216,18 @@ func (rv *pairRendezvous) pairFor(r, cycle int) (lo, hi int, ok bool) {
 	return r, q, true
 }
 
+// entry returns the pair's rendezvous entry, made on first use. The
+// caller holds mu.
+func (rv *pairRendezvous) entry(cycle, lo, hi int) *pairEntry {
+	e := rv.entries[pairKey{cycle, lo}]
+	if e == nil {
+		name := fmt.Sprintf("ee pair c%d (%d,%d)", cycle, lo, hi)
+		e = &pairEntry{arrived: vclock.NewEvent(rv.v, name+" arrived"), done: vclock.NewEvent(rv.v, name+" done"), lo: lo, hi: hi}
+		rv.entries[pairKey{cycle, lo}] = e
+	}
+	return e
+}
+
 // arrive registers replica r at its cycle rendezvous and returns its
 // entry and role. The lower replica's arrival fires "arrived".
 func (rv *pairRendezvous) arrive(r, cycle int) (*pairEntry, pairRole) {
@@ -224,12 +236,7 @@ func (rv *pairRendezvous) arrive(r, cycle int) (*pairEntry, pairRole) {
 		return nil, pairUnpaired
 	}
 	rv.mu.Lock()
-	e := rv.entries[pairKey{cycle, lo}]
-	if e == nil {
-		name := fmt.Sprintf("ee pair c%d (%d,%d)", cycle, lo, hi)
-		e = &pairEntry{arrived: vclock.NewEvent(rv.v, name+" arrived"), done: vclock.NewEvent(rv.v, name+" done"), lo: lo, hi: hi}
-		rv.entries[pairKey{cycle, lo}] = e
-	}
+	e := rv.entry(cycle, lo, hi)
 	dead := e.dead
 	rv.mu.Unlock()
 	switch {
@@ -262,21 +269,13 @@ func (rv *pairRendezvous) abandon(r, from int) {
 		if !ok {
 			continue
 		}
-		key := pairKey{cycle, lo}
 		rv.mu.Lock()
-		e, exists := rv.entries[key]
-		if !exists {
-			rv.entries[key] = &pairEntry{lo: lo, hi: hi, dead: true}
-			rv.mu.Unlock()
-			continue
-		}
+		e := rv.entry(cycle, lo, hi)
 		e.dead = true
 		rv.mu.Unlock()
-		if e.arrived != nil {
-			// Harmless no-ops where the rendezvous already fired them.
-			e.arrived.Fire()
-			e.done.Fire()
-		}
+		// Harmless no-ops where the rendezvous already fired them.
+		e.arrived.Fire()
+		e.done.Fire()
 	}
 }
 

@@ -3,7 +3,7 @@ package core
 import (
 	"reflect"
 	"runtime"
-	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,6 +80,37 @@ func TestPipelinesParkNoProcess(t *testing.T) {
 	})
 	if p.peak == 0 || p.peak > base+slack {
 		t.Errorf("pattern run of 64 pipelines: goroutine peak %d over a base of %d, want <= base+%d", p.peak, base, slack)
+	}
+}
+
+// TestPatternCallbackMustNotBlock pins the rule that a pattern's own
+// callbacks run inline at stage barriers, on the clock's callback path:
+// a StageKernel that blocks on the clock there is a programming error,
+// and the run fails with the clock's diagnostic rather than hanging or
+// silently reordering. (When each pipeline was a parked process the
+// same kernel slept and the run completed.) The first stage's kernels
+// are built before the run starts, so stage 2's are the ones that block.
+func TestPatternCallbackMustNotBlock(t *testing.T) {
+	v := vclock.NewVirtual()
+	h := newHandle(t, v, 8)
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		v.Run(func() {
+			if err := h.Allocate(); err != nil {
+				t.Fatal(err)
+			}
+			h.Run(&EnsembleOfPipelines{Pipelines: 2, Stages: 2,
+				StageKernel: func(st, _ int) *Kernel {
+					if st == 2 {
+						v.Sleep(time.Second)
+					}
+					return sleepKernel(10)
+				}})
+		})
+	}()
+	if msg, _ := got.(string); !strings.Contains(msg, "vclock: an After callback blocked on the clock") {
+		t.Fatalf("a StageKernel blocking at a barrier: recovered %v, want the clock's blocked-callback diagnostic", got)
 	}
 }
 
@@ -216,28 +247,5 @@ func TestCheckpointLazyMatchesEager(t *testing.T) {
 	}
 	if got := am.Checkpoint().Pipelines[0]; !reflect.DeepEqual(got, eager[4]) {
 		t.Errorf("checkpoint after Run\n got %+v\nwant %+v", got, eager[4])
-	}
-}
-
-// TestFoldPhases covers both ways foldPhases finds a name: by scanning
-// a short fold, and by index once it has more than 32 names.
-func TestFoldPhases(t *testing.T) {
-	for _, names := range []int{3, 40} {
-		var log []PhaseStat
-		for round := 1; round <= 2; round++ {
-			for i := range names {
-				log = append(log, PhaseStat{Name: "s" + strconv.Itoa(i), Span: time.Duration(round), Busy: 2, Tasks: i, Occurrences: 1})
-			}
-		}
-		got := foldPhases(log)
-		if len(got) != names {
-			t.Fatalf("%d names folded to %d phases", names, len(got))
-		}
-		for i, ph := range got {
-			want := PhaseStat{Name: "s" + strconv.Itoa(i), Span: 3, Busy: 4, Tasks: 2 * i, Occurrences: 2}
-			if ph != want {
-				t.Errorf("%d names: phase %d = %+v, want %+v", names, i, ph, want)
-			}
-		}
 	}
 }

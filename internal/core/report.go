@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 )
@@ -163,27 +162,16 @@ func (a *phaseAccumulator) merge(prefix string, phases []PhaseStat) {
 func (a *phaseAccumulator) stats() []PhaseStat { return foldPhases(a.log) }
 
 // foldPhases aggregates phase occurrences by name, in first-occurrence
-// order. Up to 32 names are found by a scan; a longer fold indexes them.
+// order.
 func foldPhases(log []PhaseStat) []PhaseStat {
 	out := make([]PhaseStat, 0, len(log))
-	var at map[string]int
+	at := make(map[string]int)
 	for _, ph := range log {
 		i, ok := at[ph.Name]
-		if at == nil {
-			i = slices.IndexFunc(out, func(s PhaseStat) bool { return s.Name == ph.Name })
-			ok = i >= 0
-		}
 		if !ok {
 			i = len(out)
+			at[ph.Name] = i
 			out = append(out, PhaseStat{Name: ph.Name})
-			if at != nil {
-				at[ph.Name] = i
-			} else if len(out) > 32 {
-				at = make(map[string]int, cap(out))
-				for j := range out {
-					at[out[j].Name] = j
-				}
-			}
 		}
 		out[i].Span += ph.Span
 		out[i].Busy += ph.Busy

@@ -40,11 +40,11 @@ import (
 // Nothing parks in the batcher. A submitter hands Enqueue two
 // callbacks: dispatched, called once the wave's units are with their
 // pilots, and onFinal, called as each unit turns final. The round's
-// creation arms the dispatches as clock timers — a bulk wave at
-// arrival + len(wave) × UMSubmitPerUnit, the waves due at one instant
-// in creation order (earlier rounds first, rank order within one); a
-// streamed wave one unit at a time — so the dispatch order at an
-// instant is computed, not left to goroutine wake order.
+// creation arms the dispatches as clock timers — a bulk wave one at
+// arrival + len(wave) × UMSubmitPerUnit, a streamed wave one per unit —
+// and the clock fires one instant's timers in arm order, so waves due
+// together dispatch in creation order (earlier rounds first, rank order
+// within one), never in goroutine wake order.
 //
 // A wave travels in compact form, as []WaveUnit: each entry points at a
 // description and carries its unit's own name and attempt. The core
@@ -54,15 +54,11 @@ import (
 // submission on. Submit takes the long form, one description per unit,
 // and its units point into the caller's slice.
 type WaveBatcher struct {
-	um                 *UnitManager
-	fireRound, fireDue func() // b.round and b.dispatchDue, bound once
+	um        *UnitManager
+	fireRound func() // b.round, bound once
 
 	mu    sync.Mutex
 	queue []batchedWave // this instant's round
-	// due holds the created bulk waves waiting for their dispatch
-	// instant: a min-heap by (at, seq), seq counting creations.
-	due []dueWave
-	seq uint64
 }
 
 // batchedWave is one member wave of a round. Its descriptions are
@@ -79,7 +75,7 @@ type batchedWave struct {
 // NewWaveBatcher returns a batcher over the unit manager.
 func NewWaveBatcher(um *UnitManager) *WaveBatcher {
 	b := &WaveBatcher{um: um}
-	b.fireRound, b.fireDue = b.round, b.dispatchDue
+	b.fireRound = b.round
 	return b
 }
 
@@ -147,30 +143,17 @@ func (b *WaveBatcher) round() {
 
 	v := b.um.sess.V
 	perUnit := v.Charged(b.um.sess.Cfg.UMSubmitPerUnit)
-	if perUnit <= 0 {
-		// No modelled cost (the wall clock): every member dispatches now.
-		for i := range round {
-			b.dispatchNow(&round[i])
+	for _, m := range round {
+		switch {
+		case perUnit <= 0:
+			// No modelled cost (the wall clock): dispatch now.
+			b.dispatchNow(&m)
+		case m.streamed && len(m.units) > 0:
+			s := &streamDispatch{b: b, m: m, perUnit: perUnit}
+			v.After(perUnit, s.step)
+		default:
+			v.After(time.Duration(len(m.units))*perUnit, func() { b.dispatchNow(&m) })
 		}
-	} else {
-		// A bulk member waits in the due heap for arrival + its cost, and
-		// arms a timer for that instant; the first timer to fire there
-		// dispatches every wave then due, in creation order. A streamed
-		// member arms its first unit's timer.
-		now := v.Now()
-		b.mu.Lock()
-		for _, m := range round {
-			if m.streamed && len(m.units) > 0 {
-				s := &streamDispatch{b: b, m: m, perUnit: perUnit}
-				v.After(perUnit, s.step)
-				continue
-			}
-			cost := time.Duration(len(m.units)) * perUnit
-			b.seq++
-			b.pushDue(dueWave{at: now + cost, seq: b.seq, m: m})
-			v.After(cost, b.fireDue)
-		}
-		b.mu.Unlock()
 	}
 	// The round's slice is spent: the next round reuses it.
 	clear(round)
@@ -179,71 +162,6 @@ func (b *WaveBatcher) round() {
 		b.queue = round[:0]
 	}
 	b.mu.Unlock()
-}
-
-// dueWave is a created bulk wave waiting for its dispatch instant.
-type dueWave struct {
-	at  time.Duration
-	seq uint64
-	m   batchedWave
-}
-
-func (w *dueWave) before(o *dueWave) bool {
-	return w.at < o.at || (w.at == o.at && w.seq < o.seq)
-}
-
-// pushDue adds w to the due heap. Caller holds mu.
-func (b *WaveBatcher) pushDue(w dueWave) {
-	h := append(b.due, w)
-	for i := len(h) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !h[i].before(&h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	b.due = h
-}
-
-// popDue removes and returns the due heap's head. Caller holds mu.
-func (b *WaveBatcher) popDue() dueWave {
-	h := b.due
-	top, n := h[0], len(h)-1
-	h[0], h[n] = h[n], dueWave{}
-	h = h[:n]
-	for i := 0; ; {
-		m := 2*i + 1
-		if m >= n {
-			break
-		}
-		if r := m + 1; r < n && h[r].before(&h[m]) {
-			m = r
-		}
-		if !h[m].before(&h[i]) {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	b.due = h
-	return top
-}
-
-// dispatchDue is a bulk dispatch timer's callback: it dispatches every
-// wave whose instant has come.
-func (b *WaveBatcher) dispatchDue() {
-	now := b.um.sess.V.Now()
-	for {
-		b.mu.Lock()
-		if len(b.due) == 0 || b.due[0].at > now {
-			b.mu.Unlock()
-			return
-		}
-		w := b.popDue()
-		b.mu.Unlock()
-		b.dispatchNow(&w.m)
-	}
 }
 
 // dispatchNow late-binds and dispatches a created member at once and

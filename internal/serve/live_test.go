@@ -16,27 +16,24 @@ import (
 	"entk/internal/vclock"
 )
 
-// liveCampaign is deliberately huge (36k tasks): its simulation takes
-// long enough in wall-clock terms that HTTP requests fired right after
-// submission reliably land mid-run, at one CPU too, where the running
-// simulation yields the processor to the HTTP goroutines only when it
-// is preempted.
+// liveCampaign is deliberately large (18k tasks), so the polls after
+// TestLiveEndpoints releases its clock usually land mid-run too.
 const liveCampaign = `{
   "name": "live-probe",
   "resource": "xsede.comet", "cores": 64, "walltime_min": 6000,
   "pipelines": [{"name": "live", "stages": [
-    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 12}}}]},
-    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 11}}}]},
-    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 10}}}]},
-    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 9}}}]},
-    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 8}}}]},
-    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 7}}}]},
-    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 6}}}]},
-    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 5}}}]},
-    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 4}}}]},
-    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 3}}}]},
-    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 2}}}]},
-    {"tasks": [{"count": 3000, "kernel": {"name": "misc.sleep", "params": {"seconds": 1}}}]}
+    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 12}}}]},
+    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 11}}}]},
+    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 10}}}]},
+    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 9}}}]},
+    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 8}}}]},
+    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 7}}}]},
+    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 6}}}]},
+    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 5}}}]},
+    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 4}}}]},
+    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 3}}}]},
+    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 2}}}]},
+    {"tasks": [{"count": 1500, "kernel": {"name": "misc.sleep", "params": {"seconds": 1}}}]}
   ]}]
 }`
 
@@ -54,6 +51,16 @@ func TestLiveEndpoints(t *testing.T) {
 	defer ts.Close()
 	client := ts.Client()
 
+	// Hold the campaign's pool clock: with one more registration counted
+	// runnable it cannot advance, so the campaign is mid-run, whatever
+	// the machine's speed, until the mid-run /report has been answered.
+	spec, err := campaign.Parse(strings.NewReader(liveCampaign))
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := o.poolFor(spec).v
+	held.Attach()
+
 	resp, err := client.Post(ts.URL+"/v1/campaigns", "application/json",
 		bytes.NewReader([]byte(liveCampaign)))
 	if err != nil {
@@ -68,9 +75,8 @@ func TestLiveEndpoints(t *testing.T) {
 		t.Fatalf("submit: status %d", resp.StatusCode)
 	}
 
-	// /report immediately after submit: the 36k-task campaign cannot
-	// have settled yet, so the endpoint must answer 202 with the live
-	// status rather than blocking until completion.
+	// /report mid-run: the endpoint must answer 202 with the live status
+	// rather than blocking until completion.
 	resp, err = client.Get(ts.URL + "/v1/campaigns/" + st.ID + "/report")
 	if err != nil {
 		t.Fatal(err)
@@ -86,6 +92,7 @@ func TestLiveEndpoints(t *testing.T) {
 	if live.ID != st.ID || (live.State != StateQueued && live.State != StateRunning) {
 		t.Errorf("mid-run report status = %+v, want queued/running %s", live, st.ID)
 	}
+	held.Detach() // release the clock: the campaign runs on
 
 	// POST /checkpoint: 409 until the campaign holds live simulation
 	// state, then an ENTKCKPT stream that LoadCheckpoint accepts. The
