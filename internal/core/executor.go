@@ -136,17 +136,6 @@ func (ex *executor) seedFrom(pc *PipelineCheckpoint) {
 	ex.hookSnaps = append([]StageSnapshot(nil), pc.HookStages...)
 }
 
-// captureHookStage snapshots a just-settled hook stage's units for
-// checkpointing, so a later Resume can replay the PostStage hook.
-// Only tracked campaign runs pay for this; lowered pattern runs are
-// never resumed and skip it.
-func (ex *executor) captureHookStage(seq int, units []*pilot.ComputeUnit) {
-	snap := hookStageSnapshot(seq, units)
-	ex.mu.Lock()
-	ex.hookSnaps = append(ex.hookSnaps, snap)
-	ex.mu.Unlock()
-}
-
 // hookStageSnapshot is the checkpoint's record of a settled hook stage.
 func hookStageSnapshot(seq int, units []*pilot.ComputeUnit) StageSnapshot {
 	// nil (not empty) when the stage had no units, so an in-memory
@@ -174,12 +163,17 @@ func hookStageSnapshot(seq int, units []*pilot.ComputeUnit) StageSnapshot {
 
 // noteSettled marks a settled stage barrier for the campaign tracker;
 // seq is the stage's execution index from the pipeline's start
-// (including any resumed prefix). It copies nothing.
-func (ex *executor) noteSettled(seq int) {
+// (including any resumed prefix). It copies nothing but a hook stage's
+// units, which a later Resume replays the hook against. Lowered pattern
+// runs are never resumed and are not tracked.
+func (ex *executor) noteSettled(seq int, hook bool, units []*pilot.ComputeUnit) {
 	if !ex.tracked {
 		return
 	}
 	ex.mu.Lock()
+	if hook {
+		ex.hookSnaps = append(ex.hookSnaps, hookStageSnapshot(seq, units))
+	}
 	ex.mark = PipelineCheckpoint{Name: ex.name, SettledStages: seq, Tasks: ex.tasks, Retries: ex.retries, PatternOverhead: ex.patternOverhead}
 	ex.markN = [2]int{len(ex.phases.log), len(ex.hookSnaps)}
 	ex.mu.Unlock()
@@ -265,8 +259,9 @@ func (ex *executor) runGraph() error {
 // [max(now, free), + len(wave) × UMSubmitPerUnit], opened by
 // submit_start and closed by its dispatch (submit_stop), and the
 // pattern overhead is the windows' sum. The cursor grants one
-// instant's requests from a zero-delay grant round, in (pipeline index,
-// stage seq, wave seq) order.
+// instant's requests from a zero-delay grant round, in pipeline-index
+// order: a pipeline has one request outstanding at a time, so that is
+// (pipeline index, stage seq, wave seq) order.
 type submitCursor struct {
 	v       vclock.Clock
 	perUnit time.Duration // the modelled per-unit submission cost
@@ -284,16 +279,14 @@ func (c *submitCursor) request(r *pipeRun) {
 	c.mu.Unlock()
 }
 
-// grantRound grants the instant's requests in key order: each wave's
+// grantRound grants the instant's requests in order: each wave's
 // window opens at max(now, free), and the wave submits at its start.
 func (c *submitCursor) grantRound() {
 	c.mu.Lock()
 	round := c.round
 	c.round = nil
 	c.mu.Unlock()
-	slices.SortStableFunc(round, func(a, b *pipeRun) int {
-		return cmp.Or(cmp.Compare(a.idx, b.idx), cmp.Compare(a.seq, b.seq), cmp.Compare(a.waveSeq, b.waveSeq))
-	})
+	slices.SortStableFunc(round, func(a, b *pipeRun) int { return cmp.Compare(a.idx, b.idx) })
 	now := c.v.Now()
 	for _, r := range round {
 		c.mu.Lock()

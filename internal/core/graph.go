@@ -265,7 +265,6 @@ type pipeRun struct {
 	attempts []int
 	retry    []int
 	failures []string
-	waveSeq  int
 	scratch  []byte
 
 	// The wave in flight, built in the last wave's buffer (the batcher
@@ -328,7 +327,7 @@ func (r *pipeRun) begin() {
 	if r.name == "" {
 		r.name = "stage." + pad.Int(r.seq, 1)
 	}
-	r.result, r.attempts, r.retry, r.failures, r.waveSeq = nil, nil, nil, nil, 0
+	r.result, r.attempts, r.retry, r.failures = nil, nil, nil, nil
 	if len(r.st.Tasks) == 0 {
 		r.settled(nil, nil)
 		return
@@ -458,7 +457,6 @@ func (r *pipeRun) settleWave() {
 	}
 	if r.units = nil; len(next) > 0 {
 		r.retry = next
-		r.waveSeq++
 		r.request()
 		return
 	}
@@ -509,10 +507,7 @@ func (r *pipeRun) afterHook(herr error) {
 		return
 	}
 	if r.seq > r.ex.skipStages {
-		if r.st.PostStage != nil && r.ex.tracked {
-			r.ex.captureHookStage(r.seq, c.units)
-		}
-		r.ex.noteSettled(r.seq)
+		r.ex.noteSettled(r.seq, r.st.PostStage != nil, c.units)
 	}
 	if c.terminated {
 		r.end(r)
