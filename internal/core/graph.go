@@ -245,14 +245,15 @@ func runSet(v vclock.Clock, n int, start func(i int, end func())) {
 // lowered pattern hooks never block and run inline. A pipeline without
 // hooks never leaves the wheel. The stage list is copied, not mutated.
 type pipeRun struct {
-	ex     *executor
-	pl     *Pipeline
-	idx    int            // position in its set: the cursor's first key
-	end    func(*pipeRun) // called once, when the pipeline ends with err
-	onUnit func(*pilot.ComputeUnit)
-	queue  []*Stage
-	i, seq int
-	err    error
+	ex         *executor
+	pl         *Pipeline
+	idx        int            // position in its set: the cursor's key
+	end        func(*pipeRun) // called once, when the pipeline ends with err
+	onUnit     func(*pilot.ComputeUnit)
+	onDispatch func([]*pilot.ComputeUnit)
+	queue      []*Stage
+	i, seq     int
+	err        error
 
 	// The stage in flight. result holds the first wave's units, a failed
 	// slot refilled by a successful retry; retry holds a retry wave's
@@ -279,7 +280,7 @@ type pipeRun struct {
 // startPipeline starts pl as the idx-th pipeline of its set.
 func (ex *executor) startPipeline(pl *Pipeline, idx int, end func(*pipeRun)) {
 	r := &pipeRun{ex: ex, pl: pl, idx: idx, end: end, queue: slices.Clone(pl.Stages)}
-	r.onUnit = r.unitFinal
+	r.onUnit, r.onDispatch = r.unitFinal, r.dispatched
 	r.next()
 }
 
@@ -396,7 +397,7 @@ func (r *pipeRun) submit() {
 	ex.prof.RecordID(ex.patEnt, ex.evSubStart)
 	r.t0 = ex.v.Now()
 	r.left.Store(int32(len(r.wave)) + 1)
-	if err := ex.batch.Enqueue(ex.rank, r.wave, r.st.Streamed, r.onUnit, r.dispatched); err != nil {
+	if err := ex.batch.Enqueue(ex.rank, r.wave, r.st.Streamed, r.onUnit, r.onDispatch); err != nil {
 		r.settled(nil, err)
 	}
 }

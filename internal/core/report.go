@@ -165,7 +165,7 @@ func (a *phaseAccumulator) stats() []PhaseStat { return foldPhases(a.log) }
 // order.
 func foldPhases(log []PhaseStat) []PhaseStat {
 	out := make([]PhaseStat, 0, len(log))
-	at := make(map[string]int)
+	at := make(map[string]int, len(log))
 	for _, ph := range log {
 		i, ok := at[ph.Name]
 		if !ok {

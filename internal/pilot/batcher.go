@@ -152,7 +152,11 @@ func (b *WaveBatcher) round() {
 			s := &streamDispatch{b: b, m: m, perUnit: perUnit}
 			v.After(perUnit, s.step)
 		default:
-			v.After(time.Duration(len(m.units))*perUnit, func() { b.dispatchNow(&m) })
+			units, dispatched := m.units, m.dispatched
+			v.After(time.Duration(len(units))*perUnit, func() {
+				b.um.Dispatch(units)
+				dispatched(units)
+			})
 		}
 	}
 	// The round's slice is spent: the next round reuses it.

@@ -110,7 +110,7 @@ type segBucket struct {
 // is at least this long and at least half the slots in use. The slide
 // moves into a smaller array when the rest fills a quarter of the
 // backing array or less, so the ring's memory tracks the live backlog
-// and a drained bucket holds none.
+// and a drained bucket holds at most a short array.
 const segReclaimMin = 1024
 
 // segPending is the segmented pending queue: per-class ring buckets,
@@ -260,9 +260,15 @@ func (q *segPending) placed() {
 	}
 }
 
-// reclaim slides a long consumed prefix off the ring. Only called with
-// scan == head (placed-at-head), so both cursors shift together.
+// reclaim slides a long consumed prefix off the ring, and rewinds a
+// short one that drained the bucket, so a short backlog that cycles
+// reuses its array instead of regrowing it. Only called with scan ==
+// head (placed-at-head), so both cursors shift together.
 func (q *segPending) reclaim(b *segBucket) {
+	if b.head == len(b.entries) && b.head < segReclaimMin {
+		b.entries, b.head, b.scan = b.entries[:0], 0, 0
+		return
+	}
 	if b.head < segReclaimMin || b.head*2 < len(b.entries) {
 		return
 	}
