@@ -87,9 +87,8 @@ func TestPipelinesParkNoProcess(t *testing.T) {
 // callbacks run inline at stage barriers, on the clock's callback path:
 // a StageKernel that blocks on the clock there is a programming error,
 // and the run fails with the clock's diagnostic rather than hanging or
-// silently reordering. (When each pipeline was a parked process the
-// same kernel slept and the run completed.) The first stage's kernels
-// are built before the run starts, so stage 2's are the ones that block.
+// silently reordering. The first stage's kernels are built before the
+// run starts, so stage 2's are the ones that block.
 func TestPatternCallbackMustNotBlock(t *testing.T) {
 	v := vclock.NewVirtual()
 	h := newHandle(t, v, 8)

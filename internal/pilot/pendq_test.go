@@ -328,6 +328,28 @@ func TestSegPendingHeadReclaim(t *testing.T) {
 	}
 }
 
+// TestSegPendingShortBacklogRewinds pins the short-backlog rewind: a
+// bucket that a short backlog drains again and again reuses its array
+// instead of growing it until the consumed prefix is long enough to
+// reclaim.
+func TestSegPendingShortBacklogRewinds(t *testing.T) {
+	q := newPendingQueue().(*segPending)
+	const cycles = segReclaimMin / 8 // 512 units: short of a reclaim
+	for range cycles {
+		for range 4 {
+			q.push(pendUnit("r", 1, false))
+		}
+		q.beginPass()
+		for q.next() != nil {
+			q.placed()
+		}
+		q.endPass()
+	}
+	if b := q.buckets[pendClass{need: 1, mpi: false}]; cap(b.entries) > 4 {
+		t.Errorf("a 4-unit backlog drained %d times holds a %d-slot array, want <= 4", cycles, cap(b.entries))
+	}
+}
+
 // drainCost pushes n one-class units and drains them in saturated passes
 // of 32 placements each — the steady state of a deep backlog — and
 // returns the queue's internal work per unit.
