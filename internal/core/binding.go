@@ -244,13 +244,20 @@ const initOverhead = time.Second
 // request, in set order. It returns once the requests are submitted
 // (not when they become active); Run waits for activation. The time
 // spent here is control-plane work and counts toward the core
-// overhead. A submission failure cancels the pilots already submitted
-// and leaves the set unallocated.
+// overhead. A fault plan that does not fit the set is rejected before
+// anything is charged or submitted, and a submission failure cancels the
+// pilots already submitted; either leaves the set unallocated.
 func (rs *ResourceSet) Allocate() error {
 	rs.mu.Lock()
 	if rs.allocated {
 		rs.mu.Unlock()
 		return fmt.Errorf("core: resource set already allocated")
+	}
+	if rs.Faults != nil {
+		if err := rs.Faults.Validate(len(rs.Specs)); err != nil {
+			rs.mu.Unlock()
+			return err
+		}
 	}
 	rs.allocated = true
 	rs.mu.Unlock()

@@ -295,6 +295,46 @@ func TestResourceSetLifecycleErrors(t *testing.T) {
 	})
 }
 
+// TestResourceSetRejectsBadFaultPlanFirst pins that Allocate checks the
+// fault plan before it charges any overhead or submits a pilot: a plan
+// that targets a pilot the set does not have leaves the set unallocated
+// at the instant it started, and a corrected retry allocates.
+func TestResourceSetRejectsBadFaultPlanFirst(t *testing.T) {
+	registerBindingMachines(t)
+	v := vclock.NewVirtual()
+	rs, err := NewResourceSet([]PilotSpec{
+		{Resource: "test.bind.narrow", Cores: 16, Walltime: time.Hour},
+	}, Config{Clock: v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.Faults = &pilot.FaultPlan{Faults: []pilot.Fault{
+		{At: time.Second, Pilot: 3, Kind: pilot.FaultKillPilot},
+	}}
+	v.Run(func() {
+		err := rs.Allocate()
+		if err == nil || !strings.Contains(err.Error(), "targets pilot 3 of 1") {
+			t.Errorf("Allocate = %v, want the fault plan rejected", err)
+		}
+		if n := len(rs.Pilots()); n != 0 {
+			t.Errorf("rejected Allocate submitted %d pilot(s)", n)
+		}
+		if now := v.Now(); now != 0 {
+			t.Errorf("rejected Allocate charged %v", now)
+		}
+		rs.Faults = &pilot.FaultPlan{}
+		if err := rs.Allocate(); err != nil {
+			t.Fatalf("corrected retry: %v", err)
+		}
+		if err := rs.Deallocate(); err != nil {
+			t.Error(err)
+		}
+	})
+	if now := v.Now(); now >= time.Hour {
+		t.Errorf("clock ran on to %v, past the pilot's walltime", now)
+	}
+}
+
 // TestResourceSetLeavesNoProcess pins that no pilot of a set parks a
 // process. Each session runs one campaign on a two-pilot set and then
 // ends with both pilots alive and never released: a phantom process

@@ -2,9 +2,9 @@
 // cache-line padding for striped concurrent structures. It exists because
 // entity keys and task names are built once per simulated task, which puts
 // their formatting on the hottest allocation path in the tree, and because
-// the engine's striped tables (vclock blocked tracking, profiler stripes)
-// are hammered by many cores at once, where false sharing between adjacent
-// stripes costs more than the work they guard.
+// the profiler's event-log stripes are written by concurrent recorders,
+// where false sharing between adjacent stripes costs more than the append
+// they guard.
 package pad
 
 // LineSize is the assumed cache-line size in bytes. 64 is correct for

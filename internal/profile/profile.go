@@ -5,7 +5,7 @@
 // Profiler, which is what makes the stacked-bar figures reconstructible.
 //
 // Storage is columnar and interned: entities and event names are mapped to
-// dense ids by a striped intern table, and each event is a pointer-free
+// dense ids by an intern table, and each event is a pointer-free
 // 12-byte {entityID, nameID, time offset} record, so at 100k-task scale
 // the GC scans nothing per event (the seed layout's two string headers cost
 // ~40 B/event of scanned memory — the largest allocation source in the
@@ -43,10 +43,11 @@ type Event struct {
 // ---------------------------------------------------------------------------
 // Intern table
 
-// The intern table is striped by string hash so concurrent first-time
-// interns do not serialize, and id→string resolution is lock-free: ids
-// are allocated from one dense space and each block's slots are
-// published through atomic pointers.
+// The intern table maps strings to ids through one read-locked map, and
+// id→string resolution is lock-free: ids are allocated from one dense
+// space and each block's slots are published through atomic pointers.
+// The runtime interns its vocabulary once per session and caches the
+// ids, so a lock split by hash would guard little traffic.
 //
 // Unit entities are the exception to string storage. A key of the form
 // "unit." + pad.Int(n, 6) — the pilot layer's unit keys — is kept as the
@@ -57,7 +58,6 @@ type Event struct {
 // looks up a key applies the same rule, so InternUnit(42) and
 // Intern("unit.000042") always name one id.
 const (
-	internStripes   = 16   // power of two
 	internBlockSize = 4096 // slots per block
 	internMaxBlocks = 4096 // supports 16M interned keys
 	// maxNames caps the event-name table: an event stores its name id
@@ -94,14 +94,6 @@ func unitNumber(s string) (int, bool) {
 	return n, n < maxUnit
 }
 
-// internStripe holds one shard of the string→id map. Cache-line padded:
-// unit creation interns from many goroutines at once.
-type internStripe struct {
-	mu  sync.RWMutex
-	ids map[string]uint32
-	_   pad.Line
-}
-
 // internBlock holds internBlockSize consecutive ids. Each slot is a
 // string or a unit number (plus one, so zero means "a string slot");
 // either array is allocated by the block's first slot of its kind, so a
@@ -113,34 +105,26 @@ type internBlock struct {
 }
 
 // interner maps keys to dense uint32 ids and back. intern and lookup of
-// a string take a stripe read-lock (alloc-free on the hit path); unit
+// a string take the map's read lock (alloc-free on the hit path); unit
 // keys take allocMu; resolve is lock-free.
 type interner struct {
-	stripes [internStripes]internStripe
+	// mu guards ids, the string→id map. A writer takes allocMu under it.
+	mu  sync.RWMutex
+	ids map[string]uint32
 
 	// limit caps the ids this table assigns; zero means the full
 	// block space. The name table is capped at maxNames.
 	limit uint32
 
-	// allocMu serializes id allocation across stripes and guards
-	// unitIDs; n publishes the count of assigned ids (resolve and the
-	// query layer size their scratch off it).
+	// allocMu serializes id allocation between strings and units and
+	// guards unitIDs; n publishes the count of assigned ids (resolve and
+	// the query layer size their scratch off it).
 	allocMu sync.Mutex
 	n       atomic.Uint32
 	blocks  [internMaxBlocks]atomic.Pointer[internBlock]
 	// unitIDs maps unit number n to its id plus one, in blocks of
 	// internBlockSize numbers, grown as numbers arrive.
 	unitIDs []*[internBlockSize]uint32
-}
-
-// strHash is FNV-1a, the same hash the seed store striped entities by.
-func strHash(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // intern returns the id for s, assigning one on first sight.
@@ -153,16 +137,15 @@ func (t *interner) intern(s string) uint32 {
 
 // internString is intern for a key that is not a unit key.
 func (t *interner) internString(s string) uint32 {
-	st := &t.stripes[strHash(s)&(internStripes-1)]
-	st.mu.RLock()
-	id, ok := st.ids[s]
-	st.mu.RUnlock()
+	t.mu.RLock()
+	id, ok := t.ids[s]
+	t.mu.RUnlock()
 	if ok {
 		return id
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if id, ok := st.ids[s]; ok {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if id, ok := t.ids[s]; ok {
 		return id
 	}
 	t.allocMu.Lock()
@@ -175,10 +158,10 @@ func (t *interner) internString(s string) uint32 {
 	strs[id%internBlockSize] = s
 	t.n.Store(id + 1)
 	t.allocMu.Unlock()
-	if st.ids == nil {
-		st.ids = make(map[string]uint32)
+	if t.ids == nil {
+		t.ids = make(map[string]uint32)
 	}
-	st.ids[s] = id
+	t.ids[s] = id
 	return id
 }
 
@@ -247,10 +230,9 @@ func (t *interner) lookup(s string) (uint32, bool) {
 		defer t.allocMu.Unlock()
 		return t.unitLocked(n)
 	}
-	st := &t.stripes[strHash(s)&(internStripes-1)]
-	st.mu.RLock()
-	id, ok := st.ids[s]
-	st.mu.RUnlock()
+	t.mu.RLock()
+	id, ok := t.ids[s]
+	t.mu.RUnlock()
 	return id, ok
 }
 

@@ -29,6 +29,16 @@ func (s *refStripe) events() []Event {
 	return s.evs[:len(s.evs):len(s.evs)]
 }
 
+// strHash is FNV-1a, the hash the seed store striped entities by.
+func strHash(s string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(s); i++ {
+		h ^= uint32(s[i])
+		h *= 16777619
+	}
+	return h
+}
+
 func (r *refStore) record(eid, nid uint32, t time.Duration) {
 	entity := r.p.ents.resolve(eid)
 	name := r.p.names.resolve(nid)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -55,8 +54,8 @@ type Virtual struct {
 }
 
 // NewVirtual returns a virtual clock at time zero with no processes,
-// backed by the direct-handoff engine.
-func NewVirtual() *Virtual { return &Virtual{eng: newHandoffEngine()} }
+// backed by the timer-wheel engine (virtual.go).
+func NewVirtual() *Virtual { return &Virtual{eng: newVirtualEngine()} }
 
 func (v *Virtual) core() engine { return v.eng }
 
@@ -141,19 +140,14 @@ type descSource interface {
 }
 
 // waiter is one parked process, published by a primitive and woken by
-// exactly one waker. The channel is a reusable capacity-1 signal; the
-// state word implements the handoff engine's wake-before-park fast path
-// (the test-only reference engine parks and wakes through the channel
-// only). who is scratch owned by the latch that published the waiter.
-// Every Timer embeds a waiter, so a field added here is paid by every
-// After.
+// exactly one waker through its reusable capacity-1 channel. who is
+// scratch owned by the latch that published the waiter. Every Timer
+// embeds a waiter, so a field added here is paid by every After.
 type waiter struct {
-	ch    chan struct{}
-	state atomic.Int32
-	sid   uint32       // pool-assigned id selecting a blocked-table stripe
-	who   fmt.Stringer // latch: the host named in the deadlock report
+	ch  chan struct{}
+	who fmt.Stringer // latch: the host named in the deadlock report
 
-	// Timer-wheel fields (handoff engine only): the waiter doubles as
+	// Timer-wheel fields (virtual engine only): the waiter doubles as
 	// the intrusive wheel node, so the sleep path allocates nothing. A
 	// node with timer set is an After callback (the Timer embeds it)
 	// rather than a sleeping process. tnext also links a waiter parked
@@ -165,26 +159,11 @@ type waiter struct {
 	timer    *Timer
 }
 
-// Waiter states for the handoff fast path. A parker swaps in wParked; if
-// it reads back wSignaled the waker already passed through and the parker
-// returns without ever blocking. A waker swaps in wSignaled; if it reads
-// back wParked the parker is (or is about to be) asleep and needs a
-// counted wake through the channel.
-const (
-	wIdle int32 = iota
-	wSignaled
-	wParked
-)
-
 // waiterPool recycles waiters (and their wake channels) across blocks:
 // simulations park millions of times, and the waiter allocation was among
 // the largest sources of garbage in the engine.
-var waiterSid atomic.Uint32
-
 var waiterPool = sync.Pool{
-	New: func() interface{} {
-		return &waiter{ch: make(chan struct{}, 1), sid: waiterSid.Add(1)}
-	},
+	New: func() interface{} { return &waiter{ch: make(chan struct{}, 1)} },
 }
 
 func getWaiter() *waiter { return waiterPool.Get().(*waiter) }

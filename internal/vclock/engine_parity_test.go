@@ -54,24 +54,25 @@ func runEoP(t *testing.T, in eopInput, newClock func() *vclock.Virtual) *entk.Re
 }
 
 // TestEngineReportParity is the vclock-engine regression gate: the
-// direct-handoff engine must be a wall-time optimisation only. The same
-// ensemble, run on the handoff engine and on the reference engine
-// (ref_engine_test.go), must produce bit-identical reports — same TTC,
-// same phase spans and busy times, same task and retry counts — or the
-// engine rebuild changed simulated behaviour, not just speed.
+// virtual engine's timer wheel and inline callbacks must be a wall-time
+// optimisation only. The same ensemble, run on the virtual engine and on
+// the reference engine (ref_engine_test.go), must produce bit-identical
+// reports — same TTC, same phase spans and busy times, same task and
+// retry counts — or the engine changed simulated behaviour, not just
+// speed.
 func TestEngineReportParity(t *testing.T) {
 	for _, in := range eopInputs {
 		t.Run(fmt.Sprint(in.units), func(t *testing.T) {
 			if in.large && (testing.Short() || raceEnabled) {
 				t.Skip("100k-unit leg skipped under -short and -race")
 			}
-			handoff := runEoP(t, in, vclock.NewVirtual)
+			virtual := runEoP(t, in, vclock.NewVirtual)
 			// Guard against the vacuous pass: the workload must have run.
-			if handoff.Tasks != in.units || handoff.TTC <= 0 {
-				t.Fatalf("parity workload did not run: tasks=%d ttc=%v", handoff.Tasks, handoff.TTC)
+			if virtual.Tasks != in.units || virtual.TTC <= 0 {
+				t.Fatalf("parity workload did not run: tasks=%d ttc=%v", virtual.Tasks, virtual.TTC)
 			}
-			if ref := runEoP(t, in, vclock.NewRefVirtual); !reflect.DeepEqual(handoff, ref) {
-				t.Errorf("report diverges between engines:\nhandoff:\n%v\nref:\n%v", handoff, ref)
+			if ref := runEoP(t, in, vclock.NewRefVirtual); !reflect.DeepEqual(virtual, ref) {
+				t.Errorf("report diverges between engines:\nvirtual:\n%v\nref:\n%v", virtual, ref)
 			}
 		})
 	}

@@ -10,7 +10,9 @@ import (
 )
 
 // engines lists every engine the parity suite runs on: the product's
-// direct-handoff engine and the reference engine (ref_engine_test.go).
+// virtual engine (virtual.go) and the reference engine
+// (ref_engine_test.go). The product engine keeps its former subtest
+// name, "handoff", so test ids stay stable across the engine's rename.
 var engines = []struct {
 	name string
 	new  func() *Virtual
@@ -196,6 +198,81 @@ func TestEngineDeadlockParity(t *testing.T) {
 	}
 }
 
+// TestEngineWakeRace races wakes against parks at one instant: per round,
+// waiters on an Event race its Fire, and acquirers on a permit-less
+// Semaphore race the releases the woken waiters make. A wake may land
+// before its park; the run must still drain to quiescence at that
+// instant, and a deliberate deadlock afterwards must report its one
+// blocked waiter and no entry a raced wake left behind.
+func TestEngineWakeRace(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, v *Virtual) {
+		const procs, rounds = 64, 100
+		done := make(chan interface{}, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			v.Run(func() {
+				v.Sleep(time.Second)
+				for r := 0; r < rounds; r++ {
+					ev := NewEvent(v, fmt.Sprintf("race %d", r))
+					sem := NewSemaphore(v, fmt.Sprintf("race %d", r), 0)
+					wg := NewWaitGroup(v, fmt.Sprintf("race %d", r))
+					wg.Add(2 * procs)
+					for i := 0; i < procs; i++ {
+						v.Go(func() {
+							defer wg.Done()
+							sem.Acquire(1)
+						})
+						v.Go(func() {
+							defer wg.Done()
+							ev.Wait()
+							sem.Release(1)
+						})
+						if i == procs/2 {
+							v.Go(ev.Fire)
+						}
+					}
+					wg.Wait()
+				}
+			})
+		}()
+		select {
+		case r := <-done:
+			if r != nil {
+				t.Fatalf("wake race did not drain: %v", r)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("wake race did not drain")
+		}
+		if got := v.Now(); got != time.Second {
+			t.Fatalf("clock at %v after the race, want 1s", got)
+		}
+
+		// The racers' processes may still be exiting when Run returns;
+		// the clock cannot pass the sleep until every one has, so the
+		// Wait below blocks last and its Run caller gets the report.
+		deadlock := make(chan interface{}, 1)
+		go func() {
+			defer func() { deadlock <- recover() }()
+			v.Run(func() {
+				v.Sleep(time.Second)
+				NewEvent(v, "never-fired").Wait()
+			})
+		}()
+		var r interface{}
+		select {
+		case r = <-deadlock:
+		case <-time.After(5 * time.Second):
+			t.Fatal("deadlock panic did not unwind")
+		}
+		msg, _ := r.(string)
+		for _, want := range []string{"deadlock at t=2s", "1 blocked waiter(s)", "event never-fired"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("deadlock report missing %q:\n%v", want, r)
+			}
+		}
+	})
+}
+
 // TestEnginePrimitiveMix drives the three primitives on both engines with a
 // virtually deterministic workload (contended arrivals are staggered onto
 // distinct instants, so FIFO service order is fixed by simulated time,
@@ -240,10 +317,10 @@ func TestEnginePrimitiveMix(t *testing.T) {
 	}
 	a, b := run(NewVirtual), run(newRefVirtual)
 	if a.now != b.now {
-		t.Fatalf("final time differs: handoff %v, ref %v", a.now, b.now)
+		t.Fatalf("final time differs: virtual %v, ref %v", a.now, b.now)
 	}
 	if fmt.Sprint(a.served) != fmt.Sprint(b.served) {
-		t.Fatalf("activity differs:\nhandoff %+v\nref     %+v", a, b)
+		t.Fatalf("activity differs:\nvirtual %+v\nref     %+v", a, b)
 	}
 }
 
@@ -258,12 +335,12 @@ func TestEngineTieSoak(t *testing.T) {
 		a := runSoak(NewVirtual, seed)
 		b := runSoak(newRefVirtual, seed)
 		if len(a) != len(b) {
-			t.Fatalf("seed %d: trace lengths differ: handoff %d, ref %d\nhandoff: %v\nref: %v",
+			t.Fatalf("seed %d: trace lengths differ: virtual %d, ref %d\nvirtual: %v\nref: %v",
 				seed, len(a), len(b), a, b)
 		}
 		for i := range a {
 			if a[i] != b[i] {
-				t.Fatalf("seed %d: traces diverge at step %d:\nhandoff: %s\nref:     %s",
+				t.Fatalf("seed %d: traces diverge at step %d:\nvirtual: %s\nref:     %s",
 					seed, i, a[i], b[i])
 			}
 		}

@@ -8,10 +8,10 @@ import (
 
 // The blocking primitives. Each primitive owns its waiter bookkeeping
 // behind its own mutex and talks to the engine only through park/wake, so
-// under the direct-handoff engine two unrelated primitives never contend
-// on a shared lock, and settled-state reads (Event.Fired, a fired Wait, a
-// zero WaitGroup Wait) are single atomic loads with no lock at all. The
-// protocol every primitive follows:
+// on the wall clock, where After callbacks run concurrently, two
+// unrelated primitives never contend on a shared lock; settled-state
+// reads (Event.Fired, a fired Wait, a zero WaitGroup Wait) are single
+// atomic loads with no lock at all. The protocol every primitive follows:
 //
 //	block:  publish a waiter in the primitive's list (under its lock),
 //	        release the lock, then park.

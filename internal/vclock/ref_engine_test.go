@@ -11,10 +11,12 @@ import (
 // a binary timer heap. Every operation — sleep, park, wake — serializes
 // on mu, which makes the invariants easy to audit: the runnable count,
 // the heap, and the blocked table can never be observed mid-update. The
+// product's virtual engine (virtual.go) keeps the same lock and channel
+// protocol; it differs in its timer store (a wheel, not a heap) and in
+// running After callbacks inline rather than as a process per timer. The
 // engine tests in this package and TestEngineReportParity
-// (engine_parity_test.go) hold the direct-handoff engine (handoff.go) to
-// it in simulated time; only wall-clock cost may differ. No product
-// option selects it.
+// (engine_parity_test.go) hold the virtual engine to it in simulated
+// time; only wall-clock cost may differ. No product option selects it.
 type refEngine struct {
 	mu sync.Mutex
 	// cur mirrors nowAtomic; the atomic copy lets now() — which sits on
@@ -112,7 +114,7 @@ func (v *refEngine) wake(w *waiter) {
 // after keeps the seed's process-per-timer design: a registered process
 // sleeps to the instant and fires t. It is counted runnable from the
 // moment after returns, so the clock can neither pass the instant nor
-// fire it early; unlike the handoff engine's inline callbacks, t.fn runs
+// fire it early; unlike the virtual engine's inline callbacks, t.fn runs
 // as a process of its own.
 func (v *refEngine) after(t *Timer, d time.Duration) {
 	v.register()

@@ -126,7 +126,7 @@ func TestStoppedVirtualTimerKeepsItsInstant(t *testing.T) {
 	}
 }
 
-// TestAfterCallbacksRunInlineInArmOrder pins the handoff engine's timer
+// TestAfterCallbacksRunInlineInArmOrder pins the virtual engine's timer
 // design: a pending After is a wheel node, not a process, so arming 10k
 // of them starts no goroutine, and callbacks sharing one deadline run in
 // the order they were armed, all at that instant.

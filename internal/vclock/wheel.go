@@ -5,7 +5,7 @@ import (
 	"slices"
 )
 
-// The hierarchical timer wheel behind the direct-handoff engine.
+// The hierarchical timer wheel behind the virtual engine.
 //
 // The reference engine keeps pending timers in a binary heap: O(log n)
 // per push and per pop, with n the total pending-timer count — 8k+ during
